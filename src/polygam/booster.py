@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .model import (
     ParameterStore,
     accumulate_global,
     accumulate_update,
+    locate,
     zero_init,
 )
 
@@ -47,7 +48,6 @@ class TrainConfig:
     early_stopping_patience: int = 100
     validation_fraction: float = 0.125
     seed: int = 0
-    snapshot_every: int = 100
 
     def validate(self) -> None:
         errs = []
@@ -67,8 +67,6 @@ class TrainConfig:
             errs.append(
                 f"validation_fraction must be in [0, 1), got {self.validation_fraction}"
             )
-        if self.snapshot_every < 1:
-            errs.append(f"snapshot_every must be >= 1")
         if errs:
             raise ConfigError("; ".join(errs))
 
@@ -137,14 +135,11 @@ class TrainResult:
     train_loss: float
     valid_loss: float | None
     learning_rate: float = 0.1
-    snapshots: list[tuple[int, ParameterStore]] = field(default_factory=list)
 
     def replay_to(self, iteration: int) -> ParameterStore:
-        """Model state after `iteration` full iterations, reconstructed from
-        the nearest snapshot plus log replay; bit-identical to training."""
-        return replay(
-            self.initial_store, self.log, iteration, self.snapshots, self.learning_rate
-        )
+        """Model state after `iteration` full iterations, reconstructed by
+        replaying the log from the initial state; bit-identical to training."""
+        return replay(self.initial_store, self.log, iteration, self.learning_rate)
 
 
 def write_log(log: list[LogRecord], path) -> None:
@@ -209,11 +204,10 @@ class _FeatureWork:
         self.split_degrees = list(range(max(fc.smoothness + 1, 0), fc.max_degree + 1))
         self.global_degrees = list(range(0, fc.smoothness + 1))
 
-        self.fcodes = np.searchsorted(fb.fine_edges, x, side="right")
+        self.fcodes, self.ccodes, t = locate(fb, x)
         counts = np.bincount(self.fcodes, minlength=fb.n_fine_bins)
         self.n_left_fine = np.cumsum(counts)[:-1]  # per fine edge
 
-        self.ccodes = np.searchsorted(fb.coarse_edges, x, side="right")
         ccounts = np.bincount(self.ccodes, minlength=fb.n_coarse_bins)
         self.n_left_coarse = np.cumsum(ccounts)[:-1]  # per coarse edge
 
@@ -224,7 +218,6 @@ class _FeatureWork:
         self.max_global_deg = max(self.global_degrees, default=0)
 
         if self.max_split_deg >= 1:
-            t = x - self.lower[self.ccodes]
             self.tpow = np.empty((2 * self.max_split_deg + 1, n))
             self.tpow[0] = 1.0
             for p in range(1, 2 * self.max_split_deg + 1):
@@ -724,22 +717,14 @@ def replay(
     initial_store: ParameterStore,
     log: list[LogRecord],
     iteration: int,
-    snapshots: list[tuple[int, ParameterStore]] | None = None,
     learning_rate: float = 0.1,
 ) -> ParameterStore:
     """Reconstruct the parameter state after `iteration` full iterations by
-    replaying logged updates on top of the nearest earlier snapshot. The
-    arithmetic mirrors training exactly, so the result is bit-identical."""
-    base_iter = 0
-    store = initial_store
-    if snapshots:
-        for it, snap in snapshots:
-            if base_iter <= it <= iteration:
-                base_iter = it
-                store = snap
-    out = store.copy()
+    replaying logged updates on a copy of the initial state. The arithmetic
+    mirrors training exactly, so the result is bit-identical."""
+    out = initial_store.copy()
     for rec in log:
-        if base_iter < rec.iteration <= iteration:
+        if rec.iteration <= iteration:
             _replay_one(out, rec, learning_rate)
     return out
 
@@ -825,7 +810,6 @@ def train(
         X_valid = None
 
     log: list[LogRecord] = []
-    snapshots: list[tuple[int, ParameterStore]] = [(0, store.copy())]
     train_loss = loss_eval(task, ds_train.y, F)
     valid_loss = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
     best_valid = valid_loss if valid_loss is not None else math.inf
@@ -861,8 +845,6 @@ def train(
                 )
             )
         last_iter = it
-        if it % cfg.snapshot_every == 0:
-            snapshots.append((it, store.copy()))
         if F_valid is not None and valid_loss < best_valid:
             best_valid = valid_loss
             best_iter = it
@@ -873,7 +855,7 @@ def train(
         best_iter = last_iter
 
     if best_iter < last_iter:
-        store = replay(initial_store, log, best_iter, snapshots, cfg.learning_rate)
+        store = replay(initial_store, log, best_iter, cfg.learning_rate)
 
     result = TrainResult(
         store=store,
@@ -884,6 +866,5 @@ def train(
         train_loss=train_loss,
         valid_loss=valid_loss,
         learning_rate=cfg.learning_rate,
-        snapshots=snapshots,
     )
     return result

@@ -100,7 +100,7 @@ def parse_config(path: str) -> RunConfig:
         "split": {"fractions", "seed"},
         "train": {
             "learning_rate", "l1", "l2", "min_data_in_leaf", "max_iterations",
-            "early_stopping_patience", "snapshot_every", "n_bins_degree0", "n_bins_higher",
+            "early_stopping_patience", "n_bins_degree0", "n_bins_higher",
         },
         "constraints": {"smoothness", "max_degree"},
         "output": {"dir"},
@@ -158,7 +158,6 @@ def parse_config(path: str) -> RunConfig:
     tc.early_stopping_patience = get(
         "train", "early_stopping_patience", int, tc.early_stopping_patience
     )
-    tc.snapshot_every = get("train", "snapshot_every", int, tc.snapshot_every)
     scheme = SplitScheme()
     scheme.n_bins_degree0 = get("train", "n_bins_degree0", int, scheme.n_bins_degree0)
     scheme.n_bins_higher = get("train", "n_bins_higher", int, scheme.n_bins_higher)
@@ -233,7 +232,6 @@ def resolved_ini(cfg: RunConfig) -> str:
         f"min_data_in_leaf = {tc.min_data_in_leaf}",
         f"max_iterations = {tc.max_iterations}",
         f"early_stopping_patience = {tc.early_stopping_patience}",
-        f"snapshot_every = {tc.snapshot_every}",
         f"n_bins_degree0 = {cfg.scheme.n_bins_degree0}",
         f"n_bins_higher = {cfg.scheme.n_bins_higher}",
         "",

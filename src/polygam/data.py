@@ -182,22 +182,37 @@ def assign_bin(x, edges) -> np.ndarray | int:
     return idx
 
 
-def bin_transform(x, edges, b: int):
+def bin_transform(x, edges, b: int | None = None):
     """Binned-variable transform x*_{kb}: 0 below the bin, raw x in the first
-    bin, offset from the lower edge inside later bins, saturating at the upper
-    edge above the bin (the last bin never saturates)."""
+    bin, offset from the lower edge inside later bins, saturating above the
+    bin (the last bin never saturates).
+
+    A middle bin saturates at its upper edge value u_b, not at its width
+    u_b - u_{b-1}, so the transform jumps at u_b: for edges [1, 2], bin 2
+    gives 0.999 at x = 1.999 and 2.0 from x = 2 on.
+
+    With b given, returns bin b's transform (a float for scalar x). With b
+    omitted, returns every bin at once, shape x.shape + (n_bins,), column
+    b-1 holding bin b.
+    """
     e = np.asarray(edges, dtype=float)
     n_bins = e.size + 1
-    if not 1 <= b <= n_bins:
-        raise ValueError(f"bin index {b} out of range 1..{n_bins}")
-    lo = -np.inf if b == 1 else e[b - 2]
-    hi = np.inf if b == n_bins else e[b - 1]
-    xv = np.asarray(x, dtype=float)
-    inner = xv if b == 1 else xv - lo
-    out = np.where(xv < lo, 0.0, np.where(xv < hi, inner, hi))
-    if np.isscalar(x):
-        return float(out)
-    return out
+    cols = slice(None)
+    if b is not None:
+        if not 1 <= b <= n_bins:
+            raise ValueError(f"bin index {b} out of range 1..{n_bins}")
+        cols = slice(b - 1, b)
+    lo = np.concatenate(([-np.inf], e))[cols]
+    hi = np.concatenate((e, [np.inf]))[cols]
+    xv = np.asarray(x, dtype=float)[..., None]
+    # written in place: a nested np.where would hold several full-size arrays
+    out = xv - np.concatenate(([0.0], e))[cols]
+    np.copyto(out, hi, where=~(xv < hi))  # not xv >= hi: NaN maps to the upper edge
+    np.copyto(out, 0.0, where=xv < lo)
+    if b is None:
+        return out
+    out = out[..., 0]
+    return float(out) if np.isscalar(x) else out
 
 
 def split_indices(

@@ -215,23 +215,39 @@ def zero_init(
     )
 
 
-def _codes(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """0-based bin index per value, right-open pieces."""
-    return np.searchsorted(edges, x, side="right")
+def locate(fb: FeatureBins, x: np.ndarray):
+    """Fine bin, coarse piece and piece-local offset t of each value.
+
+    Pieces are right-open, so a value on a knot belongs to the piece above it.
+    """
+    fcode = np.searchsorted(fb.fine_edges, x, side="right")
+    piece = np.searchsorted(fb.coarse_edges, x, side="right")
+    return fcode, piece, x - fb.coarse_lower_edges[piece]
+
+
+def horner(sp: ShapeParams, piece: np.ndarray, t: np.ndarray, order: int = 0, fcode=None):
+    """Piece cubics at local offsets t (order 0) or their first/second derivative.
+
+    With fine codes given, order 0 adds the step layer before the constant
+    term: step + ((c3*t + c2)*t + c1)*t + c0.
+    """
+    c = sp.poly_coeffs[piece]
+    if order == 1:
+        return (3.0 * c[:, 3] * t + 2.0 * c[:, 2]) * t + c[:, 1]
+    if order == 2:
+        return 6.0 * c[:, 3] * t + 2.0 * c[:, 2]
+    val = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t
+    if fcode is not None:
+        val = sp.step_values[fcode] + val
+    return val + c[:, 0]
 
 
 def evaluate_shape(store: ParameterStore, i: int, k: int, x) -> np.ndarray | float:
     """Shape-function value f_ik at x (scalar or vector)."""
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    fb = store.layout[k]
-    sp = store.params[i][k]
-    fcode = _codes(xv, fb.fine_edges)
-    ccode = _codes(xv, fb.coarse_edges)
-    lower = fb.coarse_lower_edges
-    t = xv - lower[ccode]
-    c = sp.poly_coeffs[ccode]
-    val = sp.step_values[fcode] + ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+    fcode, piece, t = locate(store.layout[k], xv)
+    val = horner(store.params[i][k], piece, t, fcode=fcode)
     return float(val[0]) if scalar else val
 
 
@@ -245,15 +261,8 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
         raise ValueError(f"order must be 1 or 2, got {order}")
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    fb = store.layout[k]
-    sp = store.params[i][k]
-    ccode = _codes(xv, fb.coarse_edges)
-    t = xv - fb.coarse_lower_edges[ccode]
-    c = sp.poly_coeffs[ccode]
-    if order == 1:
-        val = (3.0 * c[:, 3] * t + 2.0 * c[:, 2]) * t + c[:, 1]
-    else:
-        val = 6.0 * c[:, 3] * t + 2.0 * c[:, 2]
+    _, piece, t = locate(store.layout[k], xv)
+    val = horner(store.params[i][k], piece, t, order)
     return float(val[0]) if scalar else val
 
 
@@ -330,21 +339,10 @@ def predict(store: ParameterStore, X: np.ndarray) -> np.ndarray:
     for k in range(X.shape[1]):
         if not mask[:, k].any():
             continue
-        fb = store.layout[k]
-        col = X[:, k]
-        fcode = _codes(col, fb.fine_edges)
-        ccode = _codes(col, fb.coarse_edges)
-        t = col - fb.coarse_lower_edges[ccode]
+        fcode, piece, t = locate(store.layout[k], X[:, k])
         for i in range(store.n_outputs):
-            if not mask[i, k]:
-                continue
-            sp = store.params[i][k]
-            c = sp.poly_coeffs[ccode]
-            F[:, i] += (
-                sp.step_values[fcode]
-                + ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t
-                + c[:, 0]
-            )
+            if mask[i, k]:
+                F[:, i] += horner(store.params[i][k], piece, t, fcode=fcode)
     return F
 
 
@@ -359,22 +357,11 @@ def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarr
     edges = fb.fine_edges
     if edges.size == 0:
         return np.empty(0)
-    lower = fb.coarse_lower_edges
-    # piece holding points just below the knot vs the piece at/above it
-    p_right = _codes(edges, fb.coarse_edges)
-    is_coarse = np.isin(edges, fb.coarse_edges)
-    p_left = np.where(is_coarse, p_right - 1, p_right)
-
-    def _one_sided(piece: np.ndarray) -> np.ndarray:
-        t = edges - lower[piece]
-        c = sp.poly_coeffs[piece]
-        if order == 0:
-            return ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
-        if order == 1:
-            return (3.0 * c[:, 3] * t + 2.0 * c[:, 2]) * t + c[:, 1]
-        return 6.0 * c[:, 3] * t + 2.0 * c[:, 2]
-
-    gaps = _one_sided(p_right) - _one_sided(p_left)
+    # piece at/above each knot vs the piece holding points just below it
+    _, p_right, t_right = locate(fb, edges)
+    p_left = np.where(np.isin(edges, fb.coarse_edges), p_right - 1, p_right)
+    t_left = edges - fb.coarse_lower_edges[p_left]
+    gaps = horner(sp, p_right, t_right, order) - horner(sp, p_left, t_left, order)
     if order == 0:
         gaps = gaps + (sp.step_values[1:] - sp.step_values[:-1])
     return gaps

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import bin_transform
 from .losses import hessian_diag
-from .model import ParameterStore, evaluate_shape, predict
+from .model import ParameterStore, evaluate_shape, locate, predict
 
 Z_95 = 1.96
 
@@ -43,13 +43,11 @@ def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
             continue
         fb = store.layout[k]
         col = X[:, k]
-        fcodes = np.searchsorted(fb.fine_edges, col, side="right")
+        fcodes = locate(fb, col)[0]
         nc = fb.n_coarse_bins
         dmax = store.constraints.features[k].max_degree
         # xs[:, b-1] = x*_{kb}(x_n): the basis the degree-d parameters multiply
-        xs = np.empty((col.size, nc))
-        for b in range(1, nc + 1):
-            xs[:, b - 1] = bin_transform(col, fb.coarse_edges, b)
+        xs = bin_transform(col, fb.coarse_edges)
         for i in range(J):
             if not mask[i, k]:
                 continue
@@ -107,13 +105,12 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
     dmax = store.constraints.features[k].max_degree
     acc_fine = store.se_fine[i][k]
     acc_coarse = store.se_coarse[i][k]
-    fcodes = np.searchsorted(fb.fine_edges, xv, side="right")
+    fcodes = locate(fb, xv)[0]
     with np.errstate(divide="ignore"):
         var = np.where(acc_fine[fcodes] > 0.0, 1.0 / acc_fine[fcodes], np.inf)
-        for b in range(1, fb.n_coarse_bins + 1):
-            xs = bin_transform(xv, fb.coarse_edges, b)
+        for b, xs in enumerate(bin_transform(xv, fb.coarse_edges).T):
             for d in range(1, min(dmax, 3) + 1):
-                acc = acc_coarse[b - 1, d - 1]
+                acc = acc_coarse[b, d - 1]
                 w = xs ** (2 * d)
                 # w == 0 below the bin: no contribution even when acc == 0
                 term = np.where(w > 0.0, w / max(acc, 1e-300), 0.0)

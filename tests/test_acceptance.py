@@ -198,7 +198,7 @@ def test_criterion_4_monotone_curvature_throughout_training():
             "x0": FeatureConstraint(monotone=-1, curvature=1, smoothness=1, max_degree=3)
         },
     )
-    cfg = no_validation(max_iterations=400, snapshot_every=50)
+    cfg = no_validation(max_iterations=400)
     res = train(ds, constraints=spec, config=cfg)
     grid = np.linspace(x.min(), x.max(), 10_000)
     checkpoints = list(range(50, res.n_iterations + 1, 50))

@@ -217,33 +217,16 @@ def test_training_is_deterministic():
     assert runs[0] == runs[1]
 
 
-def test_replay_bit_matches_snapshots_and_scratch():
+def test_replay_bit_matches_initial_and_final_state():
     ds = wiggly_dataset(250, 8)
-    cfg = TrainConfig(
-        max_iterations=60,
-        early_stopping_patience=0,
-        validation_fraction=0.0,
-        snapshot_every=10,
-    )
+    cfg = TrainConfig(max_iterations=60, early_stopping_patience=0, validation_fraction=0.0)
     res = train(ds, config=cfg)
     assert res.n_iterations == 60
-    for it in (0, 7, 37, 60):
-        from_snap = res.replay_to(it)
-        from_scratch = replay(res.initial_store, res.log, it, [], cfg.learning_rate)
-        assert dumps_model(from_snap) == dumps_model(from_scratch)
+    assert dumps_model(res.replay_to(0)) == dumps_model(res.initial_store)
     assert dumps_model(res.replay_to(60)) == dumps_model(res.store)
-
-
-def test_snapshot_cadence_includes_initial():
-    ds = wiggly_dataset(200, 9)
-    cfg = TrainConfig(
-        max_iterations=35,
-        early_stopping_patience=0,
-        validation_fraction=0.0,
-        snapshot_every=10,
+    assert dumps_model(replay(res.initial_store, res.log, 60, cfg.learning_rate)) == dumps_model(
+        res.store
     )
-    res = train(ds, config=cfg)
-    assert [it for it, _ in res.snapshots] == [0, 10, 20, 30]
 
 
 def test_rollback_returns_best_validation_state():

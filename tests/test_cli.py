@@ -101,6 +101,7 @@ zap = 1
 [train]
 learning_rate = 2.0
 typo_key = 3
+snapshot_every = 100
 
 [constraints]
 feature.x0 = monotone=7
@@ -117,6 +118,7 @@ dir = out
     assert "fractions" in msg
     assert "[mystery]" in msg
     assert "typo_key" in msg
+    assert "snapshot_every" in msg  # retired key is refused, not ignored
     assert "learning_rate" in msg
     assert "x0" in msg and "monotone" in msg  # invalid sign names the feature
 

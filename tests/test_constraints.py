@@ -119,7 +119,6 @@ def test_constraints_hold_after_every_iteration():
         max_iterations=40,
         early_stopping_patience=0,
         validation_fraction=0.0,
-        snapshot_every=10,
     )
     res = train(ds, constraints=spec, config=cfg)
     g = np.linspace(x.min(), x.max(), 500)

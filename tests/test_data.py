@@ -96,6 +96,12 @@ def test_transform_saturates_at_upper_edge():
     assert bin_transform(5.0, [2.0], 1) == 2.0
 
 
+def test_transform_middle_bin_saturates_at_edge_value_not_width():
+    # bin 2 of edges [1, 2] is [1, 2): offsets reach 0.999, then jump to u_2 = 2
+    assert bin_transform(1.999, [1.0, 2.0], 2) == pytest.approx(0.999)
+    assert bin_transform(5.0, [1.0, 2.0], 2) == 2.0
+
+
 def test_transform_first_bin_keeps_raw_value():
     assert bin_transform(1.5, [2.0], 1) == 1.5
 
@@ -107,9 +113,12 @@ def test_transform_last_bin_never_saturates():
 def test_transform_vectorized_matches_scalar():
     edges = [0.0, 1.0, 3.0]
     xs = np.array([-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 10.0])
+    every = bin_transform(xs, edges)
+    assert every.shape == (xs.size, 4)
     for b in range(1, 5):
         vec = bin_transform(xs, edges, b)
         assert vec.tolist() == [bin_transform(float(x), edges, b) for x in xs]
+        assert np.array_equal(every[:, b - 1], vec)
 
 
 def test_transform_bad_bin_index():

@@ -267,6 +267,32 @@ def test_predict_rejects_wrong_width():
         predict(store, np.zeros((3, 2)))
 
 
+def test_predict_equals_intercept_plus_shapes_bitwise():
+    rng = np.random.default_rng(12)
+    feats = []
+    for _ in range(3):
+        fine = np.sort(rng.choice(np.linspace(-2.0, 2.0, 41)[1:-1], 9, replace=False))
+        feats.append(FeatureBins(fine, fine[1::3].copy(), -2.0, 2.0))
+    mask = np.ones((3, 3), dtype=bool)
+    mask[1, 2] = False
+    spec = ConstraintSpec(features=[FeatureConstraint()] * 3, allow_mask=mask)
+    store = zero_init(BinLayout(features=feats), "multiclass", 3, ["a", "b", "c"], spec)
+    store.intercepts[:] = rng.normal(size=3)
+    for row in store.params:
+        for sp in row:
+            sp.step_values[:] = rng.normal(size=sp.step_values.shape)
+            sp.poly_coeffs[:] = rng.normal(size=sp.poly_coeffs.shape)
+    X = rng.uniform(-3.0, 3.0, size=(200, 3))
+    X[:9, 0] = feats[0].fine_edges  # values on knots go to the piece above
+    F = predict(store, X)
+    for i in range(3):
+        expect = np.full(X.shape[0], store.intercepts[i])
+        for k in range(3):
+            if mask[i, k]:
+                expect += evaluate_shape(store, i, k, X[:, k])
+        assert np.array_equal(F[:, i], expect)
+
+
 # ---------------------------------------------------------------------------
 # knot gaps
 
