@@ -15,6 +15,7 @@ leaf values into a feasible interval before gains are compared.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -302,17 +303,6 @@ class _FeatureWork:
 # constraint feasibility
 
 
-def _tighten(lo: float, hi: float, a: np.ndarray, b: np.ndarray):
-    """Intersect the interval with the half-lines {gamma : b + a*gamma >= -slack}."""
-    pos = a > 0.0
-    if pos.any():
-        lo = max(lo, float(((-b[pos] - FEAS_SLACK) / a[pos]).max()))
-    neg = a < 0.0
-    if neg.any():
-        hi = min(hi, float(((-b[neg] - FEAS_SLACK) / a[neg]).min()))
-    return lo, hi
-
-
 def _update_deriv_coeffs(delta: np.ndarray, d: int, lr: float, order: int):
     """Coefficients (in local t) of d^order/dx^order of lr*(x-u)^d on a piece
     whose lower edge sits at offset delta = lower - u."""
@@ -332,210 +322,180 @@ def _update_deriv_coeffs(delta: np.ndarray, d: int, lr: float, order: int):
     return z, z, z
 
 
-def _gamma_interval(
-    coeffs: np.ndarray,
-    lower: np.ndarray,
-    widths: np.ndarray,
-    sel: slice,
-    u: float,
-    d: int,
-    m_sign: int,
-    c_sign: int,
-    lr: float,
-    gamma_prop: float,
-):
-    """Feasible interval for gamma when adding lr*gamma*(x-u)^d over the
-    selected pieces, under monotonicity sign m and curvature sign c.
+def _clip(gamma, lo, hi):
+    """min(max(gamma, lo), hi) elementwise, with the tie and NaN rules of
+    Python's min/max so clamped values match a scalar clamp bit for bit."""
+    gamma = np.where(lo > gamma, lo, gamma)
+    return np.where(hi < gamma, hi, gamma)
+
+
+class _ClampRows:
+    """Signed per-piece coefficients of f' and f'' for a batch of clamp rows.
+
+    A row adds lr*gamma*(x-u)^d over the coarse pieces in its mask: the left
+    (pieces 0..j) or right (pieces j+1..) side of coarse threshold j, or all
+    pieces for a global term (u = x_min). Arrays are (sides, thresholds,
+    pieces). B and C hold sign*f' and sign*f'' of the current state (local
+    coefficients, shared by every row); A and D hold what one unit of gamma
+    adds to them.
+    """
+
+    def __init__(self, wk: _FeatureWork, coeffs: np.ndarray, d: int, lr: float,
+                 j: np.ndarray | None):
+        m_sign, c_sign = wk.fc.monotone, wk.fc.curvature
+        n_pieces = wk.lower.size
+        if j is None:
+            self.mask = np.ones((1, 1, n_pieces), dtype=bool)
+            u = np.full((1, 1), wk.fb.x_min)
+        else:
+            left = np.arange(n_pieces) <= j[:, None]
+            self.mask = np.stack([left, ~left])
+            u = np.broadcast_to(wk.fb.coarse_edges[j], (2, j.size))
+        self.w = wk.widths
+        self.mono = bool(m_sign)
+        self.curv = bool(c_sign) and d >= 2
+        delta = wk.lower - u[..., None]
+        c1, c2, c3 = coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]
+        if self.mono:
+            self.B = (m_sign * c1, m_sign * 2.0 * c2, m_sign * 3.0 * c3)
+            a0, a1, a2 = _update_deriv_coeffs(delta, d, lr, order=1)
+            self.A = (m_sign * a0, m_sign * a1, m_sign * a2)
+        if self.curv:
+            self.C = (c_sign * 2.0 * c2, c_sign * 6.0 * c3)
+            a0, a1, _ = _update_deriv_coeffs(delta, d, lr, order=2)
+            self.D = (c_sign * a0, c_sign * a1)
+
+    def take(self, index) -> "_ClampRows":
+        """The rows selected by index, an index into (sides, thresholds)."""
+        out = copy.copy(self)
+        out.mask = self.mask[index]
+        if self.mono:
+            out.A = tuple(a[index] for a in self.A)
+        if self.curv:
+            out.D = tuple(a[index] for a in self.D)
+        return out
+
+
+def _feasible_interval(r: _ClampRows, gamma: np.ndarray):
+    """Each row's feasible interval [lo, hi] for the proposals gamma.
 
     Endpoint constraints are linear in gamma and exact; the interior minimum
     of the (quadratic) first derivative moves with gamma, so it is handled by
-    a short fixed-point refinement around the clamped proposal. The interval
-    always contains 0 because the pre-update state is feasible.
+    a short fixed-point refinement around each row's clamped proposal. The
+    interval always contains 0 because the pre-update state is feasible.
     """
-    lo, hi = -math.inf, math.inf
-    w = widths[sel]
-    delta = lower[sel] - u
-    c1 = coeffs[sel, 1]
-    c2 = coeffs[sel, 2]
-    c3 = coeffs[sel, 3]
+    lo = np.full(gamma.shape, -np.inf)
+    hi = np.full(gamma.shape, np.inf)
 
-    quad = None
-    if m_sign:
-        B0 = m_sign * c1
-        B1 = m_sign * 2.0 * c2
-        B2 = m_sign * 3.0 * c3
-        a0, a1, a2 = _update_deriv_coeffs(delta, d, lr, order=1)
-        A0, A1, A2 = m_sign * a0, m_sign * a1, m_sign * a2
-        lo, hi = _tighten(lo, hi, A0, B0)
-        lo, hi = _tighten(lo, hi, A0 + A1 * w + A2 * w * w, B0 + B1 * w + B2 * w * w)
-        quad = (A0, A1, A2, B0, B1, B2)
-    if c_sign and d >= 2:
-        C0 = c_sign * 2.0 * c2
-        C1 = c_sign * 6.0 * c3
-        a0, a1, _ = _update_deriv_coeffs(delta, d, lr, order=2)
-        D0, D1 = c_sign * a0, c_sign * a1
-        lo, hi = _tighten(lo, hi, D0, C0)
-        lo, hi = _tighten(lo, hi, D0 + D1 * w, C0 + C1 * w)
+    def cut(lo, hi, a, b, mask):
+        # intersect with the half-lines {gamma : b + a*gamma >= -slack}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (-b - FEAS_SLACK) / a
+        lo_new = np.where(mask & (a > 0.0), bound, -np.inf).max(axis=-1)
+        hi_new = np.where(mask & (a < 0.0), bound, np.inf).min(axis=-1)
+        return np.where(lo_new > lo, lo_new, lo), np.where(hi_new < hi, hi_new, hi)
 
-    if quad is not None:
-        A0, A1, A2, B0, B1, B2 = quad
-        if np.any(A2 != 0.0) or np.any(B2 != 0.0):
-            gamma_c = min(max(gamma_prop, lo), hi) if lo <= hi else 0.0
-            for _ in range(8):
-                q2 = B2 + gamma_c * A2
-                q1 = B1 + gamma_c * A1
-                q0 = B0 + gamma_c * A0
-                pos = q2 > 0.0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    tstar = np.where(pos, -q1 / (2.0 * q2), -1.0)
-                inside = pos & (tstar > 0.0) & (tstar < w)
+    w = r.w
+    if r.mono:
+        A0, A1, A2 = r.A
+        B0, B1, B2 = r.B
+        lo, hi = cut(lo, hi, A0, B0, r.mask)
+        lo, hi = cut(lo, hi, A0 + A1 * w + A2 * w * w, B0 + B1 * w + B2 * w * w, r.mask)
+    if r.curv:
+        C0, C1 = r.C
+        D0, D1 = r.D
+        lo, hi = cut(lo, hi, D0, C0, r.mask)
+        lo, hi = cut(lo, hi, D0 + D1 * w, C0 + C1 * w, r.mask)
+
+    # without quadratic terms f' is linear on each piece: its endpoints bound it
+    if r.mono and (np.any(A2 != 0.0) or np.any(B2 != 0.0)):
+        # Rows refine in lockstep. A row whose refinement has stopped (no
+        # violation, or an unchanged clamp) is at a fixed point: repeating
+        # the step recomputes the same cuts and the same clamp, so each row
+        # ends where a refinement of that row alone would end.
+        gamma_c = np.where(lo <= hi, _clip(gamma, lo, hi), 0.0)
+        for _ in range(8):
+            g = gamma_c[..., None]
+            q2 = B2 + g * A2
+            q1 = B1 + g * A1
+            q0 = B0 + g * A0
+            pos = q2 > 0.0
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                tstar = np.where(pos, -q1 / (2.0 * q2), -1.0)
                 qmin = q0 - np.where(pos, q1 * q1 / (4.0 * np.maximum(q2, 1e-300)), 0.0)
-                viol = inside & (qmin < -FEAS_SLACK)
+                viol = r.mask & pos & (tstar > 0.0) & (tstar < w) & (qmin < -FEAS_SLACK)
                 if not viol.any():
                     break
-                ts = tstar[viol]
-                a_t = A0[viol] + A1[viol] * ts + A2[viol] * ts * ts
-                b_t = B0[viol] + B1[viol] * ts + B2[viol] * ts * ts
-                lo, hi = _tighten(lo, hi, a_t, b_t)
-                new_c = min(max(gamma_c, lo), hi) if lo <= hi else 0.0
-                if new_c == gamma_c:
-                    break
-                gamma_c = new_c
-    if lo > hi:
-        lo = hi = 0.0
-    return lo, hi
+                a_t = A0 + A1 * tstar + A2 * tstar * tstar
+                b_t = B0 + B1 * tstar + B2 * tstar * tstar
+            lo, hi = cut(lo, hi, a_t, b_t, viol)
+            new_c = np.where(lo <= hi, _clip(gamma_c, lo, hi), 0.0)
+            if np.all(new_c == gamma_c):
+                break
+            gamma_c = new_c
+    empty = lo > hi
+    return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
 
 
-def _side_worst(
-    coeffs: np.ndarray,
-    lower: np.ndarray,
-    widths: np.ndarray,
-    sel: slice,
-    u: float,
-    d: int,
-    gamma: float,
-    lr: float,
-    m_sign: int,
-    c_sign: int,
-) -> float:
-    """Exact post-update worst constraint value over the selected pieces."""
-    w = widths[sel]
-    delta = lower[sel] - u
-    c1 = coeffs[sel, 1]
-    c2 = coeffs[sel, 2]
-    c3 = coeffs[sel, 3]
-    worst = math.inf
-    if m_sign:
-        a0, a1, a2 = _update_deriv_coeffs(delta, d, lr, order=1)
-        q0 = m_sign * (c1 + gamma * a0)
-        q1 = m_sign * (2.0 * c2 + gamma * a1)
-        q2 = m_sign * (3.0 * c3 + gamma * a2)
-        vals = [q0, q0 + q1 * w + q2 * w * w]
+def _worst_after(r: _ClampRows, gamma: np.ndarray) -> np.ndarray:
+    """Exact post-update worst of sign*f' and sign*f'' over each row's pieces."""
+    g = gamma[..., None]
+    w = r.w
+    vals = []
+    if r.mono:
+        q0 = r.B[0] + g * r.A[0]
+        q1 = r.B[1] + g * r.A[1]
+        q2 = r.B[2] + g * r.A[2]
         pos = q2 > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tstar = np.where(pos, -q1 / (2.0 * np.where(pos, q2, 1.0)), -1.0)
+            interior = q0 + q1 * tstar + q2 * tstar * tstar
         inside = pos & (tstar > 0.0) & (tstar < w)
-        if inside.any():
-            ts = tstar[inside]
-            vals.append(q0[inside] + q1[inside] * ts + q2[inside] * ts * ts)
-        worst = min(worst, min(float(v.min()) for v in vals if v.size))
-    if c_sign and d >= 2:
-        a0, a1, _ = _update_deriv_coeffs(delta, d, lr, order=2)
-        q0 = c_sign * (2.0 * c2 + gamma * a0)
-        q1 = c_sign * (6.0 * c3 + gamma * a1)
-        vals = [q0, q0 + q1 * w]
-        worst = min(worst, min(float(v.min()) for v in vals if v.size))
+        vals += [q0, q0 + q1 * w + q2 * w * w, np.where(inside, interior, np.inf)]
+    if r.curv:
+        q0 = r.C[0] + g * r.D[0]
+        q1 = r.C[1] + g * r.D[1]
+        vals += [q0, q0 + q1 * w]
+    worst = np.full(gamma.shape, np.inf)
+    for v in vals:
+        worst = np.minimum(worst, np.where(r.mask, v, np.inf).min(axis=-1))
     return worst
 
 
-def _pieces_for_side(n_pieces: int, edge_index: int | None, side: str):
-    if edge_index is None:
-        return slice(0, n_pieces)
-    if side == "left":
-        return slice(0, edge_index + 1)
-    return slice(edge_index + 1, n_pieces)
+def _clamp(wk: _FeatureWork, coeffs: np.ndarray, cfg: TrainConfig, d: int,
+           j: np.ndarray | None, gamma: np.ndarray, sums=()) -> np.ndarray:
+    """Clamp leaf-value proposals gamma (sides, thresholds) into their
+    feasible intervals, apply the degree-1 kink rule, then halve each
+    threshold's sides together until the exact check passes; a threshold
+    still failing after 60 halvings becomes a no-op. j holds the coarse
+    threshold indices, or is None for a global term (one row); sums are the
+    split sums (sgl, shl, sgr, shr) per threshold, used by the kink rule."""
+    rows = _ClampRows(wk, coeffs, d, cfg.learning_rate, j)
+    lo, hi = _feasible_interval(rows, gamma)
+    gamma = _clip(gamma, lo, hi)
+    c_sign = wk.fc.curvature
+    if j is not None and d == 1 and c_sign:
+        # a degree-1 split kinks f'; the kink must bend with the curvature sign
+        bad = c_sign * (gamma[1] - gamma[0]) < 0.0
+        if bad.any():
+            sgl, shl, sgr, shr = sums
+            pooled = leaf_value(sgl + sgr, shl + shr, cfg.l1, cfg.l2)
+            lo_p = np.where(lo[1] > lo[0], lo[1], lo[0])
+            hi_p = np.where(hi[1] < hi[0], hi[1], hi[0])
+            pooled = np.where(lo_p <= hi_p, _clip(pooled, lo_p, hi_p), 0.0)
+            gamma = np.where(bad, pooled, gamma)
 
+    todo = np.arange(gamma.shape[1])
+    for _ in range(60):
+        sub = rows if todo.size == gamma.shape[1] else rows.take(np.s_[:, todo])
+        ok = _worst_after(sub, gamma[:, todo]).min(axis=0) >= -FEAS_SLACK
+        todo = todo[~ok]
+        if todo.size == 0:
+            return gamma
+        gamma[:, todo] *= 0.5
+    gamma[:, todo] = 0.0
+    return gamma
 
-def _clamp_candidate(cand: SplitCandidate, wk: _FeatureWork, coeffs: np.ndarray, lr: float,
-                     l1: float, l2: float) -> SplitCandidate | None:
-    """Clamp a candidate's leaf values into their feasible intervals, apply the
-    cross-split ordering rules, verify exactly, and rescore. Returns None when
-    the candidate collapses to a no-op."""
-    fc = wk.fc
-    m_sign, c_sign = fc.monotone, fc.curvature
-    if not m_sign and not c_sign:
-        return cand
-    sgl, shl, sgr, shr = cand.sums
-    n_pieces = wk.lower.size
-    d = cand.degree
-
-    if cand.kind == "global":
-        gamma = cand.gamma_left
-        if d >= 1:
-            sel = _pieces_for_side(n_pieces, None, "all")
-            lo, hi = _gamma_interval(
-                coeffs, wk.lower, wk.widths, sel, wk.fb.x_min, d, m_sign, c_sign, lr, gamma
-            )
-            gamma = min(max(gamma, lo), hi)
-            for _ in range(60):
-                if (
-                    _side_worst(
-                        coeffs, wk.lower, wk.widths, sel, wk.fb.x_min, d, gamma, lr, m_sign, c_sign
-                    )
-                    >= -FEAS_SLACK
-                ):
-                    break
-                gamma *= 0.5
-            else:
-                gamma = 0.0
-        gain = candidate_gain(gamma, sgl, shl, 0.0, 0.0, 0.0)
-        return SplitCandidate(
-            cand.output, cand.feature, d, "global", None, None,
-            float(gamma), None, float(gain), cand.n_left, cand.n_right, cand.sums,
-        )
-
-    gl, gr = cand.gamma_left, cand.gamma_right
-    u = cand.threshold
-    j = cand.edge_index
-    if d == 0:
-        # step updates: only the ordering rule applies (no derivative effect)
-        if m_sign and m_sign * (gr - gl) < 0.0:
-            pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
-            gl = gr = float(pooled)
-    else:
-        sel_l = _pieces_for_side(n_pieces, j, "left")
-        sel_r = _pieces_for_side(n_pieces, j, "right")
-        lo_l, hi_l = _gamma_interval(
-            coeffs, wk.lower, wk.widths, sel_l, u, d, m_sign, c_sign, lr, gl
-        )
-        lo_r, hi_r = _gamma_interval(
-            coeffs, wk.lower, wk.widths, sel_r, u, d, m_sign, c_sign, lr, gr
-        )
-        gl = min(max(gl, lo_l), hi_l)
-        gr = min(max(gr, lo_r), hi_r)
-        if d == 1 and c_sign and c_sign * (gr - gl) < 0.0:
-            # a degree-1 split kinks f'; the kink must bend with the curvature sign
-            pooled = float(leaf_value(sgl + sgr, shl + shr, l1, l2))
-            lo = max(lo_l, lo_r)
-            hi = min(hi_l, hi_r)
-            pooled = min(max(pooled, lo), hi) if lo <= hi else 0.0
-            gl = gr = pooled
-        for _ in range(60):
-            worst = min(
-                _side_worst(coeffs, wk.lower, wk.widths, sel_l, u, d, gl, lr, m_sign, c_sign),
-                _side_worst(coeffs, wk.lower, wk.widths, sel_r, u, d, gr, lr, m_sign, c_sign),
-            )
-            if worst >= -FEAS_SLACK:
-                break
-            gl *= 0.5
-            gr *= 0.5
-        else:
-            gl = gr = 0.0
-    gain = candidate_gain(gl, sgl, shl, gr, sgr, shr)
-    return SplitCandidate(
-        cand.output, cand.feature, d, "split", u, j,
-        float(gl), float(gr), float(gain), cand.n_left, cand.n_right, cand.sums,
-    )
 
 # ---------------------------------------------------------------------------
 # candidate enumeration
@@ -555,9 +515,9 @@ def _best_for_output(
     min_leaf = cfg.min_data_in_leaf
     best: SplitCandidate | None = None
 
-    def consider(cand: SplitCandidate | None):
+    def consider(cand: SplitCandidate):
         nonlocal best
-        if cand is None or not math.isfinite(cand.gain) or cand.gain <= 0.0:
+        if not math.isfinite(cand.gain) or cand.gain <= 0.0:
             return
         if best is None or cand.sort_key() < best.sort_key():
             best = cand
@@ -613,32 +573,27 @@ def _best_for_output(
                 row = d - 1
                 gl = leaf_value(sgl[row], shl[row], l1, l2)
                 gr = leaf_value(sgr[row], shr[row], l1, l2)
+                if constrained and valid.any():
+                    # every valid threshold is clamped before gains are compared
+                    J = np.flatnonzero(valid)
+                    sums = (sgl[row, J], shl[row, J], sgr[row, J], shr[row, J])
+                    gl[J], gr[J] = _clamp(wk, coeffs, cfg, d, J, np.stack([gl[J], gr[J]]), sums)
                 gains = candidate_gain(gl, sgl[row], shl[row], gr, sgr[row], shr[row])
-                gains = np.where(valid, gains, -np.inf)
-                if not constrained:
-                    j = int(np.argmax(gains))
-                    if gains[j] > 0.0:
-                        consider(
-                            SplitCandidate(
-                                i, k, d, "split", float(wk.fb.coarse_edges[j]), j,
-                                float(gl[j]), float(gr[j]), float(gains[j]),
-                                int(nl[j]), int(n - nl[j]),
-                                (float(sgl[row, j]), float(shl[row, j]),
-                                 float(sgr[row, j]), float(shr[row, j])),
-                            )
-                        )
-                else:
-                    # every candidate is clamped before gains are compared
-                    for j in np.flatnonzero(valid):
-                        j = int(j)
-                        raw = SplitCandidate(
+                # argmax takes the first best gain, so the lowest threshold wins
+                # ties; like `consider`, a clamped scan skips non-finite gains
+                keep = valid & np.isfinite(gains) if constrained else valid
+                gains = np.where(keep, gains, -np.inf)
+                j = int(np.argmax(gains))
+                if gains[j] > 0.0:
+                    consider(
+                        SplitCandidate(
                             i, k, d, "split", float(wk.fb.coarse_edges[j]), j,
                             float(gl[j]), float(gr[j]), float(gains[j]),
                             int(nl[j]), int(n - nl[j]),
                             (float(sgl[row, j]), float(shl[row, j]),
                              float(sgr[row, j]), float(shr[row, j])),
                         )
-                        consider(_clamp_candidate(raw, wk, coeffs, cfg.learning_rate, l1, l2))
+                    )
 
         # smoothness-protected degrees get a single global parameter
         for d in wk.global_degrees:
@@ -649,14 +604,15 @@ def _best_for_output(
                 sg = float(g_i @ wk.rpow[d])
                 sh = float(h_i @ wk.rpow[2 * d])
             gamma = float(leaf_value(sg, sh, l1, l2))
-            raw = SplitCandidate(
-                i, k, d, "global", None, None, gamma, None,
-                float(candidate_gain(gamma, sg, sh, 0.0, 0.0, 0.0)), n, 0,
-                (sg, sh, 0.0, 0.0),
-            )
             if constrained and d >= 1:
-                raw = _clamp_candidate(raw, wk, coeffs, cfg.learning_rate, l1, l2)
-            consider(raw)
+                gamma = float(_clamp(wk, coeffs, cfg, d, None, np.array([[gamma]]))[0, 0])
+            consider(
+                SplitCandidate(
+                    i, k, d, "global", None, None, gamma, None,
+                    float(candidate_gain(gamma, sg, sh, 0.0, 0.0, 0.0)), n, 0,
+                    (sg, sh, 0.0, 0.0),
+                )
+            )
 
     return best
 
@@ -812,6 +768,10 @@ def train(
     log: list[LogRecord] = []
     train_loss = loss_eval(task, ds_train.y, F)
     valid_loss = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
+    if not math.isfinite(train_loss) or (valid_loss is not None and not math.isfinite(valid_loss)):
+        raise NumericError(
+            "non-finite starting loss: the targets hold NaN/inf or values too large to square"
+        )
     best_valid = valid_loss if valid_loss is not None else math.inf
     best_iter = 0
     last_iter = 0

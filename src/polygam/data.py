@@ -9,6 +9,7 @@ two grids keeps every piece boundary of the final model on the fine grid.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -91,10 +92,14 @@ class FeatureBins:
     def n_coarse_bins(self) -> int:
         return self.coarse_edges.size + 1
 
-    @property
+    @functools.cached_property
     def coarse_lower_edges(self) -> np.ndarray:
-        """Lower edge of each coarse piece; piece 0 starts at the observed min."""
-        return np.concatenate(([self.x_min], self.coarse_edges))
+        """Lower edge of each coarse piece; piece 0 starts at the observed min.
+        Built once (the bins are never modified after construction) and
+        read-only, so no caller can change the shared array."""
+        lower = np.concatenate(([self.x_min], self.coarse_edges))
+        lower.flags.writeable = False
+        return lower
 
 
 @dataclass

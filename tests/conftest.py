@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polygam.data import BinLayout, Dataset, FeatureBins, SplitScheme, build_bin_layout
 from polygam.model import ConstraintSpec, FeatureConstraint, zero_init
 
 DATA_DIR = __file__.rsplit("/", 1)[0] + "/data"
+
+# Property tests draw the same examples on every run, keep no example
+# database on disk, and carry no per-example deadline (timing varies with
+# host load, which would turn a slow example into a spurious failure).
+settings.register_profile(
+    "polygam", derandomize=True, database=None, deadline=None, max_examples=50
+)
+settings.load_profile("polygam")
 
 
 def make_dataset(X, y, task="regression", names=None, kinds=None, target="target"):

@@ -17,7 +17,7 @@ from polygam.booster import (
     write_log,
 )
 from polygam.data import SplitScheme, build_bin_layout
-from polygam.errors import ConfigError
+from polygam.errors import ConfigError, NumericError
 from polygam.losses import derivatives, link_apply, loss_eval
 from polygam.model import (
     ConstraintSpec,
@@ -276,6 +276,21 @@ def test_train_config_collects_all_errors():
         cfg.validate()
     msg = str(exc.value)
     assert "learning_rate" in msg and "l2" in msg and "min_data_in_leaf" in msg
+
+
+def test_nan_target_is_refused_before_training():
+    ds = wiggly_dataset(200, 16)
+    ds.y[7] = np.nan
+    with pytest.raises(NumericError, match="starting loss"):
+        train(ds, config=TrainConfig(max_iterations=5))
+
+
+def test_overflowing_target_is_refused_before_training():
+    # the squared residuals of targets near 1e300 overflow to an infinite loss
+    ds = wiggly_dataset(200, 17)
+    ds.y[:] = 1e300 * (1.0 + ds.X[:, 0] ** 2)
+    with pytest.raises(NumericError, match="starting loss"), np.errstate(over="ignore"):
+        train(ds, config=TrainConfig(max_iterations=5))
 
 
 # ---------------------------------------------------------------------------

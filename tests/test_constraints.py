@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from polygam.booster import TrainConfig, train
+from polygam.booster import (
+    TrainConfig,
+    _clamp,
+    _ClampRows,
+    _feasible_interval,
+    _FeatureWork,
+    train,
+)
 from polygam.model import (
     ConstraintSpec,
     FeatureConstraint,
+    accumulate_global,
+    accumulate_update,
     evaluate_derivative,
     evaluate_shape,
 )
@@ -165,3 +175,75 @@ def test_unconstrained_feature_is_untouched_by_neighbor_constraint():
     assert evaluate_derivative(res.store, 0, 1, g, 1).min() >= TOL
     f0 = evaluate_shape(res.store, 0, 0, g)
     assert f0.max() > 0.05 and f0.min() < -0.05
+
+
+# ---------------------------------------------------------------------------
+# the batched clamp
+
+
+@st.composite
+def clamp_cases(draw):
+    """A split degree d with monotone/curvature signs and a valid S, D."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.sampled_from([-1, 0, 1]))
+    c = draw(st.sampled_from([-1, 0, 1] if m else [-1, 1]))
+    # d must be a split degree (d > S); curvature needs S >= 0 and D >= 2
+    S = draw(st.integers(0 if c else -1, d - 1))
+    D = draw(st.integers(max(d, 2 if c else 1), 3))
+    seed = draw(st.integers(0, 2**16))
+    return FeatureConstraint(smoothness=S, max_degree=D, monotone=m, curvature=c), d, seed
+
+
+def assert_feasible(state, fc, g, what):
+    if fc.monotone:
+        assert (fc.monotone * evaluate_derivative(state, 0, 0, g, 1)).min() >= TOL, what
+    if fc.curvature:
+        assert (fc.curvature * evaluate_derivative(state, 0, 0, g, 2)).min() >= TOL, what
+
+
+@given(clamp_cases())
+# the interior-minimum refinement takes several steps on some rows here
+@example((FeatureConstraint(smoothness=-1, max_degree=3, monotone=1), 2, 0))
+def test_batched_clamp_is_rowwise_and_feasible(case):
+    fc, d, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 2.0, 300)
+    y = np.sin(3.0 * x) + x**2 + rng.normal(scale=0.1, size=300)
+    lr = 0.3
+    res, ds = fit(x, y, fc, max_iterations=8, lr=lr)
+    cfg = TrainConfig(learning_rate=lr)
+    store = res.store
+    wk = _FeatureWork(ds.X[:, 0], store.layout[0], fc)
+    coeffs = store.params[0][0].poly_coeffs
+    J = np.arange(wk.fb.coarse_edges.size)
+    assert J.size > 0
+    shape = (2, J.size)
+    gamma = rng.normal(size=shape) * 10.0 ** rng.uniform(-2.0, 1.0, size=shape)
+    sums = (
+        rng.normal(size=J.size), rng.uniform(0.1, 10.0, J.size),
+        rng.normal(size=J.size), rng.uniform(0.1, 10.0, J.size),
+    )
+    # every (side, threshold) row gets the interval it gets alone
+    rows = _ClampRows(wk, coeffs, d, lr, J)
+    lo, hi = _feasible_interval(rows, gamma)
+    for s, t in np.ndindex(shape):
+        one = np.s_[s : s + 1, t : t + 1]
+        lo1, hi1 = _feasible_interval(rows.take(one), gamma[one])
+        assert (lo1.tobytes(), hi1.tobytes()) == (lo[one].tobytes(), hi[one].tobytes()), (s, t)
+    # and every threshold gets the clamped pair it gets alone
+    clamped = _clamp(wk, coeffs, cfg, d, J, gamma, sums)
+    g = grid_for(ds)
+    for t in J:
+        alone = _clamp(wk, coeffs, cfg, d, J[t : t + 1], gamma[:, t : t + 1],
+                       tuple(s[t : t + 1] for s in sums))
+        assert alone[:, 0].tobytes() == clamped[:, t].tobytes(), f"threshold {t}"
+        state = store.copy()
+        accumulate_update(state, 0, 0, d, float(wk.fb.coarse_edges[t]),
+                          float(clamped[0, t]), float(clamped[1, t]), lr)
+        assert_feasible(state, fc, g, f"threshold {t}")
+    # smoothness-protected degrees clamp through the same routine, as one row
+    for dg in range(1, fc.smoothness + 1):
+        gam = _clamp(wk, coeffs, cfg, dg, None, np.array([[rng.normal() * 10.0]]))
+        state = store.copy()
+        accumulate_global(state, 0, 0, dg, float(gam[0, 0]), lr)
+        assert_feasible(state, fc, g, f"global degree {dg}")
