@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import BinLayout, Dataset, FeatureBins, build_bin_layout, split_indices
 from .errors import ConfigError, NumericError
-from .losses import derivatives, loss_eval
+from .losses import derivatives, link_apply, loss_eval
 from .model import (
     ConstraintSpec,
     FeatureConstraint,
@@ -85,13 +85,6 @@ class SplitCandidate:
     gain: float
     n_left: int
     n_right: int
-    # derivative sums kept for pooling/rescoring
-    sums: tuple = ()
-
-    def sort_key(self):
-        thr = self.threshold if self.threshold is not None else math.inf
-        kind_rank = 0 if self.kind == "split" else 1
-        return (-self.gain, self.feature, self.degree, thr, kind_rank)
 
 
 @dataclass
@@ -236,8 +229,10 @@ class _FeatureWork:
         else:
             self.rpow = None
 
-        # filled per (iteration, output); regression reuses static h moments
+        # filled on first use; regression's h never changes, so its coarse
+        # moments and fine-grid cumsum are computed once
         self._static_h = None
+        self._static_hf = None
 
     def _build_tensors(self) -> None:
         """Binomial recombination weights: split sums of g*(x-u)^d over one side
@@ -249,28 +244,23 @@ class _FeatureWork:
         mb = self.lower.size
         dmax = self.max_split_deg
         if mj == 0:
-            self.WLg = self.WRg = self.WLh = self.WRh = None
+            self.Wg = self.Wh = None
             return
         delta = self.lower[:, None] - edges[None, :]  # (mb, mj)
         dpow = np.stack([delta**p for p in range(2 * dmax + 1)])
         left = (np.arange(mb)[:, None] <= np.arange(mj)[None, :]).astype(float)
-        right = 1.0 - left
+        sides = (left, 1.0 - left)
         nd = dmax  # degrees 1..dmax
         # each side is summed directly from its own pieces: deriving one side
         # as total-minus-other cancels catastrophically when that side is tiny
-        self.WLg = np.zeros((nd, mj, mb, dmax + 1))
-        self.WRg = np.zeros_like(self.WLg)
-        self.WLh = np.zeros((nd, mj, mb, 2 * dmax + 1))
-        self.WRh = np.zeros_like(self.WLh)
+        self.Wg = np.zeros((2, nd, mj, mb, dmax + 1))  # (side, degree, threshold, piece, m)
+        self.Wh = np.zeros((2, nd, mj, mb, 2 * dmax + 1))
         for di, d in enumerate(range(1, dmax + 1)):
-            for m in range(d + 1):
-                w = math.comb(d, m) * dpow[d - m]
-                self.WLg[di, :, :, m] = (w * left).T
-                self.WRg[di, :, :, m] = (w * right).T
-            for m in range(2 * d + 1):
-                w = math.comb(2 * d, m) * dpow[2 * d - m]
-                self.WLh[di, :, :, m] = (w * left).T
-                self.WRh[di, :, :, m] = (w * right).T
+            for s, side in enumerate(sides):
+                for m in range(d + 1):
+                    self.Wg[s, di, :, :, m] = (math.comb(d, m) * dpow[d - m] * side).T
+                for m in range(2 * d + 1):
+                    self.Wh[s, di, :, :, m] = (math.comb(2 * d, m) * dpow[2 * d - m] * side).T
 
     def moments(self, weights: np.ndarray, max_m: int) -> np.ndarray:
         """Per-coarse-piece sums of weights * t^m for m = 0..max_m."""
@@ -280,10 +270,22 @@ class _FeatureWork:
             out[:, m] = np.bincount(self.ccodes, weights=weights * self.tpow[m], minlength=mb)
         return out
 
-    def split_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool):
+    def fine_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool):
+        """Left/right sums of g and h at every fine threshold: (sgl, sgr, shl, shr)."""
+        nf = self.fb.n_fine_bins
+        cg = np.cumsum(np.bincount(self.fcodes, weights=g, minlength=nf))
+        if h_static:
+            if self._static_hf is None:
+                self._static_hf = np.cumsum(np.bincount(self.fcodes, weights=h, minlength=nf))
+            ch = self._static_hf
+        else:
+            ch = np.cumsum(np.bincount(self.fcodes, weights=h, minlength=nf))
+        return cg[:-1], cg[-1] - cg[:-1], ch[:-1], ch[-1] - ch[:-1]
+
+    def split_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
         """Left/right split sums for every coarse threshold and degree 1..dmax.
 
-        Returns (sgl, sgr, shl, shr), each (dmax, n_thresholds)."""
+        Returns (4, dmax, n_thresholds): sgl, sgr, shl, shr."""
         dmax = self.max_split_deg
         G = self.moments(g, dmax)
         if h_static:
@@ -292,11 +294,10 @@ class _FeatureWork:
             H = self._static_h
         else:
             H = self.moments(h, 2 * dmax)
-        sgl = np.einsum("djbm,bm->dj", self.WLg, G)
-        sgr = np.einsum("djbm,bm->dj", self.WRg, G)
-        shl = np.einsum("djbm,bm->dj", self.WLh, H)
-        shr = np.einsum("djbm,bm->dj", self.WRh, H)
-        return sgl, sgr, shl, shr
+        return np.concatenate((
+            np.einsum("sdjbm,bm->sdj", self.Wg, G),
+            np.einsum("sdjbm,bm->sdj", self.Wh, H),
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -501,120 +502,132 @@ def _clamp(wk: _FeatureWork, coeffs: np.ndarray, cfg: TrainConfig, d: int,
 # candidate enumeration
 
 
+class _Candidates:
+    """Every candidate update of one output, laid out end to end.
+
+    Rows run by feature, then degree, then ascending threshold. A block of
+    rows is a global degree-d term (one row, right side zero), the fine
+    degree-0 scan, or one coarse degree-d scan. The layout is fixed for a
+    whole fit; `fill` writes each iteration's split sums into `sums`, rows
+    (sgl, sgr, shl, shr). Because rows are in (feature, degree, threshold)
+    order, the first argmax of the gains picks the lowest such triple among
+    equal gains.
+    """
+
+    def __init__(self, works: list[_FeatureWork], allow: np.ndarray, min_leaf: int, n: int):
+        self.n = n
+        self.parts = []  # (work, [(degree, row)] of globals, fine slice, (coarse slice, first row))
+        self.pools = []  # (monotone sign, slice) of monotone fine scans
+        self.clamps = []  # (work, feature, degree, slice, is global) of constrained degree >= 1
+        cols = []  # per block: feature, degree, edge index, threshold (NaN: global), n_left
+
+        def block(k, d, edges, n_left):
+            m = n_left.size
+            start = sum(c[0].size for c in cols)
+            cols.append((np.full(m, k), np.full(m, d), np.arange(m), edges, n_left))
+            return slice(start, start + m)
+
+        for k, wk in enumerate(works):
+            if not allow[k]:
+                continue
+            fb, fc = wk.fb, wk.fc
+            constrained = bool(fc.monotone or fc.curvature)
+            glob = []
+            for d in wk.global_degrees:
+                sl = block(k, d, np.array([np.nan]), np.array([n]))
+                glob.append((d, sl.start))
+                if constrained and d >= 1:
+                    self.clamps.append((wk, k, d, sl, True))
+            fine = coarse = None
+            if 0 in wk.split_degrees and fb.fine_edges.size > 0:
+                fine = block(k, 0, fb.fine_edges, wk.n_left_fine)
+                if fc.monotone:
+                    self.pools.append((fc.monotone, fine))
+            high = [d for d in wk.split_degrees if d >= 1]
+            if high and fb.coarse_edges.size > 0:
+                scans = [block(k, d, fb.coarse_edges, wk.n_left_coarse) for d in high]
+                coarse = (slice(scans[0].start, scans[-1].stop), high[0] - 1)
+                if constrained:
+                    self.clamps += [(wk, k, d, sl, False) for d, sl in zip(high, scans)]
+            self.parts.append((wk, glob, fine, coarse))
+
+        cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0)] * 5
+        self.feature, self.degree, self.edge, self.threshold, self.n_left = cols
+        self.is_global = np.isnan(self.threshold)
+        nl = self.n_left
+        self.valid = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
+        self.sums = np.zeros((4, self.valid.size))
+
+    def fill(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
+        """This iteration's split sums of every row; a global row's right
+        side stays zero."""
+        out = self.sums
+        for wk, glob, fine, coarse in self.parts:
+            for d, r in glob:
+                if d == 0:
+                    out[0, r], out[2, r] = g.sum(), h.sum()
+                else:
+                    out[0, r], out[2, r] = g @ wk.rpow[d], h @ wk.rpow[2 * d]
+            if fine is not None:
+                out[:, fine] = wk.fine_sums(g, h, h_static)
+            if coarse is not None:
+                rows, first = coarse
+                out[:, rows] = wk.split_sums(g, h, h_static)[:, first:].reshape(4, -1)
+        return out
+
+
 def _best_for_output(
     i: int,
+    cands: _Candidates,
     g_i: np.ndarray,
     h_i: np.ndarray,
-    works: list[_FeatureWork],
     store: ParameterStore,
     cfg: TrainConfig,
     h_static: bool,
 ) -> SplitCandidate | None:
-    n = g_i.size
+    """Score every candidate of output i in one pass and return the best,
+    or None when no candidate has a finite positive gain."""
+    if cands.valid.size == 0:
+        return None
     l1, l2 = cfg.l1, cfg.l2
-    min_leaf = cfg.min_data_in_leaf
-    best: SplitCandidate | None = None
+    sums = cands.fill(g_i, h_i, h_static)
+    gamma = leaf_value(sums[:2], sums[2:], l1, l2)  # (left, right) per row
+    gamma[1, cands.is_global] = 0.0
 
-    def consider(cand: SplitCandidate):
-        nonlocal best
-        if not math.isfinite(cand.gain) or cand.gain <= 0.0:
-            return
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
-
-    for k, wk in enumerate(works):
-        if not store.constraints.allow_mask[i, k]:
-            continue
-        fc = wk.fc
+    # block-local fixes, each writing into its block's slice of gamma
+    for sign, sl in cands.pools:
+        gl, gr = gamma[:, sl]
+        bad = cands.valid[sl] & (sign * (gr - gl) < 0.0)
+        if bad.any():
+            sgl, sgr, shl, shr = sums[:, sl]
+            pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
+            gamma[:, sl] = np.where(bad, pooled, gamma[:, sl])
+    for wk, k, d, sl, is_global in cands.clamps:
         coeffs = store.params[i][k].poly_coeffs
-        constrained = bool(fc.monotone or fc.curvature)
+        if is_global:
+            gamma[:1, sl] = _clamp(wk, coeffs, cfg, d, None, gamma[:1, sl].copy())
+            continue
+        # every valid threshold is clamped before gains are compared
+        J = np.flatnonzero(cands.valid[sl])
+        if J.size:
+            sgl, sgr, shl, shr = sums[:, sl][:, J]
+            block = gamma[:, sl]
+            block[:, J] = _clamp(wk, coeffs, cfg, d, J, block[:, J], (sgl, shl, sgr, shr))
 
-        # degree-0 splits on the fine grid
-        if 0 in wk.split_degrees and wk.fb.fine_edges.size > 0:
-            gf = np.bincount(wk.fcodes, weights=g_i, minlength=wk.fb.n_fine_bins)
-            hf = np.bincount(wk.fcodes, weights=h_i, minlength=wk.fb.n_fine_bins)
-            cg = np.cumsum(gf)
-            ch = np.cumsum(hf)
-            sgl, sg_tot = cg[:-1], cg[-1]
-            shl, sh_tot = ch[:-1], ch[-1]
-            sgr = sg_tot - sgl
-            shr = sh_tot - shl
-            nl = wk.n_left_fine
-            valid = (nl >= min_leaf) & (n - nl >= min_leaf)
-            if valid.any():
-                gl = leaf_value(sgl, shl, l1, l2)
-                gr = leaf_value(sgr, shr, l1, l2)
-                if fc.monotone:
-                    bad = valid & (fc.monotone * (gr - gl) < 0.0)
-                    if bad.any():
-                        pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
-                        gl = np.where(bad, pooled, gl)
-                        gr = np.where(bad, pooled, gr)
-                gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
-                gains = np.where(valid, gains, -np.inf)
-                j = int(np.argmax(gains))
-                if gains[j] > 0.0:
-                    consider(
-                        SplitCandidate(
-                            i, k, 0, "split", float(wk.fb.fine_edges[j]), j,
-                            float(gl[j]), float(gr[j]), float(gains[j]),
-                            int(nl[j]), int(n - nl[j]),
-                            (float(sgl[j]), float(shl[j]), float(sgr[j]), float(shr[j])),
-                        )
-                    )
-
-        # degree >= 1 splits on the coarse grid
-        high = [d for d in wk.split_degrees if d >= 1]
-        if high and wk.fb.coarse_edges.size > 0:
-            sgl, sgr, shl, shr = wk.split_sums(g_i, h_i, h_static)
-            nl = wk.n_left_coarse
-            valid = (nl >= min_leaf) & (n - nl >= min_leaf)
-            for d in high:
-                row = d - 1
-                gl = leaf_value(sgl[row], shl[row], l1, l2)
-                gr = leaf_value(sgr[row], shr[row], l1, l2)
-                if constrained and valid.any():
-                    # every valid threshold is clamped before gains are compared
-                    J = np.flatnonzero(valid)
-                    sums = (sgl[row, J], shl[row, J], sgr[row, J], shr[row, J])
-                    gl[J], gr[J] = _clamp(wk, coeffs, cfg, d, J, np.stack([gl[J], gr[J]]), sums)
-                gains = candidate_gain(gl, sgl[row], shl[row], gr, sgr[row], shr[row])
-                # argmax takes the first best gain, so the lowest threshold wins
-                # ties; like `consider`, a clamped scan skips non-finite gains
-                keep = valid & np.isfinite(gains) if constrained else valid
-                gains = np.where(keep, gains, -np.inf)
-                j = int(np.argmax(gains))
-                if gains[j] > 0.0:
-                    consider(
-                        SplitCandidate(
-                            i, k, d, "split", float(wk.fb.coarse_edges[j]), j,
-                            float(gl[j]), float(gr[j]), float(gains[j]),
-                            int(nl[j]), int(n - nl[j]),
-                            (float(sgl[row, j]), float(shl[row, j]),
-                             float(sgr[row, j]), float(shr[row, j])),
-                        )
-                    )
-
-        # smoothness-protected degrees get a single global parameter
-        for d in wk.global_degrees:
-            if d == 0:
-                sg = float(g_i.sum())
-                sh = float(h_i.sum())
-            else:
-                sg = float(g_i @ wk.rpow[d])
-                sh = float(h_i @ wk.rpow[2 * d])
-            gamma = float(leaf_value(sg, sh, l1, l2))
-            if constrained and d >= 1:
-                gamma = float(_clamp(wk, coeffs, cfg, d, None, np.array([[gamma]]))[0, 0])
-            consider(
-                SplitCandidate(
-                    i, k, d, "global", None, None, gamma, None,
-                    float(candidate_gain(gamma, sg, sh, 0.0, 0.0, 0.0)), n, 0,
-                    (sg, sh, 0.0, 0.0),
-                )
-            )
-
-    return best
+    gains = candidate_gain(gamma[0], sums[0], sums[2], gamma[1], sums[1], sums[3])
+    gains = np.where(cands.valid & np.isfinite(gains), gains, -np.inf)
+    j = int(np.argmax(gains))
+    if not gains[j] > 0.0:
+        return None
+    k, d = int(cands.feature[j]), int(cands.degree[j])
+    if cands.is_global[j]:
+        return SplitCandidate(i, k, d, "global", None, None, float(gamma[0, j]), None,
+                              float(gains[j]), cands.n, 0)
+    n_left = int(cands.n_left[j])
+    return SplitCandidate(
+        i, k, d, "split", float(cands.threshold[j]), int(cands.edge[j]),
+        float(gamma[0, j]), float(gamma[1, j]), float(gains[j]), n_left, cands.n - n_left,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +728,9 @@ def train(
     """
     cfg = config or TrainConfig()
     cfg.validate()
+    dataset.validate()
+    if valid is not None:
+        valid.validate()
     if layout is None:
         layout = build_bin_layout(dataset)
     if constraints is None:
@@ -757,6 +773,10 @@ def train(
 
     J = dataset.n_outputs
     n_tr = ds_train.X.shape[0]
+    cands = [
+        _Candidates(works, constraints.allow_mask[i], cfg.min_data_in_leaf, n_tr)
+        for i in range(J)
+    ]
     F = np.tile(intercepts, (n_tr, 1))
     if ds_valid is not None and ds_valid.X.shape[0] > 0:
         F_valid = np.tile(intercepts, (ds_valid.X.shape[0], 1))
@@ -766,7 +786,10 @@ def train(
         X_valid = None
 
     log: list[LogRecord] = []
-    train_loss = loss_eval(task, ds_train.y, F)
+    # the link of the training scores feeds both the loss after an update
+    # and the derivatives of the next iteration, so it is computed once
+    p = None if task == "regression" else link_apply(task, F)
+    train_loss = loss_eval(task, ds_train.y, F, p)
     valid_loss = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
     if not math.isfinite(train_loss) or (valid_loss is not None and not math.isfinite(valid_loss)):
         raise NumericError(
@@ -777,11 +800,11 @@ def train(
     last_iter = 0
 
     for it in range(1, cfg.max_iterations + 1):
-        batch = derivatives(task, ds_train.y, F)
+        batch = derivatives(task, ds_train.y, F, p)
         g, h = batch.g, batch.h
         picks: list[SplitCandidate] = []
         for i in range(J):
-            cand = _best_for_output(i, g[:, i], h[:, i], works, store, cfg, h_static)
+            cand = _best_for_output(i, cands[i], g[:, i], h[:, i], store, cfg, h_static)
             if cand is not None:
                 picks.append(cand)
         if not picks:
@@ -789,7 +812,8 @@ def train(
             break
         for cand in picks:
             _apply_candidate(store, cand, cfg.learning_rate, works, F, X_valid, F_valid)
-        train_loss = loss_eval(task, ds_train.y, F)
+        p = None if task == "regression" else link_apply(task, F)
+        train_loss = loss_eval(task, ds_train.y, F, p)
         valid_loss = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
         if not math.isfinite(train_loss) or (
             valid_loss is not None and not math.isfinite(valid_loss)

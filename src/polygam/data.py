@@ -49,6 +49,24 @@ class Dataset:
     def n_features(self) -> int:
         return self.X.shape[1]
 
+    def validate(self) -> None:
+        """Raise DataError when X is not (rows, features) with one target
+        per row, or holds a NaN or infinite value."""
+        if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
+            raise DataError(
+                f"X has shape {self.X.shape}, expected (rows, {len(self.feature_names)} features)"
+            )
+        if self.y.shape != (self.X.shape[0],):
+            raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
+        finite = np.isfinite(self.X)
+        if not finite.all():
+            bad = ~finite
+            row, col = np.argwhere(bad)[0]
+            raise DataError(
+                f"feature {self.feature_names[col]!r} holds a non-finite value at row {row} "
+                f"({int(bad.sum())} non-finite cells in all)"
+            )
+
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
             X=np.ascontiguousarray(self.X[idx]),

@@ -70,14 +70,15 @@ def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def loss_eval(task: str, y: np.ndarray, F: np.ndarray) -> float:
-    """Mean loss over samples at raw scores F."""
+def loss_eval(task: str, y: np.ndarray, F: np.ndarray, p: np.ndarray | None = None) -> float:
+    """Mean loss over samples at raw scores F. p, when given, is
+    link_apply(task, F) already computed by the caller."""
     F = _as_scores(F)
     y = np.asarray(y)
     if task == "regression":
         r = y.astype(float) - F[:, 0]
         return float(np.mean(r * r))
-    p = np.clip(link_apply(task, F), P_CLIP, 1.0 - P_CLIP)
+    p = np.clip(link_apply(task, F) if p is None else p, P_CLIP, 1.0 - P_CLIP)
     if task == "binary":
         yy = y.astype(float)
         return float(-np.mean(yy * np.log(p[:, 0]) + (1.0 - yy) * np.log(1.0 - p[:, 0])))
@@ -87,19 +88,22 @@ def loss_eval(task: str, y: np.ndarray, F: np.ndarray) -> float:
     raise DataError(f"unknown task {task!r}")
 
 
-def derivatives(task: str, y: np.ndarray, F: np.ndarray) -> DerivativeBatch:
-    """Gradient and Hessian diagonal of the per-sample loss at F."""
+def derivatives(
+    task: str, y: np.ndarray, F: np.ndarray, p: np.ndarray | None = None
+) -> DerivativeBatch:
+    """Gradient and Hessian diagonal of the per-sample loss at F. p, when
+    given, is link_apply(task, F) already computed by the caller."""
     F = _as_scores(F)
     y = np.asarray(y)
     if task == "regression":
         g = 2.0 * (F[:, 0] - y.astype(float))[:, None]
         h = np.full_like(g, 2.0)
     elif task == "binary":
-        p = _sigmoid(F)
+        p = _sigmoid(F) if p is None else p
         g = p - y.astype(float)[:, None]
         h = p * (1.0 - p)
     elif task == "multiclass":
-        p = _softmax(F)
+        p = _softmax(F) if p is None else p
         g = p - one_hot(y, F.shape[1])
         h = p * (1.0 - p)
     else:

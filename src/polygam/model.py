@@ -184,6 +184,43 @@ class ParameterStore:
     def has_uncertainty(self) -> bool:
         return bool(self.se_fine)
 
+    def validate(self) -> None:
+        """Raise DataError listing every array whose shape does not match the
+        layout, every edge list that is not strictly ascending, and every
+        non-finite number."""
+        J, K = self.n_outputs, len(self.feature_names)
+        if (
+            len(self.layout) != K
+            or self.intercepts.shape != (J,)
+            or len(self.params) != J
+            or any(len(row) != K for row in self.params)
+        ):
+            raise DataError(f"model parameters do not match {J} outputs x {K} features")
+        errs = []
+        numbers = [("intercepts", self.intercepts)]  # (what, array): checked for finiteness
+        for k, (name, fb) in enumerate(zip(self.feature_names, self.layout.features)):
+            for grid, edges in (("fine", fb.fine_edges), ("coarse", fb.coarse_edges)):
+                numbers.append((f"feature {name!r}: {grid} edges", edges))
+                if edges.ndim != 1 or not (edges[1:] > edges[:-1]).all():
+                    errs.append(f"feature {name!r}: {grid} edges are not strictly ascending")
+            numbers.append((f"feature {name!r}: observed range", np.array([fb.x_min, fb.x_max])))
+            for i in range(J):
+                sp = self.params[i][k]
+                for what, arr, want in (
+                    ("step_values", sp.step_values, (fb.n_fine_bins,)),
+                    ("poly_coeffs", sp.poly_coeffs, (fb.n_coarse_bins, MAX_DEGREE + 1)),
+                ):
+                    what = f"feature {name!r}, output {i}: {what}"
+                    numbers.append((what, arr))
+                    if arr.shape != want:
+                        errs.append(f"{what} has shape {arr.shape}, expected {want}")
+        numbers += [("SE accumulators", a) for row in self.se_fine + self.se_coarse
+                    for a in row if a is not None]
+        if not np.isfinite(np.concatenate([a.ravel() for _, a in numbers])).all():
+            errs += [f"{what} not finite" for what, a in numbers if not np.isfinite(a).all()]
+        if errs:
+            raise DataError("invalid model: " + "; ".join(errs))
+
 
 def zero_init(
     layout: BinLayout,
@@ -545,4 +582,5 @@ def load_model(path) -> ParameterStore:
             ]
             for row in se_acc
         ]
+    store.validate()
     return store

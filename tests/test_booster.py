@@ -17,7 +17,7 @@ from polygam.booster import (
     write_log,
 )
 from polygam.data import SplitScheme, build_bin_layout
-from polygam.errors import ConfigError, NumericError
+from polygam.errors import ConfigError, DataError, NumericError
 from polygam.losses import derivatives, link_apply, loss_eval
 from polygam.model import (
     ConstraintSpec,
@@ -283,6 +283,42 @@ def test_nan_target_is_refused_before_training():
     ds.y[7] = np.nan
     with pytest.raises(NumericError, match="starting loss"):
         train(ds, config=TrainConfig(max_iterations=5))
+
+
+def test_nan_feature_is_refused_before_training():
+    ds = wiggly_dataset(200, 18)
+    ds.X[11, 1] = np.nan
+    with pytest.raises(DataError, match="'x1' holds a non-finite value at row 11"):
+        train(ds, config=TrainConfig(max_iterations=5))
+    valid = wiggly_dataset(50, 19)
+    valid.X[3, 0] = np.inf
+    with pytest.raises(DataError, match="'x0'"):
+        train(wiggly_dataset(200, 18), config=TrainConfig(max_iterations=5), valid=valid)
+
+
+def test_target_length_mismatch_is_refused_before_training():
+    ds = wiggly_dataset(200, 18)
+    ds.y = ds.y[:190]
+    with pytest.raises(DataError, match=r"y has shape \(190,\), expected \(200,\)"):
+        train(ds, config=TrainConfig(max_iterations=5))
+
+
+def test_training_computes_the_link_once_per_iteration(monkeypatch):
+    # the training loss after an update and the next iteration's derivatives
+    # share one softmax; the validation loss needs its own
+    import polygam.losses as losses
+
+    calls = []
+    softmax = losses._softmax
+    monkeypatch.setattr(losses, "_softmax", lambda F: calls.append(F.shape[0]) or softmax(F))
+    rng = np.random.default_rng(20)
+    X = rng.uniform(-2, 2, size=(240, 2))
+    y = np.digitize(X[:, 0] + rng.normal(scale=0.5, size=240), [-0.5, 0.5])
+    ds = make_dataset(X, y, task="multiclass")
+    cfg = TrainConfig(max_iterations=12, early_stopping_patience=0, validation_fraction=0.25)
+    res = train(ds, config=cfg)
+    assert res.n_iterations == 12
+    assert calls == [180, 60] * 13
 
 
 def test_overflowing_target_is_refused_before_training():

@@ -131,3 +131,16 @@ def test_one_hot_round_trip():
     assert oh.shape == (4, 3)
     assert np.array_equal(oh.argmax(axis=1), y)
     assert np.array_equal(oh.sum(axis=1), np.ones(4))
+
+
+@pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
+def test_given_link_gives_the_same_bits(task):
+    rng = np.random.default_rng(4)
+    J = 3 if task == "multiclass" else 1
+    F = rng.normal(scale=3.0, size=(50, J))
+    y = rng.integers(0, max(J, 2), 50) if task != "regression" else rng.normal(size=50)
+    p = link_apply(task, F)
+    assert loss_eval(task, y, F, p) == loss_eval(task, y, F)
+    with_p, without = derivatives(task, y, F, p), derivatives(task, y, F)
+    assert with_p.g.tobytes() == without.g.tobytes()
+    assert with_p.h.tobytes() == without.h.tobytes()

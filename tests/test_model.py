@@ -370,6 +370,37 @@ def test_load_rejects_corrupt_numbers(tmp_path):
         load_model(path)
 
 
+def saved_doc(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(random_trained_store(), path)
+    return path, json.loads(path.read_text())
+
+
+def test_load_rejects_truncated_poly_coeffs(tmp_path):
+    path, doc = saved_doc(tmp_path)
+    doc["params"][0][0]["poly_coeffs"] = doc["params"][0][0]["poly_coeffs"][:1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=r"poly_coeffs has shape \(1, 4\), expected \(2, 4\)"):
+        load_model(path)
+
+
+def test_load_rejects_unsorted_edges(tmp_path):
+    path, doc = saved_doc(tmp_path)
+    doc["features"][0]["fine_edges"] = [1.0, 0.5, 1.5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="fine edges are not strictly ascending"):
+        load_model(path)
+
+
+def test_load_rejects_short_step_values_and_nan(tmp_path):
+    path, doc = saved_doc(tmp_path)
+    doc["params"][0][0]["step_values"] = doc["params"][0][0]["step_values"][:-1]
+    doc["intercepts"] = [float("nan")]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="step_values has shape.*intercepts not finite"):
+        load_model(path)
+
+
 def test_hand_written_minimal_model(tmp_path):
     doc = {
         "format_version": "1",
