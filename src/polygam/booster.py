@@ -31,7 +31,9 @@ from .model import (
     ParameterStore,
     accumulate_global,
     accumulate_update,
+    fine_code,
     locate,
+    shift,
     zero_init,
 )
 
@@ -79,7 +81,6 @@ class SplitCandidate:
     degree: int
     kind: str  # "split" | "global"
     threshold: float | None
-    edge_index: int | None
     gamma_left: float
     gamma_right: float | None
     gain: float
@@ -186,6 +187,15 @@ def param_gradients(g: np.ndarray, h: np.ndarray, x: np.ndarray, threshold: floa
 # per-feature workspace
 
 
+def _powers(v: np.ndarray, top: int) -> np.ndarray:
+    """Rows v^0..v^top, each the previous row times v."""
+    out = np.empty((top + 1, v.size))
+    out[0] = 1.0
+    for p in range(1, top + 1):
+        out[p] = out[p - 1] * v
+    return out
+
+
 class _FeatureWork:
     """Cached per-feature structures for the candidate scans."""
 
@@ -193,12 +203,12 @@ class _FeatureWork:
         self.x = x
         self.fb = fb
         self.fc = fc
-        n = x.size
-        self.n = n
         self.split_degrees = list(range(max(fc.smoothness + 1, 0), fc.max_degree + 1))
+        self.high_degrees = [d for d in self.split_degrees if d >= 1]  # coarse-grid splits
         self.global_degrees = list(range(0, fc.smoothness + 1))
 
-        self.fcodes, self.ccodes, t = locate(fb, x)
+        self.fcodes = fine_code(fb, x)
+        self.ccodes, t = locate(fb, x)
         counts = np.bincount(self.fcodes, minlength=fb.n_fine_bins)
         self.n_left_fine = np.cumsum(counts)[:-1]  # per fine edge
 
@@ -208,26 +218,15 @@ class _FeatureWork:
         self.lower = fb.coarse_lower_edges
         self.widths = np.append(fb.coarse_edges, fb.x_max) - self.lower
 
-        self.max_split_deg = max((d for d in self.split_degrees if d >= 1), default=0)
+        self.max_split_deg = max(self.high_degrees, default=0)
         self.max_global_deg = max(self.global_degrees, default=0)
 
+        self.tpow = self.rpow = None
         if self.max_split_deg >= 1:
-            self.tpow = np.empty((2 * self.max_split_deg + 1, n))
-            self.tpow[0] = 1.0
-            for p in range(1, 2 * self.max_split_deg + 1):
-                self.tpow[p] = self.tpow[p - 1] * t
+            self.tpow = _powers(t, 2 * self.max_split_deg)
             self._build_tensors()
-        else:
-            self.tpow = None
-
         if self.max_global_deg >= 1:
-            r = x - fb.x_min
-            self.rpow = np.empty((2 * self.max_global_deg + 1, n))
-            self.rpow[0] = 1.0
-            for p in range(1, self.rpow.shape[0]):
-                self.rpow[p] = self.rpow[p - 1] * r
-        else:
-            self.rpow = None
+            self.rpow = _powers(x - fb.x_min, 2 * self.max_global_deg)
 
         # filled on first use; regression's h never changes, so its coarse
         # moments and fine-grid cumsum are computed once
@@ -247,20 +246,16 @@ class _FeatureWork:
             self.Wg = self.Wh = None
             return
         delta = self.lower[:, None] - edges[None, :]  # (mb, mj)
-        dpow = np.stack([delta**p for p in range(2 * dmax + 1)])
         left = (np.arange(mb)[:, None] <= np.arange(mj)[None, :]).astype(float)
-        sides = (left, 1.0 - left)
-        nd = dmax  # degrees 1..dmax
         # each side is summed directly from its own pieces: deriving one side
         # as total-minus-other cancels catastrophically when that side is tiny
+        sides = np.stack([left, 1.0 - left])[:, None]  # (side, 1, piece, threshold)
+        nd = len(self.high_degrees)
         self.Wg = np.zeros((2, nd, mj, mb, dmax + 1))  # (side, degree, threshold, piece, m)
         self.Wh = np.zeros((2, nd, mj, mb, 2 * dmax + 1))
-        for di, d in enumerate(range(1, dmax + 1)):
-            for s, side in enumerate(sides):
-                for m in range(d + 1):
-                    self.Wg[s, di, :, :, m] = (math.comb(d, m) * dpow[d - m] * side).T
-                for m in range(2 * d + 1):
-                    self.Wh[s, di, :, :, m] = (math.comb(2 * d, m) * dpow[2 * d - m] * side).T
+        for di, d in enumerate(self.high_degrees):
+            self.Wg[:, di, :, :, : d + 1] = (shift(delta, d) * sides).transpose(0, 3, 2, 1)
+            self.Wh[:, di, :, :, : 2 * d + 1] = (shift(delta, 2 * d) * sides).transpose(0, 3, 2, 1)
 
     def moments(self, weights: np.ndarray, max_m: int) -> np.ndarray:
         """Per-coarse-piece sums of weights * t^m for m = 0..max_m."""
@@ -283,9 +278,9 @@ class _FeatureWork:
         return cg[:-1], cg[-1] - cg[:-1], ch[:-1], ch[-1] - ch[:-1]
 
     def split_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
-        """Left/right split sums for every coarse threshold and degree 1..dmax.
+        """Left/right split sums for every coarse threshold and split degree.
 
-        Returns (4, dmax, n_thresholds): sgl, sgr, shl, shr."""
+        Returns (4, len(high_degrees), n_thresholds): sgl, sgr, shl, shr."""
         dmax = self.max_split_deg
         G = self.moments(g, dmax)
         if h_static:
@@ -304,23 +299,14 @@ class _FeatureWork:
 # constraint feasibility
 
 
-def _update_deriv_coeffs(delta: np.ndarray, d: int, lr: float, order: int):
-    """Coefficients (in local t) of d^order/dx^order of lr*(x-u)^d on a piece
-    whose lower edge sits at offset delta = lower - u."""
-    z = np.zeros_like(delta)
-    if order == 1:
-        if d == 1:
-            return lr + z, z, z
-        if d == 2:
-            return 2.0 * lr * delta, 2.0 * lr + z, z
-        if d == 3:
-            return 3.0 * lr * delta**2, 6.0 * lr * delta, 3.0 * lr + z
-    else:
-        if d == 2:
-            return 2.0 * lr + z, z, z
-        if d == 3:
-            return 6.0 * lr * delta, 6.0 * lr + z, z
-    return z, z, z
+def _slopes(c: np.ndarray):
+    """Local coefficients of f' from those c[0..3] of a cubic f."""
+    return c[1], 2.0 * c[2], 3.0 * c[3]
+
+
+def _bends(c: np.ndarray):
+    """Local coefficients of f'' from those c[0..3] of a cubic f."""
+    return 2.0 * c[2], 6.0 * c[3]
 
 
 def _clip(gamma, lo, hi):
@@ -356,15 +342,14 @@ class _ClampRows:
         self.mono = bool(m_sign)
         self.curv = bool(c_sign) and d >= 2
         delta = wk.lower - u[..., None]
-        c1, c2, c3 = coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]
+        unit = np.zeros((4,) + delta.shape)  # local coefficients of lr*(x-u)^d
+        unit[: d + 1] = shift(delta, d, lr)
         if self.mono:
-            self.B = (m_sign * c1, m_sign * 2.0 * c2, m_sign * 3.0 * c3)
-            a0, a1, a2 = _update_deriv_coeffs(delta, d, lr, order=1)
-            self.A = (m_sign * a0, m_sign * a1, m_sign * a2)
+            self.B = tuple(m_sign * b for b in _slopes(coeffs.T))
+            self.A = tuple(m_sign * a for a in _slopes(unit))
         if self.curv:
-            self.C = (c_sign * 2.0 * c2, c_sign * 6.0 * c3)
-            a0, a1, _ = _update_deriv_coeffs(delta, d, lr, order=2)
-            self.D = (c_sign * a0, c_sign * a1)
+            self.C = tuple(c_sign * b for b in _bends(coeffs.T))
+            self.D = tuple(c_sign * a for a in _bends(unit))
 
     def take(self, index) -> "_ClampRows":
         """The rows selected by index, an index into (sides, thresholds)."""
@@ -516,15 +501,15 @@ class _Candidates:
 
     def __init__(self, works: list[_FeatureWork], allow: np.ndarray, min_leaf: int, n: int):
         self.n = n
-        self.parts = []  # (work, [(degree, row)] of globals, fine slice, (coarse slice, first row))
+        self.parts = []  # (work, [(degree, row)] of globals, fine slice, coarse slice)
         self.pools = []  # (monotone sign, slice) of monotone fine scans
         self.clamps = []  # (work, feature, degree, slice, is global) of constrained degree >= 1
-        cols = []  # per block: feature, degree, edge index, threshold (NaN: global), n_left
+        cols = []  # per block: feature, degree, threshold (NaN: global), n_left
 
         def block(k, d, edges, n_left):
             m = n_left.size
             start = sum(c[0].size for c in cols)
-            cols.append((np.full(m, k), np.full(m, d), np.arange(m), edges, n_left))
+            cols.append((np.full(m, k), np.full(m, d), edges, n_left))
             return slice(start, start + m)
 
         for k, wk in enumerate(works):
@@ -543,16 +528,16 @@ class _Candidates:
                 fine = block(k, 0, fb.fine_edges, wk.n_left_fine)
                 if fc.monotone:
                     self.pools.append((fc.monotone, fine))
-            high = [d for d in wk.split_degrees if d >= 1]
+            high = wk.high_degrees
             if high and fb.coarse_edges.size > 0:
                 scans = [block(k, d, fb.coarse_edges, wk.n_left_coarse) for d in high]
-                coarse = (slice(scans[0].start, scans[-1].stop), high[0] - 1)
+                coarse = slice(scans[0].start, scans[-1].stop)
                 if constrained:
                     self.clamps += [(wk, k, d, sl, False) for d, sl in zip(high, scans)]
             self.parts.append((wk, glob, fine, coarse))
 
-        cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0)] * 5
-        self.feature, self.degree, self.edge, self.threshold, self.n_left = cols
+        cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0)] * 4
+        self.feature, self.degree, self.threshold, self.n_left = cols
         self.is_global = np.isnan(self.threshold)
         nl = self.n_left
         self.valid = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
@@ -571,8 +556,7 @@ class _Candidates:
             if fine is not None:
                 out[:, fine] = wk.fine_sums(g, h, h_static)
             if coarse is not None:
-                rows, first = coarse
-                out[:, rows] = wk.split_sums(g, h, h_static)[:, first:].reshape(4, -1)
+                out[:, coarse] = wk.split_sums(g, h, h_static).reshape(4, -1)
         return out
 
 
@@ -621,11 +605,11 @@ def _best_for_output(
         return None
     k, d = int(cands.feature[j]), int(cands.degree[j])
     if cands.is_global[j]:
-        return SplitCandidate(i, k, d, "global", None, None, float(gamma[0, j]), None,
+        return SplitCandidate(i, k, d, "global", None, float(gamma[0, j]), None,
                               float(gains[j]), cands.n, 0)
     n_left = int(cands.n_left[j])
     return SplitCandidate(
-        i, k, d, "split", float(cands.threshold[j]), int(cands.edge[j]),
+        i, k, d, "split", float(cands.threshold[j]),
         float(gamma[0, j]), float(gamma[1, j]), float(gains[j]), n_left, cands.n - n_left,
     )
 
@@ -643,32 +627,23 @@ def _apply_candidate(
     X_valid: np.ndarray | None,
     F_valid: np.ndarray | None,
 ) -> None:
+    """Fold the update into the store and add lr*gamma*(x-u)^d to the
+    training and validation scores, gamma_left where x < u and gamma_right
+    elsewhere; a global term is one side with u the feature minimum."""
     i, k, d = cand.output, cand.feature, cand.degree
-    wk = works[k]
-    fb = wk.fb
+    gl = cand.gamma_left
     if cand.kind == "global":
-        accumulate_global(store, i, k, d, cand.gamma_left, lr)
-        F[:, i] += lr * cand.gamma_left * (wk.rpow[d] if d >= 1 else 1.0)
-        if F_valid is not None:
-            xv = X_valid[:, k]
-            F_valid[:, i] += lr * cand.gamma_left * (xv - fb.x_min) ** d
-        return
-    u = cand.threshold
-    accumulate_update(store, i, k, d, u, cand.gamma_left, cand.gamma_right, lr)
-    if d == 0:
-        left = wk.fcodes <= cand.edge_index
-        F[:, i] += lr * np.where(left, cand.gamma_left, cand.gamma_right)
-        if F_valid is not None:
-            xv = X_valid[:, k]
-            F_valid[:, i] += lr * np.where(xv < u, cand.gamma_left, cand.gamma_right)
+        accumulate_global(store, i, k, d, gl, lr)
+        u, gr = works[k].fb.x_min, gl
     else:
-        left = wk.ccodes <= cand.edge_index
-        s = wk.x - u
-        F[:, i] += lr * np.where(left, cand.gamma_left, cand.gamma_right) * s**d
-        if F_valid is not None:
-            xv = X_valid[:, k]
-            sv = xv - u
-            F_valid[:, i] += lr * np.where(sv < 0.0, cand.gamma_left, cand.gamma_right) * sv**d
+        u, gr = cand.threshold, cand.gamma_right
+        accumulate_update(store, i, k, d, u, gl, gr, lr)
+    targets = [(works[k].x, F)]
+    if F_valid is not None:
+        targets.append((X_valid[:, k], F_valid))
+    for x, scores in targets:
+        s = x - u  # one pass over the (strided) column; s < 0 exactly when x < u
+        scores[:, i] += lr * np.where(s < 0.0, gl, gr) * s**d
 
 
 def _replay_one(store: ParameterStore, rec: LogRecord, lr: float) -> None:

@@ -23,6 +23,18 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 
+def refuse_nonfinite(X: np.ndarray, names: list[str]) -> None:
+    """Raise DataError naming the first column and row of X holding NaN or inf."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        bad = ~finite
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"feature {names[col]!r} holds a non-finite value at row {row} "
+            f"({int(bad.sum())} non-finite cells in all)"
+        )
+
+
 @dataclass
 class Dataset:
     """Feature matrix plus target, with per-column kind tags.
@@ -58,14 +70,7 @@ class Dataset:
             )
         if self.y.shape != (self.X.shape[0],):
             raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
-        finite = np.isfinite(self.X)
-        if not finite.all():
-            bad = ~finite
-            row, col = np.argwhere(bad)[0]
-            raise DataError(
-                f"feature {self.feature_names[col]!r} holds a non-finite value at row {row} "
-                f"({int(bad.sum())} non-finite cells in all)"
-            )
+        refuse_nonfinite(self.X, self.feature_names)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BinLayout, CATEGORICAL, Dataset, FeatureBins
+from .data import BinLayout, CATEGORICAL, Dataset, FeatureBins, refuse_nonfinite
 from .errors import ConfigError, DataError
 
 FORMAT_VERSION = "1"
@@ -252,14 +252,25 @@ def zero_init(
     )
 
 
+def fine_code(fb: FeatureBins, x: np.ndarray) -> np.ndarray:
+    """Fine bin of each value; a value on a knot belongs to the bin above it."""
+    return np.searchsorted(fb.fine_edges, x, side="right")
+
+
 def locate(fb: FeatureBins, x: np.ndarray):
-    """Fine bin, coarse piece and piece-local offset t of each value.
+    """Coarse piece and piece-local offset t of each value.
 
     Pieces are right-open, so a value on a knot belongs to the piece above it.
     """
-    fcode = np.searchsorted(fb.fine_edges, x, side="right")
     piece = np.searchsorted(fb.coarse_edges, x, side="right")
-    return fcode, piece, x - fb.coarse_lower_edges[piece]
+    return piece, x - fb.coarse_lower_edges[piece]
+
+
+def shift(delta, d: int, scale: float = 1.0) -> np.ndarray:
+    """Local coefficients of scale*(x - u)^d on pieces whose lower edges sit at
+    delta = lower - u: (x - u)^d = sum_m C(d,m) delta^(d-m) t^m, so row m
+    (m = 0..d, on a new first axis) is scale*C(d,m)*delta^(d-m)."""
+    return np.array([scale * math.comb(d, m) * delta ** (d - m) for m in range(d + 1)])
 
 
 def horner(sp: ShapeParams, piece: np.ndarray, t: np.ndarray, order: int = 0, fcode=None):
@@ -283,8 +294,9 @@ def evaluate_shape(store: ParameterStore, i: int, k: int, x) -> np.ndarray | flo
     """Shape-function value f_ik at x (scalar or vector)."""
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    fcode, piece, t = locate(store.layout[k], xv)
-    val = horner(store.params[i][k], piece, t, fcode=fcode)
+    fb = store.layout[k]
+    piece, t = locate(fb, xv)
+    val = horner(store.params[i][k], piece, t, fcode=fine_code(fb, xv))
     return float(val[0]) if scalar else val
 
 
@@ -298,7 +310,7 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
         raise ValueError(f"order must be 1 or 2, got {order}")
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    _, piece, t = locate(store.layout[k], xv)
+    piece, t = locate(store.layout[k], xv)
     val = horner(store.params[i][k], piece, t, order)
     return float(val[0]) if scalar else val
 
@@ -318,7 +330,7 @@ def accumulate_update(
     Degree 0 updates add constants to the fine step layer on each side of the
     threshold (a fine-grid edge). Degree >= 1 updates add gamma*(x-u)^d per
     side (u a coarse-grid edge), expanded into each affected piece's local
-    coordinates: (x-u)^d = sum_m C(d,m) (lo_p - u)^(d-m) t^m.
+    coordinates by `shift`.
     """
     fb = store.layout[k]
     sp = store.params[i][k]
@@ -337,10 +349,7 @@ def accumulate_update(
         if gamma == 0.0:
             continue
         delta = lower[pieces] - threshold
-        for m in range(d + 1):
-            sp.poly_coeffs[pieces, m] += (
-                learning_rate * gamma * math.comb(d, m) * delta ** (d - m)
-            )
+        sp.poly_coeffs[pieces, : d + 1] += shift(delta, d, learning_rate * gamma).T
 
 
 def accumulate_global(
@@ -357,26 +366,29 @@ def accumulate_global(
         sp.step_values += learning_rate * gamma
         return
     delta = fb.coarse_lower_edges - fb.x_min
-    for m in range(d + 1):
-        sp.poly_coeffs[:, m] += learning_rate * gamma * math.comb(d, m) * delta ** (d - m)
+    sp.poly_coeffs[:, : d + 1] += shift(delta, d, learning_rate * gamma).T
 
 
 def predict(store: ParameterStore, X: np.ndarray) -> np.ndarray:
     """Raw scores F, shape (N, J). Masked (output, feature) pairs are skipped
-    outright, so their columns cannot influence the output even in principle."""
+    outright, so their columns cannot influence the output even in principle.
+    A NaN or infinite value in X raises DataError."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(store.feature_names):
         raise DataError(
             f"expected feature matrix with {len(store.feature_names)} columns, "
             f"got shape {X.shape}"
         )
+    refuse_nonfinite(X, store.feature_names)
     n = X.shape[0]
     F = np.tile(store.intercepts, (n, 1))
     mask = store.constraints.allow_mask
     for k in range(X.shape[1]):
         if not mask[:, k].any():
             continue
-        fcode, piece, t = locate(store.layout[k], X[:, k])
+        fb, x = store.layout[k], X[:, k]
+        fcode = fine_code(fb, x)
+        piece, t = locate(fb, x)
         for i in range(store.n_outputs):
             if mask[i, k]:
                 F[:, i] += horner(store.params[i][k], piece, t, fcode=fcode)
@@ -395,7 +407,7 @@ def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarr
     if edges.size == 0:
         return np.empty(0)
     # piece at/above each knot vs the piece holding points just below it
-    _, p_right, t_right = locate(fb, edges)
+    p_right, t_right = locate(fb, edges)
     p_left = np.where(np.isin(edges, fb.coarse_edges), p_right - 1, p_right)
     t_left = edges - fb.coarse_lower_edges[p_left]
     gaps = horner(sp, p_right, t_right, order) - horner(sp, p_left, t_left, order)

@@ -7,7 +7,8 @@ Hessian at the final scores. The basis of a degree-0 term is the fine-bin
 indicator; for degree d >= 1 it is the saturating binned transform raised to
 d, which is nonzero for every sample at or above the bin. Parameters whose
 accumulator is zero (empty bin) get an infinite standard error, and the flag
-propagates into any interval that touches them.
+propagates into any interval that touches them. No training row lies outside
+the observed range [x_min, x_max], so intervals there are infinite too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import bin_transform
 from .losses import hessian_diag
-from .model import ParameterStore, evaluate_shape, locate, predict
+from .model import ParameterStore, evaluate_shape, fine_code, predict
 
 Z_95 = 1.96
 
@@ -43,7 +44,7 @@ def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
             continue
         fb = store.layout[k]
         col = X[:, k]
-        fcodes = locate(fb, col)[0]
+        fcodes = fine_code(fb, col)
         nc = fb.n_coarse_bins
         dmax = store.constraints.features[k].max_degree
         # xs[:, b-1] = x*_{kb}(x_n): the basis the degree-d parameters multiply
@@ -95,7 +96,8 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
     """Pointwise variance of the shape function under the diagonal Laplace
     approximation: exactly one degree-0 term is active at any x (its fine
     bin), while every coarse bin whose transform is nonzero contributes
-    through degrees 1..D."""
+    through degrees 1..D. Outside the observed range [x_min, x_max] the
+    variance is infinite."""
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if not store.has_uncertainty or store.se_fine[i][k] is None:
@@ -105,7 +107,7 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
     dmax = store.constraints.features[k].max_degree
     acc_fine = store.se_fine[i][k]
     acc_coarse = store.se_coarse[i][k]
-    fcodes = locate(fb, xv)[0]
+    fcodes = fine_code(fb, xv)
     with np.errstate(divide="ignore"):
         var = np.where(acc_fine[fcodes] > 0.0, 1.0 / acc_fine[fcodes], np.inf)
         for b, xs in enumerate(bin_transform(xv, fb.coarse_edges).T):
@@ -117,6 +119,7 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
                 if acc <= 0.0:
                     term = np.where(w > 0.0, np.inf, 0.0)
                 var = var + term
+    var = np.where((xv < fb.x_min) | (xv > fb.x_max), np.inf, var)
     return float(var[0]) if scalar else var
 
 

@@ -161,6 +161,33 @@ def test_split_sums_stable_when_one_side_is_tiny():
     assert shr[d - 1, j] == pytest.approx(rhr, rel=1e-12)
 
 
+@pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
+@pytest.mark.parametrize("S", [-1, 0, 1, 2])
+def test_training_and_validation_scores_share_one_update(task, S):
+    # validating on the training rows must reproduce the training loss bit
+    # for bit: both score vectors take the same lr*gamma*(x-u)^d update
+    rng = np.random.default_rng(S + 1)
+    X = rng.uniform(-1.0, 2.0, size=(200, 2))
+    f = 2.0 * X[:, 0] + np.sin(3.0 * X[:, 1])
+    if task == "regression":
+        y = f + rng.normal(scale=0.3, size=200)
+    elif task == "binary":
+        y = f > np.median(f)
+    else:
+        y = np.digitize(f, np.quantile(f, [0.33, 0.66]))
+    ds = make_dataset(X, y, task=task)
+    spec = ConstraintSpec.default(ds, smoothness=S, max_degree=3)
+    # large leaves keep splits away from the ends, so global terms win too
+    cfg = TrainConfig(learning_rate=0.3, max_iterations=30, early_stopping_patience=0,
+                      min_data_in_leaf=80)
+    res = train(ds, layout=build_bin_layout(ds, SplitScheme(48, 8)), constraints=spec,
+                config=cfg, valid=ds)
+    kinds = {rec.kind for rec in res.log}
+    assert kinds == ({"split", "global"} if S >= 0 else {"split"})
+    for rec in res.log:
+        assert rec.valid_loss == rec.train_loss, rec
+
+
 # ---------------------------------------------------------------------------
 # single-iteration oracle equivalence
 

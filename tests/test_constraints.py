@@ -21,7 +21,7 @@ from polygam.model import (
     evaluate_shape,
 )
 
-from conftest import make_dataset
+from conftest import layout_for, make_dataset
 
 GRID = 2000
 TOL = -1e-9
@@ -247,3 +247,44 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
         state = store.copy()
         accumulate_global(state, 0, 0, dg, float(gam[0, 0]), lr)
         assert_feasible(state, fc, g, f"global degree {dg}")
+
+
+def update_deriv_coeffs(delta, d, lr, order):
+    """Oracle: local coefficients of d^order/dx^order of lr*(x-u)^d on a piece
+    whose lower edge sits at delta = lower - u, written out by hand."""
+    z = np.zeros_like(delta)
+    if order == 1:
+        if d == 1:
+            return lr + z, z, z
+        if d == 2:
+            return 2.0 * lr * delta, 2.0 * lr + z, z
+        if d == 3:
+            return 3.0 * lr * delta**2, 6.0 * lr * delta, 3.0 * lr + z
+    else:
+        if d == 2:
+            return 2.0 * lr + z, z, z
+        if d == 3:
+            return 6.0 * lr * delta, 6.0 * lr + z, z
+    return z, z, z
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_clamp_rows_unit_coefficients_match_hand_derivatives(seed, d):
+    rng = np.random.default_rng([seed, d])
+    x = rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.normal() * 100.0
+    lr = float(rng.uniform(1e-3, 1.0))
+    m, c = rng.choice([-1, 1], size=2)
+    fc = FeatureConstraint(smoothness=0, max_degree=3, monotone=int(m), curvature=int(c))
+    ds = make_dataset(x, np.zeros(x.size))
+    wk = _FeatureWork(x, layout_for(ds, 64, 12)[0], fc)
+    coeffs = rng.normal(size=(wk.lower.size, 4))
+    J = np.flatnonzero(rng.random(wk.fb.coarse_edges.size) < 0.7)
+    for j, u in ((J, wk.fb.coarse_edges[J][None, :, None]), (None, wk.fb.x_min)):
+        rows = _ClampRows(wk, coeffs, d, lr, j)
+        delta = np.broadcast_to(wk.lower - u, rows.mask.shape)
+        want_a = [m * a for a in update_deriv_coeffs(delta, d, lr, 1)]
+        assert [a.tobytes() for a in rows.A] == [a.tobytes() for a in want_a]
+        if d >= 2:
+            want_d = [c * a for a in update_deriv_coeffs(delta, d, lr, 2)[:2]]
+            assert [a.tobytes() for a in rows.D] == [a.tobytes() for a in want_d]

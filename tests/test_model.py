@@ -267,6 +267,17 @@ def test_predict_rejects_wrong_width():
         predict(store, np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_predict_refuses_non_finite_values(bad):
+    feats = [FeatureBins(np.array([0.0]), np.array([0.0]), -1.0, 1.0) for _ in range(2)]
+    spec = ConstraintSpec(features=[FeatureConstraint()] * 2, allow_mask=np.ones((1, 2), bool))
+    store = zero_init(BinLayout(features=feats), "regression", 1, ["a", "b"], spec)
+    X = np.zeros((4, 2))
+    X[2, 1] = bad
+    with pytest.raises(DataError, match=r"'b' holds a non-finite value at row 2"):
+        predict(store, X)
+
+
 def test_predict_equals_intercept_plus_shapes_bitwise():
     rng = np.random.default_rng(12)
     feats = []

@@ -40,10 +40,10 @@ def reference_best(i, g, h, works, store, cfg):
             thr = math.inf if kind == "global" else float(edges[j])
             key = (-float(gains[j]), k, d, thr, 0 if kind == "split" else 1)
             if kind == "global":
-                cand = SplitCandidate(i, k, d, "global", None, None, float(gl[j]), None,
+                cand = SplitCandidate(i, k, d, "global", None, float(gl[j]), None,
                                       float(gains[j]), n, 0)
             else:
-                cand = SplitCandidate(i, k, d, "split", thr, int(j), float(gl[j]), float(gr[j]),
+                cand = SplitCandidate(i, k, d, "split", thr, float(gl[j]), float(gr[j]),
                                       float(gains[j]), int(n_left[j]), n - int(n_left[j]))
             found.append((key, cand))
 
@@ -73,7 +73,7 @@ def reference_best(i, g, h, works, store, cfg):
             nl = wk.n_left_coarse
             valid = (nl >= min_leaf) & (n - nl >= min_leaf)
             for d in high:
-                sgl, sgr, shl, shr = (a[d - 1] for a in (sgl_all, sgr_all, shl_all, shr_all))
+                sgl, sgr, shl, shr = (a[d - high[0]] for a in (sgl_all, sgr_all, shl_all, shr_all))
                 gl, gr = leaf_value(sgl, shl, l1, l2), leaf_value(sgr, shr, l1, l2)
                 J = np.flatnonzero(valid)
                 if constrained and J.size:

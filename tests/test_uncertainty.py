@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polygam.booster import TrainConfig, train
+from polygam.explain import shape_grid
 from polygam.model import FeatureConstraint, evaluate_shape
 from polygam.uncertainty import (
     attach_se_accumulators,
@@ -90,6 +91,19 @@ def test_zero_data_region_propagates_infinite_band():
     assert np.isinf(hi) and np.isinf(lo)
     _, lo2, hi2 = shape_ci(store, 0, 0, 0.5)
     assert np.isfinite(lo2) and np.isfinite(hi2)
+
+
+def test_band_is_infinite_outside_the_observed_range_only():
+    store = store_with_counts([30, 20, 10])  # observed range [0, 3]
+    x = np.array([-1.0, 0.0, 1.5, 3.0, 4.0])
+    f, lo, hi = shape_ci(store, 0, 0, x)
+    assert np.isfinite(f).all()
+    assert (lo[[0, 4]] == -np.inf).all() and (hi[[0, 4]] == np.inf).all()
+    assert np.isfinite(lo[1:4]).all() and np.isfinite(hi[1:4]).all()
+    assert variance_pred(store, 0, 0, 3.0 + 1e-12) == np.inf
+    # the grid spans [x_min, x_max] itself, so its ends stay finite
+    grid = shape_grid(store, 0, 0, with_ci=True)
+    assert np.isfinite(grid.ci_lower).all() and np.isfinite(grid.ci_upper).all()
 
 
 def test_variance_skips_coarse_terms_below_their_bin():

@@ -1,0 +1,99 @@
+"""Print one sha256 per cell of a grid of small fits, to check that a change
+leaves model bytes alone.
+
+Cells run over every valid (S, D) pair, the monotone and curvature signs each
+pair admits, and the three tasks. Each fit has four features: a constrained
+column, an exact duplicate of it under the same constraint, a free column,
+and a free column that is masked out of the last output (out of the model
+when there is one output). Training uses a separate validation
+set with early stopping. A cell's hash covers the model bytes, the training
+log, the model after `attach_se_accumulators`, and a mid-run `replay_to`.
+
+Run it under two source trees and diff the output:
+
+    PYTHONPATH=<tree>/src python3 tools/byte_grid.py --seed 0 > grid_0.txt
+
+Uses only the standard library and numpy. The library and its tests do not
+import it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import warnings
+
+import numpy as np
+
+import polygam as pg
+
+TASKS = ("regression", "binary", "multiclass")
+
+
+def cells():
+    """(S, D, monotone, curvature, task) for every valid combination."""
+    for D in range(4):
+        for S in range(-1, D):
+            curvatures = (-1, 0, 1) if S >= 0 and D >= 2 else (0,)
+            for m in (-1, 0, 1):
+                for c in curvatures:
+                    for task in TASKS:
+                        yield S, D, m, c, task
+
+
+def dataset(X, f, task, rng):
+    if task == "regression":
+        y, n_outputs = f + rng.normal(scale=0.3, size=f.size), 1
+    elif task == "binary":
+        y, n_outputs = (f + rng.normal(scale=0.5, size=f.size) > np.median(f)).astype(np.int64), 1
+    else:
+        cuts = np.quantile(f, [0.33, 0.66])
+        y, n_outputs = np.digitize(f + rng.normal(scale=0.5, size=f.size), cuts), 3
+    return pg.Dataset(
+        X=np.ascontiguousarray(X), y=y, feature_names=["a", "a_copy", "b", "c"],
+        kinds=["numeric"] * 4, task=task, n_outputs=n_outputs,
+    )
+
+
+def fit_hash(S, D, m, c, task, seed, iterations):
+    rng = np.random.default_rng([seed, S + 1, D, m + 1, c + 1, TASKS.index(task)])
+    n = 300
+    X = rng.uniform(-1.0, 2.0, size=(n, 4))
+    X[:, 1] = X[:, 0]
+    f = np.sin(3.0 * X[:, 0]) + X[:, 0] ** 2 + 0.5 * X[:, 2] + 0.3 * X[:, 3]
+    ds = dataset(X[:240], f[:240], task, rng)
+    valid = dataset(X[240:], f[240:], task, rng)
+    fc = pg.FeatureConstraint(smoothness=S, max_degree=D, monotone=m, curvature=c)
+    mask = np.ones((ds.n_outputs, 4), dtype=bool)
+    mask[-1, 3] = False
+    free = pg.FeatureConstraint()
+    spec = pg.ConstraintSpec(features=[fc, fc, free, free], allow_mask=mask)
+    layout = pg.build_bin_layout(ds, pg.SplitScheme(48, 8))
+    cfg = pg.TrainConfig(learning_rate=0.3, max_iterations=iterations,
+                         early_stopping_patience=10, min_data_in_leaf=5)
+    res = pg.train(ds, layout=layout, constraints=spec, config=cfg, valid=valid)
+    digest = hashlib.sha256()
+    digest.update(pg.model.dumps_model(res.store).encode())
+    for rec in res.log:
+        digest.update(rec.to_json().encode())
+    digest.update(pg.model.dumps_model(res.replay_to(res.n_iterations // 2)).encode())
+    pg.attach_se_accumulators(res.store, ds.X)
+    digest.update(pg.model.dumps_model(res.store).encode())
+    return digest.hexdigest(), res.n_iterations
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--iterations", type=int, default=40)
+    args = ap.parse_args(argv)
+    with warnings.catch_warnings():
+        # constrained columns allowed in several outputs warn by design
+        warnings.simplefilter("ignore")
+        for S, D, m, c, task in cells():
+            sha, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations)
+            print(f"S={S:2d} D={D} mono={m:2d} curv={c:2d} {task:10s} iters={iters:3d} {sha}")
+
+
+if __name__ == "__main__":
+    main()
