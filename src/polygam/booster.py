@@ -208,7 +208,7 @@ class _FeatureWork:
         self.global_degrees = list(range(0, fc.smoothness + 1))
 
         self.fcodes = fine_code(fb, x)
-        self.ccodes, t = locate(fb, x)
+        self.ccodes, t = locate(fb, x, self.fcodes)
         counts = np.bincount(self.fcodes, minlength=fb.n_fine_bins)
         self.n_left_fine = np.cumsum(counts)[:-1]  # per fine edge
 
@@ -324,12 +324,13 @@ class _ClampRows:
     pieces for a global term (u = x_min). Arrays are (sides, thresholds,
     pieces). B and C hold sign*f' and sign*f'' of the current state (local
     coefficients, shared by every row); A and D hold what one unit of gamma
-    adds to them.
+    adds to them. A, D and the mask are fixed for a fit: rows built with
+    coeffs None are bound to each scan's state by `at`.
     """
 
-    def __init__(self, wk: _FeatureWork, coeffs: np.ndarray, d: int, lr: float,
+    def __init__(self, wk: _FeatureWork, coeffs: np.ndarray | None, d: int, lr: float,
                  j: np.ndarray | None):
-        m_sign, c_sign = wk.fc.monotone, wk.fc.curvature
+        self.m_sign, self.c_sign = m_sign, c_sign = wk.fc.monotone, wk.fc.curvature
         n_pieces = wk.lower.size
         if j is None:
             self.mask = np.ones((1, 1, n_pieces), dtype=bool)
@@ -345,11 +346,23 @@ class _ClampRows:
         unit = np.zeros((4,) + delta.shape)  # local coefficients of lr*(x-u)^d
         unit[: d + 1] = shift(delta, d, lr)
         if self.mono:
-            self.B = tuple(m_sign * b for b in _slopes(coeffs.T))
             self.A = tuple(m_sign * a for a in _slopes(unit))
         if self.curv:
-            self.C = tuple(c_sign * b for b in _bends(coeffs.T))
             self.D = tuple(c_sign * a for a in _bends(unit))
+        if coeffs is not None:
+            self._bind(coeffs)
+
+    def _bind(self, coeffs: np.ndarray) -> None:
+        if self.mono:
+            self.B = tuple(self.m_sign * b for b in _slopes(coeffs.T))
+        if self.curv:
+            self.C = tuple(self.c_sign * b for b in _bends(coeffs.T))
+
+    def at(self, coeffs: np.ndarray) -> "_ClampRows":
+        """These rows against the state with local coefficients coeffs."""
+        out = copy.copy(self)
+        out._bind(coeffs)
+        return out
 
     def take(self, index) -> "_ClampRows":
         """The rows selected by index, an index into (sides, thresholds)."""
@@ -449,14 +462,18 @@ def _worst_after(r: _ClampRows, gamma: np.ndarray) -> np.ndarray:
 
 
 def _clamp(wk: _FeatureWork, coeffs: np.ndarray, cfg: TrainConfig, d: int,
-           j: np.ndarray | None, gamma: np.ndarray, sums=()) -> np.ndarray:
+           j: np.ndarray | None, gamma: np.ndarray, sums=(),
+           units: _ClampRows | None = None) -> np.ndarray:
     """Clamp leaf-value proposals gamma (sides, thresholds) into their
     feasible intervals, apply the degree-1 kink rule, then halve each
     threshold's sides together until the exact check passes; a threshold
     still failing after 60 halvings becomes a no-op. j holds the coarse
     threshold indices, or is None for a global term (one row); sums are the
-    split sums (sgl, shl, sgr, shr) per threshold, used by the kink rule."""
-    rows = _ClampRows(wk, coeffs, d, cfg.learning_rate, j)
+    split sums (sgl, shl, sgr, shr) per threshold, used by the kink rule.
+    units are the unbound rows of (d, j) when the caller keeps them."""
+    if units is None:
+        units = _ClampRows(wk, None, d, cfg.learning_rate, j)
+    rows = units.at(coeffs)
     lo, hi = _feasible_interval(rows, gamma)
     gamma = _clip(gamma, lo, hi)
     c_sign = wk.fc.curvature
@@ -503,7 +520,7 @@ class _Candidates:
         self.n = n
         self.parts = []  # (work, [(degree, row)] of globals, fine slice, coarse slice)
         self.pools = []  # (monotone sign, slice) of monotone fine scans
-        self.clamps = []  # (work, feature, degree, slice, is global) of constrained degree >= 1
+        clamps = []  # (work, feature, degree, slice, is global) of constrained degree >= 1
         cols = []  # per block: feature, degree, threshold (NaN: global), n_left
 
         def block(k, d, edges, n_left):
@@ -522,7 +539,7 @@ class _Candidates:
                 sl = block(k, d, np.array([np.nan]), np.array([n]))
                 glob.append((d, sl.start))
                 if constrained and d >= 1:
-                    self.clamps.append((wk, k, d, sl, True))
+                    clamps.append((wk, k, d, sl, True))
             fine = coarse = None
             if 0 in wk.split_degrees and fb.fine_edges.size > 0:
                 fine = block(k, 0, fb.fine_edges, wk.n_left_fine)
@@ -533,7 +550,7 @@ class _Candidates:
                 scans = [block(k, d, fb.coarse_edges, wk.n_left_coarse) for d in high]
                 coarse = slice(scans[0].start, scans[-1].stop)
                 if constrained:
-                    self.clamps += [(wk, k, d, sl, False) for d, sl in zip(high, scans)]
+                    clamps += [(wk, k, d, sl, False) for d, sl in zip(high, scans)]
             self.parts.append((wk, glob, fine, coarse))
 
         cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0)] * 4
@@ -542,6 +559,22 @@ class _Candidates:
         nl = self.n_left
         self.valid = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
         self.sums = np.zeros((4, self.valid.size))
+        # (work, feature, degree, slice, j): j the valid thresholds of a
+        # split scan, every one clamped before gains are compared, or None
+        # for a global term; scans without a valid threshold are left out
+        self.clamps = []
+        for wk, k, d, sl, is_global in clamps:
+            j = None if is_global else np.flatnonzero(self.valid[sl])
+            if j is None or j.size:
+                self.clamps.append((wk, k, d, sl, j))
+        self._units = (None, [])
+
+    def clamp_units(self, lr: float) -> list[_ClampRows]:
+        """Unbound clamp rows of every entry of `clamps`, at learning rate
+        lr; they are fixed for a fit, so they are built once."""
+        if self._units[0] != lr:
+            self._units = (lr, [_ClampRows(wk, None, d, lr, j) for wk, _, d, _, j in self.clamps])
+        return self._units[1]
 
     def fill(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
         """This iteration's split sums of every row; a global row's right
@@ -586,17 +619,14 @@ def _best_for_output(
             sgl, sgr, shl, shr = sums[:, sl]
             pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
             gamma[:, sl] = np.where(bad, pooled, gamma[:, sl])
-    for wk, k, d, sl, is_global in cands.clamps:
+    for (wk, k, d, sl, j), units in zip(cands.clamps, cands.clamp_units(cfg.learning_rate)):
         coeffs = store.params[i][k].poly_coeffs
-        if is_global:
-            gamma[:1, sl] = _clamp(wk, coeffs, cfg, d, None, gamma[:1, sl].copy())
+        if j is None:
+            gamma[:1, sl] = _clamp(wk, coeffs, cfg, d, None, gamma[:1, sl].copy(), units=units)
             continue
-        # every valid threshold is clamped before gains are compared
-        J = np.flatnonzero(cands.valid[sl])
-        if J.size:
-            sgl, sgr, shl, shr = sums[:, sl][:, J]
-            block = gamma[:, sl]
-            block[:, J] = _clamp(wk, coeffs, cfg, d, J, block[:, J], (sgl, shl, sgr, shr))
+        sgl, sgr, shl, shr = sums[:, sl][:, j]
+        block = gamma[:, sl]
+        block[:, j] = _clamp(wk, coeffs, cfg, d, j, block[:, j], (sgl, shl, sgr, shr), units)
 
     gains = candidate_gain(gamma[0], sums[0], sums[2], gamma[1], sums[1], sums[3])
     gains = np.where(cands.valid & np.isfinite(gains), gains, -np.inf)
@@ -632,9 +662,10 @@ def _apply_candidate(
     elsewhere; a global term is one side with u the feature minimum."""
     i, k, d = cand.output, cand.feature, cand.degree
     gl = cand.gamma_left
-    if cand.kind == "global":
+    is_global = cand.kind == "global"
+    if is_global:
         accumulate_global(store, i, k, d, gl, lr)
-        u, gr = works[k].fb.x_min, gl
+        u = works[k].fb.x_min
     else:
         u, gr = cand.threshold, cand.gamma_right
         accumulate_update(store, i, k, d, u, gl, gr, lr)
@@ -643,7 +674,8 @@ def _apply_candidate(
         targets.append((X_valid[:, k], F_valid))
     for x, scores in targets:
         s = x - u  # one pass over the (strided) column; s < 0 exactly when x < u
-        scores[:, i] += lr * np.where(s < 0.0, gl, gr) * s**d
+        gamma = gl if is_global else np.where(s < 0.0, gl, gr)
+        scores[:, i] += lr * gamma * s**d
 
 
 def _replay_one(store: ParameterStore, rec: LogRecord, lr: float) -> None:

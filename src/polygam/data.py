@@ -124,6 +124,16 @@ class FeatureBins:
         lower.flags.writeable = False
         return lower
 
+    @functools.cached_property
+    def piece_of_fine(self) -> np.ndarray:
+        """Coarse piece of each fine bin, read-only. Coarse edges are fine
+        edges, so no piece boundary falls inside a fine bin and the piece of
+        a fine bin is the piece of its lower edge."""
+        above = np.searchsorted(self.coarse_edges, self.fine_edges, side="right")
+        table = np.concatenate(([0], above))
+        table.flags.writeable = False
+        return table
+
 
 @dataclass
 class BinLayout:

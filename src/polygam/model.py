@@ -186,8 +186,8 @@ class ParameterStore:
 
     def validate(self) -> None:
         """Raise DataError listing every array whose shape does not match the
-        layout, every edge list that is not strictly ascending, and every
-        non-finite number."""
+        layout, every edge list that is not strictly ascending, every coarse
+        edge that is not a fine edge, and every non-finite number."""
         J, K = self.n_outputs, len(self.feature_names)
         if (
             len(self.layout) != K
@@ -203,6 +203,9 @@ class ParameterStore:
                 numbers.append((f"feature {name!r}: {grid} edges", edges))
                 if edges.ndim != 1 or not (edges[1:] > edges[:-1]).all():
                     errs.append(f"feature {name!r}: {grid} edges are not strictly ascending")
+            # `locate` finds pieces from fine codes through piece_of_fine
+            if not np.isin(fb.coarse_edges, fb.fine_edges).all():
+                errs.append(f"feature {name!r}: coarse edges are not on the fine grid")
             numbers.append((f"feature {name!r}: observed range", np.array([fb.x_min, fb.x_max])))
             for i in range(J):
                 sp = self.params[i][k]
@@ -257,12 +260,11 @@ def fine_code(fb: FeatureBins, x: np.ndarray) -> np.ndarray:
     return np.searchsorted(fb.fine_edges, x, side="right")
 
 
-def locate(fb: FeatureBins, x: np.ndarray):
-    """Coarse piece and piece-local offset t of each value.
-
-    Pieces are right-open, so a value on a knot belongs to the piece above it.
-    """
-    piece = np.searchsorted(fb.coarse_edges, x, side="right")
+def locate(fb: FeatureBins, x: np.ndarray, fcode: np.ndarray):
+    """Coarse piece and piece-local offset t of each value, given its fine
+    code. Pieces are right-open, so a value on a knot belongs to the piece
+    above it."""
+    piece = fb.piece_of_fine[fcode]
     return piece, x - fb.coarse_lower_edges[piece]
 
 
@@ -295,8 +297,9 @@ def evaluate_shape(store: ParameterStore, i: int, k: int, x) -> np.ndarray | flo
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     fb = store.layout[k]
-    piece, t = locate(fb, xv)
-    val = horner(store.params[i][k], piece, t, fcode=fine_code(fb, xv))
+    fcode = fine_code(fb, xv)
+    piece, t = locate(fb, xv, fcode)
+    val = horner(store.params[i][k], piece, t, fcode=fcode)
     return float(val[0]) if scalar else val
 
 
@@ -310,7 +313,8 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
         raise ValueError(f"order must be 1 or 2, got {order}")
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    piece, t = locate(store.layout[k], xv)
+    fb = store.layout[k]
+    piece, t = locate(fb, xv, fine_code(fb, xv))
     val = horner(store.params[i][k], piece, t, order)
     return float(val[0]) if scalar else val
 
@@ -388,7 +392,7 @@ def predict(store: ParameterStore, X: np.ndarray) -> np.ndarray:
             continue
         fb, x = store.layout[k], X[:, k]
         fcode = fine_code(fb, x)
-        piece, t = locate(fb, x)
+        piece, t = locate(fb, x, fcode)
         for i in range(store.n_outputs):
             if mask[i, k]:
                 F[:, i] += horner(store.params[i][k], piece, t, fcode=fcode)
@@ -407,7 +411,7 @@ def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarr
     if edges.size == 0:
         return np.empty(0)
     # piece at/above each knot vs the piece holding points just below it
-    p_right, t_right = locate(fb, edges)
+    p_right, t_right = locate(fb, edges, fine_code(fb, edges))
     p_left = np.where(np.isin(edges, fb.coarse_edges), p_right - 1, p_right)
     t_left = edges - fb.coarse_lower_edges[p_left]
     gaps = horner(sp, p_right, t_right, order) - horner(sp, p_left, t_left, order)

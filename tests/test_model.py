@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polygam.data import BinLayout, FeatureBins
 from polygam.errors import ConfigError, DataError
@@ -17,8 +18,10 @@ from polygam.model import (
     dumps_model,
     evaluate_derivative,
     evaluate_shape,
+    fine_code,
     knot_gaps,
     load_model,
+    locate,
     predict,
     save_model,
     zero_init,
@@ -144,6 +147,29 @@ def test_evaluation_total_over_reals():
     xs = np.array([-1e12, -1.0, 0.0, 0.5, 1.0, 2.0, 1e12])
     vals = evaluate_shape(store, 0, 0, xs)
     assert np.isfinite(vals).all()
+
+
+@st.composite
+def nested_grids(draw):
+    """Strictly ascending fine edges, a subset of them as coarse edges, and
+    query values that include every edge exactly."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    fine = np.unique(np.array(draw(st.lists(finite, max_size=30)), dtype=float))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=fine.size, max_size=fine.size)),
+                    dtype=bool)
+    extra = draw(st.lists(finite, max_size=30))
+    x = np.concatenate([fine, np.nextafter(fine, -np.inf), extra, [-1e300, 1e300]])
+    x_min = float(min(x.min(), -1e6))
+    return FeatureBins(fine, fine[keep], x_min, float(x.max())), x
+
+
+@given(nested_grids())
+def test_piece_of_fine_matches_search_on_coarse_edges(grid):
+    fb, x = grid
+    piece, t = locate(fb, x, fine_code(fb, x))
+    want = np.searchsorted(fb.coarse_edges, x, side="right")
+    assert np.array_equal(piece, want)
+    assert t.tobytes() == (x - fb.coarse_lower_edges[want]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +435,15 @@ def test_load_rejects_short_step_values_and_nan(tmp_path):
     doc["intercepts"] = [float("nan")]
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="step_values has shape.*intercepts not finite"):
+        load_model(path)
+
+
+def test_load_rejects_coarse_edges_off_the_fine_grid(tmp_path):
+    path, doc = saved_doc(tmp_path)
+    assert doc["features"][0]["fine_edges"] == [0.5, 1.0, 1.5]
+    doc["features"][0]["coarse_edges"] = [0.75]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="'x0': coarse edges are not on the fine grid"):
         load_model(path)
 
 

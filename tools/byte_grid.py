@@ -6,8 +6,12 @@ pair admits, and the three tasks. Each fit has four features: a constrained
 column, an exact duplicate of it under the same constraint, a free column,
 and a free column that is masked out of the last output (out of the model
 when there is one output). Training uses a separate validation
-set with early stopping. A cell's hash covers the model bytes, the training
-log, the model after `attach_se_accumulators`, and a mid-run `replay_to`.
+set with early stopping. A cell's first hash covers the model bytes, the
+training log, the model after `attach_se_accumulators`, and a mid-run
+`replay_to`. Its second hash covers the split path only: (output, feature,
+degree, kind, threshold) of every log record. A change that moves the last
+bits of the fit on purpose keeps the second hash where it makes the same
+decisions.
 
 Run it under two source trees and diff the output:
 
@@ -73,13 +77,16 @@ def fit_hash(S, D, m, c, task, seed, iterations):
                          early_stopping_patience=10, min_data_in_leaf=5)
     res = pg.train(ds, layout=layout, constraints=spec, config=cfg, valid=valid)
     digest = hashlib.sha256()
+    path = hashlib.sha256()
     digest.update(pg.model.dumps_model(res.store).encode())
     for rec in res.log:
         digest.update(rec.to_json().encode())
+        decision = (rec.output, rec.feature, rec.degree, rec.kind, rec.threshold)
+        path.update(repr(decision).encode())
     digest.update(pg.model.dumps_model(res.replay_to(res.n_iterations // 2)).encode())
     pg.attach_se_accumulators(res.store, ds.X)
     digest.update(pg.model.dumps_model(res.store).encode())
-    return digest.hexdigest(), res.n_iterations
+    return digest.hexdigest(), path.hexdigest(), res.n_iterations
 
 
 def main(argv=None) -> None:
@@ -91,8 +98,9 @@ def main(argv=None) -> None:
         # constrained columns allowed in several outputs warn by design
         warnings.simplefilter("ignore")
         for S, D, m, c, task in cells():
-            sha, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations)
-            print(f"S={S:2d} D={D} mono={m:2d} curv={c:2d} {task:10s} iters={iters:3d} {sha}")
+            sha, path, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations)
+            print(f"S={S:2d} D={D} mono={m:2d} curv={c:2d} {task:10s} iters={iters:3d} {sha} "
+                  f"path={path}")
 
 
 if __name__ == "__main__":
