@@ -187,12 +187,13 @@ def param_gradients(g: np.ndarray, h: np.ndarray, x: np.ndarray, threshold: floa
 # per-feature workspace
 
 
-def _powers(v: np.ndarray, top: int) -> np.ndarray:
-    """Rows v^0..v^top, each the previous row times v."""
-    out = np.empty((top + 1, v.size))
-    out[0] = 1.0
+def _powers(v: np.ndarray, top: int, first=1.0) -> np.ndarray:
+    """Rows first*v^0..first*v^top on a new first axis, each the previous
+    row times v."""
+    out = np.empty((top + 1,) + v.shape)
+    out[0] = first
     for p in range(1, top + 1):
-        out[p] = out[p - 1] * v
+        np.multiply(out[p - 1], v, out=out[p])
     return out
 
 
@@ -208,11 +209,11 @@ class _FeatureWork:
         self.global_degrees = list(range(0, fc.smoothness + 1))
 
         self.fcodes = fine_code(fb, x)
-        self.ccodes, t = locate(fb, x, self.fcodes)
+        piece, t = locate(fb, x, self.fcodes)
         counts = np.bincount(self.fcodes, minlength=fb.n_fine_bins)
         self.n_left_fine = np.cumsum(counts)[:-1]  # per fine edge
 
-        ccounts = np.bincount(self.ccodes, minlength=fb.n_coarse_bins)
+        ccounts = np.bincount(piece, minlength=fb.n_coarse_bins)
         self.n_left_coarse = np.cumsum(ccounts)[:-1]  # per coarse edge
 
         self.lower = fb.coarse_lower_edges
@@ -221,9 +222,9 @@ class _FeatureWork:
         self.max_split_deg = max(self.high_degrees, default=0)
         self.max_global_deg = max(self.global_degrees, default=0)
 
-        self.tpow = self.rpow = None
+        self.rpow = None
         if self.max_split_deg >= 1:
-            self.tpow = _powers(t, 2 * self.max_split_deg)
+            self._build_blocks(piece, t, ccounts)
             self._build_tensors()
         if self.max_global_deg >= 1:
             self.rpow = _powers(x - fb.x_min, 2 * self.max_global_deg)
@@ -232,6 +233,39 @@ class _FeatureWork:
         # moments and fine-grid cumsum are computed once
         self._static_h = None
         self._static_hf = None
+
+    def _build_blocks(self, piece: np.ndarray, t: np.ndarray, counts: np.ndarray) -> None:
+        """Rows sorted stably by coarse piece and cut into blocks of at most
+        `size` rows; a block never holds two pieces, so a piece's moments are
+        the sums of its blocks' products.
+
+        slot_row[b, c] is the row in slot c of block b, and tblock[b, m, c]
+        its t^m for m = 0..max_split_deg. The last block of a piece pads out
+        with zero powers and the piece's last row, so a non-finite weight
+        stays in its own piece. Blocks of n / (4 * pieces) rows keep the
+        padding under a quarter of the rows; they hold at least 32, because
+        each block is one BLAS call, and on small data the calls would cost
+        more than the padded slots do."""
+        n_pieces = counts.size
+        size = max(-(-t.size // (4 * n_pieces)), 32)
+        n_blocks = -(-counts // size)
+        self.filled = np.flatnonzero(counts)
+        first_block = np.cumsum(n_blocks) - n_blocks
+        self.block_start = first_block[self.filled]
+        # a key of 16 bits or fewer sorts by radix, several times faster
+        order = np.argsort(piece.astype(np.min_scalar_type(n_pieces)), kind="stable")
+        # the q-th row of piece p goes to slot q of the piece's first block;
+        # every other slot starts as padding on the piece's last row
+        start = np.cumsum(counts) - counts
+        slots = (n_blocks * size)[self.filled]
+        row = np.repeat(order[start[self.filled] + counts[self.filled] - 1], slots)
+        dest = np.arange(t.size) + np.repeat(first_block * size - start, counts)
+        row[dest] = order
+        real = np.zeros(row.size, dtype=bool)
+        real[dest] = True
+        self.slot_row = row.reshape(-1, size)
+        T = _powers(t[self.slot_row], self.max_split_deg, real.reshape(-1, size))
+        self.tblock = T.transpose(1, 0, 2)
 
     def _build_tensors(self) -> None:
         """Binomial recombination weights: split sums of g*(x-u)^d over one side
@@ -258,11 +292,21 @@ class _FeatureWork:
             self.Wh[:, di, :, :, : 2 * d + 1] = (shift(delta, 2 * d) * sides).transpose(0, 3, 2, 1)
 
     def moments(self, weights: np.ndarray, max_m: int) -> np.ndarray:
-        """Per-coarse-piece sums of weights * t^m for m = 0..max_m."""
-        mb = self.fb.n_coarse_bins
-        out = np.empty((mb, max_m + 1))
-        for m in range(max_m + 1):
-            out[:, m] = np.bincount(self.ccodes, weights=weights * self.tpow[m], minlength=mb)
+        """Per-coarse-piece sums of weights * t^m for m = 0..max_m, where
+        max_m <= 2 * max_split_deg.
+
+        One gather puts the weights in block order and one stacked product
+        gives every block's sums for m <= max_split_deg; the higher powers
+        come from a second product with weights * t^max_split_deg. Blocks
+        add up per piece in order, and an empty piece sums to zero."""
+        dmax, T = self.max_split_deg, self.tblock
+        w = weights.take(self.slot_row)[..., None]
+        per_block = T[:, : max_m + 1] @ w
+        if max_m > dmax:
+            high = T[:, 1 : max_m - dmax + 1] @ (w * T[:, dmax, :, None])
+            per_block = np.concatenate((per_block, high), axis=1)
+        out = np.zeros((self.fb.n_coarse_bins, max_m + 1))
+        out[self.filled] = np.add.reduceat(per_block[..., 0], self.block_start)
         return out
 
     def fine_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool):

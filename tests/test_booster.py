@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polygam.booster import (
     TrainConfig,
@@ -24,6 +28,8 @@ from polygam.model import (
     FeatureConstraint,
     dumps_model,
     evaluate_shape,
+    fine_code,
+    locate,
     predict,
 )
 from polygam.testkit import brute_force_stump
@@ -159,6 +165,92 @@ def test_split_sums_stable_when_one_side_is_tiny():
     (_, rgr), (_, rhr) = param_gradients(g, h, x, u, d)
     assert sgr[d - 1, j] == pytest.approx(rgr, rel=1e-12)
     assert shr[d - 1, j] == pytest.approx(rhr, rel=1e-12)
+
+
+def bincount_moments(piece, t, w, max_m, n_pieces):
+    """Oracle: per-piece sums of w * t^m, one bincount over all rows per m."""
+    tp, out = np.ones_like(t), []
+    for _ in range(max_m + 1):
+        out.append(np.bincount(piece, weights=w * tp, minlength=n_pieces))
+        tp = tp * t
+    return np.stack(out, axis=1)
+
+
+@st.composite
+def moment_cases(draw):
+    D = draw(st.integers(1, 3))
+    S = draw(st.integers(-1, D - 1))
+    n = draw(st.integers(1, 400))
+    ties = draw(st.booleans())  # 40 levels, so pieces hold tied values
+    one_piece = draw(st.booleans())
+    outside = draw(st.booleans())  # rows only beyond the layout's data: middle pieces empty
+    nan_row = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    seed = draw(st.integers(0, 2**16))
+    return FeatureConstraint(smoothness=S, max_degree=D), n, ties, one_piece, outside, nan_row, seed
+
+
+@given(moment_cases())
+def test_block_moments_match_bincount_oracle(case):
+    fc, n, ties, one_piece, outside, nan_row, seed = case
+    rng = np.random.default_rng(seed)
+    draw = (lambda m: rng.integers(0, 40, m) * 0.25) if ties else (lambda m: rng.normal(size=m))
+    ref = draw(300)
+    layout = build_bin_layout(make_dataset(ref, np.zeros(ref.size)),
+                              SplitScheme(64, 1 if one_piece else 8))
+    fb = layout[0]
+    x = draw(n)
+    if outside:
+        x = np.where(rng.random(n) < 0.5, ref.min() - 1.0 - rng.random(n),
+                     ref.max() + 1.0 + rng.random(n))
+    w = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    if nan_row is not None:
+        w[nan_row] = np.nan
+    wk = _FeatureWork(x, fb, fc)
+    assert wk.max_split_deg == fc.max_degree
+    piece, t = locate(fb, x, fine_code(fb, x))
+    n_pieces = fb.n_coarse_bins
+    assert (n_pieces == 1) == one_piece
+    empty = np.bincount(piece, minlength=n_pieces) == 0
+    if outside and n_pieces > 2:
+        assert empty.any()
+    clean = np.ones(n_pieces, dtype=bool)
+    if nan_row is not None:
+        clean[piece[nan_row]] = False
+    for max_m in (fc.max_degree, 2 * fc.max_degree):
+        got = wk.moments(w, max_m)
+        want = bincount_moments(piece, t, w, max_m, n_pieces)
+        bound = 1e-12 * bincount_moments(piece, np.abs(t), np.abs(w), max_m, n_pieces)
+        assert np.isnan(got[~clean]).all()
+        assert np.isfinite(got[clean]).all()
+        assert (np.abs(got - want)[clean] <= bound[clean]).all()
+        assert (got[empty] == 0.0).all()
+
+
+def test_fit_bytes_do_not_depend_on_blas_threads():
+    # two coarse pieces make blocks of over 4000 rows, large enough for
+    # OpenBLAS to split a product across threads
+    code = (
+        "import hashlib, numpy as np, polygam as pg\n"
+        "rng = np.random.default_rng(4)\n"
+        "X = rng.normal(size=(40000, 3))\n"
+        "f = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 + rng.logistic(size=40000)\n"
+        "ds = pg.Dataset(X=X, y=(f > 1).astype(np.int64), feature_names=['a', 'b', 'c'],\n"
+        "                kinds=['numeric'] * 3, task='binary', n_outputs=1)\n"
+        "layout = pg.build_bin_layout(ds, pg.SplitScheme(256, 2))\n"
+        "cfg = pg.TrainConfig(max_iterations=10, early_stopping_patience=0)\n"
+        "res = pg.train(ds, layout=layout, config=cfg)\n"
+        "print(hashlib.sha256(pg.model.dumps_model(res.store).encode()).hexdigest())\n"
+    )
+    shas = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PB_THREADS=threads)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        shas.append(res.stdout.strip())
+    assert len(shas[0]) == 64 and shas[0] == shas[1]
 
 
 @pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
