@@ -128,7 +128,12 @@ class FeatureBins:
     def piece_of_fine(self) -> np.ndarray:
         """Coarse piece of each fine bin, read-only. Coarse edges are fine
         edges, so no piece boundary falls inside a fine bin and the piece of
-        a fine bin is the piece of its lower edge."""
+        a fine bin is the piece of its lower edge; bins whose coarse edges
+        are not all fine edges raise DataError."""
+        # the fine edge at or above each coarse edge (NaN past the last) must equal it
+        at = np.searchsorted(self.fine_edges, self.coarse_edges)
+        if not (np.append(self.fine_edges, np.nan)[at] == self.coarse_edges).all():
+            raise DataError("coarse edges are not on the fine grid")
         above = np.searchsorted(self.coarse_edges, self.fine_edges, side="right")
         table = np.concatenate(([0], above))
         table.flags.writeable = False

@@ -203,9 +203,10 @@ class ParameterStore:
                 numbers.append((f"feature {name!r}: {grid} edges", edges))
                 if edges.ndim != 1 or not (edges[1:] > edges[:-1]).all():
                     errs.append(f"feature {name!r}: {grid} edges are not strictly ascending")
-            # `locate` finds pieces from fine codes through piece_of_fine
-            if not np.isin(fb.coarse_edges, fb.fine_edges).all():
-                errs.append(f"feature {name!r}: coarse edges are not on the fine grid")
+            try:  # `locate` finds pieces through this table
+                fb.piece_of_fine
+            except DataError as e:
+                errs.append(f"feature {name!r}: {e}")
             numbers.append((f"feature {name!r}: observed range", np.array([fb.x_min, fb.x_max])))
             for i in range(J):
                 sp = self.params[i][k]

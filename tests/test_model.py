@@ -447,6 +447,12 @@ def test_load_rejects_coarse_edges_off_the_fine_grid(tmp_path):
         load_model(path)
 
 
+def test_predict_refuses_hand_built_coarse_edges_off_the_fine_grid():
+    store = single_feature_store([0.5, 1.5], [1.0], 0.0, 2.0)
+    with pytest.raises(DataError, match="coarse edges are not on the fine grid"):
+        predict(store, np.array([[0.7]]))
+
+
 def test_hand_written_minimal_model(tmp_path):
     doc = {
         "format_version": "1",
