@@ -21,7 +21,6 @@ from .booster import (
     TrainResult,
     candidate_gain,
     leaf_value,
-    param_gradients,
     replay,
     train,
     write_log,
@@ -33,8 +32,6 @@ from .data import (
     Dataset,
     FeatureBins,
     SplitScheme,
-    assign_bin,
-    bin_transform,
     build_bin_layout,
     build_bins,
     load_csv,
@@ -92,9 +89,7 @@ __all__ = [
     "UncertaintyTable",
     "accumulate_global",
     "accumulate_update",
-    "assign_bin",
     "attach_se_accumulators",
-    "bin_transform",
     "build_bin_layout",
     "build_bins",
     "candidate_gain",
@@ -111,7 +106,6 @@ __all__ = [
     "load_feature_matrix",
     "load_model",
     "loss_eval",
-    "param_gradients",
     "param_se",
     "predict",
     "render_svg",

@@ -168,21 +168,6 @@ def candidate_gain(gamma_left, sg_left, sh_left, gamma_right, sg_right, sh_right
     )
 
 
-def param_gradients(g: np.ndarray, h: np.ndarray, x: np.ndarray, threshold: float, d: int):
-    """Reference split sums, computed directly per side (no prefix tricks):
-    returns ((sum g*(x-u)^d left, right), (sum h*(x-u)^2d left, right))."""
-    s = np.asarray(x, dtype=float) - threshold
-    left = s < 0
-    p = s**d
-    q = s ** (2 * d)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    return (
-        (float((g * p)[left].sum()), float((g * p)[~left].sum())),
-        (float((h * q)[left].sum()), float((h * q)[~left].sum())),
-    )
-
-
 # ---------------------------------------------------------------------------
 # per-feature workspace
 
@@ -629,7 +614,10 @@ class _Candidates:
                 if d == 0:
                     out[0, r], out[2, r] = g.sum(), h.sum()
                 else:
-                    out[0, r], out[2, r] = g @ wk.rpow[d], h @ wk.rpow[2 * d]
+                    # einsum, not a 1-D `@`: BLAS splits a long dot product
+                    # across threads, and its last bits follow the thread count
+                    out[0, r] = np.einsum("n,n->", g, wk.rpow[d])
+                    out[2, r] = np.einsum("n,n->", h, wk.rpow[2 * d])
             if fine is not None:
                 out[:, fine] = wk.fine_sums(g, h, h_static)
             if coarse is not None:

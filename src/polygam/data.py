@@ -1,4 +1,4 @@
-"""Dataset ingestion, quantile binning, and the binned-variable transform.
+"""Dataset ingestion and quantile binning.
 
 Features are histogrammed on two nested quantile grids: a fine grid used by
 degree-0 (step) terms and a coarse grid, whose edges are a subsample of the
@@ -214,48 +214,6 @@ def build_bin_layout(dataset: Dataset, scheme: SplitScheme | None = None) -> Bin
             )
         )
     return BinLayout(features=feats)
-
-
-def assign_bin(x, edges) -> np.ndarray | int:
-    """1-based bin index with right-open pieces: returns b with u_{b-1} <= x < u_b."""
-    e = np.asarray(edges, dtype=float)
-    idx = np.searchsorted(e, x, side="right") + 1
-    if np.isscalar(x):
-        return int(idx)
-    return idx
-
-
-def bin_transform(x, edges, b: int | None = None):
-    """Binned-variable transform x*_{kb}: 0 below the bin, raw x in the first
-    bin, offset from the lower edge inside later bins, saturating above the
-    bin (the last bin never saturates).
-
-    A middle bin saturates at its upper edge value u_b, not at its width
-    u_b - u_{b-1}, so the transform jumps at u_b: for edges [1, 2], bin 2
-    gives 0.999 at x = 1.999 and 2.0 from x = 2 on.
-
-    With b given, returns bin b's transform (a float for scalar x). With b
-    omitted, returns every bin at once, shape x.shape + (n_bins,), column
-    b-1 holding bin b.
-    """
-    e = np.asarray(edges, dtype=float)
-    n_bins = e.size + 1
-    cols = slice(None)
-    if b is not None:
-        if not 1 <= b <= n_bins:
-            raise ValueError(f"bin index {b} out of range 1..{n_bins}")
-        cols = slice(b - 1, b)
-    lo = np.concatenate(([-np.inf], e))[cols]
-    hi = np.concatenate((e, [np.inf]))[cols]
-    xv = np.asarray(x, dtype=float)[..., None]
-    # written in place: a nested np.where would hold several full-size arrays
-    out = xv - np.concatenate(([0.0], e))[cols]
-    np.copyto(out, hi, where=~(xv < hi))  # not xv >= hi: NaN maps to the upper edge
-    np.copyto(out, 0.0, where=xv < lo)
-    if b is None:
-        return out
-    out = out[..., 0]
-    return float(out) if np.isscalar(x) else out
 
 
 def split_indices(

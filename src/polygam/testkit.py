@@ -13,8 +13,10 @@ import numpy as np
 
 __all__ = [
     "brute_force_stump",
+    "dense_bin_transform",
     "finite_diff_grad",
     "finite_diff_second",
+    "param_gradients",
     "tree_list_eval",
 ]
 
@@ -67,6 +69,41 @@ def brute_force_stump(
         if best is None or loss < best[3]:
             best = (float(u), gammas[0], gammas[1], loss)
     return best
+
+
+def param_gradients(g: np.ndarray, h: np.ndarray, x: np.ndarray, threshold: float, d: int):
+    """Reference split sums, computed directly per side (no prefix tricks):
+    returns ((sum g*(x-u)^d left, right), (sum h*(x-u)^2d left, right))."""
+    s = np.asarray(x, dtype=float) - threshold
+    left = s < 0
+    p = s**d
+    q = s ** (2 * d)
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    return (
+        (float((g * p)[left].sum()), float((g * p)[~left].sum())),
+        (float((h * q)[left].sum()), float((h * q)[~left].sum())),
+    )
+
+
+def dense_bin_transform(x, edges) -> np.ndarray:
+    """Binned-variable transform x*_{kb} of every bin, shape x.shape +
+    (n_bins,), column b-1 holding bin b: 0 below the bin, raw x in the first
+    bin, offset from the lower edge inside later bins, saturating at the
+    bin's upper edge value above it (the last bin never saturates).
+
+    A middle bin saturates at its upper edge value u_b, not at its width
+    u_b - u_{b-1}, so the transform jumps at u_b: for edges [1, 2], bin 2
+    gives 0.999 at x = 1.999 and 2.0 from x = 2 on.
+    """
+    e = np.asarray(edges, dtype=float)
+    lo = np.concatenate(([-np.inf], e))
+    hi = np.concatenate((e, [np.inf]))
+    xv = np.asarray(x, dtype=float)[..., None]
+    out = xv - np.concatenate(([0.0], e))
+    np.copyto(out, hi, where=~(xv < hi))  # not xv >= hi: NaN maps to the upper edge
+    np.copyto(out, 0.0, where=xv < lo)
+    return out
 
 
 def finite_diff_grad(fn, x: np.ndarray, delta: float = 1e-4) -> np.ndarray:

@@ -5,10 +5,18 @@ polynomial terms), so a diagonal Laplace approximation gives each parameter
 the standard error 1/sqrt(sum_n h_n * basis(x_n)^2), with h the loss
 Hessian at the final scores. The basis of a degree-0 term is the fine-bin
 indicator; for degree d >= 1 it is the saturating binned transform raised to
-d, which is nonzero for every sample at or above the bin. Parameters whose
-accumulator is zero (empty bin) get an infinite standard error, and the flag
-propagates into any interval that touches them. No training row lies outside
-the observed range [x_min, x_max], so intervals there are infinite too.
+d. That transform is sparse: a value x in coarse piece p has basis value s
+in piece p (raw x in piece 0, the offset from the piece's lower edge in
+later pieces), every piece below p is saturated at its upper edge value,
+and every piece above p is 0; the last piece never saturates. So each
+coarse accumulator is the in-piece sum of h * s^(2d) plus edge^(2d) times
+the h-mass of the later pieces, and a variance at x is its own piece's
+term plus a prefix sum over the pieces below it.
+
+Parameters whose accumulator is zero (empty bin) get an infinite standard
+error, and the flag propagates into any interval that touches them. No
+training row lies outside the observed range [x_min, x_max], so intervals
+there are infinite too.
 """
 
 from __future__ import annotations
@@ -17,11 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import bin_transform
+from .data import FeatureBins
 from .losses import hessian_diag
-from .model import ParameterStore, evaluate_shape, fine_code, predict
+from .model import ParameterStore, evaluate_shape, fine_code, locate, predict
 
 Z_95 = 1.96
+
+
+def bin_transform(fb: FeatureBins, x: np.ndarray):
+    """Fine code, coarse piece and in-piece basis value s of each value:
+    raw x in piece 0 and locate's offset t in later pieces."""
+    fcode = fine_code(fb, x)
+    piece, t = locate(fb, x, fcode)
+    return fcode, piece, np.where(piece == 0, x, t)
 
 
 def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
@@ -43,21 +59,21 @@ def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
         if not mask[:, k].any():
             continue
         fb = store.layout[k]
-        col = X[:, k]
-        fcodes = fine_code(fb, col)
         nc = fb.n_coarse_bins
-        dmax = store.constraints.features[k].max_degree
-        # xs[:, b-1] = x*_{kb}(x_n): the basis the degree-d parameters multiply
-        xs = bin_transform(col, fb.coarse_edges)
+        degrees = range(1, min(store.constraints.features[k].max_degree, 3) + 1)
+        fcode, piece, s = bin_transform(fb, X[:, k])
+        w = [s ** (2 * d) for d in degrees]
         for i in range(J):
             if not mask[i, k]:
                 continue
             hi = h[:, i]
-            fine = np.bincount(fcodes, weights=hi, minlength=fb.n_fine_bins)
+            store.se_fine[i][k] = np.bincount(fcode, weights=hi, minlength=fb.n_fine_bins)
+            # h-mass of the pieces above each coarse edge, saturated there
+            above = np.cumsum(np.bincount(piece, weights=hi, minlength=nc)[:0:-1])[::-1]
             coarse = np.zeros((nc, 3))
-            for d in range(1, min(dmax, 3) + 1):
-                coarse[:, d - 1] = hi @ xs ** (2 * d)
-            store.se_fine[i][k] = fine
+            for d in degrees:
+                coarse[:, d - 1] = np.bincount(piece, weights=hi * w[d - 1], minlength=nc)
+                coarse[:-1, d - 1] += fb.coarse_edges ** (2 * d) * above
             store.se_coarse[i][k] = coarse
 
 
@@ -92,34 +108,37 @@ def param_se(store: ParameterStore, i: int, k: int) -> UncertaintyTable:
     return UncertaintyTable(fine_se=fine, coarse_se=coarse)
 
 
+def _terms(w, acc: np.ndarray) -> np.ndarray:
+    """w / acc, inf where acc <= 0, and 0 wherever w == 0 (a basis value of
+    zero adds nothing even when its accumulator is empty)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(acc > 0.0, w / np.maximum(acc, 1e-300), np.inf)
+    return np.where(w > 0.0, term, 0.0)
+
+
 def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | float:
     """Pointwise variance of the shape function under the diagonal Laplace
     approximation: exactly one degree-0 term is active at any x (its fine
-    bin), while every coarse bin whose transform is nonzero contributes
-    through degrees 1..D. Outside the observed range [x_min, x_max] the
-    variance is infinite."""
+    bin); degrees 1..D contribute from x's own coarse piece and from every
+    piece below it, saturated at its upper edge. Outside the observed range
+    [x_min, x_max] the variance is infinite."""
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if not store.has_uncertainty or store.se_fine[i][k] is None:
         out = np.zeros_like(xv)
         return float(out[0]) if scalar else out
     fb = store.layout[k]
-    dmax = store.constraints.features[k].max_degree
-    acc_fine = store.se_fine[i][k]
-    acc_coarse = store.se_coarse[i][k]
-    fcodes = fine_code(fb, xv)
-    with np.errstate(divide="ignore"):
-        var = np.where(acc_fine[fcodes] > 0.0, 1.0 / acc_fine[fcodes], np.inf)
-        for b, xs in enumerate(bin_transform(xv, fb.coarse_edges).T):
-            for d in range(1, min(dmax, 3) + 1):
-                acc = acc_coarse[b, d - 1]
-                w = xs ** (2 * d)
-                # w == 0 below the bin: no contribution even when acc == 0
-                term = np.where(w > 0.0, w / max(acc, 1e-300), 0.0)
-                if acc <= 0.0:
-                    term = np.where(w > 0.0, np.inf, 0.0)
-                var = var + term
-    var = np.where((xv < fb.x_min) | (xv > fb.x_max), np.inf, var)
+    degrees = range(1, min(store.constraints.features[k].max_degree, 3) + 1)
+    acc = store.se_coarse[i][k]
+    fcode, piece, s = bin_transform(fb, xv)
+    var = _terms(1.0, store.se_fine[i][k][fcode])
+    below = np.zeros(fb.n_coarse_bins)
+    for d in degrees:
+        var = var + _terms(s ** (2 * d), acc[piece, d - 1])
+        below[1:] += _terms(fb.coarse_edges ** (2 * d), acc[:-1, d - 1])
+    var = var + np.cumsum(below)[piece]
+    # not a range test on x < x_min | x > x_max: NaN is outside too
+    var[~((xv >= fb.x_min) & (xv <= fb.x_max))] = np.inf
     return float(var[0]) if scalar else var
 
 

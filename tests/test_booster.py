@@ -15,7 +15,6 @@ from polygam.booster import (
     _FeatureWork,
     candidate_gain,
     leaf_value,
-    param_gradients,
     replay,
     train,
     write_log,
@@ -32,7 +31,7 @@ from polygam.model import (
     locate,
     predict,
 )
-from polygam.testkit import brute_force_stump
+from polygam.testkit import brute_force_stump, param_gradients
 
 from conftest import layout_for, make_dataset
 
@@ -226,19 +225,14 @@ def test_block_moments_match_bincount_oracle(case):
         assert (got[empty] == 0.0).all()
 
 
-def test_fit_bytes_do_not_depend_on_blas_threads():
-    # two coarse pieces make blocks of over 4000 rows, large enough for
-    # OpenBLAS to split a product across threads
+def model_sha_per_thread_count(fit: str) -> list[str]:
+    """sha256 of dumps_model(res.store) after running `fit` (which binds
+    pg, np and res) in a fresh interpreter at PB_THREADS=1 and =2. polygam
+    is imported before numpy, so the thread cap lands before BLAS starts."""
     code = (
-        "import hashlib, numpy as np, polygam as pg\n"
-        "rng = np.random.default_rng(4)\n"
-        "X = rng.normal(size=(40000, 3))\n"
-        "f = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 + rng.logistic(size=40000)\n"
-        "ds = pg.Dataset(X=X, y=(f > 1).astype(np.int64), feature_names=['a', 'b', 'c'],\n"
-        "                kinds=['numeric'] * 3, task='binary', n_outputs=1)\n"
-        "layout = pg.build_bin_layout(ds, pg.SplitScheme(256, 2))\n"
-        "cfg = pg.TrainConfig(max_iterations=10, early_stopping_patience=0)\n"
-        "res = pg.train(ds, layout=layout, config=cfg)\n"
+        "import polygam as pg, hashlib\n"
+        "import numpy as np\n"
+        f"{fit}\n"
         "print(hashlib.sha256(pg.model.dumps_model(res.store).encode()).hexdigest())\n"
     )
     shas = []
@@ -250,7 +244,45 @@ def test_fit_bytes_do_not_depend_on_blas_threads():
                              text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         shas.append(res.stdout.strip())
-    assert len(shas[0]) == 64 and shas[0] == shas[1]
+    assert len(shas[0]) == 64
+    return shas
+
+
+def test_fit_bytes_do_not_depend_on_blas_threads():
+    # two coarse pieces make blocks of over 4000 rows, large enough for
+    # OpenBLAS to split a product across threads
+    fit = (
+        "rng = np.random.default_rng(4)\n"
+        "X = rng.normal(size=(40000, 3))\n"
+        "f = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 + rng.logistic(size=40000)\n"
+        "ds = pg.Dataset(X=X, y=(f > 1).astype(np.int64), feature_names=['a', 'b', 'c'],\n"
+        "                kinds=['numeric'] * 3, task='binary', n_outputs=1)\n"
+        "layout = pg.build_bin_layout(ds, pg.SplitScheme(256, 2))\n"
+        "cfg = pg.TrainConfig(max_iterations=10, early_stopping_patience=0)\n"
+        "res = pg.train(ds, layout=layout, config=cfg)"
+    )
+    shas = model_sha_per_thread_count(fit)
+    assert shas[0] == shas[1]
+
+
+def test_global_term_bytes_do_not_depend_on_blas_threads():
+    # S = 1 and no threshold that leaves min_data_in_leaf rows on both
+    # sides: every update is a global term, fit from sums over all 12,000
+    # rows, past where OpenBLAS splits a 1-D dot product across threads
+    fit = (
+        "rng = np.random.default_rng(3)\n"
+        "X = rng.normal(size=(12000, 2))\n"
+        "f = 2.0 * X[:, 0] - X[:, 1] + rng.logistic(size=12000)\n"
+        "ds = pg.Dataset(X=X, y=(f > 0).astype(np.int64), feature_names=['a', 'b'],\n"
+        "                kinds=['numeric'] * 2, task='binary', n_outputs=1)\n"
+        "spec = pg.ConstraintSpec.default(ds, smoothness=1, max_degree=2)\n"
+        "cfg = pg.TrainConfig(max_iterations=10, early_stopping_patience=0,\n"
+        "                     validation_fraction=0.0, min_data_in_leaf=12000)\n"
+        "res = pg.train(ds, constraints=spec, config=cfg)\n"
+        "assert {r.kind for r in res.log} == {'global'}"
+    )
+    shas = model_sha_per_thread_count(fit)
+    assert shas[0] == shas[1]
 
 
 @pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])

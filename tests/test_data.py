@@ -1,12 +1,11 @@
-"""Binning, the binned-variable transform, splits, and CSV ingestion."""
+"""Binning, the binned-variable transform oracle, splits, and CSV ingestion."""
 
 import numpy as np
 import pytest
 
 from polygam.data import (
+    FeatureBins,
     SplitScheme,
-    assign_bin,
-    bin_transform,
     build_bin_layout,
     build_bins,
     load_csv,
@@ -14,6 +13,8 @@ from polygam.data import (
     split_indices,
 )
 from polygam.errors import DataError
+from polygam.model import fine_code
+from polygam.testkit import dense_bin_transform
 
 from conftest import make_dataset
 
@@ -35,7 +36,7 @@ def test_build_bins_few_levels_one_bin_per_level():
     edges = build_bins(vals, 256)
     assert edges.size <= 2
     # every level lands in its own bin
-    assert len({assign_bin(v, edges) for v in (0.0, 1.0, 5.0)}) == 3
+    assert len({int(np.searchsorted(edges, v, side="right")) for v in (0.0, 1.0, 5.0)}) == 3
 
 
 def quantile_oracle(values, n_bins):
@@ -81,73 +82,78 @@ def test_every_bin_contains_a_sample():
 
 
 # ---------------------------------------------------------------------------
-# bin_transform / assign_bin
+# fine codes and the dense transform oracle (testkit)
+
+
+def column(x, edges, b):
+    """Bin b's column of the dense oracle (a float for scalar x)."""
+    out = dense_bin_transform(x, edges)[..., b - 1]
+    return float(out) if np.isscalar(x) else out
 
 
 def test_transform_below_bin_is_zero():
-    assert bin_transform(1.0, [2.0], 2) == 0.0
+    assert column(1.0, [2.0], 2) == 0.0
 
 
 def test_transform_inside_bin_is_offset():
-    assert bin_transform(3.0, [2.0], 2) == 1.0
+    assert column(3.0, [2.0], 2) == 1.0
 
 
 def test_transform_saturates_at_upper_edge():
-    assert bin_transform(5.0, [2.0], 1) == 2.0
+    assert column(5.0, [2.0], 1) == 2.0
 
 
 def test_transform_middle_bin_saturates_at_edge_value_not_width():
     # bin 2 of edges [1, 2] is [1, 2): offsets reach 0.999, then jump to u_2 = 2
-    assert bin_transform(1.999, [1.0, 2.0], 2) == pytest.approx(0.999)
-    assert bin_transform(5.0, [1.0, 2.0], 2) == 2.0
+    assert column(1.999, [1.0, 2.0], 2) == pytest.approx(0.999)
+    assert column(5.0, [1.0, 2.0], 2) == 2.0
 
 
 def test_transform_first_bin_keeps_raw_value():
-    assert bin_transform(1.5, [2.0], 1) == 1.5
+    assert column(1.5, [2.0], 1) == 1.5
 
 
 def test_transform_last_bin_never_saturates():
-    assert bin_transform(1e9, [2.0], 2) == 1e9 - 2.0
+    assert column(1e9, [2.0], 2) == 1e9 - 2.0
 
 
 def test_transform_vectorized_matches_scalar():
     edges = [0.0, 1.0, 3.0]
     xs = np.array([-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 10.0])
-    every = bin_transform(xs, edges)
+    every = dense_bin_transform(xs, edges)
     assert every.shape == (xs.size, 4)
-    for b in range(1, 5):
-        vec = bin_transform(xs, edges, b)
-        assert vec.tolist() == [bin_transform(float(x), edges, b) for x in xs]
-        assert np.array_equal(every[:, b - 1], vec)
+    for j, x in enumerate(xs):
+        assert np.array_equal(every[j], dense_bin_transform(float(x), edges))
 
 
-def test_transform_bad_bin_index():
-    with pytest.raises(ValueError):
-        bin_transform(1.0, [2.0], 0)
-    with pytest.raises(ValueError):
-        bin_transform(1.0, [2.0], 3)
+def codes(x, edges):
+    """fine_code on a feature whose fine grid is `edges`, plus one: the
+    1-based bin with u_{b-1} <= x < u_b."""
+    e = np.asarray(edges, dtype=float)
+    fb = FeatureBins(fine_edges=e, coarse_edges=e, x_min=-np.inf, x_max=np.inf)
+    return fine_code(fb, x) + 1
 
 
-def test_assign_bin_boundary_goes_right():
-    assert assign_bin(2.0, [2.0]) == 2
+def test_fine_code_boundary_goes_right():
+    assert codes(2.0, [2.0]) == 2
 
 
-def test_assign_bin_below_edge():
-    assert assign_bin(1.9, [2.0]) == 1
+def test_fine_code_below_edge():
+    assert codes(1.9, [2.0]) == 1
 
 
-def test_assign_bin_far_left():
-    assert assign_bin(-1e9, [2.0, 5.0]) == 1
+def test_fine_code_far_left():
+    assert codes(-1e9, [2.0, 5.0]) == 1
 
 
-def test_assign_bin_partition():
+def test_fine_code_partition():
     rng = np.random.default_rng(5)
     edges = np.sort(rng.normal(size=9))
     xs = rng.normal(size=200)
-    codes = assign_bin(xs, edges)
-    assert np.all((codes >= 1) & (codes <= edges.size + 1))
-    lo = np.concatenate(([-np.inf], edges))[codes - 1]
-    hi = np.concatenate((edges, [np.inf]))[codes - 1]
+    b = codes(xs, edges)
+    assert np.all((b >= 1) & (b <= edges.size + 1))
+    lo = np.concatenate(([-np.inf], edges))[b - 1]
+    hi = np.concatenate((edges, [np.inf]))[b - 1]
     assert np.all((xs >= lo) & (xs < hi))
 
 

@@ -82,8 +82,8 @@ def reference_best(i, g, h, works, store, cfg):
                 gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
                 collect(k, d, "split", fb.coarse_edges, nl, gl, gr, gains, valid)
         for d in wk.global_degrees:
-            sg = g.sum() if d == 0 else g @ wk.rpow[d]
-            sh = h.sum() if d == 0 else h @ wk.rpow[2 * d]
+            sg = g.sum() if d == 0 else np.einsum("n,n->", g, wk.rpow[d])
+            sh = h.sum() if d == 0 else np.einsum("n,n->", h, wk.rpow[2 * d])
             gamma = np.array([[leaf_value(sg, sh, l1, l2)]])
             if constrained and d >= 1:
                 gamma = _clamp(wk, coeffs, cfg, d, None, gamma)

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polygam.booster import TrainConfig, train
+from polygam.data import BinLayout, FeatureBins
 from polygam.explain import shape_grid
-from polygam.model import FeatureConstraint, evaluate_shape
+from polygam.losses import hessian_diag
+from polygam.model import (
+    ConstraintSpec,
+    FeatureConstraint,
+    evaluate_shape,
+    fine_code,
+    predict,
+    zero_init,
+)
+from polygam.testkit import dense_bin_transform
 from polygam.uncertainty import (
     attach_se_accumulators,
     param_se,
@@ -154,3 +165,107 @@ def test_band_width_shrinks_with_more_data_end_to_end():
         f, lo, hi = shape_ci(res.store, 0, 0, 0.5)
         widths.append(hi - lo)
     assert widths[1] < widths[0]
+
+
+# ---------------------------------------------------------------------------
+# sparse basis against the dense transform
+
+
+def dense_accumulators(store, X):
+    """(se_fine, se_coarse) from the N x pieces dense basis: each degree-d
+    accumulator is sum_n h_n * x*_b(x_n)^(2d) over every row."""
+    h = hessian_diag(store.task, predict(store, X))
+    J, K = store.n_outputs, len(store.feature_names)
+    fine = [[None] * K for _ in range(J)]
+    coarse = [[None] * K for _ in range(J)]
+    for i, k in zip(*np.nonzero(store.constraints.allow_mask)):
+        fb = store.layout[k]
+        xs = dense_bin_transform(X[:, k], fb.coarse_edges)
+        fine[i][k] = np.bincount(fine_code(fb, X[:, k]), weights=h[:, i],
+                                 minlength=fb.n_fine_bins)
+        coarse[i][k] = np.zeros((fb.n_coarse_bins, 3))
+        for d in range(1, min(store.constraints.features[k].max_degree, 3) + 1):
+            coarse[i][k][:, d - 1] = (h[:, i, None] * xs ** (2 * d)).sum(axis=0)
+    return fine, coarse
+
+
+def dense_variance(store, i, k, x):
+    """Variance at x summed over every (bin, degree) of the dense basis: a
+    zero basis value adds nothing, an empty accumulator under a nonzero
+    basis value adds inf, and outside [x_min, x_max] it is inf."""
+    fb = store.layout[k]
+    acc_fine, acc = store.se_fine[i][k], store.se_coarse[i][k]
+    fa = acc_fine[fine_code(fb, x)]
+    with np.errstate(divide="ignore"):
+        var = np.where(fa > 0.0, 1.0 / fa, np.inf)
+    for b, xs in enumerate(dense_bin_transform(x, fb.coarse_edges).T):
+        for d in range(1, min(store.constraints.features[k].max_degree, 3) + 1):
+            w = xs ** (2 * d)
+            term = np.inf if acc[b, d - 1] <= 0.0 else w / acc[b, d - 1]
+            var = var + np.where(w > 0.0, term, 0.0)
+    return np.where((x < fb.x_min) | (x > fb.x_max), np.inf, var)
+
+
+@st.composite
+def se_cases(draw):
+    """A two-feature store with random shapes and grids, and rows to attach.
+
+    Knots sit on a half-unit grid around 0, so x_min is usually negative;
+    `zero_edge` puts a coarse knot at 0.0, whose saturated basis value is 0,
+    and `empty` drops every row of one coarse piece (the one below 0.0 when
+    both are drawn). Masked pairs are drawn over a 1-3 output task."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    task, J = draw(st.sampled_from([("regression", 1), ("binary", 1), ("multiclass", 3)]))
+    zero_edge, empty = draw(st.booleans()), draw(st.booleans())
+    feats, cons = [], []
+    for _ in range(2):
+        fine = 0.5 * rng.choice(np.arange(-12, 13), draw(st.integers(1, 10)), replace=False)
+        fine = np.union1d(fine, [0.0]) if zero_edge else np.sort(fine)
+        coarse = fine[rng.random(fine.size) < 0.5]
+        coarse = np.union1d(coarse, [0.0]) if zero_edge else coarse
+        lo, hi = fine[0] - rng.uniform(0.1, 2.0), fine[-1] + rng.uniform(0.1, 2.0)
+        feats.append(FeatureBins(fine_edges=fine, coarse_edges=coarse, x_min=lo, x_max=hi))
+        cons.append(FeatureConstraint(max_degree=draw(st.integers(0, 3))))
+    mask = rng.random((J, 2)) < 0.7
+    spec = ConstraintSpec(features=cons, allow_mask=mask)
+    store = zero_init(BinLayout(features=feats), task, J, ["x0", "x1"], spec)
+    for i, k in zip(*np.nonzero(mask)):
+        sp = store.params[i][k]
+        sp.step_values[:] = rng.normal(scale=0.3, size=sp.step_values.shape)
+        sp.poly_coeffs[:, : cons[k].max_degree + 1] = rng.normal(
+            scale=0.3, size=(sp.poly_coeffs.shape[0], cons[k].max_degree + 1))
+    n = int(rng.integers(5, 60))
+    cols = []
+    for fb in feats:
+        x = np.concatenate((rng.uniform(fb.x_min, fb.x_max, n), fb.fine_edges,
+                            [fb.x_min, fb.x_max]))
+        if empty and fb.coarse_edges.size:
+            piece = np.searchsorted(fb.coarse_edges, x, side="right")
+            gone = int(np.searchsorted(fb.coarse_edges, 0.0)) if zero_edge else \
+                int(rng.integers(0, fb.n_coarse_bins))
+            x = x[piece != gone]
+        cols.append(rng.permutation(np.resize(x, n + 12)))
+    return store, np.column_stack(cols)
+
+
+@given(se_cases())
+def test_sparse_se_matches_dense_oracle(case):
+    store, X = case
+    fine, coarse = dense_accumulators(store, X)
+    attach_se_accumulators(store, X)
+    for i in range(store.n_outputs):
+        for k in range(2):
+            if fine[i][k] is None:
+                assert store.se_fine[i][k] is None and store.se_coarse[i][k] is None
+                assert variance_pred(store, i, k, 0.0) == 0.0
+                continue
+            assert store.se_fine[i][k].tobytes() == fine[i][k].tobytes()
+            got, want = store.se_coarse[i][k], coarse[i][k]
+            assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
+            fb = store.layout[k]
+            grid = np.concatenate((np.linspace(fb.x_min - 1.0, fb.x_max + 1.0, 41),
+                                   fb.fine_edges, [fb.x_min, fb.x_max]))
+            got, want = variance_pred(store, i, k, grid), dense_variance(store, i, k, grid)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            ok = np.isfinite(want)
+            assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * want[ok]), (got, want)

@@ -6,12 +6,13 @@ pair admits, and the three tasks. Each fit has four features: a constrained
 column, an exact duplicate of it under the same constraint, a free column,
 and a free column that is masked out of the last output (out of the model
 when there is one output). Training uses a separate validation
-set with early stopping. A cell's first hash covers the model bytes, the
-training log, the model after `attach_se_accumulators`, and a mid-run
-`replay_to`. Its second hash covers the split path only: (output, feature,
-degree, kind, threshold) of every log record. A change that moves the last
-bits of the fit on purpose keeps the second hash where it makes the same
-decisions.
+set with early stopping. A cell prints three hashes. The first covers the
+model bytes, the training log and a mid-run `replay_to`. The second, `se=`,
+covers the model after `attach_se_accumulators`, so a change to the
+standard-error sums alone moves only this one. The third, `path=`, covers
+the split path only: (output, feature, degree, kind, threshold) of every log
+record. A change that moves the last bits of the fit on purpose keeps the
+path hash where it makes the same decisions.
 
 Run it under two source trees and diff the output:
 
@@ -85,8 +86,8 @@ def fit_hash(S, D, m, c, task, seed, iterations):
         path.update(repr(decision).encode())
     digest.update(pg.model.dumps_model(res.replay_to(res.n_iterations // 2)).encode())
     pg.attach_se_accumulators(res.store, ds.X)
-    digest.update(pg.model.dumps_model(res.store).encode())
-    return digest.hexdigest(), path.hexdigest(), res.n_iterations
+    se = hashlib.sha256(pg.model.dumps_model(res.store).encode())
+    return digest.hexdigest(), se.hexdigest(), path.hexdigest(), res.n_iterations
 
 
 def main(argv=None) -> None:
@@ -98,9 +99,9 @@ def main(argv=None) -> None:
         # constrained columns allowed in several outputs warn by design
         warnings.simplefilter("ignore")
         for S, D, m, c, task in cells():
-            sha, path, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations)
+            sha, se, path, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations)
             print(f"S={S:2d} D={D} mono={m:2d} curv={c:2d} {task:10s} iters={iters:3d} {sha} "
-                  f"path={path}")
+                  f"se={se} path={path}")
 
 
 if __name__ == "__main__":
