@@ -1,18 +1,33 @@
 """Additive models with piecewise cubic shape functions fit by boosting."""
 
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 # Thread cap must land before numpy initializes its BLAS backend, which is
 # why it lives here rather than in the CLI module.
 _threads = _os.environ.get("PB_THREADS")
 if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _threads)
+    _unset = [
+        _var
+        for _var in (
+            "OMP_NUM_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+        )
+        if _var not in _os.environ
+    ]
+    for _var in _unset:
+        _os.environ[_var] = _threads
+    # A re-import finds every variable set already and stays quiet.
+    if _unset and "numpy" in _sys.modules:
+        _warnings.warn(
+            "PB_THREADS has no effect: numpy was imported before polygam, and "
+            "the BLAS thread count was fixed when numpy loaded",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
 from .booster import (
     LogRecord,

@@ -189,11 +189,11 @@ class ParameterStore:
         layout, every edge list that is not strictly ascending, every coarse
         edge that is not a fine edge, and every non-finite number."""
         J, K = self.n_outputs, len(self.feature_names)
+        se = (self.se_fine, self.se_coarse) if self.has_uncertainty else ()
         if (
             len(self.layout) != K
             or self.intercepts.shape != (J,)
-            or len(self.params) != J
-            or any(len(row) != K for row in self.params)
+            or any(len(t) != J or any(len(row) != K for row in t) for t in (self.params, *se))
         ):
             raise DataError(f"model parameters do not match {J} outputs x {K} features")
         errs = []
@@ -210,16 +210,23 @@ class ParameterStore:
             numbers.append((f"feature {name!r}: observed range", np.array([fb.x_min, fb.x_max])))
             for i in range(J):
                 sp = self.params[i][k]
-                for what, arr, want in (
+                arrays = [
                     ("step_values", sp.step_values, (fb.n_fine_bins,)),
                     ("poly_coeffs", sp.poly_coeffs, (fb.n_coarse_bins, MAX_DEGREE + 1)),
-                ):
+                ]
+                if se:
+                    arrays += [
+                        ("SE fine accumulator", self.se_fine[i][k], (fb.n_fine_bins,)),
+                        ("SE coarse accumulator", self.se_coarse[i][k],
+                         (fb.n_coarse_bins, MAX_DEGREE)),
+                    ]
+                for what, arr, want in arrays:
+                    if arr is None:  # a masked pair has no SE accumulators
+                        continue
                     what = f"feature {name!r}, output {i}: {what}"
                     numbers.append((what, arr))
                     if arr.shape != want:
                         errs.append(f"{what} has shape {arr.shape}, expected {want}")
-        numbers += [("SE accumulators", a) for row in self.se_fine + self.se_coarse
-                    for a in row if a is not None]
         if not np.isfinite(np.concatenate([a.ravel() for _, a in numbers])).all():
             errs += [f"{what} not finite" for what, a in numbers if not np.isfinite(a).all()]
         if errs:
@@ -374,10 +381,14 @@ def accumulate_global(
     sp.poly_coeffs[:, : d + 1] += shift(delta, d, learning_rate * gamma).T
 
 
-def predict(store: ParameterStore, X: np.ndarray) -> np.ndarray:
+def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False):
     """Raw scores F, shape (N, J). Masked (output, feature) pairs are skipped
     outright, so their columns cannot influence the output even in principle.
-    A NaN or infinite value in X raises DataError."""
+    A NaN or infinite value in X raises DataError.
+
+    With return_codes, returns (F, codes): codes[k] holds feature k's fine
+    codes in the smallest unsigned type that fits its fine bins, or None
+    where every output masks the feature."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(store.feature_names):
         raise DataError(
@@ -388,6 +399,7 @@ def predict(store: ParameterStore, X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     F = np.tile(store.intercepts, (n, 1))
     mask = store.constraints.allow_mask
+    codes = [None] * X.shape[1]
     for k in range(X.shape[1]):
         if not mask[:, k].any():
             continue
@@ -397,7 +409,9 @@ def predict(store: ParameterStore, X: np.ndarray) -> np.ndarray:
         for i in range(store.n_outputs):
             if mask[i, k]:
                 F[:, i] += horner(store.params[i][k], piece, t, fcode=fcode)
-    return F
+        if return_codes:
+            codes[k] = fcode.astype(np.min_scalar_type(fb.n_fine_bins - 1))
+    return (F, codes) if return_codes else F
 
 
 def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarray:
@@ -425,56 +439,26 @@ def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarr
 # serialization
 
 
-def _jsonable(obj):
+def _plain(obj):
+    """Python value of a numpy array or scalar, for the JSON encoder."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    return obj
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _dump(obj, out: list[str]) -> None:
-    """Minimal JSON writer: floats via repr (shortest exact decimal)."""
-    obj = _jsonable(obj)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite value in model serialization")
-        out.append(repr(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for n, item in enumerate(obj):
-            if n:
-                out.append(",")
-            _dump(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for n, (key, val) in enumerate(obj.items()):
-            if n:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _dump(val, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+# The C encoder writes every float with float.__repr__, the shortest decimal
+# that parses back to the same double, so a load gives back the exact bits.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=_plain)
 
 
-def dumps_model(store: ParameterStore) -> str:
+def _document(store: ParameterStore) -> dict:
+    """The model file's JSON document; numpy values are left for `_plain`."""
     feats = []
     for name, fb, fc in zip(store.feature_names, store.layout.features, store.constraints.features):
         feats.append(
@@ -511,7 +495,7 @@ def dumps_model(store: ParameterStore) -> str:
         ]
     else:
         se_acc = None
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "task": store.task,
         "outputs": store.n_outputs,
@@ -522,15 +506,21 @@ def dumps_model(store: ParameterStore) -> str:
         "params": params,
         "se_accumulators": se_acc,
     }
-    out: list[str] = []
-    _dump(doc, out)
-    return "".join(out)
+
+
+def dumps_model(store: ParameterStore) -> str:
+    """The model as JSON text. A store that `load_model` would refuse raises
+    DataError (`ParameterStore.validate`)."""
+    store.validate()
+    return _ENCODER.encode(_document(store))
 
 
 def save_model(store: ParameterStore, path) -> None:
+    """Write the model to path. The text is built before the file is opened,
+    so a refused store leaves an existing file untouched."""
+    text = dumps_model(store) + "\n"
     with open(path, "w") as fh:
-        fh.write(dumps_model(store))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> ParameterStore:

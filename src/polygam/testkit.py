@@ -7,9 +7,12 @@ compare fast-path results against these brute-force references.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
+
+from .model import _document
 
 __all__ = [
     "brute_force_stump",
@@ -17,6 +20,7 @@ __all__ = [
     "finite_diff_grad",
     "finite_diff_second",
     "param_gradients",
+    "reference_dumps",
     "tree_list_eval",
 ]
 
@@ -163,3 +167,60 @@ def tree_list_eval(
             gamma = np.where(xk < u, rec["gamma_left"], rec["gamma_right"])
             F[:, i] += learning_rate * gamma * (xk - u) ** d
     return F
+
+
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
+
+
+def _dump(obj, out: list[str]) -> None:
+    """Minimal JSON writer: floats via repr (shortest exact decimal)."""
+    obj = _jsonable(obj)
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite value in model serialization")
+        out.append(repr(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for n, item in enumerate(obj):
+            if n:
+                out.append(",")
+            _dump(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for n, (key, val) in enumerate(obj.items()):
+            if n:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _dump(val, out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_dumps(store) -> str:
+    """Model text from a recursive pure-Python JSON writer, one value at a
+    time: the byte oracle for `model.dumps_model`, which must match it."""
+    out: list[str] = []
+    _dump(_document(store), out)
+    return "".join(out)

@@ -32,10 +32,12 @@ from .model import ParameterStore, evaluate_shape, fine_code, locate, predict
 Z_95 = 1.96
 
 
-def bin_transform(fb: FeatureBins, x: np.ndarray):
+def bin_transform(fb: FeatureBins, x: np.ndarray, fcode=None):
     """Fine code, coarse piece and in-piece basis value s of each value:
-    raw x in piece 0 and locate's offset t in later pieces."""
-    fcode = fine_code(fb, x)
+    raw x in piece 0 and locate's offset t in later pieces. Fine codes found
+    earlier can be passed in; they are looked up when not."""
+    if fcode is None:
+        fcode = fine_code(fb, x)
     piece, t = locate(fb, x, fcode)
     return fcode, piece, np.where(piece == 0, x, t)
 
@@ -48,7 +50,7 @@ def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
     taken at the final scores.
     """
     X = np.asarray(X, dtype=float)
-    F = predict(store, X)
+    F, codes = predict(store, X, return_codes=True)
     h = hessian_diag(store.task, F)  # (N, J)
     mask = store.constraints.allow_mask
     J = store.n_outputs
@@ -61,7 +63,7 @@ def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
         fb = store.layout[k]
         nc = fb.n_coarse_bins
         degrees = range(1, min(store.constraints.features[k].max_degree, 3) + 1)
-        fcode, piece, s = bin_transform(fb, X[:, k])
+        fcode, piece, s = bin_transform(fb, X[:, k], codes[k])
         w = [s ** (2 * d) for d in degrees]
         for i in range(J):
             if not mask[i, k]:

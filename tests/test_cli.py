@@ -338,3 +338,18 @@ def test_pb_threads_does_not_override_explicit_setting():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "7"
+
+
+def test_pb_threads_warns_when_numpy_was_imported_first():
+    env = dict(os.environ, PB_THREADS="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        env.pop(var, None)
+    late, early = (
+        subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                       capture_output=True, text=True)
+        for code in ("import numpy, polygam", "import polygam, numpy")
+    )
+    assert late.returncode != 0
+    assert "RuntimeWarning: PB_THREADS has no effect" in late.stderr
+    assert early.returncode == 0, early.stderr

@@ -1,6 +1,7 @@
 """Parameter store: evaluation, update folding, masking, knots, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from polygam.model import (
     save_model,
     zero_init,
 )
+from polygam import model, testkit
+from polygam.testkit import reference_dumps
 
 from conftest import layout_for, make_dataset, single_feature_store
 
@@ -491,3 +494,103 @@ def test_serialized_numbers_survive_parsing():
     doc = json.loads(dumps_model(store))
     got = np.array(doc["params"][0][0]["poly_coeffs"])
     assert np.array_equal(got, store.params[0][0].poly_coeffs)
+
+
+# floats whose shortest decimal is easy to get wrong; 1.8e308 would be inf
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e16, 1e-7, 0.1, 1 / 3, 2.0**53]
+NAMES = ['plain', 'quo"te', "back\\slash", "tab\tnew\nline\x01", "caf\u00e9", "\u4ef7\u683c",
+         "\U0001f600"]
+
+
+@st.composite
+def stores(draw):
+    """Valid stores with 1-3 outputs and 1-3 features: masked pairs, SE on or
+    off, empty edge lists, edge floats, numpy scalars and escaped names."""
+    number = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    scalar = number | number.map(np.float64) | st.sampled_from([0.5, -2.0, 1e-7]).map(np.float32)
+    name = st.sampled_from(NAMES) | st.text(max_size=6)
+
+    def small_int(lo, hi):
+        return st.integers(lo, hi).flatmap(
+            lambda v: st.sampled_from([v, np.int64(v), np.int8(v)]))
+
+    def array(*shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(number, min_size=n, max_size=n)), dtype=float).reshape(shape)
+
+    J = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 3))
+    features, constraints = [], []
+    for _ in range(K):
+        fine = np.unique(np.array(draw(st.lists(number, max_size=5)), dtype=float))
+        keep = np.array(draw(st.lists(st.booleans(), min_size=fine.size, max_size=fine.size)),
+                        dtype=bool)
+        kind = draw(st.sampled_from(["numeric", "categorical"]))
+        features.append(FeatureBins(fine, fine[keep], draw(scalar), draw(scalar), kind=kind))
+        constraints.append(FeatureConstraint(
+            smoothness=draw(small_int(-1, 2)), max_degree=draw(small_int(0, 3)),
+            monotone=draw(small_int(-1, 1)), curvature=draw(small_int(-1, 1)),
+        ))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=J * K, max_size=J * K))).reshape(J, K)
+    store = zero_init(BinLayout(features=features), draw(st.sampled_from(["regression", "binary"])),
+                      J, [draw(name) for _ in range(K)], ConstraintSpec(constraints, mask),
+                      target_name=draw(name))
+    store.intercepts = array(J)
+    for row in store.params:
+        for sp in row:
+            sp.step_values = array(*sp.step_values.shape)
+            sp.poly_coeffs = array(*sp.poly_coeffs.shape)
+    if draw(st.booleans()):
+        store.se_fine = [[array(fb.n_fine_bins) if mask[i, k] else None
+                          for k, fb in enumerate(features)] for i in range(J)]
+        store.se_coarse = [[array(fb.n_coarse_bins, 3) if mask[i, k] else None
+                            for k, fb in enumerate(features)] for i in range(J)]
+    return store
+
+
+@given(stores())
+def test_dumps_matches_the_reference_writer_byte_for_byte(store):
+    assert dumps_model(store) == reference_dumps(store)
+
+
+def test_encoder_matches_the_reference_writer_on_numpy_values():
+    doc = {
+        "scalars": [np.int64(-3), np.uint8(255), np.bool_(True), np.float32(0.1), np.float64(-0.0)],
+        "empty": np.empty(0),
+        "no_columns": np.zeros((2, 0)),
+        "mask": np.array([[True, False]]),
+    }
+    out = []
+    testkit._dump(doc, out)
+    assert model._ENCODER.encode(doc) == "".join(out)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where, what", [
+    ("poly_coeffs", "feature 'x0', output 0: poly_coeffs"),
+    ("intercepts", "intercepts"),
+    ("se", "feature 'x0', output 0: SE coarse accumulator"),
+])
+def test_save_refuses_a_nonfinite_number_and_keeps_the_old_file(tmp_path, bad, where, what):
+    store = random_trained_store()
+    store.se_fine = [[np.ones(4)]]
+    store.se_coarse = [[np.ones((2, 3))]]
+    path = tmp_path / "m.json"
+    save_model(store, path)
+    before = path.read_bytes()
+    {
+        "poly_coeffs": store.params[0][0].poly_coeffs,
+        "intercepts": store.intercepts,
+        "se": store.se_coarse[0][0],
+    }[where][0] = bad
+    with pytest.raises(DataError, match=re.escape(f"{what} not finite")):
+        save_model(store, path)
+    assert path.read_bytes() == before
+
+
+def test_save_refuses_what_load_refuses():
+    store = random_trained_store()
+    store.layout.features[0].fine_edges[:] = [1.0, 0.5, 1.5]
+    with pytest.raises(DataError, match="fine edges are not strictly ascending"):
+        dumps_model(store)

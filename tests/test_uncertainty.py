@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polygam import model, uncertainty
 from polygam.booster import TrainConfig, train
-from polygam.data import BinLayout, FeatureBins
+from polygam.data import BinLayout, FeatureBins, build_bin_layout
 from polygam.explain import shape_grid
 from polygam.losses import hessian_diag
 from polygam.model import (
@@ -148,6 +149,35 @@ def test_masked_pair_has_no_accumulators():
     assert store.se_fine[0][0] is not None
     assert store.se_fine[0][1] is None
     assert variance_pred(store, 0, 1, 0.0) == 0.0
+
+
+def test_attach_finds_each_training_value_fine_code_once(monkeypatch):
+    rng = np.random.default_rng(2)
+    ds = make_dataset(rng.normal(size=(80, 3)), rng.integers(0, 3, 80), task="multiclass")
+    spec = ConstraintSpec.default(ds, outputs_for={"x1": [], "x2": [1]})
+    store = zero_init(build_bin_layout(ds), "multiclass", 3, ds.feature_names, spec)
+    calls = []
+
+    def counting_fine_code(fb, x):
+        calls.append(fb)
+        return fine_code(fb, x)
+
+    monkeypatch.setattr(model, "fine_code", counting_fine_code)
+    monkeypatch.setattr(uncertainty, "fine_code", counting_fine_code)
+    attach_se_accumulators(store, ds.X)
+    assert calls == [store.layout[0], store.layout[2]]
+
+
+def test_predict_returns_compact_fine_codes_of_used_features():
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.normal(size=(50, 2)), rng.normal(size=50))
+    spec = ConstraintSpec.default(ds, outputs_for={"x1": []})
+    store = zero_init(build_bin_layout(ds), "regression", 1, ds.feature_names, spec)
+    F, codes = predict(store, ds.X, return_codes=True)
+    assert np.array_equal(F, predict(store, ds.X))
+    assert codes[0].dtype == np.uint8
+    assert np.array_equal(codes[0], fine_code(store.layout[0], ds.X[:, 0]))
+    assert codes[1] is None
 
 
 def test_band_width_shrinks_with_more_data_end_to_end():

@@ -12,7 +12,9 @@ covers the model after `attach_se_accumulators`, so a change to the
 standard-error sums alone moves only this one. The third, `path=`, covers
 the split path only: (output, feature, degree, kind, threshold) of every log
 record. A change that moves the last bits of the fit on purpose keeps the
-path hash where it makes the same decisions.
+path hash where it makes the same decisions. Every cell also checks that
+save -> `load_model` -> dump gives the first dump again, for the model and
+for the SE-attached model, and stops with an error if it does not.
 
 Run it under two source trees and diff the output:
 
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -60,7 +64,17 @@ def dataset(X, f, task, rng):
     )
 
 
-def fit_hash(S, D, m, c, task, seed, iterations):
+def round_trip(store, path) -> bytes:
+    """The store's model bytes, after checking that save -> load -> dump
+    gives them again."""
+    text = pg.model.dumps_model(store)
+    pg.save_model(store, path)
+    if pg.model.dumps_model(pg.load_model(path)) != text:
+        raise AssertionError("save -> load_model -> dumps_model changed the model bytes")
+    return text.encode()
+
+
+def fit_hash(S, D, m, c, task, seed, iterations, model_path):
     rng = np.random.default_rng([seed, S + 1, D, m + 1, c + 1, TASKS.index(task)])
     n = 300
     X = rng.uniform(-1.0, 2.0, size=(n, 4))
@@ -79,14 +93,14 @@ def fit_hash(S, D, m, c, task, seed, iterations):
     res = pg.train(ds, layout=layout, constraints=spec, config=cfg, valid=valid)
     digest = hashlib.sha256()
     path = hashlib.sha256()
-    digest.update(pg.model.dumps_model(res.store).encode())
+    digest.update(round_trip(res.store, model_path))
     for rec in res.log:
         digest.update(rec.to_json().encode())
         decision = (rec.output, rec.feature, rec.degree, rec.kind, rec.threshold)
         path.update(repr(decision).encode())
     digest.update(pg.model.dumps_model(res.replay_to(res.n_iterations // 2)).encode())
     pg.attach_se_accumulators(res.store, ds.X)
-    se = hashlib.sha256(pg.model.dumps_model(res.store).encode())
+    se = hashlib.sha256(round_trip(res.store, model_path))
     return digest.hexdigest(), se.hexdigest(), path.hexdigest(), res.n_iterations
 
 
@@ -95,11 +109,13 @@ def main(argv=None) -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--iterations", type=int, default=40)
     args = ap.parse_args(argv)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
         # constrained columns allowed in several outputs warn by design
         warnings.simplefilter("ignore")
+        model_path = os.path.join(tmp, "model.json")
         for S, D, m, c, task in cells():
-            sha, se, path, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations)
+            sha, se, path, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations,
+                                            model_path)
             print(f"S={S:2d} D={D} mono={m:2d} curv={c:2d} {task:10s} iters={iters:3d} {sha} "
                   f"se={se} path={path}")
 
