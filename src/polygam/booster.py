@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,21 +103,8 @@ class LogRecord:
     valid_loss: float | None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iteration": self.iteration,
-                "output": self.output,
-                "feature": self.feature,
-                "degree": self.degree,
-                "kind": self.kind,
-                "threshold": self.threshold,
-                "gamma_left": self.gamma_left,
-                "gamma_right": self.gamma_right,
-                "gain": self.gain,
-                "train_loss": self.train_loss,
-                "valid_loss": self.valid_loss,
-            }
-        )
+        # field order is the key order of the log line
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -205,14 +192,9 @@ class _FeatureWork:
         self.widths = np.append(fb.coarse_edges, fb.x_max) - self.lower
 
         self.max_split_deg = max(self.high_degrees, default=0)
-        self.max_global_deg = max(self.global_degrees, default=0)
-
-        self.rpow = None
         if self.max_split_deg >= 1:
             self._build_blocks(piece, t, ccounts)
-            self._build_tensors()
-        if self.max_global_deg >= 1:
-            self.rpow = _powers(x - fb.x_min, 2 * self.max_global_deg)
+        self._build_tensors()
 
         # filled on first use; regression's h never changes, so its coarse
         # moments and fine-grid cumsum are computed once
@@ -253,28 +235,40 @@ class _FeatureWork:
         self.tblock = T.transpose(1, 0, 2)
 
     def _build_tensors(self) -> None:
-        """Binomial recombination weights: split sums of g*(x-u)^d over one side
-        are rebuilt from per-piece moments of g*t^m, t the piece-local offset.
-        Working per piece keeps every term at the scale of its own piece, which
-        avoids the cancellation blowup of global-monomial prefix sums."""
+        """The row table: every polynomial candidate of the feature is one
+        row that adds gamma_left*(x-u)^d on side 0 and gamma_right*(x-u)^d
+        on side 1. A global term of degree d <= S has u = x_min and every
+        coarse piece on side 0; a split at coarse threshold j has u = edge j,
+        pieces 0..j on side 0 and the rest on side 1. Rows run by degree,
+        then threshold. row_mask is (side, row, piece).
+
+        Wg/Wh (side, row, piece, m) are binomial recombination weights: a
+        row's side sums of g*(x-u)^d and h*(x-u)^2d are rebuilt from the
+        per-piece moments of g*t^m, t the piece-local offset. Working per
+        piece keeps every term at the scale of its own piece, which avoids
+        the cancellation blowup of global-monomial prefix sums."""
         edges = self.fb.coarse_edges
-        mj = edges.size
-        mb = self.lower.size
-        dmax = self.max_split_deg
-        if mj == 0:
-            self.Wg = self.Wh = None
-            return
-        delta = self.lower[:, None] - edges[None, :]  # (mb, mj)
-        left = (np.arange(mb)[:, None] <= np.arange(mj)[None, :]).astype(float)
+        mj, mb = edges.size, self.lower.size
+        ng = len(self.global_degrees)
+        j = np.tile(np.arange(mj), len(self.high_degrees))
+        self.row_degree = np.concatenate(
+            (self.global_degrees, np.repeat(self.high_degrees, mj))).astype(int)
+        self.row_u = np.concatenate((np.full(ng, self.fb.x_min), edges[j]))
+        self.row_n_left = np.concatenate((np.full(ng, self.x.size), self.n_left_coarse[j]))
+        last = np.concatenate((np.full(ng, mb - 1), j))  # last piece on side 0
+        left = np.arange(mb) <= last[:, None]
         # each side is summed directly from its own pieces: deriving one side
         # as total-minus-other cancels catastrophically when that side is tiny
-        sides = np.stack([left, 1.0 - left])[:, None]  # (side, 1, piece, threshold)
-        nd = len(self.high_degrees)
-        self.Wg = np.zeros((2, nd, mj, mb, dmax + 1))  # (side, degree, threshold, piece, m)
-        self.Wh = np.zeros((2, nd, mj, mb, 2 * dmax + 1))
-        for di, d in enumerate(self.high_degrees):
-            self.Wg[:, di, :, :, : d + 1] = (shift(delta, d) * sides).transpose(0, 3, 2, 1)
-            self.Wh[:, di, :, :, : 2 * d + 1] = (shift(delta, 2 * d) * sides).transpose(0, 3, 2, 1)
+        self.row_mask = np.stack([left, ~left])
+        delta = self.lower - self.row_u[:, None]  # (row, piece)
+        dmax, n_rows = self.max_split_deg, self.row_degree.size
+        self.Wg = np.zeros((2, n_rows, mb, dmax + 1))
+        self.Wh = np.zeros((2, n_rows, mb, 2 * dmax + 1))
+        for d in np.unique(self.row_degree).tolist():
+            r = self.row_degree == d
+            sides = self.row_mask[:, None, r]  # (side, 1, row, piece)
+            self.Wg[:, r, :, : d + 1] = (shift(delta[r], d) * sides).transpose(0, 2, 3, 1)
+            self.Wh[:, r, :, : 2 * d + 1] = (shift(delta[r], 2 * d) * sides).transpose(0, 2, 3, 1)
 
     def moments(self, weights: np.ndarray, max_m: int) -> np.ndarray:
         """Per-coarse-piece sums of weights * t^m for m = 0..max_m, where
@@ -307,9 +301,8 @@ class _FeatureWork:
         return cg[:-1], cg[-1] - cg[:-1], ch[:-1], ch[-1] - ch[:-1]
 
     def split_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
-        """Left/right split sums for every coarse threshold and split degree.
-
-        Returns (4, len(high_degrees), n_thresholds): sgl, sgr, shl, shr."""
+        """Side sums of every row of the table: (4, rows), sgl, sgr, shl,
+        shr. A global row's right side is zero."""
         dmax = self.max_split_deg
         G = self.moments(g, dmax)
         if h_static:
@@ -319,8 +312,8 @@ class _FeatureWork:
         else:
             H = self.moments(h, 2 * dmax)
         return np.concatenate((
-            np.einsum("sdjbm,bm->sdj", self.Wg, G),
-            np.einsum("sdjbm,bm->sdj", self.Wh, H),
+            np.einsum("srbm,bm->sr", self.Wg, G),
+            np.einsum("srbm,bm->sr", self.Wh, H),
         ))
 
 
@@ -348,26 +341,20 @@ def _clip(gamma, lo, hi):
 class _ClampRows:
     """Signed per-piece coefficients of f' and f'' for a batch of clamp rows.
 
-    A row adds lr*gamma*(x-u)^d over the coarse pieces in its mask: the left
-    (pieces 0..j) or right (pieces j+1..) side of coarse threshold j, or all
-    pieces for a global term (u = x_min). Arrays are (sides, thresholds,
-    pieces). B and C hold sign*f' and sign*f'' of the current state (local
-    coefficients, shared by every row); A and D hold what one unit of gamma
-    adds to them. A, D and the mask are fixed for a fit: rows built with
-    coeffs None are bound to each scan's state by `at`.
+    The rows are rows of the feature's table, all of degree d: row r adds
+    lr*gamma*(x-u_r)^d over the pieces in its (side, piece) mask. Arrays are
+    (sides, rows, pieces). B and C hold sign*f' and sign*f'' of the current
+    state (local coefficients, shared by every row); A and D hold what one
+    unit of gamma adds to them. A, D and the mask are fixed for a fit; `at`
+    binds them to a scan's state.
     """
 
-    def __init__(self, wk: _FeatureWork, coeffs: np.ndarray | None, d: int, lr: float,
-                 j: np.ndarray | None):
+    def __init__(self, wk: _FeatureWork, d: int, lr: float, rows: np.ndarray):
         self.m_sign, self.c_sign = m_sign, c_sign = wk.fc.monotone, wk.fc.curvature
-        n_pieces = wk.lower.size
-        if j is None:
-            self.mask = np.ones((1, 1, n_pieces), dtype=bool)
-            u = np.full((1, 1), wk.fb.x_min)
-        else:
-            left = np.arange(n_pieces) <= j[:, None]
-            self.mask = np.stack([left, ~left])
-            u = np.broadcast_to(wk.fb.coarse_edges[j], (2, j.size))
+        # a degree-1 split kinks f'; the kink must bend with the curvature sign
+        self.kinks = d == 1 and bool(c_sign) and d > wk.fc.smoothness
+        self.mask = wk.row_mask[:, rows]
+        u = np.broadcast_to(wk.row_u[rows], (2, rows.size))
         self.w = wk.widths
         self.mono = bool(m_sign)
         self.curv = bool(c_sign) and d >= 2
@@ -378,23 +365,18 @@ class _ClampRows:
             self.A = tuple(m_sign * a for a in _slopes(unit))
         if self.curv:
             self.D = tuple(c_sign * a for a in _bends(unit))
-        if coeffs is not None:
-            self._bind(coeffs)
-
-    def _bind(self, coeffs: np.ndarray) -> None:
-        if self.mono:
-            self.B = tuple(self.m_sign * b for b in _slopes(coeffs.T))
-        if self.curv:
-            self.C = tuple(self.c_sign * b for b in _bends(coeffs.T))
 
     def at(self, coeffs: np.ndarray) -> "_ClampRows":
         """These rows against the state with local coefficients coeffs."""
         out = copy.copy(self)
-        out._bind(coeffs)
+        if self.mono:
+            out.B = tuple(self.m_sign * b for b in _slopes(coeffs.T))
+        if self.curv:
+            out.C = tuple(self.c_sign * b for b in _bends(coeffs.T))
         return out
 
     def take(self, index) -> "_ClampRows":
-        """The rows selected by index, an index into (sides, thresholds)."""
+        """The rows selected by index, an index into (sides, rows)."""
         out = copy.copy(self)
         out.mask = self.mask[index]
         if self.mono:
@@ -490,25 +472,16 @@ def _worst_after(r: _ClampRows, gamma: np.ndarray) -> np.ndarray:
     return worst
 
 
-def _clamp(wk: _FeatureWork, coeffs: np.ndarray, cfg: TrainConfig, d: int,
-           j: np.ndarray | None, gamma: np.ndarray, sums=(),
-           units: _ClampRows | None = None) -> np.ndarray:
-    """Clamp leaf-value proposals gamma (sides, thresholds) into their
-    feasible intervals, apply the degree-1 kink rule, then halve each
-    threshold's sides together until the exact check passes; a threshold
-    still failing after 60 halvings becomes a no-op. j holds the coarse
-    threshold indices, or is None for a global term (one row); sums are the
-    split sums (sgl, shl, sgr, shr) per threshold, used by the kink rule.
-    units are the unbound rows of (d, j) when the caller keeps them."""
-    if units is None:
-        units = _ClampRows(wk, None, d, cfg.learning_rate, j)
-    rows = units.at(coeffs)
+def _clamp(rows: _ClampRows, cfg: TrainConfig, gamma: np.ndarray, sums) -> np.ndarray:
+    """Clamp leaf-value proposals gamma (sides, rows) into the feasible
+    intervals of the bound clamp rows, apply the degree-1 kink rule, then
+    halve each row's sides together until the exact check passes; a row
+    still failing after 60 halvings becomes a no-op. sums are the side sums
+    (sgl, shl, sgr, shr) per row, used by the kink rule."""
     lo, hi = _feasible_interval(rows, gamma)
     gamma = _clip(gamma, lo, hi)
-    c_sign = wk.fc.curvature
-    if j is not None and d == 1 and c_sign:
-        # a degree-1 split kinks f'; the kink must bend with the curvature sign
-        bad = c_sign * (gamma[1] - gamma[0]) < 0.0
+    if rows.kinks:
+        bad = rows.c_sign * (gamma[1] - gamma[0]) < 0.0
         if bad.any():
             sgl, shl, sgr, shr = sums
             pooled = leaf_value(sgl + sgr, shl + shr, cfg.l1, cfg.l2)
@@ -536,92 +509,71 @@ def _clamp(wk: _FeatureWork, coeffs: np.ndarray, cfg: TrainConfig, d: int,
 class _Candidates:
     """Every candidate update of one output, laid out end to end.
 
-    Rows run by feature, then degree, then ascending threshold. A block of
-    rows is a global degree-d term (one row, right side zero), the fine
-    degree-0 scan, or one coarse degree-d scan. The layout is fixed for a
-    whole fit; `fill` writes each iteration's split sums into `sums`, rows
-    (sgl, sgr, shl, shr). Because rows are in (feature, degree, threshold)
-    order, the first argmax of the gains picks the lowest such triple among
-    equal gains.
+    Rows run by feature, then degree, then ascending threshold. A feature
+    contributes its fine degree-0 scan (only when S = -1) and its row table
+    (global terms, then one coarse scan per split degree). The layout is
+    fixed for a whole fit; `fill` writes each iteration's split sums into
+    `sums`, rows (sgl, sgr, shl, shr). Because rows are in (feature, degree,
+    threshold) order, the first argmax of the gains picks the lowest such
+    triple among equal gains.
     """
 
-    def __init__(self, works: list[_FeatureWork], allow: np.ndarray, min_leaf: int, n: int):
+    def __init__(self, works: list[_FeatureWork], allow: np.ndarray, cfg: TrainConfig, n: int):
         self.n = n
-        self.parts = []  # (work, [(degree, row)] of globals, fine slice, coarse slice)
+        self.parts = []  # (work, fine slice, table slice)
         self.pools = []  # (monotone sign, slice) of monotone fine scans
-        clamps = []  # (work, feature, degree, slice, is global) of constrained degree >= 1
+        tables = []  # (work, feature, table slice) of constrained features
         cols = []  # per block: feature, degree, threshold (NaN: global), n_left
 
-        def block(k, d, edges, n_left):
+        def block(k, degree, threshold, n_left):
             m = n_left.size
             start = sum(c[0].size for c in cols)
-            cols.append((np.full(m, k), np.full(m, d), edges, n_left))
+            cols.append((np.full(m, k), degree, threshold, n_left))
             return slice(start, start + m)
 
         for k, wk in enumerate(works):
             if not allow[k]:
                 continue
             fb, fc = wk.fb, wk.fc
-            constrained = bool(fc.monotone or fc.curvature)
-            glob = []
-            for d in wk.global_degrees:
-                sl = block(k, d, np.array([np.nan]), np.array([n]))
-                glob.append((d, sl.start))
-                if constrained and d >= 1:
-                    clamps.append((wk, k, d, sl, True))
-            fine = coarse = None
+            fine = table = None
             if 0 in wk.split_degrees and fb.fine_edges.size > 0:
-                fine = block(k, 0, fb.fine_edges, wk.n_left_fine)
+                fine = block(k, np.zeros(fb.fine_edges.size, dtype=int), fb.fine_edges,
+                             wk.n_left_fine)
                 if fc.monotone:
                     self.pools.append((fc.monotone, fine))
-            high = wk.high_degrees
-            if high and fb.coarse_edges.size > 0:
-                scans = [block(k, d, fb.coarse_edges, wk.n_left_coarse) for d in high]
-                coarse = slice(scans[0].start, scans[-1].stop)
-                if constrained:
-                    clamps += [(wk, k, d, sl, False) for d, sl in zip(high, scans)]
-            self.parts.append((wk, glob, fine, coarse))
+            if wk.row_degree.size:
+                split = wk.row_degree > fc.smoothness
+                table = block(k, wk.row_degree, np.where(split, wk.row_u, np.nan),
+                              wk.row_n_left)
+                if fc.monotone or fc.curvature:
+                    tables.append((wk, k, table))
+            self.parts.append((wk, fine, table))
 
         cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0)] * 4
         self.feature, self.degree, self.threshold, self.n_left = cols
         self.is_global = np.isnan(self.threshold)
-        nl = self.n_left
+        nl, min_leaf = self.n_left, cfg.min_data_in_leaf
         self.valid = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
         self.sums = np.zeros((4, self.valid.size))
-        # (work, feature, degree, slice, j): j the valid thresholds of a
-        # split scan, every one clamped before gains are compared, or None
-        # for a global term; scans without a valid threshold are left out
+        # (feature, candidate rows, unbound clamp rows) per constrained
+        # degree >= 1: every valid row is clamped before gains are compared
         self.clamps = []
-        for wk, k, d, sl, is_global in clamps:
-            j = None if is_global else np.flatnonzero(self.valid[sl])
-            if j is None or j.size:
-                self.clamps.append((wk, k, d, sl, j))
-        self._units = (None, [])
-
-    def clamp_units(self, lr: float) -> list[_ClampRows]:
-        """Unbound clamp rows of every entry of `clamps`, at learning rate
-        lr; they are fixed for a fit, so they are built once."""
-        if self._units[0] != lr:
-            self._units = (lr, [_ClampRows(wk, None, d, lr, j) for wk, _, d, _, j in self.clamps])
-        return self._units[1]
+        for wk, k, table in tables:
+            valid = self.valid[table]
+            for d in np.unique(wk.row_degree[wk.row_degree >= 1]).tolist():
+                rows = np.flatnonzero(valid & (wk.row_degree == d))
+                if rows.size:
+                    units = _ClampRows(wk, d, cfg.learning_rate, rows)
+                    self.clamps.append((k, table.start + rows, units))
 
     def fill(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
-        """This iteration's split sums of every row; a global row's right
-        side stays zero."""
+        """This iteration's split sums of every row."""
         out = self.sums
-        for wk, glob, fine, coarse in self.parts:
-            for d, r in glob:
-                if d == 0:
-                    out[0, r], out[2, r] = g.sum(), h.sum()
-                else:
-                    # einsum, not a 1-D `@`: BLAS splits a long dot product
-                    # across threads, and its last bits follow the thread count
-                    out[0, r] = np.einsum("n,n->", g, wk.rpow[d])
-                    out[2, r] = np.einsum("n,n->", h, wk.rpow[2 * d])
+        for wk, fine, table in self.parts:
             if fine is not None:
                 out[:, fine] = wk.fine_sums(g, h, h_static)
-            if coarse is not None:
-                out[:, coarse] = wk.split_sums(g, h, h_static).reshape(4, -1)
+            if table is not None:
+                out[:, table] = wk.split_sums(g, h, h_static)
         return out
 
 
@@ -651,14 +603,10 @@ def _best_for_output(
             sgl, sgr, shl, shr = sums[:, sl]
             pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
             gamma[:, sl] = np.where(bad, pooled, gamma[:, sl])
-    for (wk, k, d, sl, j), units in zip(cands.clamps, cands.clamp_units(cfg.learning_rate)):
-        coeffs = store.params[i][k].poly_coeffs
-        if j is None:
-            gamma[:1, sl] = _clamp(wk, coeffs, cfg, d, None, gamma[:1, sl].copy(), units=units)
-            continue
-        sgl, sgr, shl, shr = sums[:, sl][:, j]
-        block = gamma[:, sl]
-        block[:, j] = _clamp(wk, coeffs, cfg, d, j, block[:, j], (sgl, shl, sgr, shr), units)
+    for k, idx, units in cands.clamps:
+        sgl, sgr, shl, shr = sums[:, idx]
+        rows = units.at(store.params[i][k].poly_coeffs)
+        gamma[:, idx] = _clamp(rows, cfg, gamma[:, idx], (sgl, shl, sgr, shr))
 
     gains = candidate_gain(gamma[0], sums[0], sums[2], gamma[1], sums[1], sums[3])
     gains = np.where(cands.valid & np.isfinite(gains), gains, -np.inf)
@@ -814,7 +762,7 @@ def train(
     J = dataset.n_outputs
     n_tr = ds_train.X.shape[0]
     cands = [
-        _Candidates(works, constraints.allow_mask[i], cfg.min_data_in_leaf, n_tr)
+        _Candidates(works, constraints.allow_mask[i], cfg, n_tr)
         for i in range(J)
     ]
     F = np.tile(intercepts, (n_tr, 1))

@@ -63,7 +63,9 @@ class Dataset:
 
     def validate(self) -> None:
         """Raise DataError when X is not (rows, features) with one target
-        per row, or holds a NaN or infinite value."""
+        per row, holds a NaN or infinite value, or a class label is not a
+        whole number the task can hold: 0 or 1 for binary, 0..n_outputs-1
+        for multiclass."""
         if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
             raise DataError(
                 f"X has shape {self.X.shape}, expected (rows, {len(self.feature_names)} features)"
@@ -71,6 +73,15 @@ class Dataset:
         if self.y.shape != (self.X.shape[0],):
             raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
         refuse_nonfinite(self.X, self.feature_names)
+        if self.task != "regression":
+            top = 1 if self.task == "binary" else self.n_outputs - 1
+            y = self.y.astype(float)
+            bad = np.flatnonzero(~((y >= 0.0) & (y <= top) & (y == np.floor(y))))
+            if bad.size:
+                raise DataError(
+                    f"{self.task} labels must be whole numbers in 0..{top}; row {bad[0]} "
+                    f"holds {self.y[bad[0]].item()!r} ({bad.size} bad labels in all)"
+                )
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(

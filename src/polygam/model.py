@@ -524,13 +524,34 @@ def save_model(store: ParameterStore, path) -> None:
 
 
 def load_model(path) -> ParameterStore:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a model file. Raises DataError when the file is not a polygam
+    model: not JSON, not a JSON object, a missing key or a value of the
+    wrong type, another format version, or a store that
+    `ParameterStore.validate` refuses."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise DataError(f"{path} is not a JSON model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} holds a JSON {type(doc).__name__}, not a model object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(
             f"unsupported model format version {version!r}, expected {FORMAT_VERSION!r}"
         )
+    try:
+        store = _from_document(doc)
+    except KeyError as exc:
+        raise DataError(f"{path} is not a polygam model: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise DataError(f"{path} is not a polygam model: {exc}") from exc
+    store.validate()
+    return store
+
+
+def _from_document(doc: dict) -> ParameterStore:
+    """The store a model document describes, before validation."""
     feats = doc["features"]
     layout = BinLayout(
         features=[
@@ -589,5 +610,4 @@ def load_model(path) -> ParameterStore:
             ]
             for row in se_acc
         ]
-    store.validate()
     return store

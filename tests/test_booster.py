@@ -122,8 +122,9 @@ def test_param_gradients_zero_gradient():
 # vectorized split scans vs direct reference
 
 
+@pytest.mark.parametrize("S", [-1, 0, 1, 2])
 @pytest.mark.parametrize("seed", range(4))
-def test_split_sums_match_direct_reference(seed):
+def test_split_sums_match_direct_reference(seed, S):
     rng = np.random.default_rng(seed)
     n = 600
     x = np.sort(rng.normal(size=n)) if seed % 2 else rng.uniform(-3, 5, n)
@@ -131,17 +132,28 @@ def test_split_sums_match_direct_reference(seed):
     h = rng.uniform(0.1, 2.0, size=n)
     ds = make_dataset(x, np.zeros(n))
     layout = build_bin_layout(ds, SplitScheme(64, 12))
-    fc = FeatureConstraint(smoothness=-1, max_degree=3)
+    fc = FeatureConstraint(smoothness=S, max_degree=3)
     wk = _FeatureWork(x, layout[0], fc)
     sgl, sgr, shl, shr = wk.split_sums(g, h, h_static=False)
-    for j, u in enumerate(layout[0].coarse_edges.tolist()):
-        for di, d in enumerate(range(1, 4)):
+    edges = layout[0].coarse_edges
+    # global terms: one row each, u = x_min, every training row on the left
+    for d in range(S + 1):
+        (r,) = np.flatnonzero(wk.row_degree == d)
+        assert wk.row_u[r] == x.min()
+        for got, w, p in ((sgl[r], g, d), (shl[r], h, 2 * d)):
+            terms = w * (x - x.min()) ** p
+            assert abs(got - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+        assert sgr[r] == 0.0 and shr[r] == 0.0
+    for d in range(max(S + 1, 1), 4):
+        rows = np.flatnonzero(wk.row_degree == d)
+        assert wk.row_u[rows].tolist() == edges.tolist()
+        for r, u in zip(rows, edges.tolist()):
             (rgl, rgr), (rhl, rhr) = param_gradients(g, h, x, u, d)
             for got, want in (
-                (sgl[di, j], rgl),
-                (sgr[di, j], rgr),
-                (shl[di, j], rhl),
-                (shr[di, j], rhr),
+                (sgl[r], rgl),
+                (sgr[r], rgr),
+                (shl[r], rhl),
+                (shr[r], rhr),
             ):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-10)
 
@@ -159,11 +171,12 @@ def test_split_sums_stable_when_one_side_is_tiny():
     wk = _FeatureWork(x, layout[0], fc)
     _, sgr, _, shr = wk.split_sums(g, h, h_static=False)
     u = layout[0].coarse_edges[-1]
-    j = layout[0].coarse_edges.size - 1
     d = 3
+    r = np.flatnonzero(wk.row_degree == d)[-1]
+    assert wk.row_u[r] == u
     (_, rgr), (_, rhr) = param_gradients(g, h, x, u, d)
-    assert sgr[d - 1, j] == pytest.approx(rgr, rel=1e-12)
-    assert shr[d - 1, j] == pytest.approx(rhr, rel=1e-12)
+    assert sgr[r] == pytest.approx(rgr, rel=1e-12)
+    assert shr[r] == pytest.approx(rhr, rel=1e-12)
 
 
 def bincount_moments(piece, t, w, max_m, n_pieces):

@@ -269,6 +269,16 @@ def test_predict_unknown_column_exits_3(tmp_path):
     assert main(["predict", "-m", str(out / "model.json"), "-d", str(bad), "-o", str(tmp_path / "o.csv")]) == 3
 
 
+def test_predict_with_a_file_that_is_not_a_model_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1\n0.5,0.5\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main(["predict", "-m", str(bad), "-d", str(data), "-o", str(tmp_path / "o.csv")]) == 3
+    assert "data error: " in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_predict_ignores_training_target_column(tmp_path):
     out, _, csv = run_train(tmp_path, "p4")
     preds = tmp_path / "p.csv"

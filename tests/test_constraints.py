@@ -217,6 +217,8 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
     coeffs = store.params[0][0].poly_coeffs
     J = np.arange(wk.fb.coarse_edges.size)
     assert J.size > 0
+    R = np.flatnonzero(wk.row_degree == d)  # threshold J[t] is table row R[t]
+    assert R.size == J.size
     shape = (2, J.size)
     gamma = rng.normal(size=shape) * 10.0 ** rng.uniform(-2.0, 1.0, size=shape)
     sums = (
@@ -224,26 +226,31 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
         rng.normal(size=J.size), rng.uniform(0.1, 10.0, J.size),
     )
     # every (side, threshold) row gets the interval it gets alone
-    rows = _ClampRows(wk, coeffs, d, lr, J)
+    rows = _ClampRows(wk, d, lr, R).at(coeffs)
     lo, hi = _feasible_interval(rows, gamma)
     for s, t in np.ndindex(shape):
         one = np.s_[s : s + 1, t : t + 1]
         lo1, hi1 = _feasible_interval(rows.take(one), gamma[one])
         assert (lo1.tobytes(), hi1.tobytes()) == (lo[one].tobytes(), hi[one].tobytes()), (s, t)
     # and every threshold gets the clamped pair it gets alone
-    clamped = _clamp(wk, coeffs, cfg, d, J, gamma, sums)
+    clamped = _clamp(rows, cfg, gamma, sums)
     g = grid_for(ds)
     for t in J:
-        alone = _clamp(wk, coeffs, cfg, d, J[t : t + 1], gamma[:, t : t + 1],
-                       tuple(s[t : t + 1] for s in sums))
+        alone = _clamp(_ClampRows(wk, d, lr, R[t : t + 1]).at(coeffs), cfg,
+                       gamma[:, t : t + 1], tuple(s[t : t + 1] for s in sums))
         assert alone[:, 0].tobytes() == clamped[:, t].tobytes(), f"threshold {t}"
         state = store.copy()
         accumulate_update(state, 0, 0, d, float(wk.fb.coarse_edges[t]),
                           float(clamped[0, t]), float(clamped[1, t]), lr)
         assert_feasible(state, fc, g, f"threshold {t}")
-    # smoothness-protected degrees clamp through the same routine, as one row
+    # smoothness-protected degrees clamp through the same routine, as one
+    # row of the table with nothing on its right side
     for dg in range(1, fc.smoothness + 1):
-        gam = _clamp(wk, coeffs, cfg, dg, None, np.array([[rng.normal() * 10.0]]))
+        (r,) = np.flatnonzero(wk.row_degree == dg)
+        gam = np.array([[rng.normal() * 10.0], [0.0]])
+        gam = _clamp(_ClampRows(wk, dg, lr, np.array([r])).at(coeffs), cfg, gam,
+                     (np.zeros(1),) * 4)
+        assert gam[1, 0] == 0.0
         state = store.copy()
         accumulate_global(state, 0, 0, dg, float(gam[0, 0]), lr)
         assert_feasible(state, fc, g, f"global degree {dg}")
@@ -275,13 +282,21 @@ def test_clamp_rows_unit_coefficients_match_hand_derivatives(seed, d):
     x = rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.normal() * 100.0
     lr = float(rng.uniform(1e-3, 1.0))
     m, c = rng.choice([-1, 1], size=2)
-    fc = FeatureConstraint(smoothness=0, max_degree=3, monotone=int(m), curvature=int(c))
     ds = make_dataset(x, np.zeros(x.size))
-    wk = _FeatureWork(x, layout_for(ds, 64, 12)[0], fc)
-    coeffs = rng.normal(size=(wk.lower.size, 4))
-    J = np.flatnonzero(rng.random(wk.fb.coarse_edges.size) < 0.7)
-    for j, u in ((J, wk.fb.coarse_edges[J][None, :, None]), (None, wk.fb.x_min)):
-        rows = _ClampRows(wk, coeffs, d, lr, j)
+    fb = layout_for(ds, 64, 12)[0]
+    coeffs = rng.normal(size=(fb.n_coarse_bins, 4))
+    J = np.flatnonzero(rng.random(fb.coarse_edges.size) < 0.7)
+    # split rows of degree d (S = 0 < d), and the global row of degree d
+    # (S = d; global terms exist up to degree 2, since S < D <= 3)
+    cases = [(0, J, fb.coarse_edges[J][None, :, None])]
+    if d <= 2:
+        cases.append((d, None, fb.x_min))
+    for S, j, u in cases:
+        fc = FeatureConstraint(smoothness=S, max_degree=3, monotone=int(m), curvature=int(c))
+        wk = _FeatureWork(x, fb, fc)
+        R = np.flatnonzero(wk.row_degree == d)
+        rows = _ClampRows(wk, d, lr, R if j is None else R[j]).at(coeffs)
+        assert (j is None) == (R.size == 1 and not rows.mask[1].any())
         delta = np.broadcast_to(wk.lower - u, rows.mask.shape)
         want_a = [m * a for a in update_deriv_coeffs(delta, d, lr, 1)]
         assert [a.tobytes() for a in rows.A] == [a.tobytes() for a in want_a]

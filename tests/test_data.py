@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from polygam.booster import train
 from polygam.data import (
+    Dataset,
     FeatureBins,
     SplitScheme,
     build_bin_layout,
@@ -274,6 +276,30 @@ def test_load_csv_binary_label_range(tmp_path):
     write_csv(p, ["a", "y"], [[1, 0], [2, 2]])
     with pytest.raises(DataError):
         load_csv(p, target="y", task="binary")
+
+
+@pytest.mark.parametrize(
+    "task, n_outputs, labels, row",
+    [
+        ("binary", 1, [0, 1, 2, 0], 2),
+        ("binary", 1, [0, 0.5, 1, 1], 1),
+        ("binary", 1, [0, 1, np.nan, 1], 2),
+        ("multiclass", 3, [0, 1, 2, 3], 3),
+        ("multiclass", 3, [0, -1, 2, 1], 1),
+        ("multiclass", 3, [0, 1, 1.5, 2], 2),
+    ],
+)
+def test_validate_refuses_labels_the_task_cannot_hold(task, n_outputs, labels, row):
+    def dataset(y):
+        return Dataset(X=np.arange(4.0).reshape(4, 1), y=np.array(y), feature_names=["a"],
+                       kinds=["numeric"], task=task, n_outputs=n_outputs)
+
+    dataset([0.0, 1.0, 1.0, 0.0]).validate()  # whole numbers in float form are labels
+    bad = dataset(labels)
+    with pytest.raises(DataError, match=f"labels must be whole numbers in 0..{n_outputs - 1 or 1}; row {row} "):
+        bad.validate()
+    with pytest.raises(DataError, match=f"row {row} "):
+        train(bad)
 
 
 def test_load_csv_categorical_inference_and_override(tmp_path):

@@ -416,6 +416,27 @@ def saved_doc(tmp_path):
     return path, json.loads(path.read_text())
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: b'{"format_version": ', "is not a JSON model file"),
+        (lambda doc: b"\xff\xfe{}", "is not a JSON model file"),
+        (lambda doc: b"[1, 2]", "holds a JSON list, not a model object"),
+        (lambda doc: b'"model"', "holds a JSON str, not a model object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "features"}, "missing key 'features'"),
+        (lambda doc: {**doc, "params": [[{"step_values": []}]]}, "missing key 'poly_coeffs'"),
+        (lambda doc: {**doc, "params": 5}, "not a polygam model: 'int' object is not iterable"),
+    ],
+    ids=["truncated", "not-utf8", "list", "string", "no-features", "no-poly-coeffs", "int-params"],
+)
+def test_load_refuses_documents_that_are_not_models(tmp_path, edit, match):
+    path, doc = saved_doc(tmp_path)
+    new = edit(doc)
+    path.write_bytes(new if isinstance(new, bytes) else json.dumps(new).encode())
+    with pytest.raises(DataError, match=match):
+        load_model(path)
+
+
 def test_load_rejects_truncated_poly_coeffs(tmp_path):
     path, doc = saved_doc(tmp_path)
     doc["params"][0][0]["poly_coeffs"] = doc["params"][0][0]["poly_coeffs"][:1]

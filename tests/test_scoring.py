@@ -19,6 +19,7 @@ from polygam.booster import (
     _best_for_output,
     _Candidates,
     _clamp,
+    _ClampRows,
     _FeatureWork,
     candidate_gain,
     leaf_value,
@@ -68,25 +69,29 @@ def reference_best(i, g, h, works, store, cfg):
             gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
             collect(k, 0, "split", fb.fine_edges, nl, gl, gr, gains, valid)
         high = [d for d in wk.split_degrees if d >= 1]
+        if wk.global_degrees or (high and fb.coarse_edges.size):
+            sums = wk.split_sums(g, h, False)
         if high and fb.coarse_edges.size:
-            sgl_all, sgr_all, shl_all, shr_all = wk.split_sums(g, h, False)
             nl = wk.n_left_coarse
             valid = (nl >= min_leaf) & (n - nl >= min_leaf)
             for d in high:
-                sgl, sgr, shl, shr = (a[d - high[0]] for a in (sgl_all, sgr_all, shl_all, shr_all))
+                R = np.flatnonzero(wk.row_degree == d)
+                sgl, sgr, shl, shr = sums[:, R]
                 gl, gr = leaf_value(sgl, shl, l1, l2), leaf_value(sgr, shr, l1, l2)
                 J = np.flatnonzero(valid)
                 if constrained and J.size:
-                    gl[J], gr[J] = _clamp(wk, coeffs, cfg, d, J, np.stack([gl[J], gr[J]]),
+                    rows = _ClampRows(wk, d, cfg.learning_rate, R[J]).at(coeffs)
+                    gl[J], gr[J] = _clamp(rows, cfg, np.stack([gl[J], gr[J]]),
                                           (sgl[J], shl[J], sgr[J], shr[J]))
                 gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
                 collect(k, d, "split", fb.coarse_edges, nl, gl, gr, gains, valid)
         for d in wk.global_degrees:
-            sg = g.sum() if d == 0 else np.einsum("n,n->", g, wk.rpow[d])
-            sh = h.sum() if d == 0 else np.einsum("n,n->", h, wk.rpow[2 * d])
-            gamma = np.array([[leaf_value(sg, sh, l1, l2)]])
+            (r,) = np.flatnonzero(wk.row_degree == d)
+            sg, sh = sums[0, r], sums[2, r]
+            gamma = np.array([[leaf_value(sg, sh, l1, l2)], [0.0]])
             if constrained and d >= 1:
-                gamma = _clamp(wk, coeffs, cfg, d, None, gamma)
+                rows = _ClampRows(wk, d, cfg.learning_rate, np.array([r])).at(coeffs)
+                gamma = _clamp(rows, cfg, gamma, tuple(sums[[0, 2, 1, 3], r : r + 1]))
             gain = candidate_gain(gamma[0], sg, sh, 0.0, 0.0, 0.0)
             collect(k, d, "global", None, None, gamma[0], None, gain, np.array([True]))
     return min(found, key=lambda kc: kc[0])[1] if found else None
@@ -138,7 +143,7 @@ def test_stacked_scorer_matches_per_scan_reference(case):
     store = zero_init(layout, ds.task, ds.n_outputs, ds.feature_names, spec)
     cfg = TrainConfig(learning_rate=0.3, min_data_in_leaf=min_leaf)
     works = [_FeatureWork(X[:, k], layout[k], fc) for k, fc in enumerate(fcs)]
-    cands = [_Candidates(works, mask[i], min_leaf, n) for i in range(ds.n_outputs)]
+    cands = [_Candidates(works, mask[i], cfg, n) for i in range(ds.n_outputs)]
     F = np.zeros((n, ds.n_outputs))
     for it in range(6):
         batch = derivatives(ds.task, ds.y, F)
