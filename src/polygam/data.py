@@ -103,6 +103,79 @@ class SplitScheme:
     n_bins_higher: int = 20
 
 
+def _cell(x, origin: float, scale: float, cells: int, out: np.ndarray) -> np.ndarray:
+    """`FineTable`'s cell of each value, as a float in [0, cells - 1], in out.
+    Values and edges go through this one function, so they map alike."""
+    with np.errstate(over="ignore"):
+        np.subtract(x, origin, out=out)
+        np.multiply(out, scale, out=out)
+    np.fmin(out, cells - 1, out=out)  # fmin sends NaN to the last cell
+    return np.fmax(out, 0.0, out=out)
+
+
+class FineTable:
+    """Exact two-level lookup of fine codes: the count of edges <= x, as
+    ``np.searchsorted(edges, x, side="right")`` gives it, for every float.
+
+    There are about four cells per edge over [first edge, last edge]. A
+    value falls in cell int(clip((x - origin) * scale, 0, cells - 1)), with
+    NaN in the last cell. This map is monotone, so an edge in an earlier
+    cell than x is below x and one in a later cell is above it. The table
+    applies the same map to the edges: ``top[c]`` is the count of edges in
+    cells before c, plus the search window 2**steps - 1, which holds at
+    least every edge of cell c. A branchless search of ``steps`` halvings
+    walks down from ``top[c]`` while x is below the edge under it, so edges
+    of later cells and the +inf padding stop it exactly where searchsorted
+    stops. Comparing as ``not (x < e)`` and clamping to the edge count sends
+    NaN and +inf to the last bin, as searchsorted does. Exact by
+    construction, not by tolerance.
+    """
+
+    # a plain class: a frozen dataclass costs 0.8 ms more per import
+    __slots__ = ("origin", "scale", "steps", "n_edges", "top", "padded")
+
+    def __init__(self, edges: np.ndarray):
+        edges = np.asarray(edges, dtype=float)
+        n = edges.size
+        cells = max(4 * n, 1)
+        self.origin = float(edges[0]) if n else 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = float(cells / (edges[-1] - edges[0])) if n else 1.0
+        # one edge, or a span that is 0, subnormal or overflows: a zero scale
+        # would send -inf to NaN, and any positive finite one is exact
+        self.scale = scale if 0.0 < scale < math.inf else 1.0
+        cell = _cell(edges, self.origin, self.scale, cells, np.empty(n)).astype(np.intp)
+        per_cell = np.bincount(cell, minlength=cells)
+        self.steps = int(per_cell.max()).bit_length()
+        self.n_edges = n
+        window = (1 << self.steps) - 1
+        self.top = np.cumsum(per_cell) - per_cell + window  # one entry per cell
+        # the edges, after 2**(steps-1) slots the search never reads (so each
+        # halving reads a view without an index array) and before 2**steps - 1
+        # slots of +inf
+        front = np.full((window + 1) // 2, np.nan)
+        self.padded = np.concatenate((front, edges, np.full(window, np.inf)))
+        self.top.flags.writeable = False
+        self.padded.flags.writeable = False
+
+    def codes(self, x: np.ndarray) -> np.ndarray:
+        """Fine code of each value (intp). Holds three arrays of x's size."""
+        x = np.asarray(x, dtype=float)
+        v = _cell(x, self.origin, self.scale, self.top.size, np.empty(x.shape))
+        c = v.astype(np.intp)
+        hi = self.top.take(c)
+        front = (1 << self.steps) // 2
+        for k in reversed(range(self.steps)):
+            step = 1 << k
+            # v = edges[hi - step]; c = step where x is below it, else 0
+            self.padded[front - step :].take(hi, out=v, mode="clip")
+            np.less(x, v, out=c)
+            if step > 1:
+                c *= step
+            hi -= c
+        return np.minimum(hi, self.n_edges, out=hi)
+
+
 @dataclass
 class FeatureBins:
     """Interior edges for one feature on both grids, plus observed range.
@@ -149,6 +222,12 @@ class FeatureBins:
         table = np.concatenate(([0], above))
         table.flags.writeable = False
         return table
+
+    @functools.cached_property
+    def fine_table(self) -> FineTable:
+        """Cell table for bulk fine-code lookups (`model.fine_code`), built
+        once from the fine edges; never serialized."""
+        return FineTable(self.fine_edges)
 
 
 @dataclass

@@ -279,6 +279,17 @@ def test_predict_with_a_file_that_is_not_a_model_exits_3(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_predict_with_a_mask_of_the_wrong_shape_exits_3(tmp_path, capsys):
+    out, _, csv = run_train(tmp_path, "p5")
+    doc = json.loads((out / "model.json").read_text())
+    doc["allow_mask"] = [[True]]  # two features
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["predict", "-m", str(bad), "-d", str(csv), "-o", str(tmp_path / "o.csv")]) == 3
+    assert "allow mask shape (1, 1) does not match" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_predict_ignores_training_target_column(tmp_path):
     out, _, csv = run_train(tmp_path, "p4")
     preds = tmp_path / "p.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polygam.booster import train
 from polygam.data import (
@@ -15,7 +16,7 @@ from polygam.data import (
     split_indices,
 )
 from polygam.errors import DataError
-from polygam.model import fine_code
+from polygam.model import TABLE_MIN_VALUES, fine_code
 from polygam.testkit import dense_bin_transform
 
 from conftest import make_dataset
@@ -157,6 +158,43 @@ def test_fine_code_partition():
     lo = np.concatenate(([-np.inf], edges))[b - 1]
     hi = np.concatenate((edges, [np.inf]))[b - 1]
     assert np.all((xs >= lo) & (xs < hi))
+
+
+def fuzz_grid(kind, n, rng):
+    """n strictly ascending edges of one hard shape for the cell table."""
+    if kind == "lognormal":  # heavy tail: most edges crowd the first cells
+        draws = rng.lognormal(0.0, 2.0, n)
+    elif kind == "integer":
+        draws = rng.choice(np.arange(-1000.0, 1000.0), n, replace=False)
+    else:  # a span of under 1e-12 (whole ulps of 1.0), then one edge at 1e300
+        ulps = rng.choice(4000, max(n - 1, 0), replace=False)
+        draws = np.append(1.0 + ulps * 2.0**-52, 1e300)[:n]
+    edges = np.unique(draws)
+    assert edges.size == n
+    return edges
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308, -1.7e308]
+
+
+@given(
+    kind=st.sampled_from(["lognormal", "integer", "tiny_span_1e300"]),
+    n=st.sampled_from([0, 1, 2, 255]),
+    bulk=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fine_code_equals_searchsorted_on_both_sides_of_the_crossover(kind, n, bulk, seed):
+    rng = np.random.default_rng(seed)
+    edges = fuzz_grid(kind, n, rng)
+    fb = FeatureBins(fine_edges=edges, coarse_edges=edges[:0], x_min=0.0, x_max=1.0)
+    near = (edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf))
+    x = np.concatenate((*near, SPECIALS))
+    assert x.size < TABLE_MIN_VALUES
+    if bulk:
+        extra = rng.choice(x, TABLE_MIN_VALUES) * rng.choice([1.0, 1.0 + 1e-15], TABLE_MIN_VALUES)
+        x = rng.permutation(np.concatenate((x, extra)))
+    assert np.array_equal(fine_code(fb, x), np.searchsorted(edges, x, side="right"))
+    assert ("fine_table" in vars(fb)) == bulk  # the side of the crossover that ran
 
 
 # ---------------------------------------------------------------------------

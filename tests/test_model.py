@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polygam.data import BinLayout, FeatureBins
+from polygam.data import BinLayout, FeatureBins, FineTable
 from polygam.errors import ConfigError, DataError
 from polygam.losses import link_apply
 from polygam.model import (
@@ -389,6 +389,20 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_fine_table_is_built_once_read_only_and_never_saved(monkeypatch):
+    store = random_trained_store()
+    fb = store.layout[0]
+    before = dumps_model(store)
+    builds = []
+    init = FineTable.__init__
+    monkeypatch.setattr(FineTable, "__init__", lambda self, e: builds.append(e) or init(self, e))
+    X = np.linspace(-1.0, 3.0, model.TABLE_MIN_VALUES)[:, None]
+    assert np.array_equal(predict(store, X), predict(store, X))
+    assert len(builds) == 1 and fb.fine_table is fb.fine_table
+    assert not fb.fine_table.top.flags.writeable and not fb.fine_table.padded.flags.writeable
+    assert dumps_model(store) == before
+
+
 def test_load_rejects_unknown_version(tmp_path):
     store = random_trained_store()
     path = tmp_path / "m.json"
@@ -471,6 +485,40 @@ def test_load_rejects_coarse_edges_off_the_fine_grid(tmp_path):
         load_model(path)
 
 
+def test_load_refuses_an_unknown_task(tmp_path):
+    path, doc = saved_doc(tmp_path)
+    doc["task"] = "bogus"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="unknown task 'bogus'"):
+        load_model(path)
+
+
+def test_load_refuses_a_constraint_out_of_range(tmp_path):
+    path, doc = saved_doc(tmp_path)
+    doc["features"][0]["S"] = 7
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="'x0': S must be in -1..2, got 7"):
+        load_model(path)
+
+
+def two_feature_doc(tmp_path):
+    fb = [FeatureBins(np.array([0.5, 1.0]), np.array([1.0]), 0.0, 2.0) for _ in range(2)]
+    spec = ConstraintSpec([FeatureConstraint()] * 2, np.ones((1, 2), dtype=bool))
+    path = tmp_path / "m.json"
+    save_model(zero_init(BinLayout(fb), "regression", 1, ["a", "b"], spec), path)
+    return path, json.loads(path.read_text())
+
+
+def test_load_refuses_an_allow_mask_of_the_wrong_shape(tmp_path):
+    # predict reads the mask column of every feature, so a (1, 1) mask on
+    # two features would fail there with a bare IndexError
+    path, doc = two_feature_doc(tmp_path)
+    doc["allow_mask"] = [[True]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=r"allow mask shape \(1, 1\) does not match"):
+        load_model(path)
+
+
 def test_predict_refuses_hand_built_coarse_edges_off_the_fine_grid():
     store = single_feature_store([0.5, 1.5], [1.0], 0.0, 2.0)
     with pytest.raises(DataError, match="coarse edges are not on the fine grid"):
@@ -549,9 +597,12 @@ def stores(draw):
                         dtype=bool)
         kind = draw(st.sampled_from(["numeric", "categorical"]))
         features.append(FeatureBins(fine, fine[keep], draw(scalar), draw(scalar), kind=kind))
+        # S <= D - 1, and a curvature sign needs S >= 0 and D >= 2
+        D = draw(small_int(0, 3))
+        S = draw(small_int(-1, int(D) - 1))
         constraints.append(FeatureConstraint(
-            smoothness=draw(small_int(-1, 2)), max_degree=draw(small_int(0, 3)),
-            monotone=draw(small_int(-1, 1)), curvature=draw(small_int(-1, 1)),
+            smoothness=S, max_degree=D, monotone=draw(small_int(-1, 1)),
+            curvature=draw(small_int(-1, 1)) if S >= 0 and D >= 2 else 0,
         ))
     mask = np.array(draw(st.lists(st.booleans(), min_size=J * K, max_size=J * K))).reshape(J, K)
     store = zero_init(BinLayout(features=features), draw(st.sampled_from(["regression", "binary"])),

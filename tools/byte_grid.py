@@ -12,7 +12,11 @@ covers the model after `attach_se_accumulators`, so a change to the
 standard-error sums alone moves only this one. The third, `path=`, covers
 the split path only: (output, feature, degree, kind, threshold) of every log
 record. A change that moves the last bits of the fit on purpose keeps the
-path hash where it makes the same decisions. Every cell also checks that
+path hash where it makes the same decisions. The fourth, `pred=`, covers
+`predict` on a fixed probe matrix of PROBE_ROWS rows: every fine edge and
+its two float neighbours, the observed range's ends, rows inside and
+outside that range, and +-1e300. The fits have 240 rows, so only the probe
+is large enough for `fine_code`'s cell table. Every cell also checks that
 save -> `load_model` -> dump gives the first dump again, for the model and
 for the SE-attached model, and stops with an error if it does not.
 
@@ -37,6 +41,7 @@ import numpy as np
 import polygam as pg
 
 TASKS = ("regression", "binary", "multiclass")
+PROBE_ROWS = 2048
 
 
 def cells():
@@ -74,6 +79,20 @@ def round_trip(store, path) -> bytes:
     return text.encode()
 
 
+def probe(layout, rng) -> np.ndarray:
+    """PROBE_ROWS rows; each column shuffles its feature's hard values among
+    draws from its observed range widened by half its span on each side."""
+    cols = []
+    for fb in layout.features:
+        e, lo, hi = fb.fine_edges, fb.x_min, fb.x_max
+        hard = np.concatenate((e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                               [lo, hi, -1e300, 1e300, 0.0, -0.0]))
+        half = 0.5 * (hi - lo)
+        fill = rng.uniform(lo - half, hi + half, PROBE_ROWS - hard.size)
+        cols.append(rng.permutation(np.concatenate((hard, fill))))
+    return np.column_stack(cols)
+
+
 def fit_hash(S, D, m, c, task, seed, iterations, model_path):
     rng = np.random.default_rng([seed, S + 1, D, m + 1, c + 1, TASKS.index(task)])
     n = 300
@@ -99,9 +118,10 @@ def fit_hash(S, D, m, c, task, seed, iterations, model_path):
         decision = (rec.output, rec.feature, rec.degree, rec.kind, rec.threshold)
         path.update(repr(decision).encode())
     digest.update(pg.model.dumps_model(res.replay_to(res.n_iterations // 2)).encode())
+    pred = hashlib.sha256(pg.predict(res.store, probe(layout, rng)).tobytes())
     pg.attach_se_accumulators(res.store, ds.X)
     se = hashlib.sha256(round_trip(res.store, model_path))
-    return digest.hexdigest(), se.hexdigest(), path.hexdigest(), res.n_iterations
+    return digest.hexdigest(), se.hexdigest(), path.hexdigest(), pred.hexdigest(), res.n_iterations
 
 
 def main(argv=None) -> None:
@@ -114,10 +134,10 @@ def main(argv=None) -> None:
         warnings.simplefilter("ignore")
         model_path = os.path.join(tmp, "model.json")
         for S, D, m, c, task in cells():
-            sha, se, path, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations,
-                                            model_path)
+            sha, se, path, pred, iters = fit_hash(S, D, m, c, task, args.seed, args.iterations,
+                                                  model_path)
             print(f"S={S:2d} D={D} mono={m:2d} curv={c:2d} {task:10s} iters={iters:3d} {sha} "
-                  f"se={se} path={path}")
+                  f"se={se} path={path} pred={pred}")
 
 
 if __name__ == "__main__":
