@@ -159,31 +159,40 @@ def candidate_gain(gamma_left, sg_left, sh_left, gamma_right, sg_right, sh_right
 # per-feature workspace
 
 
-def _powers(v: np.ndarray, top: int, first=1.0) -> np.ndarray:
-    """Rows first*v^0..first*v^top on a new first axis, each the previous
-    row times v."""
+def _powers(v: np.ndarray, top: int) -> np.ndarray:
+    """Rows v^0..v^top on a new first axis, each the previous row times v."""
     out = np.empty((top + 1,) + v.shape)
-    out[0] = first
+    out[0] = 1.0
     for p in range(1, top + 1):
         np.multiply(out[p - 1], v, out=out[p])
     return out
 
 
-class _FeatureWork:
-    """Cached per-feature structures for the candidate scans."""
+def _nonzero(counts: np.ndarray):
+    """Index of the non-zero counts; a slice when all are, which reads and
+    writes views rather than copies."""
+    return slice(None) if counts.all() else np.flatnonzero(counts)
 
-    def __init__(self, x: np.ndarray, fb: FeatureBins, fc: FeatureConstraint):
+
+class _FeatureWork:
+    """Cached per-feature structures for the candidate scans, and the scan
+    that fills every allowed output's side sums once per iteration."""
+
+    def __init__(self, x: np.ndarray, fb: FeatureBins, fc: FeatureConstraint, outputs=(0,)):
         self.x = x
         self.fb = fb
         self.fc = fc
+        self.outputs = outputs = np.asarray(outputs)  # ascending, allowed for the feature
         self.split_degrees = list(range(max(fc.smoothness + 1, 0), fc.max_degree + 1))
         self.high_degrees = [d for d in self.split_degrees if d >= 1]  # coarse-grid splits
         self.global_degrees = list(range(0, fc.smoothness + 1))
 
-        self.fcodes = fine_code(fb, x)
-        piece, t = locate(fb, x, self.fcodes)
-        counts = np.bincount(self.fcodes, minlength=fb.n_fine_bins)
+        fcodes = fine_code(fb, x)
+        piece, t = locate(fb, x, fcodes)
+        counts = np.bincount(fcodes, minlength=fb.n_fine_bins)
         self.n_left_fine = np.cumsum(counts)[:-1]  # per fine edge
+        # the degree-0 scan runs on the fine grid; n_fine is its threshold count
+        self.n_fine = fb.fine_edges.size if 0 in self.split_degrees else 0
 
         ccounts = np.bincount(piece, minlength=fb.n_coarse_bins)
         self.n_left_coarse = np.cumsum(ccounts)[:-1]  # per coarse edge
@@ -192,47 +201,53 @@ class _FeatureWork:
         self.widths = np.append(fb.coarse_edges, fb.x_max) - self.lower
 
         self.max_split_deg = max(self.high_degrees, default=0)
-        if self.max_split_deg >= 1:
-            self._build_blocks(piece, t, ccounts)
+        self._build_blocks(fcodes, counts, t, ccounts)
         self._build_tensors()
 
-        # filled on first use; regression's h never changes, so its coarse
-        # moments and fine-grid cumsum are computed once
-        self._static_h = None
-        self._static_hf = None
+        # the scan's results, allocated once per fit (see `scan`)
+        a, dmax = outputs.size, self.max_split_deg
+        self.sums = np.zeros((a, 4, self.n_fine + self.row_degree.size))
+        self.bins = np.zeros((a, 2, fb.n_fine_bins))
+        self.gmom = np.zeros((a, fb.n_coarse_bins, dmax + 1))
+        self.hmom = np.zeros((a, fb.n_coarse_bins, 2 * dmax + 1))
+        self.h_done = False  # regression's h never changes: its side is kept
 
-    def _build_blocks(self, piece: np.ndarray, t: np.ndarray, counts: np.ndarray) -> None:
-        """Rows sorted stably by coarse piece and cut into blocks of at most
-        `size` rows; a block never holds two pieces, so a piece's moments are
-        the sums of its blocks' products.
+    def _build_blocks(self, fcodes, fcounts, t, counts) -> None:
+        """Rows sorted stably by fine code, so that every fine bin and every
+        coarse piece is a run of rows, and cut into blocks of at most `size`
+        rows; a block never holds two pieces, so a piece's moments are the
+        sums of its blocks' products.
 
-        slot_row[b, c] is the row in slot c of block b, and tblock[b, m, c]
-        its t^m for m = 0..max_split_deg. The last block of a piece pads out
-        with zero powers and the piece's last row, so a non-finite weight
-        stays in its own piece. Blocks of n / (4 * pieces) rows keep the
-        padding under a quarter of the rows; they hold at least 32, because
-        each block is one BLAS call, and on small data the calls would cost
-        more than the padded slots do."""
-        n_pieces = counts.size
-        size = max(-(-t.size // (4 * n_pieces)), 32)
+        slot_row[b, c] is the row in slot c of block b. The last block of a
+        piece pads out with row n, the zero last column of the scan's g/h
+        matrix, so padding adds nothing and a non-finite weight stays in its
+        own piece and fine bin. tblock[b, m, c] is the slot's t^m for
+        m = 0..max_split_deg. fine_start is the first slot of each non-empty
+        fine bin; a bin's rows (and any padding) run to the next one's.
+        Blocks of n / (4 * pieces) rows keep the padding under a quarter of
+        the rows; they hold at least 32, because each block is one BLAS
+        call, and on small data the calls would cost more than the padded
+        slots do."""
+        n, n_pieces = t.size, counts.size
+        size = max(-(-n // (4 * n_pieces)), 32)
         n_blocks = -(-counts // size)
-        self.nonempty = np.flatnonzero(counts)
+        self.nonempty = _nonzero(counts)
         first_block = np.cumsum(n_blocks) - n_blocks
         self.block_start = first_block[self.nonempty]
-        # a key of 16 bits or fewer sorts by radix, several times faster
-        order = np.argsort(piece.astype(np.min_scalar_type(n_pieces)), kind="stable")
-        # the q-th row of piece p goes to slot q of the piece's first block;
-        # every other slot starts as padding on the piece's last row
+        # a key of 16 bits or fewer sorts by radix, several times faster;
+        # fine bins nest in coarse pieces, so the rows run by piece too
+        order = np.argsort(fcodes.astype(np.min_scalar_type(fcounts.size)), kind="stable")
+        # the q-th row of piece p goes to slot q of the piece's first block
         start = np.cumsum(counts) - counts
-        slots = (n_blocks * size)[self.nonempty]
-        row = np.repeat(order[start[self.nonempty] + counts[self.nonempty] - 1], slots)
-        dest = np.arange(t.size) + np.repeat(first_block * size - start, counts)
+        dest = np.arange(n) + np.repeat(first_block * size - start, counts)
+        row = np.full(n_blocks.sum() * size, n)
         row[dest] = order
-        real = np.zeros(row.size, dtype=bool)
-        real[dest] = True
         self.slot_row = row.reshape(-1, size)
-        T = _powers(t[self.slot_row], self.max_split_deg, real.reshape(-1, size))
-        self.tblock = T.transpose(1, 0, 2)
+        self.fine_nonempty = _nonzero(fcounts)
+        self.fine_start = dest[(np.cumsum(fcounts) - fcounts)[self.fine_nonempty]]
+        if self.max_split_deg >= 1:
+            T = _powers(np.append(t, 0.0)[self.slot_row], self.max_split_deg)
+            self.tblock = T.transpose(1, 0, 2)
 
     def _build_tensors(self) -> None:
         """The row table: every polynomial candidate of the feature is one
@@ -242,11 +257,12 @@ class _FeatureWork:
         pieces 0..j on side 0 and the rest on side 1. Rows run by degree,
         then threshold. row_mask is (side, row, piece).
 
-        Wg/Wh (side, row, piece, m) are binomial recombination weights: a
+        Wg/Wh (side, row, piece * m) are binomial recombination weights: a
         row's side sums of g*(x-u)^d and h*(x-u)^2d are rebuilt from the
-        per-piece moments of g*t^m, t the piece-local offset. Working per
-        piece keeps every term at the scale of its own piece, which avoids
-        the cancellation blowup of global-monomial prefix sums."""
+        per-piece moments of g*t^m, t the piece-local offset, by one
+        matrix-vector product per output and side. Working per piece keeps every term at the
+        scale of its own piece, which avoids the cancellation blowup of
+        global-monomial prefix sums."""
         edges = self.fb.coarse_edges
         mj, mb = edges.size, self.lower.size
         ng = len(self.global_degrees)
@@ -262,59 +278,62 @@ class _FeatureWork:
         self.row_mask = np.stack([left, ~left])
         delta = self.lower - self.row_u[:, None]  # (row, piece)
         dmax, n_rows = self.max_split_deg, self.row_degree.size
-        self.Wg = np.zeros((2, n_rows, mb, dmax + 1))
-        self.Wh = np.zeros((2, n_rows, mb, 2 * dmax + 1))
+        Wg = np.zeros((2, n_rows, mb, dmax + 1))
+        Wh = np.zeros((2, n_rows, mb, 2 * dmax + 1))
         for d in np.unique(self.row_degree).tolist():
             r = self.row_degree == d
             sides = self.row_mask[:, None, r]  # (side, 1, row, piece)
-            self.Wg[:, r, :, : d + 1] = (shift(delta[r], d) * sides).transpose(0, 2, 3, 1)
-            self.Wh[:, r, :, : 2 * d + 1] = (shift(delta[r], 2 * d) * sides).transpose(0, 2, 3, 1)
+            Wg[:, r, :, : d + 1] = (shift(delta[r], d) * sides).transpose(0, 2, 3, 1)
+            Wh[:, r, :, : 2 * d + 1] = (shift(delta[r], 2 * d) * sides).transpose(0, 2, 3, 1)
+        self.Wg = Wg.reshape(2, n_rows, mb * (dmax + 1))
+        self.Wh = Wh.reshape(2, n_rows, mb * (2 * dmax + 1))
 
-    def moments(self, weights: np.ndarray, max_m: int) -> np.ndarray:
-        """Per-coarse-piece sums of weights * t^m for m = 0..max_m, where
-        max_m <= 2 * max_split_deg.
+    def scan(self, GH: np.ndarray, h_static: bool) -> None:
+        """This iteration's side sums of every allowed output into `sums`,
+        (output, sgl/sgr/shl/shr, candidate): the fine thresholds, then the
+        table rows. GH is (2J, n + 1), g then h by output, with a zero last
+        column. When h_static, h is the same at every call and its side is
+        computed on the first call only.
 
-        One gather puts the weights in block order and one stacked product
-        gives every block's sums for m <= max_split_deg; the higher powers
-        come from a second product with weights * t^max_split_deg. Blocks
-        add up per piece in order, and an empty piece sums to zero."""
-        dmax, T = self.max_split_deg, self.tblock
-        w = weights.take(self.slot_row)[..., None]
-        per_block = T[:, : max_m + 1] @ w
-        if max_m > dmax:
-            high = T[:, 1 : max_m - dmax + 1] @ (w * T[:, dmax, :, None])
-            per_block = np.concatenate((per_block, high), axis=1)
-        out = np.zeros((self.fb.n_coarse_bins, max_m + 1))
-        out[self.nonempty] = np.add.reduceat(per_block[..., 0], self.block_start)
-        return out
-
-    def fine_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool):
-        """Left/right sums of g and h at every fine threshold: (sgl, sgr, shl, shr)."""
-        nf = self.fb.n_fine_bins
-        cg = np.cumsum(np.bincount(self.fcodes, weights=g, minlength=nf))
-        if h_static:
-            if self._static_hf is None:
-                self._static_hf = np.cumsum(np.bincount(self.fcodes, weights=h, minlength=nf))
-            ch = self._static_hf
-        else:
-            ch = np.cumsum(np.bincount(self.fcodes, weights=h, minlength=nf))
-        return cg[:-1], cg[-1] - cg[:-1], ch[:-1], ch[-1] - ch[:-1]
-
-    def split_sums(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
-        """Side sums of every row of the table: (4, rows), sgl, sgr, shl,
-        shr. A global row's right side is zero."""
-        dmax = self.max_split_deg
-        G = self.moments(g, dmax)
-        if h_static:
-            if self._static_h is None:
-                self._static_h = self.moments(h, 2 * dmax)
-            H = self._static_h
-        else:
-            H = self.moments(h, 2 * dmax)
-        return np.concatenate((
-            np.einsum("srbm,bm->sr", self.Wg, G),
-            np.einsum("srbm,bm->sr", self.Wh, H),
-        ))
+        Each output's g, h and h * t^max_split_deg are gathered into slot
+        order; one output at a time keeps the gathered rows small. Their
+        per-fine-bin sums `bins` (output, g/h, bin) are one reduceat over the
+        bins' runs of slots. Their per-piece moments `gmom` (output, piece,
+        m <= max_split_deg) and `hmom` (m <= 2 * max_split_deg) are one
+        product of each block's powers with its three rows, and one reduceat
+        over each piece's blocks. Empty bins and pieces are 0. Every product
+        has the same shape for every output, so an output's sums do not
+        depend on which other outputs the feature is allowed for."""
+        S, nf, a, dmax = self.sums, self.n_fine, self.outputs.size, self.max_split_deg
+        if not S.size:
+            return
+        h_side = not self.h_done
+        self.h_done = h_static
+        sides, ne = 2 if h_side else 1, self.nonempty
+        for o, i in enumerate(self.outputs.tolist()):
+            W = np.empty((sides + (h_side and dmax > 0),) + self.slot_row.shape)
+            for side in range(sides):
+                GH[side * GH.shape[0] // 2 + i].take(self.slot_row, out=W[side], mode="clip")
+            if nf:
+                self.bins[o][:sides, self.fine_nonempty] = np.add.reduceat(
+                    W[:sides].reshape(sides, -1), self.fine_start, axis=1)
+            if dmax:
+                if h_side:
+                    np.multiply(W[1], self.tblock[:, dmax], out=W[2])
+                per_piece = np.add.reduceat(self.tblock @ W.transpose(1, 2, 0), self.block_start)
+                self.gmom[o, ne] = per_piece[..., 0]
+                if h_side:
+                    self.hmom[o, ne, : dmax + 1] = per_piece[..., 1]
+                    self.hmom[o, ne, dmax + 1 :] = per_piece[:, 1:, 2]
+        if nf:
+            cum = self.bins[:, :sides].cumsum(2)
+            S[:, 0 : 2 * sides : 2, :nf] = cum[..., :-1]
+            S[:, 1 : 2 * sides : 2, :nf] = cum[..., -1:] - cum[..., :-1]
+        if dmax:
+            # one matrix-vector product per output and side
+            np.matmul(self.Wg, self.gmom.reshape(a, 1, -1, 1), out=S[:, :2, nf:, None])
+            if h_side:
+                np.matmul(self.Wh, self.hmom.reshape(a, 1, -1, 1), out=S[:, 2:, nf:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +531,15 @@ class _Candidates:
     Rows run by feature, then degree, then ascending threshold. A feature
     contributes its fine degree-0 scan (only when S = -1) and its row table
     (global terms, then one coarse scan per split degree). The layout is
-    fixed for a whole fit; `fill` writes each iteration's split sums into
-    `sums`, rows (sgl, sgr, shl, shr). Because rows are in (feature, degree,
-    threshold) order, the first argmax of the gains picks the lowest such
-    triple among equal gains.
+    fixed for a whole fit; `fill` copies output i's side sums from the
+    features' scans into `sums`, rows (sgl, sgr, shl, shr). Because rows are in
+    (feature, degree, threshold) order, the first argmax of the gains picks
+    the lowest such triple among equal gains.
     """
 
-    def __init__(self, works: list[_FeatureWork], allow: np.ndarray, cfg: TrainConfig, n: int):
+    def __init__(self, works: list[_FeatureWork], i: int, cfg: TrainConfig, n: int):
         self.n = n
-        self.parts = []  # (work, fine slice, table slice)
+        self.parts = []  # (work, index of output i in its outputs, slice of `sums`)
         self.pools = []  # (monotone sign, slice) of monotone fine scans
         tables = []  # (work, feature, table slice) of constrained features
         cols = []  # per block: feature, degree, threshold (NaN: global), n_left
@@ -532,11 +551,11 @@ class _Candidates:
             return slice(start, start + m)
 
         for k, wk in enumerate(works):
-            if not allow[k]:
+            if i not in wk.outputs:
                 continue
             fb, fc = wk.fb, wk.fc
             fine = table = None
-            if 0 in wk.split_degrees and fb.fine_edges.size > 0:
+            if wk.n_fine:
                 fine = block(k, np.zeros(fb.fine_edges.size, dtype=int), fb.fine_edges,
                              wk.n_left_fine)
                 if fc.monotone:
@@ -547,7 +566,9 @@ class _Candidates:
                               wk.row_n_left)
                 if fc.monotone or fc.curvature:
                     tables.append((wk, k, table))
-            self.parts.append((wk, fine, table))
+            if fine or table:
+                own = slice((fine or table).start, (table or fine).stop)
+                self.parts.append((wk, int(np.searchsorted(wk.outputs, i)), own))
 
         cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0)] * 4
         self.feature, self.degree, self.threshold, self.n_left = cols
@@ -566,32 +587,27 @@ class _Candidates:
                     units = _ClampRows(wk, d, cfg.learning_rate, rows)
                     self.clamps.append((k, table.start + rows, units))
 
-    def fill(self, g: np.ndarray, h: np.ndarray, h_static: bool) -> np.ndarray:
-        """This iteration's split sums of every row."""
+    def fill(self) -> np.ndarray:
+        """This iteration's split sums of every row, from the features' scans."""
         out = self.sums
-        for wk, fine, table in self.parts:
-            if fine is not None:
-                out[:, fine] = wk.fine_sums(g, h, h_static)
-            if table is not None:
-                out[:, table] = wk.split_sums(g, h, h_static)
+        for wk, c, own in self.parts:
+            out[:, own] = wk.sums[c]
         return out
 
 
 def _best_for_output(
     i: int,
     cands: _Candidates,
-    g_i: np.ndarray,
-    h_i: np.ndarray,
     store: ParameterStore,
     cfg: TrainConfig,
-    h_static: bool,
 ) -> SplitCandidate | None:
-    """Score every candidate of output i in one pass and return the best,
-    or None when no candidate has a finite positive gain."""
+    """Score every candidate of output i in one pass, from this iteration's
+    feature scans, and return the best, or None when no candidate has a
+    finite positive gain."""
     if cands.valid.size == 0:
         return None
     l1, l2 = cfg.l1, cfg.l2
-    sums = cands.fill(g_i, h_i, h_static)
+    sums = cands.fill()
     gamma = leaf_value(sums[:2], sums[2:], l1, l2)  # (left, right) per row
     gamma[1, cands.is_global] = 0.0
 
@@ -753,18 +769,17 @@ def train(
     store.intercepts = intercepts.copy()
     initial_store = store.copy()
 
+    J = dataset.n_outputs
     works = [
-        _FeatureWork(ds_train.X[:, k], layout.features[k], constraints.features[k])
+        _FeatureWork(ds_train.X[:, k], layout.features[k], constraints.features[k],
+                     np.flatnonzero(constraints.allow_mask[:, k]))
         for k in range(len(dataset.feature_names))
     ]
     h_static = task == "regression"
 
-    J = dataset.n_outputs
     n_tr = ds_train.X.shape[0]
-    cands = [
-        _Candidates(works, constraints.allow_mask[i], cfg, n_tr)
-        for i in range(J)
-    ]
+    cands = [_Candidates(works, i, cfg, n_tr) for i in range(J)]
+    GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
     F = np.tile(intercepts, (n_tr, 1))
     if ds_valid is not None and ds_valid.X.shape[0] > 0:
         F_valid = np.tile(intercepts, (ds_valid.X.shape[0], 1))
@@ -789,10 +804,13 @@ def train(
 
     for it in range(1, cfg.max_iterations + 1):
         batch = derivatives(task, ds_train.y, F, p)
-        g, h = batch.g, batch.h
+        GH[:J, :-1], GH[J:, :-1] = batch.g.T, batch.h.T
+        del batch  # GH holds g and h; freeing them keeps the scans' peak memory low
+        for wk in works:
+            wk.scan(GH, h_static)
         picks: list[SplitCandidate] = []
         for i in range(J):
-            cand = _best_for_output(i, cands[i], g[:, i], h[:, i], store, cfg, h_static)
+            cand = _best_for_output(i, cands[i], store, cfg)
             if cand is not None:
                 picks.append(cand)
         if not picks:

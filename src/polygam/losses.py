@@ -8,6 +8,7 @@ diagonal Hessian approximation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,10 @@ def _sigmoid(F: np.ndarray) -> np.ndarray:
 
 
 def _softmax(F: np.ndarray) -> np.ndarray:
-    z = F - F.max(axis=1, keepdims=True)
+    # the row max as a running max over columns: a max does not depend on
+    # order, and this is several times faster than a reduction along rows
+    # a few values long
+    z = F - functools.reduce(np.maximum, F.T)[:, None]
     ez = np.exp(z)
     return ez / ez.sum(axis=1, keepdims=True)
 

@@ -69,6 +69,21 @@ def single_feature_store(
     return zero_init(layout, task, n_outputs, ["x0"], spec)
 
 
+def scan_matrix(g, h):
+    """The g/h matrix a feature scan reads: (2J, n + 1), g then h by
+    output, with a zero last column. g and h are (n,) or (n, J)."""
+    gh = np.vstack((np.atleast_2d(np.asarray(g, dtype=float).T),
+                    np.atleast_2d(np.asarray(h, dtype=float).T)))
+    return np.pad(gh, ((0, 0), (0, 1)))
+
+
+def scanned(wk, g, h):
+    """One output's side sums from a fresh scan: (4, fine thresholds +
+    table rows), rows (sgl, sgr, shl, shr)."""
+    wk.scan(scan_matrix(g, h), h_static=False)
+    return wk.sums[0]
+
+
 def layout_for(dataset, n_bins_degree0=256, n_bins_higher=20):
     scheme = SplitScheme(n_bins_degree0=n_bins_degree0, n_bins_higher=n_bins_higher)
     return build_bin_layout(dataset, scheme)

@@ -33,7 +33,7 @@ from polygam.model import (
 )
 from polygam.testkit import brute_force_stump, param_gradients
 
-from conftest import layout_for, make_dataset
+from conftest import layout_for, make_dataset, scan_matrix, scanned
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_split_sums_match_direct_reference(seed, S):
     layout = build_bin_layout(ds, SplitScheme(64, 12))
     fc = FeatureConstraint(smoothness=S, max_degree=3)
     wk = _FeatureWork(x, layout[0], fc)
-    sgl, sgr, shl, shr = wk.split_sums(g, h, h_static=False)
+    sgl, sgr, shl, shr = scanned(wk, g, h)[:, wk.n_fine :]
     edges = layout[0].coarse_edges
     # global terms: one row each, u = x_min, every training row on the left
     for d in range(S + 1):
@@ -169,7 +169,7 @@ def test_split_sums_stable_when_one_side_is_tiny():
     layout = build_bin_layout(ds, SplitScheme(64, 12))
     fc = FeatureConstraint(smoothness=-1, max_degree=3)
     wk = _FeatureWork(x, layout[0], fc)
-    _, sgr, _, shr = wk.split_sums(g, h, h_static=False)
+    _, sgr, _, shr = scanned(wk, g, h)[:, wk.n_fine :]
     u = layout[0].coarse_edges[-1]
     d = 3
     r = np.flatnonzero(wk.row_degree == d)[-1]
@@ -228,14 +228,108 @@ def test_block_moments_match_bincount_oracle(case):
     clean = np.ones(n_pieces, dtype=bool)
     if nan_row is not None:
         clean[piece[nan_row]] = False
-    for max_m in (fc.max_degree, 2 * fc.max_degree):
-        got = wk.moments(w, max_m)
+    # w as both g and h: g's moments run to D, h's to 2D
+    wk.scan(scan_matrix(w, w), h_static=False)
+    for max_m, got in ((fc.max_degree, wk.gmom[0]), (2 * fc.max_degree, wk.hmom[0])):
         want = bincount_moments(piece, t, w, max_m, n_pieces)
         bound = 1e-12 * bincount_moments(piece, np.abs(t), np.abs(w), max_m, n_pieces)
         assert np.isnan(got[~clean]).all()
         assert np.isfinite(got[clean]).all()
         assert (np.abs(got - want)[clean] <= bound[clean]).all()
         assert (got[empty] == 0.0).all()
+
+
+@st.composite
+def scan_cases(draw):
+    J = draw(st.sampled_from([1, 4]))
+    D = draw(st.integers(0, 3))
+    S = draw(st.integers(-1, D - 1)) if D else -1
+    outputs = draw(st.sampled_from([list(range(J)), [J - 1], [0, J - 1]] if J > 1
+                                   else [[0]]))
+    n = draw(st.integers(1, 300))
+    outside = draw(st.booleans())  # rows only beyond the layout's data: empty bins and pieces
+    nan_at = draw(st.one_of(st.none(), st.tuples(st.integers(0, n - 1), st.integers(0, 2 * J - 1))))
+    seed = draw(st.integers(0, 2**16))
+    return J, FeatureConstraint(smoothness=S, max_degree=D), outputs, n, outside, nan_at, seed
+
+
+@given(scan_cases())
+def test_scan_matches_per_output_oracles(case):
+    """One scan of a feature against per-output oracles: bincount moments and
+    bincount fine sums of each allowed output's g and h, within
+    1e-12 * sum|w * t^m|. A NaN weight stays in its own piece and fine bin
+    of its own output; an output's sums do not depend on which other
+    outputs the feature serves; a kept h side equals a fresh computation."""
+    J, fc, outputs, n, outside, nan_at, seed = case
+    rng = np.random.default_rng(seed)
+    ref = rng.normal(size=300)
+    fb = build_bin_layout(make_dataset(ref, np.zeros(300)), SplitScheme(64, 8))[0]
+    x = rng.normal(size=n)
+    if outside:
+        x = np.where(rng.random(n) < 0.5, ref.min() - 1.0 - rng.random(n),
+                     ref.max() + 1.0 + rng.random(n))
+    g = rng.normal(size=(n, J)) * 10.0 ** rng.uniform(-3, 3, size=(n, J))
+    h = rng.uniform(0.1, 2.0, size=(n, J))
+    if nan_at is not None:
+        (g if nan_at[1] < J else h)[nan_at[0], nan_at[1] % J] = np.nan
+    outputs = np.array(outputs)
+    wk = _FeatureWork(x, fb, fc, outputs)
+    GH = scan_matrix(g, h)
+    fcode = fine_code(fb, x)
+    piece, t = locate(fb, x, fcode)
+    nf, P, D = fb.n_fine_bins, fb.n_coarse_bins, fc.max_degree
+    if outside:
+        assert (np.bincount(fcode, minlength=nf) == 0).any()
+    wk.scan(GH, h_static=False)
+    for o, out in enumerate(outputs):
+        for side, w in enumerate((g[:, out], h[:, out])):
+            bad = ~np.isfinite(w)
+            want = np.bincount(fcode, weights=w, minlength=nf)
+            bound = 1e-12 * np.bincount(fcode, weights=np.abs(w), minlength=nf)
+            got = wk.bins[o, side]
+            dirty = np.isin(np.arange(nf), fcode[bad])
+            if wk.n_fine:  # only a fine scan sums the fine bins
+                assert np.isnan(got[dirty]).all() and np.isfinite(got[~dirty]).all()
+                assert (np.abs(got - want)[~dirty] <= bound[~dirty]).all()
+                assert (got[want == 0.0] == 0.0).all()  # empty bins are exactly 0
+            if wk.n_fine and not bad.any():
+                # left sums at every fine threshold, and right = total - left
+                left, tol = np.cumsum(want)[:-1], 1e-12 * np.abs(w).sum()
+                assert (np.abs(wk.sums[o, 2 * side, : wk.n_fine] - left) <= tol).all()
+                right = wk.sums[o, 2 * side + 1, : wk.n_fine]
+                assert (np.abs(right - (want.sum() - left)) <= 2 * tol).all()
+            if D == 0:
+                continue
+            top = D * (side + 1)
+            want = bincount_moments(piece, t, w, top, P)
+            bound = 1e-12 * bincount_moments(piece, np.abs(t), np.abs(w), top, P)
+            dirty = np.isin(np.arange(P), piece[bad])
+            got = (wk.gmom, wk.hmom)[side][o]
+            assert np.isnan(got[dirty]).all() and np.isfinite(got[~dirty]).all()
+            assert (np.abs(got - want)[~dirty] <= bound[~dirty]).all()
+            assert (got[np.bincount(piece, minlength=P) == 0] == 0.0).all()
+
+    # the same feature serving only its last output sums it bit for bit alike
+    alone = _FeatureWork(x, fb, fc, outputs[-1:])
+    alone.scan(GH, h_static=False)
+    assert alone.sums[0].tobytes() == wk.sums[-1].tobytes()
+
+    # regression's h never changes: after a scan of other g with the same h,
+    # the kept h side equals that of a fresh scan, bit for bit. The g side
+    # is then summed alone, as a matrix-vector product, so only its last
+    # bits may differ: within 1e-12 of sum|g * (x - u)^d| over both sides,
+    # which is what a scan of |g| gives (every term of a side has one sign).
+    kept = _FeatureWork(x, fb, fc, outputs)
+    kept.scan(GH, h_static=True)
+    g2 = rng.normal(size=(n, J))
+    kept.scan(scan_matrix(g2, h), h_static=True)
+    fresh = _FeatureWork(x, fb, fc, outputs)
+    fresh.scan(scan_matrix(g2, h), h_static=False)
+    assert kept.sums[:, 2:].tobytes() == fresh.sums[:, 2:].tobytes()
+    absolute = _FeatureWork(x, fb, fc, outputs)
+    absolute.scan(scan_matrix(np.abs(g2), h), h_static=False)
+    scale = np.abs(absolute.sums[:, :2]).sum(axis=1, keepdims=True)
+    assert (np.abs(kept.sums[:, :2] - fresh.sums[:, :2]) <= 1e-12 * scale).all()
 
 
 def model_sha_per_thread_count(fit: str) -> list[str]:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from polygam.losses import derivatives, hessian_diag, link_apply, loss_eval, one_hot
+from polygam.losses import _softmax, derivatives, hessian_diag, link_apply, loss_eval, one_hot
 from polygam.testkit import finite_diff_grad, finite_diff_second
 
 
@@ -26,6 +27,26 @@ def test_link_softmax_symmetric():
 def test_link_softmax_log2():
     p = link_apply("multiclass", np.array([[math.log(2.0), 0.0]]))
     assert p[0] == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
+
+
+def softmax_by_row_max(F):
+    """The softmax as it was written with the row max taken along rows."""
+    z = F - F.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+@given(st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**16))
+def test_softmax_equals_row_max_form_bit_for_bit(J, n, seed):
+    # the running max over columns must give the same bits as F.max(axis=1),
+    # signed zeros, overflow-sized entries and NaN included
+    rng = np.random.default_rng(seed)
+    specials = np.array([0.0, -0.0, 745.0, -745.0, np.nan, 1e-300])
+    F = np.where(rng.random((n, J)) < 0.3, rng.choice(specials, (n, J)),
+                 rng.normal(scale=5.0, size=(n, J)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = _softmax(F), softmax_by_row_max(F)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_link_softmax_rows_sum_to_one():

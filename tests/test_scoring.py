@@ -4,7 +4,8 @@ The reference scores each (feature, degree) scan with its own leaf-value and
 gain calls, as separate arrays, and ranks every finite positive row of every
 scan by (-gain, feature, degree, threshold, kind). The scorer under test lays
 all scans of an output end to end and takes one first argmax; both must pick
-the same candidate, bit for bit.
+the same candidate, bit for bit. Both read the side sums of the same feature
+scans; tests/test_booster.py checks those sums against direct references.
 """
 
 import math
@@ -28,11 +29,10 @@ from polygam.data import SplitScheme, build_bin_layout
 from polygam.losses import derivatives
 from polygam.model import ConstraintSpec, FeatureConstraint, zero_init
 
-from conftest import make_dataset
+from conftest import make_dataset, scan_matrix
 
 
-def reference_best(i, g, h, works, store, cfg):
-    n = g.size
+def reference_best(i, n, works, store, cfg):
     l1, l2, min_leaf = cfg.l1, cfg.l2, cfg.min_data_in_leaf
     found = []
 
@@ -54,11 +54,9 @@ def reference_best(i, g, h, works, store, cfg):
         fc, fb = wk.fc, wk.fb
         constrained = bool(fc.monotone or fc.curvature)
         coeffs = store.params[i][k].poly_coeffs
+        scan = wk.sums[list(wk.outputs).index(i)]
         if 0 in wk.split_degrees and fb.fine_edges.size:
-            cg = np.cumsum(np.bincount(wk.fcodes, weights=g, minlength=fb.n_fine_bins))
-            ch = np.cumsum(np.bincount(wk.fcodes, weights=h, minlength=fb.n_fine_bins))
-            sgl, shl = cg[:-1], ch[:-1]
-            sgr, shr = cg[-1] - sgl, ch[-1] - shl
+            sgl, sgr, shl, shr = scan[:, : fb.fine_edges.size]
             nl = wk.n_left_fine
             valid = (nl >= min_leaf) & (n - nl >= min_leaf)
             gl, gr = leaf_value(sgl, shl, l1, l2), leaf_value(sgr, shr, l1, l2)
@@ -69,8 +67,7 @@ def reference_best(i, g, h, works, store, cfg):
             gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
             collect(k, 0, "split", fb.fine_edges, nl, gl, gr, gains, valid)
         high = [d for d in wk.split_degrees if d >= 1]
-        if wk.global_degrees or (high and fb.coarse_edges.size):
-            sums = wk.split_sums(g, h, False)
+        sums = scan[:, wk.n_fine :]
         if high and fb.coarse_edges.size:
             nl = wk.n_left_coarse
             valid = (nl >= min_leaf) & (n - nl >= min_leaf)
@@ -142,15 +139,18 @@ def test_stacked_scorer_matches_per_scan_reference(case):
     spec = ConstraintSpec(features=fcs, allow_mask=mask)
     store = zero_init(layout, ds.task, ds.n_outputs, ds.feature_names, spec)
     cfg = TrainConfig(learning_rate=0.3, min_data_in_leaf=min_leaf)
-    works = [_FeatureWork(X[:, k], layout[k], fc) for k, fc in enumerate(fcs)]
-    cands = [_Candidates(works, mask[i], cfg, n) for i in range(ds.n_outputs)]
+    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]))
+             for k, fc in enumerate(fcs)]
+    cands = [_Candidates(works, i, cfg, n) for i in range(ds.n_outputs)]
     F = np.zeros((n, ds.n_outputs))
     for it in range(6):
         batch = derivatives(ds.task, ds.y, F)
+        GH = scan_matrix(batch.g, batch.h)
+        for wk in works:
+            wk.scan(GH, not multiclass)
         for i in range(ds.n_outputs):
-            g, h = batch.g[:, i], batch.h[:, i]
-            got = _best_for_output(i, cands[i], g, h, store, cfg, not multiclass)
-            want = reference_best(i, g, h, works, store, cfg)
+            got = _best_for_output(i, cands[i], store, cfg)
+            want = reference_best(i, n, works, store, cfg)
             assert got == want, (it, i)
             if it == 0 and duplicate and mask[i, 0] and got is not None:
                 # the zero state gives both copies identical gains: the lower wins

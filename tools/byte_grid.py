@@ -36,9 +36,10 @@ import os
 import tempfile
 import warnings
 
-import numpy as np
-
+# polygam applies PB_THREADS only when it is imported before numpy
 import polygam as pg
+
+import numpy as np
 
 TASKS = ("regression", "binary", "multiclass")
 PROBE_ROWS = 2048
