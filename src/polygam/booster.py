@@ -168,12 +168,6 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-def _nonzero(counts: np.ndarray):
-    """Index of the non-zero counts; a slice when all are, which reads and
-    writes views rather than copies."""
-    return slice(None) if counts.all() else np.flatnonzero(counts)
-
-
 class _FeatureWork:
     """Cached per-feature structures for the candidate scans, and the scan
     that fills every allowed output's side sums once per iteration."""
@@ -231,7 +225,7 @@ class _FeatureWork:
         n, n_pieces = t.size, counts.size
         size = max(-(-n // (4 * n_pieces)), 32)
         n_blocks = -(-counts // size)
-        self.nonempty = _nonzero(counts)
+        self.nonempty = np.flatnonzero(counts)
         first_block = np.cumsum(n_blocks) - n_blocks
         self.block_start = first_block[self.nonempty]
         # a key of 16 bits or fewer sorts by radix, several times faster;
@@ -243,7 +237,7 @@ class _FeatureWork:
         row = np.full(n_blocks.sum() * size, n)
         row[dest] = order
         self.slot_row = row.reshape(-1, size)
-        self.fine_nonempty = _nonzero(fcounts)
+        self.fine_nonempty = np.flatnonzero(fcounts)
         self.fine_start = dest[(np.cumsum(fcounts) - fcounts)[self.fine_nonempty]]
         if self.max_split_deg >= 1:
             T = _powers(np.append(t, 0.0)[self.slot_row], self.max_split_deg)
@@ -288,7 +282,7 @@ class _FeatureWork:
         self.Wg = Wg.reshape(2, n_rows, mb * (dmax + 1))
         self.Wh = Wh.reshape(2, n_rows, mb * (2 * dmax + 1))
 
-    def scan(self, GH: np.ndarray, h_static: bool) -> None:
+    def scan(self, GH: np.ndarray, h_static: bool, buf: np.ndarray | None = None) -> None:
         """This iteration's side sums of every allowed output into `sums`,
         (output, sgl/sgr/shl/shr, candidate): the fine thresholds, then the
         table rows. GH is (2J, n + 1), g then h by output, with a zero last
@@ -296,7 +290,9 @@ class _FeatureWork:
         computed on the first call only.
 
         Each output's g, h and h * t^max_split_deg are gathered into slot
-        order; one output at a time keeps the gathered rows small. Their
+        order in buf, of at least 3 * slot_row.size; one output at a time
+        keeps the gathered rows small, and `train` allocates one buf per fit
+        for all its features. Their
         per-fine-bin sums `bins` (output, g/h, bin) are one reduceat over the
         bins' runs of slots. Their per-piece moments `gmom` (output, piece,
         m <= max_split_deg) and `hmom` (m <= 2 * max_split_deg) are one
@@ -310,8 +306,11 @@ class _FeatureWork:
         h_side = not self.h_done
         self.h_done = h_static
         sides, ne = 2 if h_side else 1, self.nonempty
+        if buf is None:
+            buf = np.empty(3 * self.slot_row.size)
+        W = buf[: 3 * self.slot_row.size].reshape((3,) + self.slot_row.shape)
+        W = W[: sides + (h_side and dmax > 0)]
         for o, i in enumerate(self.outputs.tolist()):
-            W = np.empty((sides + (h_side and dmax > 0),) + self.slot_row.shape)
             for side in range(sides):
                 GH[side * GH.shape[0] // 2 + i].take(self.slot_row, out=W[side], mode="clip")
             if nf:
@@ -780,6 +779,7 @@ def train(
     n_tr = ds_train.X.shape[0]
     cands = [_Candidates(works, i, cfg, n_tr) for i in range(J)]
     GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
+    buf = np.empty(3 * max((wk.slot_row.size for wk in works), default=0))  # the scans' gathers
     F = np.tile(intercepts, (n_tr, 1))
     if ds_valid is not None and ds_valid.X.shape[0] > 0:
         F_valid = np.tile(intercepts, (ds_valid.X.shape[0], 1))
@@ -807,7 +807,7 @@ def train(
         GH[:J, :-1], GH[J:, :-1] = batch.g.T, batch.h.T
         del batch  # GH holds g and h; freeing them keeps the scans' peak memory low
         for wk in works:
-            wk.scan(GH, h_static)
+            wk.scan(GH, h_static, buf)
         picks: list[SplitCandidate] = []
         for i in range(J):
             cand = _best_for_output(i, cands[i], store, cfg)

@@ -4,8 +4,11 @@ The reference scores each (feature, degree) scan with its own leaf-value and
 gain calls, as separate arrays, and ranks every finite positive row of every
 scan by (-gain, feature, degree, threshold, kind). The scorer under test lays
 all scans of an output end to end and takes one first argmax; both must pick
-the same candidate, bit for bit. Both read the side sums of the same feature
-scans; tests/test_booster.py checks those sums against direct references.
+the same candidate, bit for bit, so both rank the side sums of the same
+feature scans. At every iteration the reference first checks the scan's
+fine-threshold sums against bincount over the rows' fine codes, within
+1e-12 * sum|w|; tests/test_booster.py checks the table sums against direct
+references.
 """
 
 import math
@@ -27,12 +30,13 @@ from polygam.booster import (
 )
 from polygam.data import SplitScheme, build_bin_layout
 from polygam.losses import derivatives
-from polygam.model import ConstraintSpec, FeatureConstraint, zero_init
+from polygam.model import ConstraintSpec, FeatureConstraint, fine_code, zero_init
 
 from conftest import make_dataset, scan_matrix
 
 
-def reference_best(i, n, works, store, cfg):
+def reference_best(i, g, h, works, store, cfg):
+    n = g.size
     l1, l2, min_leaf = cfg.l1, cfg.l2, cfg.min_data_in_leaf
     found = []
 
@@ -56,7 +60,15 @@ def reference_best(i, n, works, store, cfg):
         coeffs = store.params[i][k].poly_coeffs
         scan = wk.sums[list(wk.outputs).index(i)]
         if 0 in wk.split_degrees and fb.fine_edges.size:
-            sgl, sgr, shl, shr = scan[:, : fb.fine_edges.size]
+            fcodes = fine_code(fb, wk.x)
+            for side, w in enumerate((g, h)):
+                c = np.cumsum(np.bincount(fcodes, weights=w, minlength=fb.n_fine_bins))
+                tol = 1e-12 * np.abs(w).sum()
+                assert (np.abs(scan[2 * side, : wk.n_fine] - c[:-1]) <= tol).all()
+                assert (np.abs(scan[2 * side + 1, : wk.n_fine] - (c[-1] - c[:-1])) <= 2 * tol).all()
+            # the near ties of pooled monotone rows would turn on last bits, so
+            # the ranking reads the scan's sums
+            sgl, sgr, shl, shr = scan[:, : wk.n_fine]
             nl = wk.n_left_fine
             valid = (nl >= min_leaf) & (n - nl >= min_leaf)
             gl, gr = leaf_value(sgl, shl, l1, l2), leaf_value(sgr, shr, l1, l2)
@@ -150,7 +162,7 @@ def test_stacked_scorer_matches_per_scan_reference(case):
             wk.scan(GH, not multiclass)
         for i in range(ds.n_outputs):
             got = _best_for_output(i, cands[i], store, cfg)
-            want = reference_best(i, n, works, store, cfg)
+            want = reference_best(i, batch.g[:, i], batch.h[:, i], works, store, cfg)
             assert got == want, (it, i)
             if it == 0 and duplicate and mask[i, 0] and got is not None:
                 # the zero state gives both copies identical gains: the lower wins
