@@ -26,14 +26,15 @@ from .errors import ConfigError, DataError
 
 FORMAT_VERSION = "1"
 MAX_DEGREE = 3
-# `fine_code` looks up this many values or more through the cell table and
-# fewer through np.searchsorted. The table's dozen numpy calls cost about
-# 20 us per call whatever the size, against 2.4 us for one value and 12 us
-# for a sorted 512-value grid through searchsorted (255 edges); at 1024
-# unsorted values the table takes 29 us against 46 us, and at 16384 values
-# 134 us against 1351 us (timeit, 2-core x86 host). One-row `predict` calls
-# and shape grids stay on searchsorted.
+# `fine_code` looks up this many values or more through the cell table, twice
+# as many when the table needs over two halvings, and fewer through
+# searchsorted. The table's dozen numpy calls cost about 20 us whatever the
+# size. At 1024 unsorted values, binary_large's 255-edge grids (1-2
+# halvings) take 15-25 us through it against 21-50 us through searchsorted,
+# 255-edge lognormal grids (4-8 halvings) 32-50 us against 19-27 us, and at
+# 2048 values 43-83 us against 105-125 us (timeit, 2-core x86 host).
 TABLE_MIN_VALUES = 1024
+CHUNK_ROWS = 2 * TABLE_MIN_VALUES  # `predict`'s rows per chunk
 
 
 @dataclass
@@ -177,6 +178,8 @@ class ParameterStore:
     se_fine: list[list[np.ndarray | None]] = field(default_factory=list)
     se_coarse: list[list[np.ndarray | None]] = field(default_factory=list)
     target_name: str = "target"
+    # `predict`'s plan, cached by `_plan`; never saved or copied
+    plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ParameterStore":
         return ParameterStore(
@@ -285,9 +288,11 @@ def fine_code(fb: FeatureBins, x: np.ndarray) -> np.ndarray:
     """Fine bin of each value; a value on a knot belongs to the bin above it.
     Equal to ``np.searchsorted(fb.fine_edges, x, side="right")`` for every
     float, NaN and +-inf included; inputs of TABLE_MIN_VALUES values or more
-    go through the cell table `fb.fine_table`."""
-    if getattr(x, "size", 0) < TABLE_MIN_VALUES:  # np.size adds 0.2 us per call
-        return np.searchsorted(fb.fine_edges, x, side="right")
+    (twice that when the table needs more than two halvings) go through the
+    cell table `fb.fine_table`."""
+    n = getattr(x, "size", 0)  # np.size adds 0.2 us per call
+    if n < TABLE_MIN_VALUES or (n < 2 * TABLE_MIN_VALUES and fb.fine_table.steps > 2):
+        return fb.fine_edges.searchsorted(x, side="right")  # 2 us less than np.searchsorted
     return fb.fine_table.codes(x)
 
 
@@ -306,31 +311,43 @@ def shift(delta, d: int, scale: float = 1.0) -> np.ndarray:
     return np.array([scale * math.comb(d, m) * delta ** (d - m) for m in range(d + 1)])
 
 
-def horner(sp: ShapeParams, piece: np.ndarray, t: np.ndarray, order: int = 0, fcode=None):
-    """Piece cubics at local offsets t (order 0) or their first/second derivative.
-
-    With fine codes given, order 0 adds the step layer before the constant
-    term: step + ((c3*t + c2)*t + c1)*t + c0.
+def horner(coef: np.ndarray, rows: np.ndarray, t: np.ndarray, order: int = 0, step=None,
+           out=None):
+    """Piece cubics at local offsets t (order 0) or their first/second derivative,
+    built in place as ((c3*t + c2)*t + c1)*t + step + c0, (3*c3*t + 2*c2)*t + c1
+    or 6*c3*t + 2*c2. coef is degree-first: coef[m] holds every piece's
+    coefficient of t^m, and rows picks each value's piece. step, when given, is
+    the step layer's values and each value's index in them. out, when given,
+    is two arrays shaped like t, and the caller vouches that every index is in
+    range: the result is built in out[0], each gathered number passes through
+    out[1].
     """
-    c = sp.poly_coeffs[piece]
-    if order == 1:
-        return (3.0 * c[:, 3] * t + 2.0 * c[:, 2]) * t + c[:, 1]
-    if order == 2:
-        return 6.0 * c[:, 3] * t + 2.0 * c[:, 2]
-    val = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t
-    if fcode is not None:
-        val = sp.step_values[fcode] + val
-    return val + c[:, 0]
+    val, c = out if out is not None else (np.empty(t.shape), np.empty(t.shape))
+    mode = "raise" if out is None else "clip"
+
+    def term(values: np.ndarray, index: np.ndarray, scale: int = 1) -> np.ndarray:
+        values.take(index, out=c, mode=mode)
+        return c if scale == 1 else np.multiply(c, scale, out=c)
+
+    coef[3].take(rows, out=val, mode=mode)
+    if order:
+        val *= math.perm(3, order)
+    for m in range(2, order - 1, -1):
+        val *= t
+        if m == 0 and step is not None:
+            val += term(*step)
+        val += term(coef[m], rows, math.perm(m, order))
+    return val
 
 
 def evaluate_shape(store: ParameterStore, i: int, k: int, x) -> np.ndarray | float:
     """Shape-function value f_ik at x (scalar or vector)."""
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    fb = store.layout[k]
+    fb, sp = store.layout[k], store.params[i][k]
     fcode = fine_code(fb, xv)
     piece, t = locate(fb, xv, fcode)
-    val = horner(store.params[i][k], piece, t, fcode=fcode)
+    val = horner(sp.poly_coeffs.T, piece, t, step=(sp.step_values, fcode))
     return float(val[0]) if scalar else val
 
 
@@ -346,7 +363,7 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     fb = store.layout[k]
     piece, t = locate(fb, xv, fine_code(fb, xv))
-    val = horner(store.params[i][k], piece, t, order)
+    val = horner(store.params[i][k].poly_coeffs.T, piece, t, order)
     return float(val[0]) if scalar else val
 
 
@@ -404,10 +421,48 @@ def accumulate_global(
     sp.poly_coeffs[:, : d + 1] += shift(delta, d, learning_rate * gamma).T
 
 
+def _plan(store: ParameterStore) -> tuple:
+    """`predict`'s plan for the store's layout object and allow-mask contents,
+    cached on the store; it holds no parameter value. Pairs are the allowed
+    (output, feature) pairs in output order, then feature order, and a pair's
+    slot is its rank within its output. In order: the layout, the mask key,
+    the used features and their bins, per used feature its first entry in
+    `lower`, per (used feature, fine bin) its piece's lower edge, the pairs,
+    per pair its used feature and its first (pair, fine bin) entry, per
+    (pair, fine bin) its piece's row in the pairs' stacked coefficients, the
+    pieces' count, per pair its row in the (slot, output) stack, and the slot
+    count."""
+    layout, mask, plan = store.layout, store.constraints.allow_mask, store.plan
+    key = (mask.shape, mask.tobytes())
+    if plan is None or plan[0] is not layout or plan[1] != key:
+        used, (outs, ks) = np.flatnonzero(mask.any(axis=0)), np.nonzero(mask)
+        bins = [layout[k] for k in used]
+        slot = np.arange(outs.size) - np.searchsorted(outs, outs)
+        first = np.cumsum([0] + [layout[k].n_coarse_bins for k in ks])  # pair's first piece
+        plan = store.plan = (
+            layout, key, used, bins,
+            np.cumsum([0] + [fb.n_fine_bins for fb in bins])[:-1, None],
+            np.concatenate([[]] + [fb.coarse_lower_edges[fb.piece_of_fine] for fb in bins]),
+            list(zip(outs.tolist(), ks.tolist())),
+            np.searchsorted(used, ks),
+            np.cumsum([0] + [layout[k].n_fine_bins for k in ks])[:-1, None],
+            np.concatenate([np.zeros(0, int)] + [p + layout[k].piece_of_fine
+                                                 for p, k in zip(first, ks)]),
+            int(first[-1]),
+            slot * len(mask) + outs,
+            int(slot.max(initial=-1)) + 1)
+    return plan
+
+
 def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False):
     """Raw scores F, shape (N, J). Masked (output, feature) pairs are skipped
     outright, so their columns cannot influence the output even in principle.
     A NaN or infinite value in X raises DataError.
+
+    Rows go in chunks of CHUNK_ROWS: fine codes per used feature, then one
+    `horner` over every pair, whose values each output adds to its intercept
+    in feature order, one slot at a time. Parameters are read afresh on
+    every call.
 
     With return_codes, returns (F, codes): codes[k] holds feature k's fine
     codes in the smallest unsigned type that fits its fine bins, or None
@@ -419,21 +474,51 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
             f"got shape {X.shape}"
         )
     refuse_nonfinite(X, store.feature_names)
-    n = X.shape[0]
-    F = np.tile(store.intercepts, (n, 1))
-    mask = store.constraints.allow_mask
+    (_, _, used, bins, fine_off, lower, pairs, feature, bin_off, coef_row, n_pieces, dest,
+     slots) = _plan(store)
+    coef = np.concatenate(  # degree-first: (4, stacked pieces)
+        [np.zeros((MAX_DEGREE + 1, 0))] + [store.params[i][k].poly_coeffs.T for i, k in pairs],
+        axis=1)
+    steps = np.concatenate([[]] + [store.params[i][k].step_values for i, k in pairs])
+    if coef.shape[1] != n_pieces or steps.size != coef_row.size:  # so no index is clipped
+        raise DataError("model parameters do not match the bin layout")
+    n, J, P, K = X.shape[0], store.n_outputs, len(pairs), used.size
+    F = np.empty((n, J))
     codes = [None] * X.shape[1]
-    for k in range(X.shape[1]):
-        if not mask[:, k].any():
-            continue
-        fb, x = store.layout[k], X[:, k]
-        fcode = fine_code(fb, x)
-        piece, t = locate(fb, x, fcode)
-        for i in range(store.n_outputs):
-            if mask[i, k]:
-                F[:, i] += horner(store.params[i][k], piece, t, fcode=fcode)
-        if return_codes:
-            codes[k] = fcode.astype(np.min_scalar_type(fb.n_fine_bins - 1))
+    if return_codes:
+        for k, fb in zip(used, bins):
+            codes[k] = np.empty(n, np.min_scalar_type(fb.n_fine_bins - 1))
+    # one chunk's work arrays, shared by all chunks: per pair its (pair, fine
+    # bin) entries, piece rows, t, values and gathered numbers; the (slot,
+    # output) stack, whose slots past an output's last pair hold -0.0, which
+    # leaves every sum unchanged
+    m = min(n, CHUNK_ROWS)
+    (at, rows), (t, val, c) = np.empty((2, P, m), np.intp), np.empty((3, P, m))
+    stack = np.full((slots * J, m), -0.0)
+    for lo in range(0, n, CHUNK_ROWS):
+        if n - lo < m:  # a last, shorter chunk works in the arrays' first columns
+            m = n - lo
+            at, rows, t, val, c, stack = (a[:, :m] for a in (at, rows, t, val, c, stack))
+        # each used feature serves a pair, so x, its fine codes and their pieces'
+        # lower edges fit in the first rows of arrays that are free until later
+        x, fcode, lo_edge = val[:K], rows[:K], c[:K]
+        X[lo : lo + m].T.take(used, axis=0, out=x, mode="clip")
+        for f, k in enumerate(used):
+            fcode[f] = fine_code(bins[f], x[f])
+            if return_codes:
+                codes[k][lo : lo + m] = fcode[f]
+        fcode.take(feature, axis=0, out=at, mode="clip")
+        at += bin_off  # each pair's (pair, fine bin) entry
+        fcode += fine_off  # each feature's (feature, fine bin) entry
+        x -= lower.take(fcode, out=lo_edge, mode="clip")  # t, once per feature
+        x.take(feature, axis=0, out=t, mode="clip")
+        coef_row.take(at, out=rows, mode="clip")
+        horner(coef, rows, t, step=(steps, at), out=(val, c))
+        stack[dest] = val
+        acc = np.repeat(store.intercepts[:, None], m, axis=1)
+        for s in range(slots):
+            acc += stack[s * J : (s + 1) * J]
+        F[lo : lo + m] = acc.T
     return (F, codes) if return_codes else F
 
 
@@ -452,7 +537,8 @@ def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarr
     p_right, t_right = locate(fb, edges, fine_code(fb, edges))
     p_left = np.where(np.isin(edges, fb.coarse_edges), p_right - 1, p_right)
     t_left = edges - fb.coarse_lower_edges[p_left]
-    gaps = horner(sp, p_right, t_right, order) - horner(sp, p_left, t_left, order)
+    coef = sp.poly_coeffs.T
+    gaps = horner(coef, p_right, t_right, order) - horner(coef, p_left, t_left, order)
     if order == 0:
         gaps = gaps + (sp.step_values[1:] - sp.step_values[:-1])
     return gaps

@@ -21,6 +21,7 @@ __all__ = [
     "finite_diff_second",
     "param_gradients",
     "reference_dumps",
+    "reference_predict",
     "tree_list_eval",
 ]
 
@@ -224,3 +225,29 @@ def reference_dumps(store) -> str:
     out: list[str] = []
     _dump(_document(store), out)
     return "".join(out)
+
+
+def reference_predict(store, X, return_codes=False):
+    """`predict` as a loop over features, then outputs, each pair adding
+    step + ((c3*t + c2)*t + c1)*t + c0 to its output's column in turn: the bit
+    oracle for its flat pass. Fine codes come from np.searchsorted."""
+    X = np.asarray(X, dtype=float)
+    F = np.tile(store.intercepts, (X.shape[0], 1))
+    mask = store.constraints.allow_mask
+    codes = [None] * X.shape[1]
+    for k in range(X.shape[1]):
+        if not mask[:, k].any():
+            continue
+        fb, x = store.layout[k], X[:, k]
+        fcode = np.searchsorted(fb.fine_edges, x, side="right")
+        piece = fb.piece_of_fine[fcode]
+        t = x - fb.coarse_lower_edges[piece]
+        for i in range(store.n_outputs):
+            if mask[i, k]:
+                sp = store.params[i][k]
+                c = sp.poly_coeffs[piece]
+                F[:, i] += (sp.step_values[fcode] + ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t
+                            ) + c[:, 0]
+        if return_codes:
+            codes[k] = fcode.astype(np.min_scalar_type(fb.n_fine_bins - 1))
+    return (F, codes) if return_codes else F

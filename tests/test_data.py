@@ -1,5 +1,7 @@
 """Binning, the binned-variable transform oracle, splits, and CSV ingestion."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from polygam.booster import train
 from polygam.data import (
     Dataset,
     FeatureBins,
+    FineTable,
     SplitScheme,
     build_bin_layout,
     build_bins,
@@ -180,7 +183,10 @@ SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308, -1.7e308]
 @given(
     kind=st.sampled_from(["lognormal", "integer", "tiny_span_1e300"]),
     n=st.sampled_from([0, 1, 2, 255]),
-    bulk=st.booleans(),
+    # values added to the grid's own: 0 stays under the crossover; the
+    # others give 1024-4096 values, on both sides of the doubled crossover
+    # of grids whose table needs more than two halvings
+    bulk=st.sampled_from([0, TABLE_MIN_VALUES, 2 * TABLE_MIN_VALUES, 3 * TABLE_MIN_VALUES]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fine_code_equals_searchsorted_on_both_sides_of_the_crossover(kind, n, bulk, seed):
@@ -191,10 +197,15 @@ def test_fine_code_equals_searchsorted_on_both_sides_of_the_crossover(kind, n, b
     x = np.concatenate((*near, SPECIALS))
     assert x.size < TABLE_MIN_VALUES
     if bulk:
-        extra = rng.choice(x, TABLE_MIN_VALUES) * rng.choice([1.0, 1.0 + 1e-15], TABLE_MIN_VALUES)
+        extra = rng.choice(x, bulk) * rng.choice([1.0, 1.0 + 1e-15], bulk)
         x = rng.permutation(np.concatenate((x, extra)))
-    assert np.array_equal(fine_code(fb, x), np.searchsorted(edges, x, side="right"))
-    assert ("fine_table" in vars(fb)) == bulk  # the side of the crossover that ran
+    with mock.patch.object(FineTable, "codes", autospec=True, side_effect=FineTable.codes) as table:
+        assert np.array_equal(fine_code(fb, x), np.searchsorted(edges, x, side="right"))
+    assert ("fine_table" in vars(fb)) == (bulk > 0)  # consulted from TABLE_MIN_VALUES values
+    if kind == "lognormal" and n == 255:  # heavy tail: most edges share the first cells
+        assert fb.fine_table.steps > 2
+    # the side of the crossover that ran
+    assert table.called == (bulk > 0 and x.size >= TABLE_MIN_VALUES << (fb.fine_table.steps > 2))
 
 
 # ---------------------------------------------------------------------------
