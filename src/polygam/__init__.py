@@ -31,7 +31,6 @@ if _threads:
 
 from .booster import (
     LogRecord,
-    SplitCandidate,
     TrainConfig,
     TrainResult,
     candidate_gain,
@@ -97,7 +96,6 @@ __all__ = [
     "ParameterStore",
     "ShapeGrid",
     "ShapeParams",
-    "SplitCandidate",
     "SplitScheme",
     "TrainConfig",
     "TrainResult",

@@ -56,16 +56,18 @@ class TrainConfig:
         errs = []
         if not 0.0 < self.learning_rate <= 1.0:
             errs.append(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.l1 < 0.0:
-            errs.append(f"l1 must be >= 0, got {self.l1}")
-        if self.l2 < 0.0:
-            errs.append(f"l2 must be >= 0, got {self.l2}")
-        if self.min_data_in_leaf < 1:
+        # comparisons written so that NaN fails them
+        if not 0.0 <= self.l1 < math.inf:
+            errs.append(f"l1 must be finite and >= 0, got {self.l1}")
+        if not 0.0 <= self.l2 < math.inf:
+            errs.append(f"l2 must be finite and >= 0, got {self.l2}")
+        if not self.min_data_in_leaf >= 1:
             errs.append(f"min_data_in_leaf must be >= 1, got {self.min_data_in_leaf}")
         if self.max_iterations < 0:
             errs.append(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.early_stopping_patience < 0:
-            errs.append(f"early_stopping_patience must be >= 0")
+            errs.append(
+                f"early_stopping_patience must be >= 0, got {self.early_stopping_patience}")
         if not 0.0 <= self.validation_fraction < 1.0:
             errs.append(
                 f"validation_fraction must be in [0, 1), got {self.validation_fraction}"
@@ -75,32 +77,22 @@ class TrainConfig:
 
 
 @dataclass
-class SplitCandidate:
+class LogRecord:
+    """One update: scoring makes it, training and `replay` fold it, the log
+    keeps it. The losses are those after the iteration's updates, set once
+    they are applied."""
+
+    iteration: int
     output: int
-    feature: int
+    feature: str
     degree: int
     kind: str  # "split" | "global"
     threshold: float | None
     gamma_left: float
     gamma_right: float | None
     gain: float
-    n_left: int
-    n_right: int
-
-
-@dataclass
-class LogRecord:
-    iteration: int
-    output: int
-    feature: str
-    degree: int
-    kind: str
-    threshold: float | None
-    gamma_left: float
-    gamma_right: float | None
-    gain: float
-    train_loss: float
-    valid_loss: float | None
+    train_loss: float | None = None
+    valid_loss: float | None = None
 
     def to_json(self) -> str:
         # field order is the key order of the log line
@@ -170,9 +162,12 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
 
 class _FeatureWork:
     """Cached per-feature structures for the candidate scans, and the scan
-    that fills every allowed output's side sums once per iteration."""
+    that fills every allowed output's side sums once per iteration. The
+    scan's arrays are indexed by output, of n_outputs (default: one past the
+    last allowed output); a masked output's entries stay 0."""
 
-    def __init__(self, x: np.ndarray, fb: FeatureBins, fc: FeatureConstraint, outputs=(0,)):
+    def __init__(self, x: np.ndarray, fb: FeatureBins, fc: FeatureConstraint, outputs=(0,),
+                 n_outputs: int | None = None):
         self.x = x
         self.fb = fb
         self.fc = fc
@@ -198,12 +193,14 @@ class _FeatureWork:
         self._build_blocks(fcodes, counts, t, ccounts)
         self._build_tensors()
 
-        # the scan's results, allocated once per fit (see `scan`)
-        a, dmax = outputs.size, self.max_split_deg
-        self.sums = np.zeros((a, 4, self.n_fine + self.row_degree.size))
-        self.bins = np.zeros((a, 2, fb.n_fine_bins))
-        self.gmom = np.zeros((a, fb.n_coarse_bins, dmax + 1))
-        self.hmom = np.zeros((a, fb.n_coarse_bins, 2 * dmax + 1))
+        # the scan's results, allocated once per fit (see `scan`); a fit's
+        # `_Candidates` makes `sums` a view of its columns of the fit's table
+        J = int(outputs.max(initial=-1)) + 1 if n_outputs is None else n_outputs
+        dmax = self.max_split_deg
+        self.sums = np.zeros((J, 4, self.n_fine + self.row_degree.size))
+        self.bins = np.zeros((J, 2, fb.n_fine_bins))
+        self.gmom = np.zeros((J, fb.n_coarse_bins, dmax + 1))
+        self.hmom = np.zeros((J, fb.n_coarse_bins, 2 * dmax + 1))
         self.h_done = False  # regression's h never changes: its side is kept
 
     def _build_blocks(self, fcodes, fcounts, t, counts) -> None:
@@ -297,11 +294,12 @@ class _FeatureWork:
         bins' runs of slots. Their per-piece moments `gmom` (output, piece,
         m <= max_split_deg) and `hmom` (m <= 2 * max_split_deg) are one
         product of each block's powers with its three rows, and one reduceat
-        over each piece's blocks. Empty bins and pieces are 0. Every product
-        has the same shape for every output, so an output's sums do not
-        depend on which other outputs the feature is allowed for."""
-        S, nf, a, dmax = self.sums, self.n_fine, self.outputs.size, self.max_split_deg
-        if not S.size:
+        over each piece's blocks. Empty bins and pieces, and every entry of
+        a masked output, are 0. Every product has the same shape for every
+        output, so an output's sums do not depend on which other outputs
+        the feature is allowed for."""
+        S, nf, J, dmax = self.sums, self.n_fine, self.sums.shape[0], self.max_split_deg
+        if not (S.size and self.outputs.size):
             return
         h_side = not self.h_done
         self.h_done = h_static
@@ -310,29 +308,29 @@ class _FeatureWork:
             buf = np.empty(3 * self.slot_row.size)
         W = buf[: 3 * self.slot_row.size].reshape((3,) + self.slot_row.shape)
         W = W[: sides + (h_side and dmax > 0)]
-        for o, i in enumerate(self.outputs.tolist()):
+        for i in self.outputs.tolist():
             for side in range(sides):
                 GH[side * GH.shape[0] // 2 + i].take(self.slot_row, out=W[side], mode="clip")
             if nf:
-                self.bins[o][:sides, self.fine_nonempty] = np.add.reduceat(
+                self.bins[i][:sides, self.fine_nonempty] = np.add.reduceat(
                     W[:sides].reshape(sides, -1), self.fine_start, axis=1)
             if dmax:
                 if h_side:
                     np.multiply(W[1], self.tblock[:, dmax], out=W[2])
                 per_piece = np.add.reduceat(self.tblock @ W.transpose(1, 2, 0), self.block_start)
-                self.gmom[o, ne] = per_piece[..., 0]
+                self.gmom[i, ne] = per_piece[..., 0]
                 if h_side:
-                    self.hmom[o, ne, : dmax + 1] = per_piece[..., 1]
-                    self.hmom[o, ne, dmax + 1 :] = per_piece[:, 1:, 2]
+                    self.hmom[i, ne, : dmax + 1] = per_piece[..., 1]
+                    self.hmom[i, ne, dmax + 1 :] = per_piece[:, 1:, 2]
         if nf:
             cum = self.bins[:, :sides].cumsum(2)
             S[:, 0 : 2 * sides : 2, :nf] = cum[..., :-1]
             S[:, 1 : 2 * sides : 2, :nf] = cum[..., -1:] - cum[..., :-1]
         if dmax:
             # one matrix-vector product per output and side
-            np.matmul(self.Wg, self.gmom.reshape(a, 1, -1, 1), out=S[:, :2, nf:, None])
+            np.matmul(self.Wg, self.gmom.reshape(J, 1, -1, 1), out=S[:, :2, nf:, None])
             if h_side:
-                np.matmul(self.Wh, self.hmom.reshape(a, 1, -1, 1), out=S[:, 2:, nf:, None])
+                np.matmul(self.Wh, self.hmom.reshape(J, 1, -1, 1), out=S[:, 2:, nf:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +402,17 @@ class _ClampRows:
         return out
 
 
+def _parabola(r: _ClampRows, g: np.ndarray):
+    """sign*f' of each piece after the rows add g, as q0 + q1*t + q2*t^2,
+    with its vertex t* (-1 where q2 <= 0) and whether t* lies inside the
+    piece, so that the parabola's minimum is interior."""
+    q0, q1, q2 = (b + g * a for a, b in zip(r.A, r.B))
+    pos = q2 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tstar = np.where(pos, -q1 / (2.0 * q2), -1.0)
+    return q0, q1, q2, tstar, pos & (tstar > 0.0) & (tstar < r.w)
+
+
 def _feasible_interval(r: _ClampRows, gamma: np.ndarray):
     """Each row's feasible interval [lo, hi] for the proposals gamma.
 
@@ -443,15 +452,10 @@ def _feasible_interval(r: _ClampRows, gamma: np.ndarray):
         # ends where a refinement of that row alone would end.
         gamma_c = np.where(lo <= hi, _clip(gamma, lo, hi), 0.0)
         for _ in range(8):
-            g = gamma_c[..., None]
-            q2 = B2 + g * A2
-            q1 = B1 + g * A1
-            q0 = B0 + g * A0
-            pos = q2 > 0.0
+            q0, q1, q2, tstar, inside = _parabola(r, gamma_c[..., None])
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tstar = np.where(pos, -q1 / (2.0 * q2), -1.0)
-                qmin = q0 - np.where(pos, q1 * q1 / (4.0 * np.maximum(q2, 1e-300)), 0.0)
-                viol = r.mask & pos & (tstar > 0.0) & (tstar < w) & (qmin < -FEAS_SLACK)
+                qmin = q0 - q1 * q1 / (4.0 * np.maximum(q2, 1e-300))
+                viol = r.mask & inside & (qmin < -FEAS_SLACK)
                 if not viol.any():
                     break
                 a_t = A0 + A1 * tstar + A2 * tstar * tstar
@@ -471,14 +475,9 @@ def _worst_after(r: _ClampRows, gamma: np.ndarray) -> np.ndarray:
     w = r.w
     vals = []
     if r.mono:
-        q0 = r.B[0] + g * r.A[0]
-        q1 = r.B[1] + g * r.A[1]
-        q2 = r.B[2] + g * r.A[2]
-        pos = q2 > 0.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tstar = np.where(pos, -q1 / (2.0 * np.where(pos, q2, 1.0)), -1.0)
+        q0, q1, q2, tstar, inside = _parabola(r, g)
+        with np.errstate(invalid="ignore", over="ignore"):
             interior = q0 + q1 * tstar + q2 * tstar * tstar
-        inside = pos & (tstar > 0.0) & (tstar < w)
         vals += [q0, q0 + q1 * w + q2 * w * w, np.where(inside, interior, np.inf)]
     if r.curv:
         q0 = r.C[0] + g * r.D[0]
@@ -525,127 +524,118 @@ def _clamp(rows: _ClampRows, cfg: TrainConfig, gamma: np.ndarray, sums) -> np.nd
 
 
 class _Candidates:
-    """Every candidate update of one output, laid out end to end.
+    """Every candidate update of a fit, laid out end to end.
 
-    Rows run by feature, then degree, then ascending threshold. A feature
+    Columns run by feature, then degree, then ascending threshold. A feature
     contributes its fine degree-0 scan (only when S = -1) and its row table
     (global terms, then one coarse scan per split degree). The layout is
-    fixed for a whole fit; `fill` copies output i's side sums from the
-    features' scans into `sums`, rows (sgl, sgr, shl, shr). Because rows are in
-    (feature, degree, threshold) order, the first argmax of the gains picks
-    the lowest such triple among equal gains.
+    fixed for a whole fit. `sums` is (output, sgl/sgr/shl/shr, column), and
+    each feature's `sums` is a view of its own columns, so its scan fills
+    them in place. A column is valid for an output when the feature is
+    allowed for it and, for a split, both leaves hold min_data_in_leaf
+    rows. Because columns are in (feature, degree, threshold) order, the
+    first argmax of an output's gains picks the lowest such triple among
+    equal gains.
     """
 
-    def __init__(self, works: list[_FeatureWork], i: int, cfg: TrainConfig, n: int):
-        self.n = n
-        self.parts = []  # (work, index of output i in its outputs, slice of `sums`)
-        self.pools = []  # (monotone sign, slice) of monotone fine scans
-        tables = []  # (work, feature, table slice) of constrained features
-        cols = []  # per block: feature, degree, threshold (NaN: global), n_left
-
-        def block(k, degree, threshold, n_left):
-            m = n_left.size
-            start = sum(c[0].size for c in cols)
-            cols.append((np.full(m, k), degree, threshold, n_left))
-            return slice(start, start + m)
-
+    def __init__(self, works: list[_FeatureWork], n_outputs: int, cfg: TrainConfig, n: int):
+        cols = []  # per feature: feature, degree, threshold (NaN: global), n_left
         for k, wk in enumerate(works):
-            if i not in wk.outputs:
-                continue
-            fb, fc = wk.fb, wk.fc
-            fine = table = None
-            if wk.n_fine:
-                fine = block(k, np.zeros(fb.fine_edges.size, dtype=int), fb.fine_edges,
-                             wk.n_left_fine)
-                if fc.monotone:
-                    self.pools.append((fc.monotone, fine))
-            if wk.row_degree.size:
-                split = wk.row_degree > fc.smoothness
-                table = block(k, wk.row_degree, np.where(split, wk.row_u, np.nan),
-                              wk.row_n_left)
-                if fc.monotone or fc.curvature:
-                    tables.append((wk, k, table))
-            if fine or table:
-                own = slice((fine or table).start, (table or fine).stop)
-                self.parts.append((wk, int(np.searchsorted(wk.outputs, i)), own))
-
-        cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0)] * 4
-        self.feature, self.degree, self.threshold, self.n_left = cols
+            nf, split = wk.n_fine, wk.row_degree > wk.fc.smoothness
+            cols.append((np.full(nf + wk.row_degree.size, k),
+                         np.append(np.zeros(nf, dtype=int), wk.row_degree),
+                         np.append(wk.fb.fine_edges[:nf], np.where(split, wk.row_u, np.nan)),
+                         np.append(wk.n_left_fine[:nf], wk.row_n_left)))
+        stops = np.cumsum([c[0].size for c in cols], dtype=int).tolist()
+        cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0, int)] * 4
+        self.feature, self.degree, self.threshold, nl = cols
         self.is_global = np.isnan(self.threshold)
-        nl, min_leaf = self.n_left, cfg.min_data_in_leaf
-        self.valid = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
-        self.sums = np.zeros((4, self.valid.size))
-        # (feature, candidate rows, unbound clamp rows) per constrained
-        # degree >= 1: every valid row is clamped before gains are compared
+        min_leaf = cfg.min_data_in_leaf
+        ok = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
+        allowed = np.zeros((n_outputs, len(works)), dtype=bool)
+        self.sums = np.zeros((n_outputs, 4, ok.size))
+        self.pools = []  # (monotone sign, columns) of monotone fine scans
+        # (feature, allowed outputs, columns, unbound clamp rows) per
+        # constrained degree >= 1: every valid row is clamped before gains
+        # are compared
         self.clamps = []
-        for wk, k, table in tables:
-            valid = self.valid[table]
-            for d in np.unique(wk.row_degree[wk.row_degree >= 1]).tolist():
-                rows = np.flatnonzero(valid & (wk.row_degree == d))
-                if rows.size:
-                    units = _ClampRows(wk, d, cfg.learning_rate, rows)
-                    self.clamps.append((k, table.start + rows, units))
+        for k, (wk, start, stop) in enumerate(zip(works, [0] + stops, stops)):
+            fc, table = wk.fc, start + wk.n_fine  # the feature's first table row
+            allowed[wk.outputs, k] = True
+            wk.sums = self.sums[:, :, start:stop]  # so the scan fills its columns in place
+            if wk.n_fine and fc.monotone:
+                self.pools.append((fc.monotone, slice(start, table)))
+            if fc.monotone or fc.curvature:
+                for d in np.unique(wk.row_degree[wk.row_degree >= 1]).tolist():
+                    rows = np.flatnonzero(ok[table:stop] & (wk.row_degree == d))
+                    if rows.size:
+                        units = _ClampRows(wk, d, cfg.learning_rate, rows)
+                        self.clamps.append((k, wk.outputs.tolist(), table + rows, units))
+        self.valid = allowed[:, self.feature] & ok  # (output, column)
 
-    def fill(self) -> np.ndarray:
-        """This iteration's split sums of every row, from the features' scans."""
-        out = self.sums
-        for wk, c, own in self.parts:
-            out[:, own] = wk.sums[c]
-        return out
 
-
-def _best_for_output(
-    i: int,
-    cands: _Candidates,
-    store: ParameterStore,
-    cfg: TrainConfig,
-) -> SplitCandidate | None:
-    """Score every candidate of output i in one pass, from this iteration's
-    feature scans, and return the best, or None when no candidate has a
-    finite positive gain."""
+def _best_updates(
+    cands: _Candidates, store: ParameterStore, cfg: TrainConfig, it: int
+) -> list[LogRecord]:
+    """Score every candidate of every output in one pass, from this
+    iteration's feature scans, and return each output's best, in output
+    order, as a record of iteration it whose losses are not yet set. An
+    output with no finite positive gain has no record."""
     if cands.valid.size == 0:
-        return None
-    l1, l2 = cfg.l1, cfg.l2
-    sums = cands.fill()
-    gamma = leaf_value(sums[:2], sums[2:], l1, l2)  # (left, right) per row
-    gamma[1, cands.is_global] = 0.0
+        return []
+    l1, l2, sums = cfg.l1, cfg.l2, cands.sums
+    gamma = leaf_value(sums[:, :2], sums[:, 2:], l1, l2)  # (output, left/right, column)
+    gamma[:, 1, cands.is_global] = 0.0
 
-    # block-local fixes, each writing into its block's slice of gamma
+    # block-local fixes, each writing into its block's columns of gamma
     for sign, sl in cands.pools:
-        gl, gr = gamma[:, sl]
-        bad = cands.valid[sl] & (sign * (gr - gl) < 0.0)
+        gl, gr = gamma[:, 0, sl], gamma[:, 1, sl]
+        bad = cands.valid[:, sl] & (sign * (gr - gl) < 0.0)
         if bad.any():
-            sgl, sgr, shl, shr = sums[:, sl]
+            sgl, sgr, shl, shr = sums[:, :, sl].swapaxes(0, 1)
             pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
-            gamma[:, sl] = np.where(bad, pooled, gamma[:, sl])
-    for k, idx, units in cands.clamps:
-        sgl, sgr, shl, shr = sums[:, idx]
-        rows = units.at(store.params[i][k].poly_coeffs)
-        gamma[:, idx] = _clamp(rows, cfg, gamma[:, idx], (sgl, shl, sgr, shr))
+            gamma[:, :, sl] = np.where(bad[:, None], pooled[:, None], gamma[:, :, sl])
+    for k, outputs, idx, units in cands.clamps:
+        for i in outputs:
+            sgl, sgr, shl, shr = sums[i][:, idx]
+            rows = units.at(store.params[i][k].poly_coeffs)
+            gamma[i][:, idx] = _clamp(rows, cfg, gamma[i][:, idx], (sgl, shl, sgr, shr))
 
-    gains = candidate_gain(gamma[0], sums[0], sums[2], gamma[1], sums[1], sums[3])
+    gains = candidate_gain(gamma[:, 0], sums[:, 0], sums[:, 2], gamma[:, 1], sums[:, 1], sums[:, 3])
     gains = np.where(cands.valid & np.isfinite(gains), gains, -np.inf)
-    j = int(np.argmax(gains))
-    if not gains[j] > 0.0:
-        return None
-    k, d = int(cands.feature[j]), int(cands.degree[j])
-    if cands.is_global[j]:
-        return SplitCandidate(i, k, d, "global", None, float(gamma[0, j]), None,
-                              float(gains[j]), cands.n, 0)
-    n_left = int(cands.n_left[j])
-    return SplitCandidate(
-        i, k, d, "split", float(cands.threshold[j]),
-        float(gamma[0, j]), float(gamma[1, j]), float(gains[j]), n_left, cands.n - n_left,
-    )
+    picks = []
+    for i, j in enumerate(np.argmax(gains, axis=1).tolist()):
+        if gains[i, j] > 0.0:
+            split = not cands.is_global[j]
+            picks.append(LogRecord(
+                it, i, store.feature_names[cands.feature[j]], int(cands.degree[j]),
+                "split" if split else "global", float(cands.threshold[j]) if split else None,
+                float(gamma[i, 0, j]), float(gamma[i, 1, j]) if split else None,
+                float(gains[i, j]),
+            ))
+    return picks
 
 
 # ---------------------------------------------------------------------------
 # applying updates
 
 
+def _fold(store: ParameterStore, rec: LogRecord, lr: float) -> int:
+    """Fold one update into the store and return its feature's index.
+    Training and `replay` both fold through here, so a replay repeats the
+    training's arithmetic exactly."""
+    k = store.feature_names.index(rec.feature)
+    if rec.kind == "global":
+        accumulate_global(store, rec.output, k, rec.degree, rec.gamma_left, lr)
+    else:
+        accumulate_update(store, rec.output, k, rec.degree, rec.threshold,
+                          rec.gamma_left, rec.gamma_right, lr)
+    return k
+
+
 def _apply_candidate(
     store: ParameterStore,
-    cand: SplitCandidate,
+    rec: LogRecord,
     lr: float,
     works: list[_FeatureWork],
     F: np.ndarray,
@@ -655,15 +645,10 @@ def _apply_candidate(
     """Fold the update into the store and add lr*gamma*(x-u)^d to the
     training and validation scores, gamma_left where x < u and gamma_right
     elsewhere; a global term is one side with u the feature minimum."""
-    i, k, d = cand.output, cand.feature, cand.degree
-    gl = cand.gamma_left
-    is_global = cand.kind == "global"
-    if is_global:
-        accumulate_global(store, i, k, d, gl, lr)
-        u = works[k].fb.x_min
-    else:
-        u, gr = cand.threshold, cand.gamma_right
-        accumulate_update(store, i, k, d, u, gl, gr, lr)
+    k = _fold(store, rec, lr)
+    i, d, gl, gr = rec.output, rec.degree, rec.gamma_left, rec.gamma_right
+    is_global = rec.kind == "global"
+    u = works[k].fb.x_min if is_global else rec.threshold
     targets = [(works[k].x, F)]
     if F_valid is not None:
         targets.append((X_valid[:, k], F_valid))
@@ -674,17 +659,6 @@ def _apply_candidate(
         scores[:, i] += lr * (gl if is_global else np.where(s < 0.0, gl, gr)) * s**d
 
 
-def _replay_one(store: ParameterStore, rec: LogRecord, lr: float) -> None:
-    k = store.feature_names.index(rec.feature)
-    if rec.kind == "global":
-        accumulate_global(store, rec.output, k, rec.degree, rec.gamma_left, lr)
-    else:
-        accumulate_update(
-            store, rec.output, k, rec.degree, rec.threshold,
-            rec.gamma_left, rec.gamma_right, lr,
-        )
-
-
 def replay(
     initial_store: ParameterStore,
     log: list[LogRecord],
@@ -692,12 +666,12 @@ def replay(
     learning_rate: float = 0.1,
 ) -> ParameterStore:
     """Reconstruct the parameter state after `iteration` full iterations by
-    replaying logged updates on a copy of the initial state. The arithmetic
-    mirrors training exactly, so the result is bit-identical."""
+    folding the logged updates into a copy of the initial state, through
+    the same `_fold` as training, so the result is bit-identical."""
     out = initial_store.copy()
     for rec in log:
         if rec.iteration <= iteration:
-            _replay_one(out, rec, learning_rate)
+            _fold(out, rec, learning_rate)
     return out
 
 
@@ -771,13 +745,13 @@ def train(
     J = dataset.n_outputs
     works = [
         _FeatureWork(ds_train.X[:, k], layout.features[k], constraints.features[k],
-                     np.flatnonzero(constraints.allow_mask[:, k]))
+                     np.flatnonzero(constraints.allow_mask[:, k]), J)
         for k in range(len(dataset.feature_names))
     ]
     h_static = task == "regression"
 
     n_tr = ds_train.X.shape[0]
-    cands = [_Candidates(works, i, cfg, n_tr) for i in range(J)]
+    cands = _Candidates(works, J, cfg, n_tr)
     GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
     buf = np.empty(3 * max((wk.slot_row.size for wk in works), default=0))  # the scans' gathers
     F = np.tile(intercepts, (n_tr, 1))
@@ -788,16 +762,21 @@ def train(
         F_valid = None
         X_valid = None
 
+    def losses(when: str):
+        """The link of the training scores, which feeds both the loss after
+        an update and the derivatives of the next iteration, so it is
+        computed once, and both losses; a non-finite loss raises."""
+        p = None if task == "regression" else link_apply(task, F)
+        tl = loss_eval(task, ds_train.y, F, p)
+        vl = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
+        if not math.isfinite(tl) or (vl is not None and not math.isfinite(vl)):
+            raise NumericError(f"non-finite {when}")
+        return p, tl, vl
+
     log: list[LogRecord] = []
-    # the link of the training scores feeds both the loss after an update
-    # and the derivatives of the next iteration, so it is computed once
-    p = None if task == "regression" else link_apply(task, F)
-    train_loss = loss_eval(task, ds_train.y, F, p)
-    valid_loss = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
-    if not math.isfinite(train_loss) or (valid_loss is not None and not math.isfinite(valid_loss)):
-        raise NumericError(
-            "non-finite starting loss: the targets hold NaN/inf or values too large to square"
-        )
+    p, train_loss, valid_loss = losses(
+        "starting loss: the targets hold NaN/inf or values too large to square")
+    start_losses = train_loss, valid_loss
     best_valid = valid_loss if valid_loss is not None else math.inf
     best_iter = 0
     last_iter = 0
@@ -808,32 +787,16 @@ def train(
         del batch  # GH holds g and h; freeing them keeps the scans' peak memory low
         for wk in works:
             wk.scan(GH, h_static, buf)
-        picks: list[SplitCandidate] = []
-        for i in range(J):
-            cand = _best_for_output(i, cands[i], store, cfg)
-            if cand is not None:
-                picks.append(cand)
+        picks = _best_updates(cands, store, cfg, it)
         if not picks:
             last_iter = it - 1
             break
-        for cand in picks:
-            _apply_candidate(store, cand, cfg.learning_rate, works, F, X_valid, F_valid)
-        p = None if task == "regression" else link_apply(task, F)
-        train_loss = loss_eval(task, ds_train.y, F, p)
-        valid_loss = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
-        if not math.isfinite(train_loss) or (
-            valid_loss is not None and not math.isfinite(valid_loss)
-        ):
-            raise NumericError(f"non-finite loss at iteration {it}")
-        for cand in picks:
-            log.append(
-                LogRecord(
-                    it, cand.output, dataset.feature_names[cand.feature],
-                    cand.degree, cand.kind, cand.threshold,
-                    cand.gamma_left, cand.gamma_right, cand.gain,
-                    train_loss, valid_loss,
-                )
-            )
+        for rec in picks:
+            _apply_candidate(store, rec, cfg.learning_rate, works, F, X_valid, F_valid)
+        p, train_loss, valid_loss = losses(f"loss at iteration {it}")
+        for rec in picks:
+            rec.train_loss, rec.valid_loss = train_loss, valid_loss
+        log += picks
         last_iter = it
         if F_valid is not None and valid_loss < best_valid:
             best_valid = valid_loss
@@ -845,9 +808,12 @@ def train(
         best_iter = last_iter
 
     if best_iter < last_iter:
+        # the kept model's losses: its iteration's record, or the starting ones
         store = replay(initial_store, log, best_iter, cfg.learning_rate)
+        train_loss, valid_loss = next(
+            ((r.train_loss, r.valid_loss) for r in log if r.iteration == best_iter), start_losses)
 
-    result = TrainResult(
+    return TrainResult(
         store=store,
         initial_store=initial_store,
         log=log,
@@ -857,4 +823,3 @@ def train(
         valid_loss=valid_loss,
         learning_rate=cfg.learning_rate,
     )
-    return result

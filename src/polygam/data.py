@@ -63,13 +63,17 @@ class Dataset:
 
     def validate(self) -> None:
         """Raise DataError when X is not (rows, features) with one target
-        per row, holds a NaN or infinite value, or a class label is not a
-        whole number the task can hold: 0 or 1 for binary, 0..n_outputs-1
-        for multiclass."""
+        per row, two features share a name, X holds a NaN or infinite value,
+        or a class label is not a whole number the task can hold: 0 or 1 for
+        binary, 0..n_outputs-1 for multiclass."""
         if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
             raise DataError(
                 f"X has shape {self.X.shape}, expected (rows, {len(self.feature_names)} features)"
             )
+        names = self.feature_names  # an update and the model file name their feature
+        if len(set(names)) < len(names):
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            raise DataError(f"feature names must be unique; repeated: {repeated}")
         if self.y.shape != (self.X.shape[0],):
             raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
         refuse_nonfinite(self.X, self.feature_names)

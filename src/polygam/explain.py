@@ -78,9 +78,11 @@ def export_shapes(
     """Write shape_<output>_<feature>.csv (and .svg) per allowed pair.
 
     Only (output, feature) pairs permitted by the allow-mask are exported.
-    Unknown feature names in the filter are an error; requesting CI output on
-    a model without stored accumulators is too.
+    Unknown feature names in the filter are an error; so are requesting CI
+    output on a model without stored accumulators and a grid_size below 1.
     """
+    if grid_size < 1:
+        raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
     names = store.feature_names
     if features is None:
         selected = list(range(len(names)))

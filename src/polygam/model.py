@@ -340,15 +340,22 @@ def horner(coef: np.ndarray, rows: np.ndarray, t: np.ndarray, order: int = 0, st
     return val
 
 
-def evaluate_shape(store: ParameterStore, i: int, k: int, x) -> np.ndarray | float:
-    """Shape-function value f_ik at x (scalar or vector)."""
+def _evaluate(store: ParameterStore, i: int, k: int, x, order: int):
+    """Shape function i, k (order 0, with the step layer) or its derivative
+    of that order at x, a scalar or a vector."""
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     fb, sp = store.layout[k], store.params[i][k]
     fcode = fine_code(fb, xv)
     piece, t = locate(fb, xv, fcode)
-    val = horner(sp.poly_coeffs.T, piece, t, step=(sp.step_values, fcode))
+    step = None if order else (sp.step_values, fcode)
+    val = horner(sp.poly_coeffs.T, piece, t, order, step=step)
     return float(val[0]) if scalar else val
+
+
+def evaluate_shape(store: ParameterStore, i: int, k: int, x) -> np.ndarray | float:
+    """Shape-function value f_ik at x (scalar or vector)."""
+    return _evaluate(store, i, k, x, 0)
 
 
 def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
@@ -359,12 +366,20 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    scalar = np.isscalar(x)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    fb = store.layout[k]
-    piece, t = locate(fb, xv, fine_code(fb, xv))
-    val = horner(store.params[i][k].poly_coeffs.T, piece, t, order)
-    return float(val[0]) if scalar else val
+    return _evaluate(store, i, k, x, order)
+
+
+def _fold(store: ParameterStore, i: int, k: int, d: int, u: float, sides, lr: float) -> None:
+    """Add lr*gamma*(x - u)^d to shape i, k over each (part, gamma) of sides:
+    to the fine step values of the part for d = 0, else to the local
+    coefficients of the coarse pieces of the part, expanded by `shift`."""
+    fb, sp = store.layout[k], store.params[i][k]
+    for part, gamma in sides:
+        if d == 0:
+            sp.step_values[part] += lr * gamma
+        else:
+            delta = fb.coarse_lower_edges[part] - u
+            sp.poly_coeffs[part, : d + 1] += shift(delta, d, lr * gamma).T
 
 
 def accumulate_update(
@@ -382,26 +397,15 @@ def accumulate_update(
     Degree 0 updates add constants to the fine step layer on each side of the
     threshold (a fine-grid edge). Degree >= 1 updates add gamma*(x-u)^d per
     side (u a coarse-grid edge), expanded into each affected piece's local
-    coordinates by `shift`.
+    coordinates by `shift`; a side with gamma = 0 is left untouched.
     """
     fb = store.layout[k]
-    sp = store.params[i][k]
-    if d == 0:
-        j = int(np.searchsorted(fb.fine_edges, threshold))
-        if j >= fb.fine_edges.size or fb.fine_edges[j] != threshold:
-            raise ValueError(f"threshold {threshold!r} is not a fine-grid edge")
-        sp.step_values[: j + 1] += learning_rate * gamma_left
-        sp.step_values[j + 1 :] += learning_rate * gamma_right
-        return
-    j = int(np.searchsorted(fb.coarse_edges, threshold))
-    if j >= fb.coarse_edges.size or fb.coarse_edges[j] != threshold:
-        raise ValueError(f"threshold {threshold!r} is not a coarse-grid edge")
-    lower = fb.coarse_lower_edges
-    for pieces, gamma in ((slice(0, j + 1), gamma_left), (slice(j + 1, None), gamma_right)):
-        if gamma == 0.0:
-            continue
-        delta = lower[pieces] - threshold
-        sp.poly_coeffs[pieces, : d + 1] += shift(delta, d, learning_rate * gamma).T
+    grid, edges = ("fine", fb.fine_edges) if d == 0 else ("coarse", fb.coarse_edges)
+    j = int(np.searchsorted(edges, threshold))
+    if j >= edges.size or edges[j] != threshold:
+        raise ValueError(f"threshold {threshold!r} is not a {grid}-grid edge")
+    sides = [(slice(0, j + 1), gamma_left), (slice(j + 1, None), gamma_right)]
+    _fold(store, i, k, d, threshold, [s for s in sides if d == 0 or s[1] != 0.0], learning_rate)
 
 
 def accumulate_global(
@@ -410,15 +414,9 @@ def accumulate_global(
     """Fold a global monomial gamma*(x - x_ref)^d into the stored form.
 
     x_ref is the observed feature minimum. d = 0 adds a constant to every fine
-    step value; d >= 1 expands into every coarse piece.
+    step value; d >= 1 expands into every coarse piece, also when gamma = 0.
     """
-    fb = store.layout[k]
-    sp = store.params[i][k]
-    if d == 0:
-        sp.step_values += learning_rate * gamma
-        return
-    delta = fb.coarse_lower_edges - fb.x_min
-    sp.poly_coeffs[:, : d + 1] += shift(delta, d, learning_rate * gamma).T
+    _fold(store, i, k, d, store.layout[k].x_min, [(slice(None), gamma)], learning_rate)
 
 
 def _plan(store: ParameterStore) -> tuple:

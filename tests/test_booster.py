@@ -281,12 +281,12 @@ def test_scan_matches_per_output_oracles(case):
     if outside:
         assert (np.bincount(fcode, minlength=nf) == 0).any()
     wk.scan(GH, h_static=False)
-    for o, out in enumerate(outputs):
+    for out in outputs:
         for side, w in enumerate((g[:, out], h[:, out])):
             bad = ~np.isfinite(w)
             want = np.bincount(fcode, weights=w, minlength=nf)
             bound = 1e-12 * np.bincount(fcode, weights=np.abs(w), minlength=nf)
-            got = wk.bins[o, side]
+            got = wk.bins[out, side]
             dirty = np.isin(np.arange(nf), fcode[bad])
             if wk.n_fine:  # only a fine scan sums the fine bins
                 assert np.isnan(got[dirty]).all() and np.isfinite(got[~dirty]).all()
@@ -295,8 +295,8 @@ def test_scan_matches_per_output_oracles(case):
             if wk.n_fine and not bad.any():
                 # left sums at every fine threshold, and right = total - left
                 left, tol = np.cumsum(want)[:-1], 1e-12 * np.abs(w).sum()
-                assert (np.abs(wk.sums[o, 2 * side, : wk.n_fine] - left) <= tol).all()
-                right = wk.sums[o, 2 * side + 1, : wk.n_fine]
+                assert (np.abs(wk.sums[out, 2 * side, : wk.n_fine] - left) <= tol).all()
+                right = wk.sums[out, 2 * side + 1, : wk.n_fine]
                 assert (np.abs(right - (want.sum() - left)) <= 2 * tol).all()
             if D == 0:
                 continue
@@ -304,15 +304,21 @@ def test_scan_matches_per_output_oracles(case):
             want = bincount_moments(piece, t, w, top, P)
             bound = 1e-12 * bincount_moments(piece, np.abs(t), np.abs(w), top, P)
             dirty = np.isin(np.arange(P), piece[bad])
-            got = (wk.gmom, wk.hmom)[side][o]
+            got = (wk.gmom, wk.hmom)[side][out]
             assert np.isnan(got[dirty]).all() and np.isfinite(got[~dirty]).all()
             assert (np.abs(got - want)[~dirty] <= bound[~dirty]).all()
             assert (got[np.bincount(piece, minlength=P) == 0] == 0.0).all()
 
+    # every output the feature does not serve stays 0
+    masked = np.setdiff1d(np.arange(wk.sums.shape[0]), outputs)
+    for a in (wk.sums, wk.bins, wk.gmom, wk.hmom):
+        assert not a[masked].any()
+
     # the same feature serving only its last output sums it bit for bit alike
+    last = outputs[-1]
     alone = _FeatureWork(x, fb, fc, outputs[-1:])
     alone.scan(GH, h_static=False)
-    assert alone.sums[0].tobytes() == wk.sums[-1].tobytes()
+    assert alone.sums[last].tobytes() == wk.sums[last].tobytes()
 
     # regression's h never changes: after a scan of other g with the same h,
     # the kept h side equals that of a fresh scan, bit for bit. The g side
@@ -475,11 +481,36 @@ def test_training_is_deterministic():
     assert runs[0] == runs[1]
 
 
-def test_replay_bit_matches_initial_and_final_state():
-    ds = wiggly_dataset(250, 8)
-    cfg = TrainConfig(max_iterations=60, early_stopping_patience=0, validation_fraction=0.0)
-    res = train(ds, config=cfg)
+def replay_fit(fit: str):
+    """(dataset, constraints, min_data_in_leaf, (kind, degree >= 1) pairs
+    the log must hold) of a fit for the replay test."""
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-2, 2, size=(250, 2))
+    if fit == "unconstrained":
+        return wiggly_dataset(250, 8), None, 10, {("split", True)}
+    if fit == "constrained":
+        # x0 monotone and convex, S = 1: global degrees 0 and 1, splits of 2 and 3
+        y = 3 * X[:, 0] + np.exp(X[:, 0]) / 2 + 0.5 * np.sin(2 * X[:, 1])
+        ds = make_dataset(X, y + rng.normal(scale=0.2, size=250))
+        spec = ConstraintSpec([FeatureConstraint(1, 3, 1, 1), FeatureConstraint(1, 3)],
+                              np.ones((1, 2), dtype=bool))
+        return ds, spec, 80, {("global", False), ("global", True), ("split", True)}
+    # masked multiclass, S = -1: x1 is out of output 1; degree-0 splits
+    f = X[:, 0] + np.sin(2 * X[:, 1])
+    y = np.digitize(f + rng.normal(scale=0.3, size=250), np.quantile(f, [0.33, 0.66]))
+    ds = make_dataset(X, y, task="multiclass")
+    spec = ConstraintSpec.default(ds, smoothness=-1, outputs_for={"x1": [0, 2]})
+    return ds, spec, 10, {("split", False), ("split", True)}
+
+
+@pytest.mark.parametrize("fit", ["unconstrained", "constrained", "masked_multiclass"])
+def test_replay_bit_matches_initial_and_final_state(fit):
+    ds, spec, min_leaf, folds = replay_fit(fit)
+    cfg = TrainConfig(max_iterations=60, early_stopping_patience=0, validation_fraction=0.0,
+                      min_data_in_leaf=min_leaf)
+    res = train(ds, constraints=spec, config=cfg)
     assert res.n_iterations == 60
+    assert {(r.kind, r.degree >= 1) for r in res.log} >= folds
     assert dumps_model(res.replay_to(0)) == dumps_model(res.initial_store)
     assert dumps_model(res.replay_to(60)) == dumps_model(res.store)
     assert dumps_model(replay(res.initial_store, res.log, 60, cfg.learning_rate)) == dumps_model(
@@ -504,6 +535,25 @@ def test_rollback_returns_best_validation_state():
     assert got == pytest.approx(best_logged, rel=1e-10)
     at_best = {r.valid_loss for r in res.log if r.iteration == res.best_iteration}
     assert best_logged in at_best
+    # the result reports the kept model's losses, not the last iteration's
+    assert res.valid_loss == best_logged
+    kept = [r for r in res.log if r.iteration == res.best_iteration]
+    assert res.train_loss == kept[0].train_loss
+    assert res.valid_loss != res.log[-1].valid_loss
+
+
+def test_rollback_to_iteration_zero_reports_starting_losses():
+    ds = wiggly_dataset(150, 10)
+    flipped = wiggly_dataset(120, 11)
+    # validation targets of the opposite sign: no iteration improves on the
+    # starting validation loss
+    valid = make_dataset(flipped.X, -flipped.y)
+    cfg = TrainConfig(max_iterations=50, early_stopping_patience=3, validation_fraction=0.0)
+    res = train(ds, valid=valid, config=cfg)
+    assert res.best_iteration == 0 < res.n_iterations
+    start = train(ds, valid=valid, config=TrainConfig(max_iterations=0, validation_fraction=0.0,
+                                                      early_stopping_patience=0))
+    assert (res.train_loss, res.valid_loss) == (start.train_loss, start.valid_loss)
 
 
 def test_patience_zero_keeps_last_iteration():
@@ -534,6 +584,24 @@ def test_train_config_collects_all_errors():
         cfg.validate()
     msg = str(exc.value)
     assert "learning_rate" in msg and "l2" in msg and "min_data_in_leaf" in msg
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("l1", math.nan), ("l1", math.inf), ("l1", -math.inf), ("l2", math.nan),
+     ("l2", math.inf), ("min_data_in_leaf", math.nan)],
+)
+def test_train_config_refuses_non_finite_penalties(field, value):
+    cfg = TrainConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be .*, got {value}"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=field):
+        train(wiggly_dataset(100, 15), config=cfg)
+
+
+def test_train_config_names_a_bad_patience():
+    with pytest.raises(ConfigError, match="early_stopping_patience must be >= 0, got -3"):
+        TrainConfig(early_stopping_patience=-3).validate()
 
 
 def test_nan_target_is_refused_before_training():

@@ -218,6 +218,16 @@ def test_invalid_monotone_sign_exits_2(tmp_path):
     assert main(["train", "-c", ini]) == 2
 
 
+@pytest.mark.parametrize("line", ["l1 = nan", "l2 = inf", "l1 = -inf"])
+def test_non_finite_penalty_exits_2(tmp_path, capsys, line):
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv)
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out", line + "\n")
+    assert main(["train", "-c", ini]) == 2
+    assert line.split()[0] + " must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def test_missing_config_exits_2():
     assert main(["train", "-c", "/nonexistent.ini"]) == 2
 
@@ -325,6 +335,15 @@ def test_explain_feature_filter_and_grid(tmp_path):
     files = sorted(os.listdir(shapes))
     assert files == ["shape_0_x1.csv", "shape_0_x1.svg"]
     assert len((shapes / "shape_0_x1.csv").read_text().splitlines()) == 17
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_explain_empty_grid_exits_2(tmp_path, capsys, grid):
+    out, _, _ = run_train(tmp_path, "e4")
+    shapes = tmp_path / "s"
+    assert main(["explain", "-m", str(out / "model.json"), "--grid", grid, "-o", str(shapes)]) == 2
+    assert f"grid_size must be >= 1, got {grid}" in capsys.readouterr().err
+    assert not shapes.exists()
 
 
 def test_explain_unknown_feature_exits_2(tmp_path):

@@ -351,6 +351,16 @@ def test_validate_refuses_labels_the_task_cannot_hold(task, n_outputs, labels, r
         train(bad)
 
 
+def test_validate_refuses_repeated_feature_names():
+    # training and replay find an update's feature by its name
+    ds = Dataset(X=np.zeros((4, 3)), y=np.zeros(4), feature_names=["a", "b", "a"],
+                 kinds=["numeric"] * 3, task="regression", n_outputs=1)
+    with pytest.raises(DataError, match=r"repeated: \['a'\]"):
+        ds.validate()
+    with pytest.raises(DataError, match="unique"):
+        train(ds)
+
+
 def test_load_csv_categorical_inference_and_override(tmp_path):
     p = tmp_path / "d.csv"
     rows = [[i % 2, i % 5, i * 1.0, i * 0.5] for i in range(20)]

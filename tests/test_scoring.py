@@ -3,12 +3,12 @@
 The reference scores each (feature, degree) scan with its own leaf-value and
 gain calls, as separate arrays, and ranks every finite positive row of every
 scan by (-gain, feature, degree, threshold, kind). The scorer under test lays
-all scans of an output end to end and takes one first argmax; both must pick
-the same candidate, bit for bit, so both rank the side sums of the same
-feature scans. At every iteration the reference first checks the scan's
-fine-threshold sums against bincount over the rows' fine codes, within
-1e-12 * sum|w|; tests/test_booster.py checks the table sums against direct
-references.
+all scans of a fit end to end, one row per output, and takes one first
+argmax per output; both must pick the same log record, bit for bit, so
+both rank the side sums of the same feature scans. At every iteration the
+reference first checks the scan's fine-threshold sums against bincount over
+the rows' fine codes, within 1e-12 * sum|w|; tests/test_booster.py checks
+the table sums against direct references.
 """
 
 import math
@@ -17,10 +17,10 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from polygam.booster import (
-    SplitCandidate,
+    LogRecord,
     TrainConfig,
     _apply_candidate,
-    _best_for_output,
+    _best_updates,
     _Candidates,
     _clamp,
     _ClampRows,
@@ -35,22 +35,19 @@ from polygam.model import ConstraintSpec, FeatureConstraint, fine_code, zero_ini
 from conftest import make_dataset, scan_matrix
 
 
-def reference_best(i, g, h, works, store, cfg):
+def reference_best(i, g, h, works, store, cfg, it):
     n = g.size
     l1, l2, min_leaf = cfg.l1, cfg.l2, cfg.min_data_in_leaf
     found = []
 
-    def collect(k, d, kind, edges, n_left, gl, gr, gains, valid):
+    def collect(k, d, kind, edges, gl, gr, gains, valid):
         for j in np.flatnonzero(valid & np.isfinite(gains) & (gains > 0.0)):
             thr = math.inf if kind == "global" else float(edges[j])
             key = (-float(gains[j]), k, d, thr, 0 if kind == "split" else 1)
-            if kind == "global":
-                cand = SplitCandidate(i, k, d, "global", None, float(gl[j]), None,
-                                      float(gains[j]), n, 0)
-            else:
-                cand = SplitCandidate(i, k, d, "split", thr, float(gl[j]), float(gr[j]),
-                                      float(gains[j]), int(n_left[j]), n - int(n_left[j]))
-            found.append((key, cand))
+            split = kind == "split"
+            found.append((key, LogRecord(
+                it, i, store.feature_names[k], d, kind, thr if split else None,
+                float(gl[j]), float(gr[j]) if split else None, float(gains[j]))))
 
     for k, wk in enumerate(works):
         if not store.constraints.allow_mask[i, k]:
@@ -58,7 +55,7 @@ def reference_best(i, g, h, works, store, cfg):
         fc, fb = wk.fc, wk.fb
         constrained = bool(fc.monotone or fc.curvature)
         coeffs = store.params[i][k].poly_coeffs
-        scan = wk.sums[list(wk.outputs).index(i)]
+        scan = wk.sums[i]
         if 0 in wk.split_degrees and fb.fine_edges.size:
             fcodes = fine_code(fb, wk.x)
             for side, w in enumerate((g, h)):
@@ -77,7 +74,7 @@ def reference_best(i, g, h, works, store, cfg):
                 pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
                 gl, gr = np.where(bad, pooled, gl), np.where(bad, pooled, gr)
             gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
-            collect(k, 0, "split", fb.fine_edges, nl, gl, gr, gains, valid)
+            collect(k, 0, "split", fb.fine_edges, gl, gr, gains, valid)
         high = [d for d in wk.split_degrees if d >= 1]
         sums = scan[:, wk.n_fine :]
         if high and fb.coarse_edges.size:
@@ -93,7 +90,7 @@ def reference_best(i, g, h, works, store, cfg):
                     gl[J], gr[J] = _clamp(rows, cfg, np.stack([gl[J], gr[J]]),
                                           (sgl[J], shl[J], sgr[J], shr[J]))
                 gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
-                collect(k, d, "split", fb.coarse_edges, nl, gl, gr, gains, valid)
+                collect(k, d, "split", fb.coarse_edges, gl, gr, gains, valid)
         for d in wk.global_degrees:
             (r,) = np.flatnonzero(wk.row_degree == d)
             sg, sh = sums[0, r], sums[2, r]
@@ -102,7 +99,7 @@ def reference_best(i, g, h, works, store, cfg):
                 rows = _ClampRows(wk, d, cfg.learning_rate, np.array([r])).at(coeffs)
                 gamma = _clamp(rows, cfg, gamma, tuple(sums[[0, 2, 1, 3], r : r + 1]))
             gain = candidate_gain(gamma[0], sg, sh, 0.0, 0.0, 0.0)
-            collect(k, d, "global", None, None, gamma[0], None, gain, np.array([True]))
+            collect(k, d, "global", None, gamma[0], None, gain, np.array([True]))
     return min(found, key=lambda kc: kc[0])[1] if found else None
 
 
@@ -151,21 +148,21 @@ def test_stacked_scorer_matches_per_scan_reference(case):
     spec = ConstraintSpec(features=fcs, allow_mask=mask)
     store = zero_init(layout, ds.task, ds.n_outputs, ds.feature_names, spec)
     cfg = TrainConfig(learning_rate=0.3, min_data_in_leaf=min_leaf)
-    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]))
+    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), ds.n_outputs)
              for k, fc in enumerate(fcs)]
-    cands = [_Candidates(works, i, cfg, n) for i in range(ds.n_outputs)]
+    cands = _Candidates(works, ds.n_outputs, cfg, n)
     F = np.zeros((n, ds.n_outputs))
     for it in range(6):
         batch = derivatives(ds.task, ds.y, F)
         GH = scan_matrix(batch.g, batch.h)
         for wk in works:
             wk.scan(GH, not multiclass)
-        for i in range(ds.n_outputs):
-            got = _best_for_output(i, cands[i], store, cfg)
-            want = reference_best(i, batch.g[:, i], batch.h[:, i], works, store, cfg)
-            assert got == want, (it, i)
-            if it == 0 and duplicate and mask[i, 0] and got is not None:
+        got = _best_updates(cands, store, cfg, it)
+        want = [reference_best(i, batch.g[:, i], batch.h[:, i], works, store, cfg, it)
+                for i in range(ds.n_outputs)]
+        assert got == [rec for rec in want if rec is not None], it
+        for rec in got:
+            if it == 0 and duplicate and mask[rec.output, 0]:
                 # the zero state gives both copies identical gains: the lower wins
-                assert got.feature != 1
-            if got is not None:
-                _apply_candidate(store, got, cfg.learning_rate, works, F, None, None)
+                assert rec.feature != ds.feature_names[1]
+            _apply_candidate(store, rec, cfg.learning_rate, works, F, None, None)
