@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,9 +64,9 @@ class TrainConfig:
             errs.append(f"l2 must be finite and >= 0, got {self.l2}")
         if not self.min_data_in_leaf >= 1:
             errs.append(f"min_data_in_leaf must be >= 1, got {self.min_data_in_leaf}")
-        if self.max_iterations < 0:
-            errs.append(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.early_stopping_patience < 0:
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
+            errs.append(f"max_iterations must be an integer >= 0, got {self.max_iterations}")
+        if not self.early_stopping_patience >= 0:
             errs.append(
                 f"early_stopping_patience must be >= 0, got {self.early_stopping_patience}")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -357,58 +358,79 @@ def _clip(gamma, lo, hi):
 class _ClampRows:
     """Signed per-piece coefficients of f' and f'' for a batch of clamp rows.
 
-    The rows are rows of the feature's table, all of degree d: row r adds
-    lr*gamma*(x-u_r)^d over the pieces in its (side, piece) mask. Arrays are
-    (sides, rows, pieces). B and C hold sign*f' and sign*f'' of the current
-    state (local coefficients, shared by every row); A and D hold what one
-    unit of gamma adds to them. A, D and the mask are fixed for a fit; `at`
-    binds them to a scan's state.
+    Row r is a row of a feature's table: it adds lr*gamma*(x-u_r)^d over the
+    pieces in its (side, piece) mask. Arrays are (sides, rows, pieces), any
+    coefficient index first, pieces padded (masked out) to the widest. B
+    and C hold sign*f' and sign*f'' of the state of the row's pair, A and D
+    what one unit of gamma adds to them; mmask and cmask are the mask where
+    the monotone and curvature signs bind. The constructor makes the block
+    of one degree of one feature; `stack` joins blocks, `at` binds a state.
     """
 
+    _GRID = ("mask", "mmask", "cmask", "w", "A", "D")  # (..., sides, rows, pieces)
+    _ROW = ("m_sign", "c_sign", "kinks")  # (rows,)
+
     def __init__(self, wk: _FeatureWork, d: int, lr: float, rows: np.ndarray):
-        self.m_sign, self.c_sign = m_sign, c_sign = wk.fc.monotone, wk.fc.curvature
-        # a degree-1 split kinks f'; the kink must bend with the curvature sign
-        self.kinks = d == 1 and bool(c_sign) and d > wk.fc.smoothness
+        m_sign, c_sign, n = wk.fc.monotone, wk.fc.curvature, rows.size
+        self.mono, self.curv = bool(m_sign), bool(c_sign) and d >= 2
         self.mask = wk.row_mask[:, rows]
-        u = np.broadcast_to(wk.row_u[rows], (2, rows.size))
-        self.w = wk.widths
-        self.mono = bool(m_sign)
-        self.curv = bool(c_sign) and d >= 2
+        self.mmask, self.cmask = self.mask & self.mono, self.mask & self.curv
+        self.w = np.broadcast_to(wk.widths, self.mask.shape)
+        u = np.broadcast_to(wk.row_u[rows], (2, n))
         delta = wk.lower - u[..., None]
         unit = np.zeros((4,) + delta.shape)  # local coefficients of lr*(x-u)^d
         unit[: d + 1] = shift(delta, d, lr)
-        if self.mono:
-            self.A = tuple(m_sign * a for a in _slopes(unit))
-        if self.curv:
-            self.D = tuple(c_sign * a for a in _bends(unit))
+        self.A = m_sign * np.stack(_slopes(unit))
+        self.D = c_sign * np.stack(_bends(unit))
+        self.m_sign, self.c_sign = np.full(n, m_sign), np.full(n, c_sign)
+        # a degree-1 split kinks f'; the kink must bend with the curvature sign
+        self.kinks = np.full(n, d == 1 and bool(c_sign) and d > wk.fc.smoothness)
+        self.pair = np.zeros(n, dtype=int)
+
+    @classmethod
+    def stack(cls, blocks, pairs) -> "_ClampRows":
+        """One batch of the blocks' rows; block b reads coefficient set pairs[b]."""
+        out = copy.copy(blocks[0])
+        P = max(b.mask.shape[-1] for b in blocks)
+        for name in cls._GRID:
+            parts = [getattr(b, name) for b in blocks]
+            setattr(out, name, np.concatenate(
+                [np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, P - a.shape[-1])]) for a in parts],
+                axis=-2))
+        for name in cls._ROW:
+            setattr(out, name, np.concatenate([getattr(b, name) for b in blocks]))
+        out.pair = np.repeat(pairs, [b.pair.size for b in blocks])
+        out.mono, out.curv = (any(getattr(b, f) for b in blocks) for f in ("mono", "curv"))
+        return out
 
     def at(self, coeffs: np.ndarray) -> "_ClampRows":
-        """These rows against the state with local coefficients coeffs."""
+        """These rows against the states with local coefficients coeffs,
+        (pieces, 4) for a block, (sets, pieces, 4) for a batch."""
         out = copy.copy(self)
-        if self.mono:
-            out.B = tuple(self.m_sign * b for b in _slopes(coeffs.T))
-        if self.curv:
-            out.C = tuple(self.c_sign * b for b in _bends(coeffs.T))
+        c = coeffs.reshape((-1,) + coeffs.shape[-2:])[self.pair].transpose(2, 0, 1)
+        out.B = np.broadcast_to((self.m_sign[:, None] * np.stack(_slopes(c)))[:, None],
+                                (3,) + self.mask.shape)
+        out.C = np.broadcast_to((self.c_sign[:, None] * np.stack(_bends(c)))[:, None],
+                                (2,) + self.mask.shape)
         return out
 
     def take(self, index) -> "_ClampRows":
         """The rows selected by index, an index into (sides, rows)."""
         out = copy.copy(self)
-        out.mask = self.mask[index]
-        if self.mono:
-            out.A = tuple(a[index] for a in self.A)
-        if self.curv:
-            out.D = tuple(a[index] for a in self.D)
+        index = (Ellipsis,) + index + (slice(None),)
+        for name in self._GRID + ("B", "C"):
+            setattr(out, name, getattr(self, name)[index])
         return out
 
 
 def _parabola(r: _ClampRows, g: np.ndarray):
     """sign*f' of each piece after the rows add g, as q0 + q1*t + q2*t^2,
     with its vertex t* (-1 where q2 <= 0) and whether t* lies inside the
-    piece, so that the parabola's minimum is interior."""
-    q0, q1, q2 = (b + g * a for a, b in zip(r.A, r.B))
-    pos = q2 > 0.0
+    piece, so that the parabola's minimum is interior. Rows the monotone
+    sign does not bind (zero A and B, any gamma) are masked out by callers."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q0, q1, q2 = (b + g * a for a, b in zip(r.A, r.B))
+        pos = q2 > 0.0
         tstar = np.where(pos, -q1 / (2.0 * q2), -1.0)
     return q0, q1, q2, tstar, pos & (tstar > 0.0) & (tstar < r.w)
 
@@ -436,13 +458,13 @@ def _feasible_interval(r: _ClampRows, gamma: np.ndarray):
     if r.mono:
         A0, A1, A2 = r.A
         B0, B1, B2 = r.B
-        lo, hi = cut(lo, hi, A0, B0, r.mask)
-        lo, hi = cut(lo, hi, A0 + A1 * w + A2 * w * w, B0 + B1 * w + B2 * w * w, r.mask)
+        lo, hi = cut(lo, hi, A0, B0, r.mmask)
+        lo, hi = cut(lo, hi, A0 + A1 * w + A2 * w * w, B0 + B1 * w + B2 * w * w, r.mmask)
     if r.curv:
         C0, C1 = r.C
         D0, D1 = r.D
-        lo, hi = cut(lo, hi, D0, C0, r.mask)
-        lo, hi = cut(lo, hi, D0 + D1 * w, C0 + C1 * w, r.mask)
+        lo, hi = cut(lo, hi, D0, C0, r.cmask)
+        lo, hi = cut(lo, hi, D0 + D1 * w, C0 + C1 * w, r.cmask)
 
     # without quadratic terms f' is linear on each piece: its endpoints bound it
     if r.mono and (np.any(A2 != 0.0) or np.any(B2 != 0.0)):
@@ -455,7 +477,7 @@ def _feasible_interval(r: _ClampRows, gamma: np.ndarray):
             q0, q1, q2, tstar, inside = _parabola(r, gamma_c[..., None])
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 qmin = q0 - q1 * q1 / (4.0 * np.maximum(q2, 1e-300))
-                viol = r.mask & inside & (qmin < -FEAS_SLACK)
+                viol = r.mmask & inside & (qmin < -FEAS_SLACK)
                 if not viol.any():
                     break
                 a_t = A0 + A1 * tstar + A2 * tstar * tstar
@@ -474,31 +496,31 @@ def _worst_after(r: _ClampRows, gamma: np.ndarray) -> np.ndarray:
     g = gamma[..., None]
     w = r.w
     vals = []
-    if r.mono:
-        q0, q1, q2, tstar, inside = _parabola(r, g)
-        with np.errstate(invalid="ignore", over="ignore"):
-            interior = q0 + q1 * tstar + q2 * tstar * tstar
-        vals += [q0, q0 + q1 * w + q2 * w * w, np.where(inside, interior, np.inf)]
-    if r.curv:
-        q0 = r.C[0] + g * r.D[0]
-        q1 = r.C[1] + g * r.D[1]
-        vals += [q0, q0 + q1 * w]
+    with np.errstate(invalid="ignore", over="ignore"):
+        if r.mono:
+            q0, q1, q2, tstar, inside = _parabola(r, g)
+            interior = np.where(inside, q0 + q1 * tstar + q2 * tstar * tstar, np.inf)
+            vals += [(r.mmask, v) for v in (q0, q0 + q1 * w + q2 * w * w, interior)]
+        if r.curv:
+            q0 = r.C[0] + g * r.D[0]
+            q1 = r.C[1] + g * r.D[1]
+            vals += [(r.cmask, q0), (r.cmask, q0 + q1 * w)]
     worst = np.full(gamma.shape, np.inf)
-    for v in vals:
-        worst = np.minimum(worst, np.where(r.mask, v, np.inf).min(axis=-1))
+    for mask, v in vals:
+        worst = np.minimum(worst, np.where(mask, v, np.inf).min(axis=-1))
     return worst
 
 
 def _clamp(rows: _ClampRows, cfg: TrainConfig, gamma: np.ndarray, sums) -> np.ndarray:
     """Clamp leaf-value proposals gamma (sides, rows) into the feasible
-    intervals of the bound clamp rows, apply the degree-1 kink rule, then
-    halve each row's sides together until the exact check passes; a row
-    still failing after 60 halvings becomes a no-op. sums are the side sums
-    (sgl, shl, sgr, shr) per row, used by the kink rule."""
+    intervals of the bound clamp rows, apply the degree-1 kink rule to the
+    rows it binds, then halve each row's sides together until the exact
+    check passes; a row still failing after 60 halvings becomes a no-op.
+    sums are the side sums (sgl, shl, sgr, shr) per row, for the kink rule."""
     lo, hi = _feasible_interval(rows, gamma)
     gamma = _clip(gamma, lo, hi)
-    if rows.kinks:
-        bad = rows.c_sign * (gamma[1] - gamma[0]) < 0.0
+    if rows.kinks.any():
+        bad = rows.kinks & (rows.c_sign * (gamma[1] - gamma[0]) < 0.0)
         if bad.any():
             sgl, shl, sgr, shr = sums
             pooled = leaf_value(sgl + sgr, shl + shr, cfg.l1, cfg.l2)
@@ -555,10 +577,10 @@ class _Candidates:
         allowed = np.zeros((n_outputs, len(works)), dtype=bool)
         self.sums = np.zeros((n_outputs, 4, ok.size))
         self.pools = []  # (monotone sign, columns) of monotone fine scans
-        # (feature, allowed outputs, columns, unbound clamp rows) per
-        # constrained degree >= 1: every valid row is clamped before gains
-        # are compared
-        self.clamps = []
+        # every valid row of a constrained degree >= 1 is clamped for each
+        # allowed output before gains are compared: one block of clamp rows
+        # per (output, feature, degree), reading its (output, feature) pair
+        blocks, pairs = [], {}
         for k, (wk, start, stop) in enumerate(zip(works, [0] + stops, stops)):
             fc, table = wk.fc, start + wk.n_fine  # the feature's first table row
             allowed[wk.outputs, k] = True
@@ -570,8 +592,17 @@ class _Candidates:
                     rows = np.flatnonzero(ok[table:stop] & (wk.row_degree == d))
                     if rows.size:
                         units = _ClampRows(wk, d, cfg.learning_rate, rows)
-                        self.clamps.append((k, wk.outputs.tolist(), table + rows, units))
+                        blocks += [(units, pairs.setdefault((i, k), len(pairs)), table + rows)
+                                   for i in wk.outputs.tolist()]
         self.valid = allowed[:, self.feature] & ok  # (output, column)
+        # the batch of every clamp row, each row's (output, column), and a
+        # (pairs, pieces, 4) buffer for the pairs' current coefficients
+        self.clamp = None
+        if blocks:
+            units, block_pair, col = zip(*blocks)
+            rows, pairs = _ClampRows.stack(units, block_pair), list(pairs)
+            self.clamp = (rows, np.array(pairs)[rows.pair, 0], np.concatenate(col), pairs,
+                          np.zeros((len(pairs), rows.mask.shape[-1], 4)))
 
 
 def _best_updates(
@@ -595,11 +626,14 @@ def _best_updates(
             sgl, sgr, shl, shr = sums[:, :, sl].swapaxes(0, 1)
             pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
             gamma[:, :, sl] = np.where(bad[:, None], pooled[:, None], gamma[:, :, sl])
-    for k, outputs, idx, units in cands.clamps:
-        for i in outputs:
-            sgl, sgr, shl, shr = sums[i][:, idx]
-            rows = units.at(store.params[i][k].poly_coeffs)
-            gamma[i][:, idx] = _clamp(rows, cfg, gamma[i][:, idx], (sgl, shl, sgr, shr))
+    if cands.clamp is not None:
+        rows, out, col, pairs, coeffs = cands.clamp
+        for p, (i, k) in enumerate(pairs):
+            c = store.params[i][k].poly_coeffs
+            coeffs[p, : len(c)] = c
+        sgl, sgr, shl, shr = sums[out, :, col].T
+        clamped = _clamp(rows.at(coeffs), cfg, gamma[out, :, col].T, (sgl, shl, sgr, shr))
+        gamma[out, :, col] = clamped.T
 
     gains = candidate_gain(gamma[:, 0], sums[:, 0], sums[:, 2], gamma[:, 1], sums[:, 1], sums[:, 3])
     gains = np.where(cands.valid & np.isfinite(gains), gains, -np.inf)

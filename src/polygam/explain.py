@@ -38,7 +38,10 @@ class ShapeGrid:
 def shape_grid(
     store: ParameterStore, i: int, k: int, grid_size: int = DEFAULT_GRID, with_ci: bool = False
 ) -> ShapeGrid:
-    """Sample shape i,k on grid_size points spanning the observed range."""
+    """Sample shape i,k on grid_size points spanning the observed range;
+    a grid_size below 1 is refused."""
+    if grid_size < 1:
+        raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
     fb = store.layout[k]
     if fb.x_max > fb.x_min:
         x = np.linspace(fb.x_min, fb.x_max, grid_size)
@@ -80,9 +83,8 @@ def export_shapes(
     Only (output, feature) pairs permitted by the allow-mask are exported.
     Unknown feature names in the filter are an error; so are requesting CI
     output on a model without stored accumulators and a grid_size below 1.
+    Every grid is sampled before the directory is made.
     """
-    if grid_size < 1:
-        raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
     names = store.feature_names
     if features is None:
         selected = list(range(len(names)))
@@ -93,19 +95,15 @@ def export_shapes(
         selected = [names.index(f) for f in features]
     if with_ci and not store.has_uncertainty:
         raise ConfigError("model stores no uncertainty accumulators; cannot export CIs")
+    grids = [shape_grid(store, i, k, grid_size, with_ci) for k in selected
+             for i in range(store.n_outputs) if store.constraints.allow_mask[i, k]]
     os.makedirs(out_dir, exist_ok=True)
-    grids = []
-    for k in selected:
-        for i in range(store.n_outputs):
-            if not store.constraints.allow_mask[i, k]:
-                continue
-            grid = shape_grid(store, i, k, grid_size, with_ci)
-            base = os.path.join(out_dir, f"shape_{i}_{names[k]}")
-            _write_grid_csv(grid, base + ".csv")
-            if svg:
-                with open(base + ".svg", "w") as fh:
-                    fh.write(render_svg(grid))
-            grids.append(grid)
+    for grid in grids:
+        base = os.path.join(out_dir, f"shape_{grid.output}_{grid.feature_name}")
+        _write_grid_csv(grid, base + ".csv")
+        if svg:
+            with open(base + ".svg", "w") as fh:
+                fh.write(render_svg(grid))
     return grids
 
 

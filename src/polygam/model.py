@@ -34,6 +34,7 @@ MAX_DEGREE = 3
 # 255-edge lognormal grids (4-8 halvings) 32-50 us against 19-27 us, and at
 # 2048 values 43-83 us against 105-125 us (timeit, 2-core x86 host).
 TABLE_MIN_VALUES = 1024
+SEARCH_MAX_EDGES = 8  # grids of at most this many fine edges skip the table
 CHUNK_ROWS = 2 * TABLE_MIN_VALUES  # `predict`'s rows per chunk
 
 
@@ -289,9 +290,11 @@ def fine_code(fb: FeatureBins, x: np.ndarray) -> np.ndarray:
     Equal to ``np.searchsorted(fb.fine_edges, x, side="right")`` for every
     float, NaN and +-inf included; inputs of TABLE_MIN_VALUES values or more
     (twice that when the table needs more than two halvings) go through the
-    cell table `fb.fine_table`."""
+    cell table `fb.fine_table`, unless the grid has at most SEARCH_MAX_EDGES
+    edges, where a search is faster on a 2048-row predict chunk."""
     n = getattr(x, "size", 0)  # np.size adds 0.2 us per call
-    if n < TABLE_MIN_VALUES or (n < 2 * TABLE_MIN_VALUES and fb.fine_table.steps > 2):
+    if (n < TABLE_MIN_VALUES or fb.fine_edges.size <= SEARCH_MAX_EDGES
+            or (n < 2 * TABLE_MIN_VALUES and fb.fine_table.steps > 2)):
         return fb.fine_edges.searchsorted(x, side="right")  # 2 us less than np.searchsorted
     return fb.fine_table.codes(x)
 

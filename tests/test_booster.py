@@ -599,6 +599,19 @@ def test_train_config_refuses_non_finite_penalties(field, value):
         train(wiggly_dataset(100, 15), config=cfg)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iterations", math.nan), ("max_iterations", 2.5), ("max_iterations", 3.0),
+     ("early_stopping_patience", math.nan)],
+)
+def test_train_config_refuses_nan_and_fractional_iteration_settings(field, value):
+    cfg = TrainConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be .*, got {value}"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=field):
+        train(wiggly_dataset(100, 15), config=cfg)
+
+
 def test_train_config_names_a_bad_patience():
     with pytest.raises(ConfigError, match="early_stopping_patience must be >= 0, got -3"):
         TrainConfig(early_stopping_patience=-3).validate()

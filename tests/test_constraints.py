@@ -6,12 +6,14 @@ from hypothesis import example, given, strategies as st
 
 from polygam.booster import (
     TrainConfig,
+    _Candidates,
     _clamp,
     _ClampRows,
     _feasible_interval,
     _FeatureWork,
     train,
 )
+from polygam.data import BinLayout
 from polygam.model import (
     ConstraintSpec,
     FeatureConstraint,
@@ -254,6 +256,84 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
         state = store.copy()
         accumulate_global(state, 0, 0, dg, float(gam[0, 0]), lr)
         assert_feasible(state, fc, g, f"global degree {dg}")
+
+
+@st.composite
+def fit_clamp_cases(draw):
+    """Two or three constrained features of different coarse piece counts,
+    each monotone, curvature-signed or both, allowed for a non-empty subset
+    of one to three outputs, and the iterations that set the states."""
+    n_features = draw(st.integers(2, 3))
+    pieces = draw(st.lists(st.sampled_from([2, 3, 5, 8, 12]), min_size=n_features,
+                           max_size=n_features, unique=True))
+    fcs = []
+    for _ in range(n_features):
+        m, c = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1)]))
+        S = draw(st.integers(0 if c else -1, 2))
+        D = draw(st.integers(max(S + 1, 2 if c else 1), 3))
+        fcs.append(FeatureConstraint(smoothness=S, max_degree=D, monotone=m, curvature=c))
+    n_outputs = draw(st.integers(1, 3))
+    subsets = st.lists(st.booleans(), min_size=n_outputs, max_size=n_outputs).filter(any)
+    mask = np.array([draw(subsets) for _ in range(n_features)]).T
+    iterations = draw(st.integers(0, 6))
+    return fcs, pieces, mask, iterations, draw(st.integers(0, 2**16))
+
+
+@given(fit_clamp_cases())
+# a degree-1 kink block (S = 0, curvature) beside global rows (S = 2)
+@example(([FeatureConstraint(smoothness=0, max_degree=2, monotone=1, curvature=1),
+           FeatureConstraint(smoothness=2, max_degree=3, monotone=-1, curvature=1)],
+          [3, 8], np.array([[True, True], [True, False]]), 4, 1))
+@pytest.mark.filterwarnings("ignore:feature .* is constrained but allowed in multiple outputs")
+def test_one_clamp_pass_equals_each_block_clamped_alone(case):
+    fcs, pieces, mask, iterations, seed = case
+    rng = np.random.default_rng(seed)
+    n, J = 240, mask.shape[0]
+    X = rng.uniform(-1.0, 2.0, size=(n, len(fcs)))
+    f = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
+    if J == 1:
+        ds = make_dataset(X, f + rng.normal(scale=0.3, size=n))
+    else:
+        y = np.digitize(f, np.quantile(f, np.linspace(0, 1, J + 1)[1:-1]))
+        ds = make_dataset(X, y, task="multiclass")
+    layout = BinLayout([layout_for(make_dataset(X[:, k], f), 32, p)[0]
+                        for k, p in enumerate(pieces)])
+    spec = ConstraintSpec(features=fcs, allow_mask=mask)
+    lr = 0.3
+    cfg = TrainConfig(learning_rate=lr, max_iterations=iterations, early_stopping_patience=0,
+                      validation_fraction=0.0, min_data_in_leaf=5)
+    store = train(ds, layout, spec, cfg).store
+    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), J)
+             for k, fc in enumerate(fcs)]
+    cands = _Candidates(works, J, cfg, n)
+    rows, out, col, pairs, coeffs = cands.clamp
+    widths = {layout[k].n_coarse_bins for k in range(len(fcs))}
+    assert len(widths) > 1 and rows.mask.shape[-1] == max(widths)  # pieces are padded
+    for p, (i, k) in enumerate(pairs):
+        coeffs[p, : layout[k].n_coarse_bins] = store.params[i][k].poly_coeffs
+    R = out.size
+    gamma = rng.normal(size=(2, R)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(2, R))
+    gamma[1, cands.is_global[col]] = 0.0
+    sums = (rng.normal(size=R), rng.uniform(0.1, 10.0, R),
+            rng.normal(size=R), rng.uniform(0.1, 10.0, R))
+    batch = _clamp(rows.at(coeffs), cfg, gamma.copy(), sums)
+    at = {(o, c): r for r, (o, c) in enumerate(zip(out.tolist(), col.tolist()))}
+    start = seen = 0
+    for k, wk in enumerate(works):
+        table = start + wk.n_fine
+        start = table + wk.row_degree.size
+        for i in wk.outputs.tolist():
+            ok = cands.valid[i, table:start]
+            for d in np.unique(wk.row_degree[wk.row_degree >= 1]).tolist():
+                block = np.flatnonzero(ok & (wk.row_degree == d))
+                if block.size == 0:
+                    continue
+                r = np.array([at[i, table + b] for b in block.tolist()])
+                alone = _clamp(_ClampRows(wk, d, lr, block).at(store.params[i][k].poly_coeffs),
+                               cfg, gamma[:, r], tuple(s[r] for s in sums))
+                assert alone.tobytes() == batch[:, r].tobytes(), (k, i, d)
+                seen += r.size
+    assert seen == R  # every batch row is some block's
 
 
 def update_deriv_coeffs(delta, d, lr, order):

@@ -19,7 +19,7 @@ from polygam.data import (
     split_indices,
 )
 from polygam.errors import DataError
-from polygam.model import TABLE_MIN_VALUES, fine_code
+from polygam.model import SEARCH_MAX_EDGES, TABLE_MIN_VALUES, fine_code
 from polygam.testkit import dense_bin_transform
 
 from conftest import make_dataset
@@ -182,7 +182,9 @@ SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308, -1.7e308]
 
 @given(
     kind=st.sampled_from(["lognormal", "integer", "tiny_span_1e300"]),
-    n=st.sampled_from([0, 1, 2, 255]),
+    # grids of 0-2 edges always search; SEARCH_MAX_EDGES + 1 is the smallest
+    # grid that reads the table
+    n=st.sampled_from([0, 1, 2, SEARCH_MAX_EDGES + 1, 255]),
     # values added to the grid's own: 0 stays under the crossover; the
     # others give 1024-4096 values, on both sides of the doubled crossover
     # of grids whose table needs more than two halvings
@@ -201,11 +203,26 @@ def test_fine_code_equals_searchsorted_on_both_sides_of_the_crossover(kind, n, b
         x = rng.permutation(np.concatenate((x, extra)))
     with mock.patch.object(FineTable, "codes", autospec=True, side_effect=FineTable.codes) as table:
         assert np.array_equal(fine_code(fb, x), np.searchsorted(edges, x, side="right"))
-    assert ("fine_table" in vars(fb)) == (bulk > 0)  # consulted from TABLE_MIN_VALUES values
+    # consulted from TABLE_MIN_VALUES values, on grids of more than SEARCH_MAX_EDGES
+    uses_table = bulk > 0 and n > SEARCH_MAX_EDGES
+    assert ("fine_table" in vars(fb)) == uses_table
     if kind == "lognormal" and n == 255:  # heavy tail: most edges share the first cells
         assert fb.fine_table.steps > 2
     # the side of the crossover that ran
-    assert table.called == (bulk > 0 and x.size >= TABLE_MIN_VALUES << (fb.fine_table.steps > 2))
+    assert table.called == (uses_table and x.size >= TABLE_MIN_VALUES << (fb.fine_table.steps > 2))
+
+
+@pytest.mark.parametrize("n_edges", [0, 1, 5, SEARCH_MAX_EDGES])
+def test_fine_code_searches_few_edge_grids_at_any_size(n_edges):
+    rng = np.random.default_rng(n_edges)
+    edges = np.sort(rng.choice(np.arange(-50.0, 50.0), n_edges, replace=False))
+    fb = FeatureBins(fine_edges=edges, coarse_edges=edges[:0], x_min=-50.0, x_max=50.0)
+    x = np.concatenate((rng.choice(np.append(edges, SPECIALS), 1000),
+                        rng.uniform(-60.0, 60.0, 3 * TABLE_MIN_VALUES)))
+    with mock.patch.object(FineTable, "codes", autospec=True, side_effect=FineTable.codes) as table:
+        for m in (TABLE_MIN_VALUES, 2 * TABLE_MIN_VALUES, x.size):
+            assert np.array_equal(fine_code(fb, x[:m]), np.searchsorted(edges, x[:m], side="right"))
+    assert not table.called and "fine_table" not in vars(fb)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,17 @@ def test_grid_size_two_is_exact_endpoints():
     assert g.x.tolist() == [0.25, 1.75]
 
 
+@pytest.mark.parametrize("grid_size", [0, -1])
+def test_shape_grid_refuses_an_empty_grid(tmp_path, grid_size):
+    store = single_feature_store([1.0], [1.0], 0.25, 1.75)
+    want = f"grid_size must be >= 1, got {grid_size}"
+    with pytest.raises(ConfigError, match=want):
+        shape_grid(store, 0, 0, grid_size=grid_size)
+    with pytest.raises(ConfigError, match=want):
+        export_shapes(store, str(tmp_path / "s"), grid_size=grid_size)
+    assert not (tmp_path / "s").exists()
+
+
 def test_default_grid_is_512_rows(tmp_path):
     store, _ = trained_model()
     export_shapes(store, str(tmp_path), svg=False)

@@ -362,11 +362,11 @@ def test_knot_gaps_detect_slope_break():
 # serialization
 
 
-def random_trained_store(seed=6):
+def random_trained_store(seed=6, fine_edges=(0.5, 1.0, 1.5)):
     rng = np.random.default_rng(seed)
-    store = single_feature_store([0.5, 1.0, 1.5], [1.0], 0.0, 2.0)
+    store = single_feature_store(fine_edges, [1.0], 0.0, 2.0)
     store.intercepts[0] = rng.normal()
-    store.params[0][0].step_values[:] = rng.normal(size=4)
+    store.params[0][0].step_values[:] = rng.normal(size=len(fine_edges) + 1)
     store.params[0][0].poly_coeffs[:] = rng.normal(size=(2, 4))
     return store
 
@@ -390,7 +390,9 @@ def test_save_load_save_byte_identical(tmp_path):
 
 
 def test_fine_table_is_built_once_read_only_and_never_saved(monkeypatch):
-    store = random_trained_store()
+    # a grid of more than SEARCH_MAX_EDGES edges, so predict reads the table
+    store = random_trained_store(fine_edges=np.linspace(0.125, 1.875, 15))
+    assert store.layout[0].fine_edges.size > model.SEARCH_MAX_EDGES
     fb = store.layout[0]
     before = dumps_model(store)
     builds = []
