@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import BinLayout, Dataset, FeatureBins, build_bin_layout, split_indices
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .losses import derivatives, link_apply, loss_eval
 from .model import (
     ConstraintSpec,
@@ -62,8 +62,9 @@ class TrainConfig:
             errs.append(f"l1 must be finite and >= 0, got {self.l1}")
         if not 0.0 <= self.l2 < math.inf:
             errs.append(f"l2 must be finite and >= 0, got {self.l2}")
-        if not self.min_data_in_leaf >= 1:
-            errs.append(f"min_data_in_leaf must be >= 1, got {self.min_data_in_leaf}")
+        if not (isinstance(self.min_data_in_leaf, numbers.Integral) and self.min_data_in_leaf >= 1):
+            errs.append(
+                f"min_data_in_leaf must be an integer >= 1, got {self.min_data_in_leaf}")
         if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
             errs.append(f"max_iterations must be an integer >= 0, got {self.max_iterations}")
         if not self.early_stopping_patience >= 0:
@@ -73,6 +74,8 @@ class TrainConfig:
             errs.append(
                 f"validation_fraction must be in [0, 1), got {self.validation_fraction}"
             )
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            errs.append(f"seed must be an integer >= 0, got {self.seed}")
         if errs:
             raise ConfigError("; ".join(errs))
 
@@ -356,69 +359,59 @@ def _clip(gamma, lo, hi):
 
 
 class _ClampRows:
-    """Signed per-piece coefficients of f' and f'' for a batch of clamp rows.
+    """Signed per-piece coefficients of f' and f'' for every clamp row of a fit.
 
-    Row r is a row of a feature's table: it adds lr*gamma*(x-u_r)^d over the
+    Row r is a table row of one output: it adds lr*gamma*(x-u_r)^d over the
     pieces in its (side, piece) mask. Arrays are (sides, rows, pieces), any
-    coefficient index first, pieces padded (masked out) to the widest. B
-    and C hold sign*f' and sign*f'' of the state of the row's pair, A and D
-    what one unit of gamma adds to them; mmask and cmask are the mask where
-    the monotone and curvature signs bind. The constructor makes the block
-    of one degree of one feature; `stack` joins blocks, `at` binds a state.
+    coefficient index first, pieces padded (masked out) to the widest
+    feature. B and C hold sign*f' and sign*f'' of the row's (output,
+    feature) state, A and D what one unit of gamma adds to them; mmask and
+    cmask mark where the monotone and curvature signs bind. out and col are
+    each row's (output, column) of the fit's candidates, pairs each block's
+    (output, feature). `at` binds a store's state, `take` selects rows.
     """
 
-    _GRID = ("mask", "mmask", "cmask", "w", "A", "D")  # (..., sides, rows, pieces)
-    _ROW = ("m_sign", "c_sign", "kinks")  # (rows,)
+    def __init__(self, blocks, lr: float):
+        """blocks: (output, feature, work, degree, table rows, columns) of
+        each block of rows; all rows of a block have the one degree."""
+        P = max(wk.lower.size for _, _, wk, _, _, _ in blocks)
+        self.pairs = [(i, k) for i, k, *_ in blocks]
+        grids, rowwise, top = [], [], 0
+        for i, k, wk, d, rows, cols in blocks:
+            m_sign, c_sign, n, pieces = wk.fc.monotone, wk.fc.curvature, rows.size, wk.lower.size
+            mask = wk.row_mask[:, rows]
+            unit = np.zeros((4,) + mask.shape)  # local coefficients of lr*(x-u)^d
+            unit[: d + 1] = shift(wk.lower - wk.row_u[rows, None], d, lr)[:, None]
+            # each piece's row in `at`'s coefficient stack; padding reads its zero last row
+            coef = np.where(np.arange(P) < pieces, top + np.arange(P), -1)
+            top += pieces
+            grids.append((mask & bool(m_sign), mask & (bool(c_sign) and d >= 2),
+                          np.broadcast_to(wk.widths, mask.shape), np.broadcast_to(coef, (n, P)),
+                          m_sign * np.stack(_slopes(unit)), c_sign * np.stack(_bends(unit))))
+            # a degree-1 split kinks f'; the kink must bend with the curvature sign
+            kink = c_sign if d == 1 and d > wk.fc.smoothness else 0
+            rowwise.append(np.vstack((np.repeat([[i], [m_sign], [c_sign], [kink]], n, 1), cols)))
+        self.out, self.m_sign, self.c_sign, self.kink, self.col = np.concatenate(rowwise, axis=1)
+        self.mmask, self.cmask, self.w, self.coef, self.A, self.D = (
+            np.concatenate([np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, P - a.shape[-1])])
+                            for a in grid], axis=-2)
+            for grid in zip(*grids))
+        self.mono, self.curv = bool(self.mmask.any()), bool(self.cmask.any())
 
-    def __init__(self, wk: _FeatureWork, d: int, lr: float, rows: np.ndarray):
-        m_sign, c_sign, n = wk.fc.monotone, wk.fc.curvature, rows.size
-        self.mono, self.curv = bool(m_sign), bool(c_sign) and d >= 2
-        self.mask = wk.row_mask[:, rows]
-        self.mmask, self.cmask = self.mask & self.mono, self.mask & self.curv
-        self.w = np.broadcast_to(wk.widths, self.mask.shape)
-        u = np.broadcast_to(wk.row_u[rows], (2, n))
-        delta = wk.lower - u[..., None]
-        unit = np.zeros((4,) + delta.shape)  # local coefficients of lr*(x-u)^d
-        unit[: d + 1] = shift(delta, d, lr)
-        self.A = m_sign * np.stack(_slopes(unit))
-        self.D = c_sign * np.stack(_bends(unit))
-        self.m_sign, self.c_sign = np.full(n, m_sign), np.full(n, c_sign)
-        # a degree-1 split kinks f'; the kink must bend with the curvature sign
-        self.kinks = np.full(n, d == 1 and bool(c_sign) and d > wk.fc.smoothness)
-        self.pair = np.zeros(n, dtype=int)
-
-    @classmethod
-    def stack(cls, blocks, pairs) -> "_ClampRows":
-        """One batch of the blocks' rows; block b reads coefficient set pairs[b]."""
-        out = copy.copy(blocks[0])
-        P = max(b.mask.shape[-1] for b in blocks)
-        for name in cls._GRID:
-            parts = [getattr(b, name) for b in blocks]
-            setattr(out, name, np.concatenate(
-                [np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, P - a.shape[-1])]) for a in parts],
-                axis=-2))
-        for name in cls._ROW:
-            setattr(out, name, np.concatenate([getattr(b, name) for b in blocks]))
-        out.pair = np.repeat(pairs, [b.pair.size for b in blocks])
-        out.mono, out.curv = (any(getattr(b, f) for b in blocks) for f in ("mono", "curv"))
-        return out
-
-    def at(self, coeffs: np.ndarray) -> "_ClampRows":
-        """These rows against the states with local coefficients coeffs,
-        (pieces, 4) for a block, (sets, pieces, 4) for a batch."""
-        out = copy.copy(self)
-        c = coeffs.reshape((-1,) + coeffs.shape[-2:])[self.pair].transpose(2, 0, 1)
-        out.B = np.broadcast_to((self.m_sign[:, None] * np.stack(_slopes(c)))[:, None],
-                                (3,) + self.mask.shape)
-        out.C = np.broadcast_to((self.c_sign[:, None] * np.stack(_bends(c)))[:, None],
-                                (2,) + self.mask.shape)
+    def at(self, store: ParameterStore) -> "_ClampRows":
+        """These rows against the store's current coefficients."""
+        out, shape = copy.copy(self), self.mmask.shape
+        c = np.concatenate([store.params[i][k].poly_coeffs for i, k in self.pairs]
+                           + [np.zeros((1, 4))])[self.coef].transpose(2, 0, 1)
+        out.B = np.broadcast_to((self.m_sign[:, None] * np.stack(_slopes(c)))[:, None], (3, *shape))
+        out.C = np.broadcast_to((self.c_sign[:, None] * np.stack(_bends(c)))[:, None], (2, *shape))
         return out
 
     def take(self, index) -> "_ClampRows":
         """The rows selected by index, an index into (sides, rows)."""
         out = copy.copy(self)
         index = (Ellipsis,) + index + (slice(None),)
-        for name in self._GRID + ("B", "C"):
+        for name in ("mmask", "cmask", "w", "A", "B", "C", "D"):
             setattr(out, name, getattr(self, name)[index])
         return out
 
@@ -511,23 +504,32 @@ def _worst_after(r: _ClampRows, gamma: np.ndarray) -> np.ndarray:
     return worst
 
 
+def _pool(sign, gamma: np.ndarray, sums, cfg: TrainConfig, lo=None, hi=None) -> np.ndarray:
+    """Where sign * (gamma_right - gamma_left) < 0, both leaves of gamma
+    (..., sides, columns) take the Newton step of the pooled side sums
+    (..., sgl/sgr/shl/shr, columns), clipped into the intersection of the
+    two sides' feasible intervals lo, hi (sides, columns) when they are
+    given."""
+    bad = sign * (gamma[..., 1, :] - gamma[..., 0, :]) < 0.0
+    if not bad.any():
+        return gamma
+    sgl, sgr, shl, shr = np.moveaxis(sums, -2, 0)
+    pooled = leaf_value(sgl + sgr, shl + shr, cfg.l1, cfg.l2)
+    if lo is not None:
+        lo_p = np.where(lo[1] > lo[0], lo[1], lo[0])
+        hi_p = np.where(hi[1] < hi[0], hi[1], hi[0])
+        pooled = np.where(lo_p <= hi_p, _clip(pooled, lo_p, hi_p), 0.0)
+    return np.where(bad[..., None, :], pooled[..., None, :], gamma)
+
+
 def _clamp(rows: _ClampRows, cfg: TrainConfig, gamma: np.ndarray, sums) -> np.ndarray:
     """Clamp leaf-value proposals gamma (sides, rows) into the feasible
-    intervals of the bound clamp rows, apply the degree-1 kink rule to the
-    rows it binds, then halve each row's sides together until the exact
-    check passes; a row still failing after 60 halvings becomes a no-op.
-    sums are the side sums (sgl, shl, sgr, shr) per row, for the kink rule."""
+    intervals of the bound clamp rows, pool the degree-1 kinks that bend
+    against the curvature sign, then halve each row's sides together until
+    the exact check passes; a row still failing after 60 halvings becomes a
+    no-op. sums are the rows' side sums (sgl, sgr, shl, shr)."""
     lo, hi = _feasible_interval(rows, gamma)
-    gamma = _clip(gamma, lo, hi)
-    if rows.kinks.any():
-        bad = rows.kinks & (rows.c_sign * (gamma[1] - gamma[0]) < 0.0)
-        if bad.any():
-            sgl, shl, sgr, shr = sums
-            pooled = leaf_value(sgl + sgr, shl + shr, cfg.l1, cfg.l2)
-            lo_p = np.where(lo[1] > lo[0], lo[1], lo[0])
-            hi_p = np.where(hi[1] < hi[0], hi[1], hi[0])
-            pooled = np.where(lo_p <= hi_p, _clip(pooled, lo_p, hi_p), 0.0)
-            gamma = np.where(bad, pooled, gamma)
+    gamma = _pool(rows.kink, _clip(gamma, lo, hi), sums, cfg, lo, hi)
 
     todo = np.arange(gamma.shape[1])
     for _ in range(60):
@@ -561,48 +563,38 @@ class _Candidates:
     """
 
     def __init__(self, works: list[_FeatureWork], n_outputs: int, cfg: TrainConfig, n: int):
-        cols = []  # per feature: feature, degree, threshold (NaN: global), n_left
+        cols = []  # per feature: feature, degree, threshold (NaN: global), n_left, pool sign
         for k, wk in enumerate(works):
             nf, split = wk.n_fine, wk.row_degree > wk.fc.smoothness
             cols.append((np.full(nf + wk.row_degree.size, k),
                          np.append(np.zeros(nf, dtype=int), wk.row_degree),
                          np.append(wk.fb.fine_edges[:nf], np.where(split, wk.row_u, np.nan)),
-                         np.append(wk.n_left_fine[:nf], wk.row_n_left)))
+                         np.append(wk.n_left_fine[:nf], wk.row_n_left),
+                         np.append(np.full(nf, wk.fc.monotone), np.zeros_like(wk.row_degree))))
         stops = np.cumsum([c[0].size for c in cols], dtype=int).tolist()
-        cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0, int)] * 4
-        self.feature, self.degree, self.threshold, nl = cols
+        cols = [np.concatenate(c) for c in zip(*cols)] if cols else [np.empty(0, int)] * 5
+        self.feature, self.degree, self.threshold, nl, pool = cols
         self.is_global = np.isnan(self.threshold)
         min_leaf = cfg.min_data_in_leaf
         ok = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
         allowed = np.zeros((n_outputs, len(works)), dtype=bool)
         self.sums = np.zeros((n_outputs, 4, ok.size))
-        self.pools = []  # (monotone sign, columns) of monotone fine scans
-        # every valid row of a constrained degree >= 1 is clamped for each
-        # allowed output before gains are compared: one block of clamp rows
-        # per (output, feature, degree), reading its (output, feature) pair
-        blocks, pairs = [], {}
+        # every valid row of a constrained degree >= 1, once per allowed
+        # output: one block of clamp rows per (output, feature, degree)
+        blocks = []
         for k, (wk, start, stop) in enumerate(zip(works, [0] + stops, stops)):
             fc, table = wk.fc, start + wk.n_fine  # the feature's first table row
             allowed[wk.outputs, k] = True
             wk.sums = self.sums[:, :, start:stop]  # so the scan fills its columns in place
-            if wk.n_fine and fc.monotone:
-                self.pools.append((fc.monotone, slice(start, table)))
             if fc.monotone or fc.curvature:
-                for d in np.unique(wk.row_degree[wk.row_degree >= 1]).tolist():
+                for d in range(1, fc.max_degree + 1):
                     rows = np.flatnonzero(ok[table:stop] & (wk.row_degree == d))
                     if rows.size:
-                        units = _ClampRows(wk, d, cfg.learning_rate, rows)
-                        blocks += [(units, pairs.setdefault((i, k), len(pairs)), table + rows)
-                                   for i in wk.outputs.tolist()]
+                        blocks += [(i, k, wk, d, rows, table + rows) for i in wk.outputs.tolist()]
         self.valid = allowed[:, self.feature] & ok  # (output, column)
-        # the batch of every clamp row, each row's (output, column), and a
-        # (pairs, pieces, 4) buffer for the pairs' current coefficients
-        self.clamp = None
-        if blocks:
-            units, block_pair, col = zip(*blocks)
-            rows, pairs = _ClampRows.stack(units, block_pair), list(pairs)
-            self.clamp = (rows, np.array(pairs)[rows.pair, 0], np.concatenate(col), pairs,
-                          np.zeros((len(pairs), rows.mask.shape[-1], 4)))
+        self.pool = np.flatnonzero(pool)  # the fine degree-0 columns of monotone features
+        self.pool_sign = pool[self.pool]
+        self.clamp = _ClampRows(blocks, cfg.learning_rate) if blocks else None
 
 
 def _best_updates(
@@ -614,26 +606,17 @@ def _best_updates(
     output with no finite positive gain has no record."""
     if cands.valid.size == 0:
         return []
-    l1, l2, sums = cfg.l1, cfg.l2, cands.sums
-    gamma = leaf_value(sums[:, :2], sums[:, 2:], l1, l2)  # (output, left/right, column)
+    sums = cands.sums
+    gamma = leaf_value(sums[:, :2], sums[:, 2:], cfg.l1, cfg.l2)  # (output, left/right, column)
     gamma[:, 1, cands.is_global] = 0.0
-
-    # block-local fixes, each writing into its block's columns of gamma
-    for sign, sl in cands.pools:
-        gl, gr = gamma[:, 0, sl], gamma[:, 1, sl]
-        bad = cands.valid[:, sl] & (sign * (gr - gl) < 0.0)
-        if bad.any():
-            sgl, sgr, shl, shr = sums[:, :, sl].swapaxes(0, 1)
-            pooled = leaf_value(sgl + sgr, shl + shr, l1, l2)
-            gamma[:, :, sl] = np.where(bad[:, None], pooled[:, None], gamma[:, :, sl])
-    if cands.clamp is not None:
-        rows, out, col, pairs, coeffs = cands.clamp
-        for p, (i, k) in enumerate(pairs):
-            c = store.params[i][k].poly_coeffs
-            coeffs[p, : len(c)] = c
-        sgl, sgr, shl, shr = sums[out, :, col].T
-        clamped = _clamp(rows.at(coeffs), cfg, gamma[out, :, col].T, (sgl, shl, sgr, shr))
-        gamma[out, :, col] = clamped.T
+    c = cands.pool
+    if c.size:
+        gamma[:, :, c] = _pool(cands.pool_sign, gamma[:, :, c], sums[:, :, c], cfg)
+    rows = cands.clamp
+    if rows is not None:
+        clamped = _clamp(rows.at(store), cfg, gamma[rows.out, :, rows.col].T,
+                         sums[rows.out, :, rows.col].T)
+        gamma[rows.out, :, rows.col] = clamped.T
 
     gains = candidate_gain(gamma[:, 0], sums[:, 0], sums[:, 2], gamma[:, 1], sums[:, 1], sums[:, 3])
     gains = np.where(cands.valid & np.isfinite(gains), gains, -np.inf)
@@ -740,6 +723,8 @@ def train(
     cfg = config or TrainConfig()
     cfg.validate()
     dataset.validate()
+    if dataset.n_rows == 0:
+        raise DataError("the training set has no rows")
     if valid is not None:
         valid.validate()
     if layout is None:

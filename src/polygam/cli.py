@@ -161,6 +161,7 @@ def parse_config(path: str) -> RunConfig:
     scheme = SplitScheme()
     scheme.n_bins_degree0 = get("train", "n_bins_degree0", int, scheme.n_bins_degree0)
     scheme.n_bins_higher = get("train", "n_bins_higher", int, scheme.n_bins_higher)
+    errs.extend(scheme.problems())
     try:
         tc.validate()
     except ConfigError as exc:

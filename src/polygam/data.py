@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 TASKS = ("regression", "binary", "multiclass")
 
@@ -62,10 +63,19 @@ class Dataset:
         return self.X.shape[1]
 
     def validate(self) -> None:
-        """Raise DataError when X is not (rows, features) with one target
-        per row, two features share a name, X holds a NaN or infinite value,
-        or a class label is not a whole number the task can hold: 0 or 1 for
-        binary, 0..n_outputs-1 for multiclass."""
+        """Raise DataError when the task is unknown, n_outputs is not 1 for
+        regression and binary or is below 2 for multiclass, X is not (rows,
+        features), kinds does not give a known kind per feature, y does not
+        give one target per row, two features share a name, X holds a NaN or
+        infinite value, or a class label is not a whole number the task can
+        hold: 0 or 1 for binary, 0..n_outputs-1 for multiclass."""
+        if self.task not in TASKS:
+            raise DataError(f"unknown task {self.task!r}, expected one of {TASKS}")
+        multi = self.task == "multiclass"
+        J = self.n_outputs
+        if not (isinstance(J, numbers.Integral) and (J >= 2 if multi else J == 1)):
+            raise DataError(f"{self.task} needs {'at least 2' if multi else 'exactly 1'} "
+                            f"outputs, got n_outputs = {J}")
         if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
             raise DataError(
                 f"X has shape {self.X.shape}, expected (rows, {len(self.feature_names)} features)"
@@ -74,6 +84,9 @@ class Dataset:
         if len(set(names)) < len(names):
             repeated = sorted({n for n in names if names.count(n) > 1})
             raise DataError(f"feature names must be unique; repeated: {repeated}")
+        if len(self.kinds) != len(names) or not set(self.kinds) <= {NUMERIC, CATEGORICAL}:
+            raise DataError(f"kinds must give {NUMERIC!r} or {CATEGORICAL!r} for each of the "
+                            f"{len(names)} features, got {self.kinds}")
         if self.y.shape != (self.X.shape[0],):
             raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
         refuse_nonfinite(self.X, self.feature_names)
@@ -105,6 +118,13 @@ class SplitScheme:
 
     n_bins_degree0: int = 256
     n_bins_higher: int = 20
+
+    def problems(self) -> list[str]:
+        """Every bin count that is not an integer >= 1."""
+        return [f"{name} must be an integer >= 1, got {value}"
+                for name, value in (("n_bins_degree0", self.n_bins_degree0),
+                                    ("n_bins_higher", self.n_bins_higher))
+                if not (isinstance(value, numbers.Integral) and value >= 1)]
 
 
 def _cell(x, origin: float, scale: float, cells: int, out: np.ndarray) -> np.ndarray:
@@ -288,7 +308,12 @@ def nested_coarse_edges(fine_edges: np.ndarray, n_bins_higher: int) -> np.ndarra
 
 
 def build_bin_layout(dataset: Dataset, scheme: SplitScheme | None = None) -> BinLayout:
+    """Both grids of every feature; a bin count that is not an integer >= 1
+    raises ConfigError."""
     scheme = scheme or SplitScheme()
+    errs = scheme.problems()
+    if errs:
+        raise ConfigError("; ".join(errs))
     feats = []
     for k in range(dataset.n_features):
         col = dataset.X[:, k]

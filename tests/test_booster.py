@@ -589,7 +589,7 @@ def test_train_config_collects_all_errors():
 @pytest.mark.parametrize(
     "field, value",
     [("l1", math.nan), ("l1", math.inf), ("l1", -math.inf), ("l2", math.nan),
-     ("l2", math.inf), ("min_data_in_leaf", math.nan)],
+     ("l2", math.inf), ("min_data_in_leaf", math.nan), ("min_data_in_leaf", math.inf)],
 )
 def test_train_config_refuses_non_finite_penalties(field, value):
     cfg = TrainConfig(**{field: value})
@@ -602,7 +602,7 @@ def test_train_config_refuses_non_finite_penalties(field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("max_iterations", math.nan), ("max_iterations", 2.5), ("max_iterations", 3.0),
-     ("early_stopping_patience", math.nan)],
+     ("early_stopping_patience", math.nan), ("seed", math.nan), ("seed", 1.5), ("seed", -1)],
 )
 def test_train_config_refuses_nan_and_fractional_iteration_settings(field, value):
     cfg = TrainConfig(**{field: value})

@@ -100,6 +100,7 @@ zap = 1
 
 [train]
 learning_rate = 2.0
+n_bins_higher = 0
 typo_key = 3
 snapshot_every = 100
 
@@ -120,6 +121,7 @@ dir = out
     assert "typo_key" in msg
     assert "snapshot_every" in msg  # retired key is refused, not ignored
     assert "learning_rate" in msg
+    assert "n_bins_higher must be an integer >= 1, got 0" in msg
     assert "x0" in msg and "monotone" in msg  # invalid sign names the feature
 
 
@@ -225,6 +227,21 @@ def test_non_finite_penalty_exits_2(tmp_path, capsys, line):
     ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out", line + "\n")
     assert main(["train", "-c", ini]) == 2
     assert line.split()[0] + " must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["n_bins_higher = 0", "n_bins_higher = -3", "n_bins_degree0 = 0"])
+def test_bin_count_below_one_exits_2(tmp_path, capsys, line):
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv)
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out")
+    key = line.split()[0]
+    text = open(ini).read()
+    with open(ini, "w") as fh:
+        fh.write(text.replace(f"{key} = {12 if key == 'n_bins_higher' else 64}", line))
+    assert main(["train", "-c", ini]) == 2
+    assert f"{key} must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model.json").exists()
 
 

@@ -9,8 +9,11 @@ from polygam.booster import (
     _Candidates,
     _clamp,
     _ClampRows,
+    _clip,
     _feasible_interval,
     _FeatureWork,
+    _pool,
+    leaf_value,
     train,
 )
 from polygam.data import BinLayout
@@ -196,6 +199,12 @@ def clamp_cases(draw):
     return FeatureConstraint(smoothness=S, max_degree=D, monotone=m, curvature=c), d, seed
 
 
+def one_block(wk, d, lr, rows, i=0, k=0):
+    """Clamp rows batched alone: the one block of table rows `rows`, of
+    degree d, of output i and feature k; their columns are the rows."""
+    return _ClampRows([(i, k, wk, d, rows, rows)], lr)
+
+
 def assert_feasible(state, fc, g, what):
     if fc.monotone:
         assert (fc.monotone * evaluate_derivative(state, 0, 0, g, 1)).min() >= TOL, what
@@ -216,19 +225,19 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
     cfg = TrainConfig(learning_rate=lr)
     store = res.store
     wk = _FeatureWork(ds.X[:, 0], store.layout[0], fc)
-    coeffs = store.params[0][0].poly_coeffs
     J = np.arange(wk.fb.coarse_edges.size)
     assert J.size > 0
     R = np.flatnonzero(wk.row_degree == d)  # threshold J[t] is table row R[t]
     assert R.size == J.size
     shape = (2, J.size)
     gamma = rng.normal(size=shape) * 10.0 ** rng.uniform(-2.0, 1.0, size=shape)
-    sums = (
+    sgl, shl, sgr, shr = (
         rng.normal(size=J.size), rng.uniform(0.1, 10.0, J.size),
         rng.normal(size=J.size), rng.uniform(0.1, 10.0, J.size),
     )
+    sums = (sgl, sgr, shl, shr)
     # every (side, threshold) row gets the interval it gets alone
-    rows = _ClampRows(wk, d, lr, R).at(coeffs)
+    rows = one_block(wk, d, lr, R).at(store)
     lo, hi = _feasible_interval(rows, gamma)
     for s, t in np.ndindex(shape):
         one = np.s_[s : s + 1, t : t + 1]
@@ -238,7 +247,7 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
     clamped = _clamp(rows, cfg, gamma, sums)
     g = grid_for(ds)
     for t in J:
-        alone = _clamp(_ClampRows(wk, d, lr, R[t : t + 1]).at(coeffs), cfg,
+        alone = _clamp(one_block(wk, d, lr, R[t : t + 1]).at(store), cfg,
                        gamma[:, t : t + 1], tuple(s[t : t + 1] for s in sums))
         assert alone[:, 0].tobytes() == clamped[:, t].tobytes(), f"threshold {t}"
         state = store.copy()
@@ -250,12 +259,34 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
     for dg in range(1, fc.smoothness + 1):
         (r,) = np.flatnonzero(wk.row_degree == dg)
         gam = np.array([[rng.normal() * 10.0], [0.0]])
-        gam = _clamp(_ClampRows(wk, dg, lr, np.array([r])).at(coeffs), cfg, gam,
+        gam = _clamp(one_block(wk, dg, lr, np.array([r])).at(store), cfg, gam,
                      (np.zeros(1),) * 4)
         assert gam[1, 0] == 0.0
         state = store.copy()
         accumulate_global(state, 0, 0, dg, float(gam[0, 0]), lr)
         assert_feasible(state, fc, g, f"global degree {dg}")
+
+
+def test_curvature_pools_degree_one_kinks_only():
+    # from a zero state, a convex feature's leaves (2, 1) bend f' down at a
+    # degree-1 kink, so both take the pooled step; a degree-2 split with the
+    # same leaves is convex on both sides and keeps them
+    x = np.linspace(0.0, 2.0, 200)
+    fc = FeatureConstraint(smoothness=0, max_degree=2, curvature=1)
+    res, ds = fit(x, x, fc, max_iterations=0)
+    wk = _FeatureWork(ds.X[:, 0], res.store.layout[0], fc)
+    cfg = TrainConfig()
+    for d in (1, 2):
+        R = np.flatnonzero(wk.row_degree == d)
+        gamma = np.array([[2.0], [1.0]]).repeat(R.size, axis=1)
+        sums = (np.full(R.size, -3.0), np.full(R.size, -1.0), np.full(R.size, 2.0),
+                np.full(R.size, 1.0))
+        clamped = _clamp(one_block(wk, d, cfg.learning_rate, R).at(res.store), cfg, gamma, sums)
+        if d == 1:
+            pooled = leaf_value(-4.0, 3.0, cfg.l1, cfg.l2)
+            assert (clamped == pooled).all()
+        else:
+            assert clamped.tobytes() == gamma.tobytes()
 
 
 @st.composite
@@ -279,61 +310,80 @@ def fit_clamp_cases(draw):
     return fcs, pieces, mask, iterations, draw(st.integers(0, 2**16))
 
 
-@given(fit_clamp_cases())
-# a degree-1 kink block (S = 0, curvature) beside global rows (S = 2)
-@example(([FeatureConstraint(smoothness=0, max_degree=2, monotone=1, curvature=1),
-           FeatureConstraint(smoothness=2, max_degree=3, monotone=-1, curvature=1)],
-          [3, 8], np.array([[True, True], [True, False]]), 4, 1))
+def halvings(start, end):
+    """Each row's halving count from its clamped pair `start` (sides, rows)
+    to the pair `end` that the exact check passed; 60 where the row fell
+    back to a no-op."""
+    s, e = np.abs(start).max(axis=0), np.abs(end).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(e == 0.0, np.where(s == 0.0, 0, 60), np.log2(s / e))
+
+
 @pytest.mark.filterwarnings("ignore:feature .* is constrained but allowed in multiple outputs")
-def test_one_clamp_pass_equals_each_block_clamped_alone(case):
-    fcs, pieces, mask, iterations, seed = case
-    rng = np.random.default_rng(seed)
-    n, J = 240, mask.shape[0]
-    X = rng.uniform(-1.0, 2.0, size=(n, len(fcs)))
-    f = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
-    if J == 1:
-        ds = make_dataset(X, f + rng.normal(scale=0.3, size=n))
-    else:
-        y = np.digitize(f, np.quantile(f, np.linspace(0, 1, J + 1)[1:-1]))
-        ds = make_dataset(X, y, task="multiclass")
-    layout = BinLayout([layout_for(make_dataset(X[:, k], f), 32, p)[0]
-                        for k, p in enumerate(pieces)])
-    spec = ConstraintSpec(features=fcs, allow_mask=mask)
-    lr = 0.3
-    cfg = TrainConfig(learning_rate=lr, max_iterations=iterations, early_stopping_patience=0,
-                      validation_fraction=0.0, min_data_in_leaf=5)
-    store = train(ds, layout, spec, cfg).store
-    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), J)
-             for k, fc in enumerate(fcs)]
-    cands = _Candidates(works, J, cfg, n)
-    rows, out, col, pairs, coeffs = cands.clamp
-    widths = {layout[k].n_coarse_bins for k in range(len(fcs))}
-    assert len(widths) > 1 and rows.mask.shape[-1] == max(widths)  # pieces are padded
-    for p, (i, k) in enumerate(pairs):
-        coeffs[p, : layout[k].n_coarse_bins] = store.params[i][k].poly_coeffs
-    R = out.size
-    gamma = rng.normal(size=(2, R)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(2, R))
-    gamma[1, cands.is_global[col]] = 0.0
-    sums = (rng.normal(size=R), rng.uniform(0.1, 10.0, R),
-            rng.normal(size=R), rng.uniform(0.1, 10.0, R))
-    batch = _clamp(rows.at(coeffs), cfg, gamma.copy(), sums)
-    at = {(o, c): r for r, (o, c) in enumerate(zip(out.tolist(), col.tolist()))}
-    start = seen = 0
-    for k, wk in enumerate(works):
-        table = start + wk.n_fine
-        start = table + wk.row_degree.size
-        for i in wk.outputs.tolist():
-            ok = cands.valid[i, table:start]
-            for d in np.unique(wk.row_degree[wk.row_degree >= 1]).tolist():
-                block = np.flatnonzero(ok & (wk.row_degree == d))
-                if block.size == 0:
-                    continue
-                r = np.array([at[i, table + b] for b in block.tolist()])
-                alone = _clamp(_ClampRows(wk, d, lr, block).at(store.params[i][k].poly_coeffs),
-                               cfg, gamma[:, r], tuple(s[r] for s in sums))
-                assert alone.tobytes() == batch[:, r].tobytes(), (k, i, d)
-                seen += r.size
-    assert seen == R  # every batch row is some block's
+def test_one_clamp_pass_equals_each_block_clamped_alone():
+    steps = []  # each example's halving counts
+
+    @given(fit_clamp_cases())
+    # a degree-1 kink block (S = 0, curvature) beside global rows (S = 2)
+    @example(([FeatureConstraint(smoothness=0, max_degree=2, monotone=1, curvature=1),
+               FeatureConstraint(smoothness=2, max_degree=3, monotone=-1, curvature=1)],
+              [3, 8], np.array([[True, True], [True, False]]), 4, 1))
+    def check(case):
+        fcs, pieces, mask, iterations, seed = case
+        rng = np.random.default_rng(seed)
+        n, J = 240, mask.shape[0]
+        X = rng.uniform(-1.0, 2.0, size=(n, len(fcs)))
+        f = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
+        if J == 1:
+            ds = make_dataset(X, f + rng.normal(scale=0.3, size=n))
+        else:
+            y = np.digitize(f, np.quantile(f, np.linspace(0, 1, J + 1)[1:-1]))
+            ds = make_dataset(X, y, task="multiclass")
+        layout = BinLayout([layout_for(make_dataset(X[:, k], f), 32, p)[0]
+                            for k, p in enumerate(pieces)])
+        spec = ConstraintSpec(features=fcs, allow_mask=mask)
+        lr = 0.3
+        cfg = TrainConfig(learning_rate=lr, max_iterations=iterations, early_stopping_patience=0,
+                          validation_fraction=0.0, min_data_in_leaf=5)
+        store = train(ds, layout, spec, cfg).store
+        works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), J)
+                 for k, fc in enumerate(fcs)]
+        cands = _Candidates(works, J, cfg, n)
+        rows, out, col = cands.clamp, cands.clamp.out, cands.clamp.col
+        widths = {layout[k].n_coarse_bins for k in range(len(fcs))}
+        assert len(widths) > 1 and rows.w.shape[-1] == max(widths)  # pieces are padded
+        R = out.size
+        gamma = rng.normal(size=(2, R)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(2, R))
+        gamma[1, cands.is_global[col]] = 0.0
+        sgl, shl, sgr, shr = (rng.normal(size=R), rng.uniform(0.1, 10.0, R),
+                              rng.normal(size=R), rng.uniform(0.1, 10.0, R))
+        sums = (sgl, sgr, shl, shr)
+        bound = rows.at(store)
+        batch = _clamp(bound, cfg, gamma.copy(), sums)
+        lo, hi = _feasible_interval(bound, gamma)
+        steps.append(halvings(_pool(rows.kink, _clip(gamma, lo, hi), sums, cfg, lo, hi), batch))
+        at = {(o, c): r for r, (o, c) in enumerate(zip(out.tolist(), col.tolist()))}
+        start = seen = 0
+        for k, wk in enumerate(works):
+            table = start + wk.n_fine
+            start = table + wk.row_degree.size
+            for i in wk.outputs.tolist():
+                ok = cands.valid[i, table:start]
+                for d in np.unique(wk.row_degree[wk.row_degree >= 1]).tolist():
+                    block = np.flatnonzero(ok & (wk.row_degree == d))
+                    if block.size == 0:
+                        continue
+                    r = np.array([at[i, table + b] for b in block.tolist()])
+                    alone = _clamp(one_block(wk, d, lr, block, i, k).at(store), cfg,
+                                   gamma[:, r], tuple(s[r] for s in sums))
+                    assert alone.tobytes() == batch[:, r].tobytes(), (k, i, d)
+                    seen += r.size
+        assert seen == R  # every batch row is some block's
+
+    check()
+    # the examples reach a row that needs several halvings, and the fallback
+    steps = np.concatenate(steps)
+    assert ((steps >= 2) & (steps < 60)).any() and (steps == 60).any()
 
 
 def update_deriv_coeffs(delta, d, lr, order):
@@ -364,7 +414,6 @@ def test_clamp_rows_unit_coefficients_match_hand_derivatives(seed, d):
     m, c = rng.choice([-1, 1], size=2)
     ds = make_dataset(x, np.zeros(x.size))
     fb = layout_for(ds, 64, 12)[0]
-    coeffs = rng.normal(size=(fb.n_coarse_bins, 4))
     J = np.flatnonzero(rng.random(fb.coarse_edges.size) < 0.7)
     # split rows of degree d (S = 0 < d), and the global row of degree d
     # (S = d; global terms exist up to degree 2, since S < D <= 3)
@@ -375,9 +424,9 @@ def test_clamp_rows_unit_coefficients_match_hand_derivatives(seed, d):
         fc = FeatureConstraint(smoothness=S, max_degree=3, monotone=int(m), curvature=int(c))
         wk = _FeatureWork(x, fb, fc)
         R = np.flatnonzero(wk.row_degree == d)
-        rows = _ClampRows(wk, d, lr, R if j is None else R[j]).at(coeffs)
-        assert (j is None) == (R.size == 1 and not rows.mask[1].any())
-        delta = np.broadcast_to(wk.lower - u, rows.mask.shape)
+        rows = one_block(wk, d, lr, R if j is None else R[j])
+        assert (j is None) == (R.size == 1 and not rows.mmask[1].any())  # m != 0: mmask is the mask
+        delta = np.broadcast_to(wk.lower - u, rows.mmask.shape)
         want_a = [m * a for a in update_deriv_coeffs(delta, d, lr, 1)]
         assert [a.tobytes() for a in rows.A] == [a.tobytes() for a in want_a]
         if d >= 2:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polygam.booster import train
+from polygam.booster import TrainConfig, train
 from polygam.data import (
     Dataset,
     FeatureBins,
@@ -18,7 +18,7 @@ from polygam.data import (
     load_feature_matrix,
     split_indices,
 )
-from polygam.errors import DataError
+from polygam.errors import ConfigError, DataError
 from polygam.model import SEARCH_MAX_EDGES, TABLE_MIN_VALUES, fine_code
 from polygam.testkit import dense_bin_transform
 
@@ -376,6 +376,45 @@ def test_validate_refuses_repeated_feature_names():
         ds.validate()
     with pytest.raises(DataError, match="unique"):
         train(ds)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"task": "poisson"}, "unknown task 'poisson'"),
+        ({"kinds": ["numeric"]}, "kinds must give"),
+        ({"kinds": ["numeric", "ordinal"]}, "kinds must give"),
+        ({"n_outputs": 2}, "regression needs exactly 1 outputs, got n_outputs = 2"),
+        ({"task": "binary", "n_outputs": 2}, "binary needs exactly 1 outputs"),
+        ({"task": "multiclass", "n_outputs": 1}, "multiclass needs at least 2 outputs"),
+    ],
+)
+def test_validate_refuses_an_unknown_task_kinds_or_output_count(change, message):
+    fields = dict(X=np.arange(8.0).reshape(4, 2), y=np.array([0, 1, 1, 0]),
+                  feature_names=["a", "b"], kinds=["numeric"] * 2, task="regression",
+                  n_outputs=1)
+    Dataset(**fields).validate()
+    bad = Dataset(**{**fields, **change})
+    with pytest.raises(DataError, match=message):
+        bad.validate()
+    with pytest.raises(DataError, match=message):
+        train(bad)
+
+
+def test_train_refuses_a_training_set_with_no_rows():
+    ds = make_dataset(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(DataError, match="no rows"):
+        train(ds, config=TrainConfig(validation_fraction=0.0, early_stopping_patience=0))
+
+
+@pytest.mark.parametrize(
+    "scheme", [SplitScheme(n_bins_higher=0), SplitScheme(n_bins_higher=-3),
+               SplitScheme(n_bins_degree0=0), SplitScheme(n_bins_degree0=2.5)])
+def test_build_bin_layout_refuses_a_bin_count_below_one(scheme):
+    ds = make_dataset(np.linspace(0.0, 1.0, 50), np.zeros(50))
+    bad = "n_bins_degree0" if scheme.n_bins_degree0 != 256 else "n_bins_higher"
+    with pytest.raises(ConfigError, match=f"{bad} must be an integer >= 1"):
+        build_bin_layout(ds, scheme)
 
 
 def test_load_csv_categorical_inference_and_override(tmp_path):

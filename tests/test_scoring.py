@@ -54,7 +54,6 @@ def reference_best(i, g, h, works, store, cfg, it):
             continue
         fc, fb = wk.fc, wk.fb
         constrained = bool(fc.monotone or fc.curvature)
-        coeffs = store.params[i][k].poly_coeffs
         scan = wk.sums[i]
         if 0 in wk.split_degrees and fb.fine_edges.size:
             fcodes = fine_code(fb, wk.x)
@@ -86,9 +85,9 @@ def reference_best(i, g, h, works, store, cfg, it):
                 gl, gr = leaf_value(sgl, shl, l1, l2), leaf_value(sgr, shr, l1, l2)
                 J = np.flatnonzero(valid)
                 if constrained and J.size:
-                    rows = _ClampRows(wk, d, cfg.learning_rate, R[J]).at(coeffs)
+                    rows = _ClampRows([(i, k, wk, d, R[J], R[J])], cfg.learning_rate).at(store)
                     gl[J], gr[J] = _clamp(rows, cfg, np.stack([gl[J], gr[J]]),
-                                          (sgl[J], shl[J], sgr[J], shr[J]))
+                                          (sgl[J], sgr[J], shl[J], shr[J]))
                 gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
                 collect(k, d, "split", fb.coarse_edges, gl, gr, gains, valid)
         for d in wk.global_degrees:
@@ -96,8 +95,9 @@ def reference_best(i, g, h, works, store, cfg, it):
             sg, sh = sums[0, r], sums[2, r]
             gamma = np.array([[leaf_value(sg, sh, l1, l2)], [0.0]])
             if constrained and d >= 1:
-                rows = _ClampRows(wk, d, cfg.learning_rate, np.array([r])).at(coeffs)
-                gamma = _clamp(rows, cfg, gamma, tuple(sums[[0, 2, 1, 3], r : r + 1]))
+                one = np.array([r])
+                rows = _ClampRows([(i, k, wk, d, one, one)], cfg.learning_rate).at(store)
+                gamma = _clamp(rows, cfg, gamma, tuple(sums[:, r : r + 1]))
             gain = candidate_gain(gamma[0], sg, sh, 0.0, 0.0, 0.0)
             collect(k, d, "global", None, gamma[0], None, gain, np.array([True]))
     return min(found, key=lambda kc: kc[0])[1] if found else None
