@@ -165,10 +165,10 @@ def _powers(v: np.ndarray, top: int) -> np.ndarray:
 
 
 class _FeatureWork:
-    """Cached per-feature structures for the candidate scans, and the scan
-    that fills every allowed output's side sums once per iteration. The
-    scan's arrays are indexed by output, of n_outputs (default: one past the
-    last allowed output); a masked output's entries stay 0."""
+    """Cached per-feature structures for the fit's scan (`_Scan`). `sums`,
+    (output, sgl/sgr/shl/shr, candidate), is indexed by output, of n_outputs
+    (default: one past the last allowed output); a masked output's entries
+    stay 0."""
 
     def __init__(self, x: np.ndarray, fb: FeatureBins, fc: FeatureConstraint, outputs=(0,),
                  n_outputs: int | None = None):
@@ -197,15 +197,10 @@ class _FeatureWork:
         self._build_blocks(fcodes, counts, t, ccounts)
         self._build_tensors()
 
-        # the scan's results, allocated once per fit (see `scan`); a fit's
-        # `_Candidates` makes `sums` a view of its columns of the fit's table
+        # the scan's side sums; a fit's `_Candidates` makes `sums` a view of
+        # its columns of the fit's table
         J = int(outputs.max(initial=-1)) + 1 if n_outputs is None else n_outputs
-        dmax = self.max_split_deg
         self.sums = np.zeros((J, 4, self.n_fine + self.row_degree.size))
-        self.bins = np.zeros((J, 2, fb.n_fine_bins))
-        self.gmom = np.zeros((J, fb.n_coarse_bins, dmax + 1))
-        self.hmom = np.zeros((J, fb.n_coarse_bins, 2 * dmax + 1))
-        self.h_done = False  # regression's h never changes: its side is kept
 
     def _build_blocks(self, fcodes, fcounts, t, counts) -> None:
         """Rows sorted stably by fine code, so that every fine bin and every
@@ -283,41 +278,86 @@ class _FeatureWork:
         self.Wg = Wg.reshape(2, n_rows, mb * (dmax + 1))
         self.Wh = Wh.reshape(2, n_rows, mb * (2 * dmax + 1))
 
-    def scan(self, GH: np.ndarray, h_static: bool, buf: np.ndarray | None = None) -> None:
-        """This iteration's side sums of every allowed output into `sums`,
-        (output, sgl/sgr/shl/shr, candidate): the fine thresholds, then the
-        table rows. GH is (2J, n + 1), g then h by output, with a zero last
-        column. When h_static, h is the same at every call and its side is
-        computed on the first call only.
 
-        Each output's g, h and h * t^max_split_deg are gathered into slot
-        order in buf, of at least 3 * slot_row.size; one output at a time
-        keeps the gathered rows small, and `train` allocates one buf per fit
-        for all its features. Their
-        per-fine-bin sums `bins` (output, g/h, bin) are one reduceat over the
-        bins' runs of slots. Their per-piece moments `gmom` (output, piece,
-        m <= max_split_deg) and `hmom` (m <= 2 * max_split_deg) are one
-        product of each block's powers with its three rows, and one reduceat
-        over each piece's blocks. Empty bins and pieces, and every entry of
-        a masked output, are 0. Every product has the same shape for every
-        output, so an output's sums do not depend on which other outputs
-        the feature is allowed for."""
-        S, nf, J, dmax = self.sums, self.n_fine, self.sums.shape[0], self.max_split_deg
-        if not (S.size and self.outputs.size):
-            return
-        h_side = not self.h_done
-        self.h_done = h_static
-        sides, ne = 2 if h_side else 1, self.nonempty
-        if buf is None:
-            buf = np.empty(3 * self.slot_row.size)
+class _Scan:
+    """The fit's scan: each call fills every allowed output's side sums of
+    every feature into its `sums`, fine thresholds then table rows.
+
+    It works over runs: stretches of consecutive features that share the
+    block size, the allowed outputs and max_split_deg, of at most the larger
+    of 2^14 and the biggest feature's slot count. A run lays its features'
+    blocks end to end, so per output one `take` per side, one fine reduceat,
+    one block product and one per-piece reduceat serve all of them. That
+    saves numpy calls on small data; on large data every run is one feature
+    and the gather buffer stays three rows of the biggest. The run's arrays
+    are its features' only `slot_row` and `tblock`, and hold their `bins`
+    (output, g/h, fine bin), `gmom` and `hmom` (output, piece, m). Each
+    feature keeps its own recombination products and outputs are gathered
+    one at a time, so its sums are bit for bit those of a scan of it and of
+    that output alone."""
+
+    def __init__(self, works: list[_FeatureWork]):
+        works = [wk for wk in works if wk.sums.size and wk.outputs.size]
+        limit = max([2**14] + [wk.slot_row.size for wk in works])
+        runs = []  # key, slots, features
+        for wk in works:
+            key = (wk.slot_row.shape[1], wk.outputs.tolist(), wk.max_split_deg)
+            if not runs or key != runs[-1][0] or runs[-1][1] + wk.slot_row.size > limit:
+                runs.append([key, 0, []])
+            runs[-1][1] += wk.slot_row.size
+            runs[-1][2].append(wk)
+        self.runs = [_Run(run) for _, _, run in runs]
+        self.buf = np.empty(3 * max((r.slot_row.size for r in self.runs), default=0))
+
+    def __call__(self, GH: np.ndarray, h_side: bool = True) -> None:
+        """GH is (2J, n + 1), g then h by output, with a zero last column.
+        Without h_side only the g side is summed, and the h side kept."""
+        for run in self.runs:
+            run.scan(GH, h_side, self.buf)
+
+
+class _Run:
+    """One run of `_Scan`: its features' slot tables end to end."""
+
+    def __init__(self, works: list[_FeatureWork]):
+        self.works, wk, F = works, works[0], len(works)
+        self.outputs, self.dmax, J = wk.outputs.tolist(), wk.max_split_deg, wk.sums.shape[0]
+        blocks = np.cumsum([0] + [w.slot_row.shape[0] for w in works])
+        pieces = np.cumsum([0] + [w.fb.n_coarse_bins for w in works])
+        M = max(w.fb.n_fine_bins for w in works)
+        self.block_start = np.concatenate([w.block_start + b for w, b in zip(works, blocks)])
+        self.nonempty = np.concatenate([w.nonempty + p for w, p in zip(works, pieces)])
+        # a cut at every feature's first slot ends its last fine bin there;
+        # a feature without a fine scan sums into the spare row F
+        self.fine_cut = np.concatenate([w.fine_start + o if w.n_fine else [o] for w, o
+                                        in zip(works, (blocks * wk.slot_row.shape[1]).tolist())])
+        self.fine_dest = np.concatenate([w.fine_nonempty + f * M if w.n_fine else [F * M]
+                                         for f, w in enumerate(works)])
+        self.fine = any(w.n_fine for w in works)
+        self.bins = np.zeros((J, 2, F + 1, M))
+        self.gmom = np.zeros((J, pieces[-1], self.dmax + 1))
+        self.hmom = np.zeros((J, pieces[-1], 2 * self.dmax + 1))
+        self.slot_row = wk.slot_row if F == 1 else np.concatenate([w.slot_row for w in works])
+        self.tblock = None if not self.dmax else wk.tblock if F == 1 else np.concatenate(
+            [w.tblock.transpose(1, 0, 2) for w in works], axis=1).transpose(1, 0, 2)
+        for f, w in enumerate(works):
+            b, p = slice(blocks[f], blocks[f + 1]), slice(pieces[f], pieces[f + 1])
+            w.slot_row, w.tblock = self.slot_row[b], self.tblock[b] if self.dmax else None
+            w.bins = self.bins[:, :, f, : w.fb.n_fine_bins]
+            w.gmom, w.hmom = self.gmom[:, p], self.hmom[:, p]
+
+    def scan(self, GH: np.ndarray, h_side: bool, buf: np.ndarray) -> None:
+        """Gathers each output's g, h and h * t^max_split_deg into slot order
+        in buf, of at least 3 * slot_row.size, and sums them."""
+        dmax, ne, J, sides = self.dmax, self.nonempty, self.gmom.shape[0], 2 if h_side else 1
         W = buf[: 3 * self.slot_row.size].reshape((3,) + self.slot_row.shape)
         W = W[: sides + (h_side and dmax > 0)]
-        for i in self.outputs.tolist():
+        for i in self.outputs:
             for side in range(sides):
                 GH[side * GH.shape[0] // 2 + i].take(self.slot_row, out=W[side], mode="clip")
-            if nf:
-                self.bins[i][:sides, self.fine_nonempty] = np.add.reduceat(
-                    W[:sides].reshape(sides, -1), self.fine_start, axis=1)
+            if self.fine:
+                self.bins[i, :sides].reshape(sides, -1)[:, self.fine_dest] = np.add.reduceat(
+                    W[:sides].reshape(sides, -1), self.fine_cut, axis=1)
             if dmax:
                 if h_side:
                     np.multiply(W[1], self.tblock[:, dmax], out=W[2])
@@ -326,15 +366,17 @@ class _FeatureWork:
                 if h_side:
                     self.hmom[i, ne, : dmax + 1] = per_piece[..., 1]
                     self.hmom[i, ne, dmax + 1 :] = per_piece[:, 1:, 2]
-        if nf:
-            cum = self.bins[:, :sides].cumsum(2)
-            S[:, 0 : 2 * sides : 2, :nf] = cum[..., :-1]
-            S[:, 1 : 2 * sides : 2, :nf] = cum[..., -1:] - cum[..., :-1]
-        if dmax:
-            # one matrix-vector product per output and side
-            np.matmul(self.Wg, self.gmom.reshape(J, 1, -1, 1), out=S[:, :2, nf:, None])
-            if h_side:
-                np.matmul(self.Wh, self.hmom.reshape(J, 1, -1, 1), out=S[:, 2:, nf:, None])
+        cum = self.bins[:, :sides].cumsum(3) if self.fine else None
+        for f, wk in enumerate(self.works):
+            S, nf = wk.sums, wk.n_fine
+            if nf:
+                S[:, 0 : 2 * sides : 2, :nf] = cum[:, :, f, :nf]
+                S[:, 1 : 2 * sides : 2, :nf] = cum[:, :, f, nf : nf + 1] - cum[:, :, f, :nf]
+            if dmax:
+                # one matrix-vector product per output and side
+                np.matmul(wk.Wg, wk.gmom.reshape(J, 1, -1, 1), out=S[:, :2, nf:, None])
+                if h_side:
+                    np.matmul(wk.Wh, wk.hmom.reshape(J, 1, -1, 1), out=S[:, 2:, nf:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +596,7 @@ class _Candidates:
     contributes its fine degree-0 scan (only when S = -1) and its row table
     (global terms, then one coarse scan per split degree). The layout is
     fixed for a whole fit. `sums` is (output, sgl/sgr/shl/shr, column), and
-    each feature's `sums` is a view of its own columns, so its scan fills
+    each feature's `sums` is a view of its own columns, so the scan fills
     them in place. A column is valid for an output when the feature is
     allowed for it and, for a split, both leaves hold min_data_in_leaf
     rows. Because columns are in (feature, degree, threshold) order, the
@@ -601,7 +643,7 @@ def _best_updates(
     cands: _Candidates, store: ParameterStore, cfg: TrainConfig, it: int
 ) -> list[LogRecord]:
     """Score every candidate of every output in one pass, from this
-    iteration's feature scans, and return each output's best, in output
+    iteration's scan, and return each output's best, in output
     order, as a record of iteration it whose losses are not yet set. An
     output with no finite positive gain has no record."""
     if cands.valid.size == 0:
@@ -743,6 +785,9 @@ def train(
         )
         ds_train = dataset.subset(tr_idx)
         ds_valid = dataset.subset(va_idx)
+        if ds_train.n_rows == 0:
+            raise DataError(f"validation_fraction {cfg.validation_fraction} leaves none of "
+                            f"the {dataset.n_rows} rows for training")
     else:
         ds_train = dataset
         ds_valid = valid
@@ -767,12 +812,11 @@ def train(
                      np.flatnonzero(constraints.allow_mask[:, k]), J)
         for k in range(len(dataset.feature_names))
     ]
-    h_static = task == "regression"
 
     n_tr = ds_train.X.shape[0]
     cands = _Candidates(works, J, cfg, n_tr)
     GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
-    buf = np.empty(3 * max((wk.slot_row.size for wk in works), default=0))  # the scans' gathers
+    scan = _Scan(works)
     F = np.tile(intercepts, (n_tr, 1))
     if ds_valid is not None and ds_valid.X.shape[0] > 0:
         F_valid = np.tile(intercepts, (ds_valid.X.shape[0], 1))
@@ -803,9 +847,8 @@ def train(
     for it in range(1, cfg.max_iterations + 1):
         batch = derivatives(task, ds_train.y, F, p)
         GH[:J, :-1], GH[J:, :-1] = batch.g.T, batch.h.T
-        del batch  # GH holds g and h; freeing them keeps the scans' peak memory low
-        for wk in works:
-            wk.scan(GH, h_static, buf)
+        del batch  # GH holds g and h; freeing them keeps the scan's peak memory low
+        scan(GH, h_side=it == 1 or task != "regression")  # regression's h never changes
         picks = _best_updates(cands, store, cfg, it)
         if not picks:
             last_iter = it - 1

@@ -148,6 +148,8 @@ def parse_config(path: str) -> RunConfig:
         if fractions[0] <= 0:
             errs.append("[split] train fraction must be positive")
     seed = get("split", "seed", int, default=0)
+    if seed < 0:
+        errs.append(f"[split] seed must be an integer >= 0, got {seed}")
 
     tc = TrainConfig(validation_fraction=0.0)
     tc.learning_rate = get("train", "learning_rate", float, tc.learning_rate)

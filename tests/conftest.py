@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from polygam.booster import _Scan
 from polygam.data import BinLayout, Dataset, FeatureBins, SplitScheme, build_bin_layout
 from polygam.model import ConstraintSpec, FeatureConstraint, zero_init
 
@@ -70,7 +71,7 @@ def single_feature_store(
 
 
 def scan_matrix(g, h):
-    """The g/h matrix a feature scan reads: (2J, n + 1), g then h by
+    """The g/h matrix a scan reads: (2J, n + 1), g then h by
     output, with a zero last column. g and h are (n,) or (n, J)."""
     gh = np.vstack((np.atleast_2d(np.asarray(g, dtype=float).T),
                     np.atleast_2d(np.asarray(h, dtype=float).T)))
@@ -80,7 +81,7 @@ def scan_matrix(g, h):
 def scanned(wk, g, h):
     """One output's side sums from a fresh scan: (4, fine thresholds +
     table rows), rows (sgl, sgr, shl, shr)."""
-    wk.scan(scan_matrix(g, h), h_static=False)
+    _Scan([wk])(scan_matrix(g, h))
     return wk.sums[0]
 
 

@@ -1,8 +1,8 @@
 """Independent oracles for the test suites.
 
-Everything here is written for clarity over speed and is deliberately kept off
-the production code paths: nothing in the library imports this module. Tests
-compare fast-path results against these brute-force references.
+Everything here is written for clarity over speed and lives with the tests,
+off the library's code paths: nothing under src/ imports it. Tests compare
+fast-path results against these brute-force references.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .model import _document
+from polygam.model import _document
 
 __all__ = [
     "brute_force_stump",

@@ -25,10 +25,10 @@ from polygam.model import (
     predict,
     save_model,
 )
-from polygam.testkit import brute_force_stump, tree_list_eval
 from polygam.uncertainty import attach_se_accumulators, shape_ci
 
 from conftest import make_dataset
+from oracles import brute_force_stump, tree_list_eval
 
 
 def report(n, ok, summary):

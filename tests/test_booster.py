@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from polygam.booster import (
     TrainConfig,
     _FeatureWork,
+    _Scan,
     candidate_gain,
     leaf_value,
     replay,
@@ -31,9 +32,9 @@ from polygam.model import (
     locate,
     predict,
 )
-from polygam.testkit import brute_force_stump, param_gradients
 
 from conftest import layout_for, make_dataset, scan_matrix, scanned
+from oracles import brute_force_stump, param_gradients
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def test_block_moments_match_bincount_oracle(case):
     if nan_row is not None:
         clean[piece[nan_row]] = False
     # w as both g and h: g's moments run to D, h's to 2D
-    wk.scan(scan_matrix(w, w), h_static=False)
+    _Scan([wk])(scan_matrix(w, w))
     for max_m, got in ((fc.max_degree, wk.gmom[0]), (2 * fc.max_degree, wk.hmom[0])):
         want = bincount_moments(piece, t, w, max_m, n_pieces)
         bound = 1e-12 * bincount_moments(piece, np.abs(t), np.abs(w), max_m, n_pieces)
@@ -280,7 +281,7 @@ def test_scan_matches_per_output_oracles(case):
     nf, P, D = fb.n_fine_bins, fb.n_coarse_bins, fc.max_degree
     if outside:
         assert (np.bincount(fcode, minlength=nf) == 0).any()
-    wk.scan(GH, h_static=False)
+    _Scan([wk])(GH)
     for out in outputs:
         for side, w in enumerate((g[:, out], h[:, out])):
             bad = ~np.isfinite(w)
@@ -317,7 +318,7 @@ def test_scan_matches_per_output_oracles(case):
     # the same feature serving only its last output sums it bit for bit alike
     last = outputs[-1]
     alone = _FeatureWork(x, fb, fc, outputs[-1:])
-    alone.scan(GH, h_static=False)
+    _Scan([alone])(GH)
     assert alone.sums[last].tobytes() == wk.sums[last].tobytes()
 
     # regression's h never changes: after a scan of other g with the same h,
@@ -326,16 +327,74 @@ def test_scan_matches_per_output_oracles(case):
     # bits may differ: within 1e-12 of sum|g * (x - u)^d| over both sides,
     # which is what a scan of |g| gives (every term of a side has one sign).
     kept = _FeatureWork(x, fb, fc, outputs)
-    kept.scan(GH, h_static=True)
+    scan = _Scan([kept])
+    scan(GH)
     g2 = rng.normal(size=(n, J))
-    kept.scan(scan_matrix(g2, h), h_static=True)
+    scan(scan_matrix(g2, h), h_side=False)
     fresh = _FeatureWork(x, fb, fc, outputs)
-    fresh.scan(scan_matrix(g2, h), h_static=False)
+    _Scan([fresh])(scan_matrix(g2, h))
     assert kept.sums[:, 2:].tobytes() == fresh.sums[:, 2:].tobytes()
     absolute = _FeatureWork(x, fb, fc, outputs)
-    absolute.scan(scan_matrix(np.abs(g2), h), h_static=False)
+    _Scan([absolute])(scan_matrix(np.abs(g2), h))
     scale = np.abs(absolute.sums[:, :2]).sum(axis=1, keepdims=True)
     assert (np.abs(kept.sums[:, :2] - fresh.sums[:, :2]) <= 1e-12 * scale).all()
+
+
+@st.composite
+def run_cases(draw):
+    """Features of one fit, as (S, D, allowed outputs, pieces, constant):
+    a fine-scan feature, a constant one without candidates and a feature
+    without a fine scan that shares the first one's run, then a few drawn
+    ones of mixed degrees, output sets and block sizes (one piece of n rows
+    makes blocks of n / 4 > 32 rows)."""
+    J = draw(st.sampled_from([1, 3]))
+    out_sets = [list(range(J)), [J - 1], [0, J - 1]] if J > 1 else [[0]]
+    D = draw(st.integers(1, 3))
+    outputs = draw(st.sampled_from(out_sets))
+    feats = [(-1, D, outputs, 8, False), (-1, D, outputs, 8, True),
+             (draw(st.integers(0, D - 1)), D, outputs, 8, False)]
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(0, 3))
+        feats.append((draw(st.integers(-1, d - 1)) if d else -1, d,
+                      draw(st.sampled_from(out_sets)), draw(st.sampled_from([1, 8])), False))
+    n = draw(st.integers(150, 300))
+    nan_at = draw(st.one_of(st.none(), st.tuples(st.integers(0, n - 1), st.integers(0, J - 1))))
+    return J, feats, n, nan_at, draw(st.integers(0, 2**16))
+
+
+@given(run_cases())
+def test_run_scan_matches_each_feature_alone(case):
+    """A run of several features sums each of them bit for bit as a scan
+    of that feature alone: its side sums, fine bins and per-piece moments,
+    after a full scan and after a second one that keeps the h side. The
+    first run holds a fine-scan feature followed by one without, so the
+    fine reduceat must end the first feature's last bin at the second
+    feature's first slot."""
+    J, feats, n, nan_at, seed = case
+    rng = np.random.default_rng(seed)
+    g, h = rng.normal(size=(n, J)), rng.uniform(0.1, 2.0, size=(n, J))
+    if nan_at is not None:
+        g[nan_at] = np.nan
+    args = []
+    for S, D, outputs, pieces, constant in feats:
+        x = np.full(n, 2.0) if constant else rng.normal(size=n)
+        fb = build_bin_layout(make_dataset(x, np.zeros(n)), SplitScheme(64, pieces))[0]
+        args.append((x, fb, FeatureConstraint(smoothness=S, max_degree=D), outputs, J))
+    works = [_FeatureWork(*a) for a in args]
+    alone = [_FeatureWork(*a) for a in args]
+    scan = _Scan(works)
+    assert works[1].sums.size == 0 and all(works[1] not in r.works for r in scan.runs)
+    assert scan.runs[0].works[:2] == [works[0], works[2]]
+    scans = [_Scan([wk]) for wk in alone]
+    g2 = rng.normal(size=(n, J))
+    for GH, h_side in ((scan_matrix(g, h), True), (scan_matrix(g2, h), False)):
+        scan(GH, h_side)
+        for s in scans:
+            s(GH, h_side)
+        for k, (run_wk, wk) in enumerate(zip(works, alone)):
+            names = ("sums", "bins", "gmom", "hmom") if k != 1 else ("sums",)
+            for name in names:
+                assert getattr(run_wk, name).tobytes() == getattr(wk, name).tobytes(), (k, name)
 
 
 def model_sha_per_thread_count(fit: str) -> list[str]:
@@ -622,6 +681,12 @@ def test_nan_target_is_refused_before_training():
     ds.y[7] = np.nan
     with pytest.raises(NumericError, match="starting loss"):
         train(ds, config=TrainConfig(max_iterations=5))
+
+
+def test_carve_without_training_rows_is_refused():
+    ds = make_dataset([[1.0]], [2.0])
+    with pytest.raises(DataError, match="leaves none of the 1 rows for training"):
+        train(ds, config=TrainConfig(validation_fraction=0.9, max_iterations=5))
 
 
 def test_nan_feature_is_refused_before_training():

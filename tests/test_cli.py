@@ -245,6 +245,23 @@ def test_bin_count_below_one_exits_2(tmp_path, capsys, line):
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_split_seed_is_reported_with_the_other_problems(tmp_path, seed):
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv)
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out", "learning_rate = 2.0\n")
+    with open(ini) as fh:
+        text = fh.read()
+    with open(ini, "w") as fh:
+        fh.write(text.replace("seed = 3", f"seed = {seed}"))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(ini)
+    msg = str(exc.value)
+    assert "[split] seed" in msg and "learning_rate" in msg
+    assert main(["train", "-c", ini]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_2():
     assert main(["train", "-c", "/nonexistent.ini"]) == 2
 

@@ -20,9 +20,9 @@ from polygam.data import (
 )
 from polygam.errors import ConfigError, DataError
 from polygam.model import SEARCH_MAX_EDGES, TABLE_MIN_VALUES, fine_code
-from polygam.testkit import dense_bin_transform
 
 from conftest import make_dataset
+from oracles import dense_bin_transform
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_every_bin_contains_a_sample():
 
 
 # ---------------------------------------------------------------------------
-# fine codes and the dense transform oracle (testkit)
+# fine codes and the dense transform oracle (oracles.py)
 
 
 def column(x, edges, b):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polygam.losses import _softmax, derivatives, hessian_diag, link_apply, loss_eval, one_hot
-from polygam.testkit import finite_diff_grad, finite_diff_second
+
+from oracles import finite_diff_grad, finite_diff_second
 
 
 def test_link_identity_for_regression():

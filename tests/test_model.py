@@ -27,10 +27,11 @@ from polygam.model import (
     save_model,
     zero_init,
 )
-from polygam import model, testkit
-from polygam.testkit import reference_dumps
+from polygam import model
 
+import oracles
 from conftest import layout_for, make_dataset, single_feature_store
+from oracles import reference_dumps
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +637,7 @@ def test_encoder_matches_the_reference_writer_on_numpy_values():
         "mask": np.array([[True, False]]),
     }
     out = []
-    testkit._dump(doc, out)
+    oracles._dump(doc, out)
     assert model._ENCODER.encode(doc) == "".join(out)
 
 

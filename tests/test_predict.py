@@ -1,6 +1,6 @@
 """`predict`'s flat evaluation pass against the per-feature reference loop.
 
-`testkit.reference_predict` adds each allowed (feature, output) pair to its
+`oracles.reference_predict` adds each allowed (feature, output) pair to its
 output's column in feature order, as `predict` did before it evaluated all
 pairs at once. The two must agree bit for bit, codes included, for any
 store, any row count around the chunk size, and after any change to the
@@ -23,7 +23,8 @@ from polygam.model import (
     predict,
     zero_init,
 )
-from polygam.testkit import reference_predict
+
+from oracles import reference_predict
 
 # rows at +-1e300 overflow the cubics to inf and NaN, in the reference too
 pytestmark = pytest.mark.filterwarnings(

@@ -25,6 +25,7 @@ from polygam.booster import (
     _clamp,
     _ClampRows,
     _FeatureWork,
+    _Scan,
     candidate_gain,
     leaf_value,
 )
@@ -151,12 +152,12 @@ def test_stacked_scorer_matches_per_scan_reference(case):
     works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), ds.n_outputs)
              for k, fc in enumerate(fcs)]
     cands = _Candidates(works, ds.n_outputs, cfg, n)
+    scan = _Scan(works)
     F = np.zeros((n, ds.n_outputs))
     for it in range(6):
         batch = derivatives(ds.task, ds.y, F)
         GH = scan_matrix(batch.g, batch.h)
-        for wk in works:
-            wk.scan(GH, not multiclass)
+        scan(GH, h_side=it == 0 or multiclass)
         got = _best_updates(cands, store, cfg, it)
         want = [reference_best(i, batch.g[:, i], batch.h[:, i], works, store, cfg, it)
                 for i in range(ds.n_outputs)]

@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from polygam.losses import derivatives, loss_eval
-from polygam.testkit import (
+
+from oracles import (
     brute_force_stump,
     finite_diff_grad,
     finite_diff_second,

@@ -17,7 +17,6 @@ from polygam.model import (
     predict,
     zero_init,
 )
-from polygam.testkit import dense_bin_transform
 from polygam.uncertainty import (
     attach_se_accumulators,
     param_se,
@@ -26,6 +25,7 @@ from polygam.uncertainty import (
 )
 
 from conftest import make_dataset, single_feature_store
+from oracles import dense_bin_transform
 
 
 def store_with_counts(counts, constraint=None):
