@@ -19,9 +19,16 @@ __all__ = [
     "dense_bin_transform",
     "finite_diff_grad",
     "finite_diff_second",
+    "one_hot",
     "param_gradients",
+    "reference_derivatives",
     "reference_dumps",
+    "reference_hessian_diag",
+    "reference_link",
+    "reference_loss_eval",
     "reference_predict",
+    "reference_side",
+    "softmax_by_row_max",
     "tree_list_eval",
 ]
 
@@ -136,6 +143,76 @@ def finite_diff_second(fn, x: np.ndarray, delta: float = 1e-4) -> np.ndarray:
         lo.flat[i] -= delta
         out.flat[i] = (fn(hi) - 2.0 * mid + fn(lo)) / (delta * delta)
     return out
+
+
+# The link, loss and derivative kernels in their first, plain forms: the bit
+# oracles for the lean forms in polygam.losses and the trainer's side select.
+
+P_CLIP, H_FLOOR = 1e-15, 1e-12
+
+
+def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
+    out = np.zeros((y.shape[0], n_classes))
+    out[np.arange(y.shape[0]), y.astype(np.intp)] = 1.0
+    return out
+
+
+def masked_sigmoid(F: np.ndarray) -> np.ndarray:
+    """The sigmoid by two masked gathers and scatters, each side with the
+    exp that cannot overflow there."""
+    out = np.empty_like(F)
+    pos = F >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-F[pos]))
+    ez = np.exp(F[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def softmax_by_row_max(F: np.ndarray) -> np.ndarray:
+    """The softmax with the row max taken along rows."""
+    z = F - F.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+def reference_link(task: str, F: np.ndarray) -> np.ndarray:
+    if task == "regression":
+        return F.copy()
+    return masked_sigmoid(F) if task == "binary" else softmax_by_row_max(F)
+
+
+def reference_loss_eval(task: str, y: np.ndarray, F: np.ndarray) -> float:
+    """Mean loss with the whole link clipped, then each row's class gathered."""
+    if task == "regression":
+        r = y.astype(float) - F[:, 0]
+        return float(np.mean(r * r))
+    p = np.clip(reference_link(task, F), P_CLIP, 1.0 - P_CLIP)
+    if task == "binary":
+        yy = y.astype(float)
+        return float(-np.mean(yy * np.log(p[:, 0]) + (1.0 - yy) * np.log(1.0 - p[:, 0])))
+    return float(-np.mean(np.log(p[np.arange(y.shape[0]), y.astype(np.intp)])))
+
+
+def reference_derivatives(task: str, y: np.ndarray, F: np.ndarray):
+    """(g, h): g is p minus the one-hot target, h is max(p (1 - p), floor)."""
+    if task == "regression":
+        g = 2.0 * (F[:, 0] - y.astype(float))[:, None]
+        return g, np.maximum(np.full_like(g, 2.0), H_FLOOR)
+    p = reference_link(task, F)
+    t = y.astype(float)[:, None] if task == "binary" else one_hot(y, F.shape[1])
+    return p - t, reference_hessian_diag(task, F)
+
+
+def reference_hessian_diag(task: str, F: np.ndarray) -> np.ndarray:
+    if task == "regression":
+        return np.full_like(F, 2.0)
+    p = reference_link(task, F)
+    return np.maximum(p * (1.0 - p), H_FLOOR)
+
+
+def reference_side(s: np.ndarray, gl: float, gr: float) -> np.ndarray:
+    """gl where s < 0, gr elsewhere (NaN included), by np.where."""
+    return np.where(s < 0.0, gl, gr)
 
 
 def tree_list_eval(

@@ -6,9 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polygam.losses import _softmax, derivatives, hessian_diag, link_apply, loss_eval, one_hot
+from polygam.booster import LogRecord, _apply_candidate, _FeatureWork, _start_scores
+from polygam.data import SplitScheme, build_bin_layout
+from polygam.errors import DataError
+from polygam.losses import _softmax, derivatives, hessian_diag, link_apply, loss_eval
+from polygam.model import ConstraintSpec, FeatureConstraint, zero_init
 
-from oracles import finite_diff_grad, finite_diff_second
+from conftest import make_dataset
+from oracles import (
+    finite_diff_grad,
+    finite_diff_second,
+    one_hot,
+    reference_derivatives,
+    reference_hessian_diag,
+    reference_link,
+    reference_loss_eval,
+    reference_side,
+    softmax_by_row_max,
+)
 
 
 def test_link_identity_for_regression():
@@ -28,13 +43,6 @@ def test_link_softmax_symmetric():
 def test_link_softmax_log2():
     p = link_apply("multiclass", np.array([[math.log(2.0), 0.0]]))
     assert p[0] == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
-
-
-def softmax_by_row_max(F):
-    """The softmax as it was written with the row max taken along rows."""
-    z = F - F.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
 
 
 @given(st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**16))
@@ -166,3 +174,104 @@ def test_given_link_gives_the_same_bits(task):
     with_p, without = derivatives(task, y, F, p), derivatives(task, y, F)
     assert with_p.g.tobytes() == without.g.tobytes()
     assert with_p.h.tobytes() == without.h.tobytes()
+
+
+SPECIALS = np.array([np.inf, -np.inf, 1000.0, -1000.0, 0.0, -0.0, np.nan, 745.0, -745.0])
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(st.sampled_from(["regression", "binary", "multiclass"]), st.integers(2, 12),
+       st.integers(1, 40), st.sampled_from("CF"), st.integers(0, 2**16))
+def test_kernels_equal_their_plain_forms_bit_for_bit(task, J, n, order, seed):
+    # the lean kernels against the masked sigmoid, p - one_hot and
+    # clip-then-gather, on scores in either memory order with infinities,
+    # signed zeros, overflow-sized entries and NaN; binary labels take
+    # fractions in [0, 1] too
+    rng = np.random.default_rng(seed)
+    J = J if task == "multiclass" else 1
+    F = np.where(rng.random((n, J)) < 0.3, rng.choice(SPECIALS, (n, J)),
+                 rng.normal(scale=5.0, size=(n, J)))
+    F = np.asarray(F, order=order)
+    if task == "regression":
+        y = rng.normal(size=n)
+    elif task == "binary":
+        y = np.where(rng.random(n) < 0.5, rng.integers(0, 2, n), rng.random(n))
+    else:
+        y = rng.integers(0, J, n)
+    with np.errstate(all="ignore"):
+        p = link_apply(task, F)
+        assert bits(p) == bits(reference_link(task, F))
+        assert bits(hessian_diag(task, F)) == bits(reference_hessian_diag(task, F))
+        g, h = reference_derivatives(task, y, F)
+        for batch in (derivatives(task, y, F), derivatives(task, y, F, p)):
+            assert bits(batch.g) == bits(g) and bits(batch.h) == bits(h)
+        want = bits(reference_loss_eval(task, y, F))
+        assert bits(loss_eval(task, y, F)) == want and bits(loss_eval(task, y, F, p)) == want
+        assert bits(p) == bits(link_apply(task, F))  # the given link is left as it was
+
+
+def test_softmax_layouts_agree_below_eight_outputs():
+    # numpy sums a contiguous row of fewer than 8 values in order, as it does
+    # a column-major one, so the trainer keeps fewer scores column-major and
+    # more row-major, where the two sums can differ in the last bit
+    rng = np.random.default_rng(5)
+    for J in range(2, 13):
+        F = rng.normal(scale=5.0, size=(300, J))
+        same = _softmax(F).tobytes() == _softmax(np.asfortranarray(F)).tobytes()
+        assert same or J >= 8
+        assert _start_scores(np.zeros(J), 300).flags.f_contiguous == (J < 8)
+
+
+@pytest.mark.parametrize("task,y,F", [
+    ("multiclass", [0, -1], np.zeros((2, 3))),  # would score as the last class
+    ("multiclass", [0, 2.7], np.zeros((2, 3))),  # would score as class 2
+    ("multiclass", [0, 3], np.zeros((2, 3))),  # y = J
+    ("multiclass", [0, np.nan], np.zeros((2, 3))),
+    ("binary", [0, 1], np.zeros((1, 1))),  # would broadcast to two rows
+    ("binary", [0, 1.5], np.zeros((2, 1))),
+    ("binary", [-0.5, 1], np.zeros((2, 1))),
+    ("binary", [np.nan, 1], np.zeros((2, 1))),
+    ("regression", [0.0, 1.0, 2.0], np.zeros((2, 1))),
+    ("regression", [[0.0], [1.0]], np.zeros((2, 1))),  # would broadcast to (2, 2)
+])
+def test_bad_labels_are_refused(task, y, F):
+    y = np.array(y)
+    with pytest.raises(DataError):
+        loss_eval(task, y, F)
+    with pytest.raises(DataError):
+        derivatives(task, y, F)
+
+
+def test_whole_float_class_labels_are_accepted():
+    F = np.random.default_rng(6).normal(size=(5, 3))
+    y = np.array([0, 1, 2, 2, 0])
+    assert loss_eval("multiclass", y.astype(float), F) == loss_eval("multiclass", y, F)
+    assert derivatives("multiclass", y.astype(float), F).g.tobytes() == \
+        derivatives("multiclass", y, F).g.tobytes()
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_side_select_sends_the_threshold_row_right(order):
+    # a degree-0 split at a value some rows hold exactly: x == u (s == 0) and
+    # x > u take gamma_right, x < u gamma_left, with the bits of np.where
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.0, 4.0, size=(60, 1))
+    ds = make_dataset(X, X[:, 0], names=["x"])
+    layout = build_bin_layout(ds, SplitScheme(8, 2))
+    u = float(layout[0].fine_edges[3])
+    X[::5, 0] = u
+    X[1, 0], X[2, 0] = np.nextafter(u, -np.inf), np.nextafter(u, np.inf)
+    spec = ConstraintSpec.default(ds)
+    store = zero_init(layout, "regression", 1, ["x"], spec)
+    works = [_FeatureWork(X[:, 0], layout[0], FeatureConstraint(), np.array([0]), 1)]
+    F = np.zeros((60, 1), order=order)
+    F_valid = np.zeros((60, 1), order=order)
+    rec = LogRecord(1, 0, "x", 0, "split", u, -0.75, 1.25, 1.0)
+    _apply_candidate(store, rec, 0.1, works, F, X[::-1], F_valid)
+    x = X[:, 0]
+    assert (F[x == u, 0] == 0.1 * 1.25).all() and F[1, 0] == 0.1 * -0.75 and F[2, 0] == 0.1 * 1.25
+    assert F[:, 0].tobytes() == (0.1 * reference_side(x - u, -0.75, 1.25) * (x - u) ** 0).tobytes()
+    assert F_valid[::-1, 0].tobytes() == F[:, 0].tobytes()
