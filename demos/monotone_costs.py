@@ -46,8 +46,8 @@ test_p = rng.uniform(0.1, 4.0, 2000)
 test_y = 3.0 / (0.6 + test_p)
 
 
-# constrained fits guarantee the signs up to a 1e-9 feasibility slack, so a
-# reading like +1e-10 on the constrained row is the guarantee holding
+# constrained fits hold the signs to rounding (the tests allow 1e-9), so a
+# reading like +1e-16 on the constrained row is the guarantee holding
 def scan(label, spec):
     res = train(ds, constraints=spec, config=cfg)
     fp = evaluate_derivative(res.store, 0, 0, grid, 1)

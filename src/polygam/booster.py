@@ -39,7 +39,7 @@ from .model import (
 )
 
 H_FLOOR = 1e-12
-FEAS_SLACK = 1e-10  # constraints enforced to >= -FEAS_SLACK; tests allow -1e-9
+FEAS_SLACK = 1e-10  # rounding guard of the clamp's final check; tests allow -1e-9
 
 
 @dataclass
@@ -191,7 +191,8 @@ class _FeatureWork:
         self.n_left_coarse = np.cumsum(ccounts)[:-1]  # per coarse edge
 
         self.lower = fb.coarse_lower_edges
-        self.widths = np.append(fb.coarse_edges, fb.x_max) - self.lower
+        self.upper = np.append(fb.coarse_edges, fb.x_max)
+        self.widths = self.upper - self.lower
 
         self.max_split_deg = max(self.high_degrees, default=0)
         self._build_blocks(fcodes, counts, t, ccounts)
@@ -407,10 +408,13 @@ class _ClampRows:
     pieces in its (side, piece) mask. Arrays are (sides, rows, pieces), any
     coefficient index first, pieces padded (masked out) to the widest
     feature. B and C hold sign*f' and sign*f'' of the row's (output,
-    feature) state, A and D what one unit of gamma adds to them; mmask and
-    cmask mark where the monotone and curvature signs bind. out and col are
-    each row's (output, column) of the fit's candidates, pairs each block's
-    (output, feature). `at` binds a store's state, `take` selects rows.
+    feature) state, A and D what one unit of gamma adds to them. AU holds
+    A in powers of x - upper edge and Dw is D at the upper edge, both
+    expanded from that edge, so a row adds exactly 0 to f' (d >= 2) and
+    f'' (d = 3) at its own threshold from either side. mmask and cmask mark
+    where the monotone and curvature signs bind. out and col are each row's
+    (output, column) of the fit's candidates, pairs each block's (output,
+    feature). `at` binds a store's state.
     """
 
     def __init__(self, blocks, lr: float):
@@ -422,19 +426,21 @@ class _ClampRows:
         for i, k, wk, d, rows, cols in blocks:
             m_sign, c_sign, n, pieces = wk.fc.monotone, wk.fc.curvature, rows.size, wk.lower.size
             mask = wk.row_mask[:, rows]
-            unit = np.zeros((4,) + mask.shape)  # local coefficients of lr*(x-u)^d
-            unit[: d + 1] = shift(wk.lower - wk.row_u[rows, None], d, lr)[:, None]
+            unit = np.zeros((2, 4) + mask.shape)  # coefficients of lr*(x-u)^d at lower, upper
+            for unit_at, edge in zip(unit, (wk.lower, wk.upper)):
+                unit_at[: d + 1] = shift(edge - wk.row_u[rows, None], d, lr)[:, None]
             # each piece's row in `at`'s coefficient stack; padding reads its zero last row
             coef = np.where(np.arange(P) < pieces, top + np.arange(P), -1)
             top += pieces
             grids.append((mask & bool(m_sign), mask & (bool(c_sign) and d >= 2),
                           np.broadcast_to(wk.widths, mask.shape), np.broadcast_to(coef, (n, P)),
-                          m_sign * np.stack(_slopes(unit)), c_sign * np.stack(_bends(unit))))
+                          m_sign * np.stack(_slopes(unit[0])), c_sign * np.stack(_bends(unit[0])),
+                          m_sign * np.stack(_slopes(unit[1])), c_sign * _bends(unit[1])[0]))
             # a degree-1 split kinks f'; the kink must bend with the curvature sign
             kink = c_sign if d == 1 and d > wk.fc.smoothness else 0
             rowwise.append(np.vstack((np.repeat([[i], [m_sign], [c_sign], [kink]], n, 1), cols)))
         self.out, self.m_sign, self.c_sign, self.kink, self.col = np.concatenate(rowwise, axis=1)
-        self.mmask, self.cmask, self.w, self.coef, self.A, self.D = (
+        self.mmask, self.cmask, self.w, self.coef, self.A, self.D, self.AU, self.Dw = (
             np.concatenate([np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, P - a.shape[-1])])
                             for a in grid], axis=-2)
             for grid in zip(*grids))
@@ -447,14 +453,6 @@ class _ClampRows:
                            + [np.zeros((1, 4))])[self.coef].transpose(2, 0, 1)
         out.B = np.broadcast_to((self.m_sign[:, None] * np.stack(_slopes(c)))[:, None], (3, *shape))
         out.C = np.broadcast_to((self.c_sign[:, None] * np.stack(_bends(c)))[:, None], (2, *shape))
-        return out
-
-    def take(self, index) -> "_ClampRows":
-        """The rows selected by index, an index into (sides, rows)."""
-        out = copy.copy(self)
-        index = (Ellipsis,) + index + (slice(None),)
-        for name in ("mmask", "cmask", "w", "A", "B", "C", "D"):
-            setattr(out, name, getattr(self, name)[index])
         return out
 
 
@@ -470,58 +468,58 @@ def _parabola(r: _ClampRows, g: np.ndarray):
     return q0, q1, q2, tstar, pos & (tstar > 0.0) & (tstar < r.w)
 
 
-def _feasible_interval(r: _ClampRows, gamma: np.ndarray):
-    """Each row's feasible interval [lo, hi] for the proposals gamma.
+def _feasible_interval(r: _ClampRows):
+    """Each row's feasible interval [lo, hi]: the steps after which every
+    bound sign*f' and sign*f'' is >= 0 on the row's pieces; [0, 0] where
+    there are none.
 
-    Endpoint constraints are linear in gamma and exact; the interior minimum
-    of the (quadratic) first derivative moves with gamma, so it is handled by
-    a short fixed-point refinement around each row's clamped proposal. The
-    interval always contains 0 because the pre-update state is feasible.
+    At each point x of a piece the constraint b + a*gamma >= 0 is affine in
+    gamma, so it cuts a half-line, and no such cut removes a feasible gamma.
+    The interval's ends are the tightest of these cuts: the pieces' edges
+    (f'' is linear on a piece, so they are all it needs); for a quadratic
+    f', the stationary points of -b/a inside the piece, where the step
+    leaves sign*f' touching 0 at an interior minimum; and the limit of -b/a
+    at the row's own u (its threshold, or x_min for a global term), where
+    a = 0. Each point is found in powers of its nearer edge, where a row's
+    zeros at u are exact.
     """
-    lo = np.full(gamma.shape, -np.inf)
-    hi = np.full(gamma.shape, np.inf)
+    lo = np.full(r.w.shape[:-1], -np.inf)
+    hi = np.full(r.w.shape[:-1], np.inf)
 
     def cut(lo, hi, a, b, mask):
-        # intersect with the half-lines {gamma : b + a*gamma >= -slack}
+        # intersect with the half-lines {gamma : b + a*gamma >= 0}
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = (-b - FEAS_SLACK) / a
+            bound = -b / a
         lo_new = np.where(mask & (a > 0.0), bound, -np.inf).max(axis=-1)
         hi_new = np.where(mask & (a < 0.0), bound, np.inf).min(axis=-1)
         return np.where(lo_new > lo, lo_new, lo), np.where(hi_new < hi, hi_new, hi)
 
     w = r.w
-    if r.mono:
-        A0, A1, A2 = r.A
-        B0, B1, B2 = r.B
-        lo, hi = cut(lo, hi, A0, B0, r.mmask)
-        lo, hi = cut(lo, hi, A0 + A1 * w + A2 * w * w, B0 + B1 * w + B2 * w * w, r.mmask)
     if r.curv:
-        C0, C1 = r.C
-        D0, D1 = r.D
-        lo, hi = cut(lo, hi, D0, C0, r.cmask)
-        lo, hi = cut(lo, hi, D0 + D1 * w, C0 + C1 * w, r.cmask)
-
-    # without quadratic terms f' is linear on each piece: its endpoints bound it
-    if r.mono and (np.any(A2 != 0.0) or np.any(B2 != 0.0)):
-        # Rows refine in lockstep. A row whose refinement has stopped (no
-        # violation, or an unchanged clamp) is at a fixed point: repeating
-        # the step recomputes the same cuts and the same clamp, so each row
-        # ends where a refinement of that row alone would end.
-        gamma_c = np.where(lo <= hi, _clip(gamma, lo, hi), 0.0)
-        for _ in range(8):
-            q0, q1, q2, tstar, inside = _parabola(r, gamma_c[..., None])
+        lo, hi = cut(lo, hi, r.D[0], r.C[0], r.cmask)
+        lo, hi = cut(lo, hi, r.Dw, r.C[0] + r.C[1] * w, r.cmask)
+    if r.mono:
+        B0, B1, B2 = r.B
+        BU = (B0 + B1 * w + B2 * w * w, B1 + 2.0 * B2 * w, B2)  # in powers of x - upper edge
+        # without quadratic terms f' is linear on each piece: its edges bound it
+        quadratic = np.any(r.A[2] != 0.0) or np.any(B2 != 0.0)
+        # the lower edge's frame covers s = x - lower in [0, w/2], the upper one's [-w/2, 0]
+        for (a0, a1, a2), (b0, b1, b2), into in ((r.A, r.B, 1.0), (r.AU, BU, -1.0)):
+            lo, hi = cut(lo, hi, a0, b0, r.mmask)
+            if not quadratic:
+                continue
+            # where the step adds 0 and the state sits on the bound, sign*f'
+            # must not turn negative into the piece
+            lo, hi = cut(lo, hi, into * a1, into * b1, r.mmask & (a0 == 0.0) & (b0 <= 0.0))
+            # stationary points of -b/a: (b2*a1 - b1*a2)s^2 + 2(b2*a0 - b0*a2)s
+            # + (b1*a0 - b0*a1) = 0, by the cancellation-safe formula
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                qmin = q0 - q1 * q1 / (4.0 * np.maximum(q2, 1e-300))
-                viol = r.mmask & inside & (qmin < -FEAS_SLACK)
-                if not viol.any():
-                    break
-                a_t = A0 + A1 * tstar + A2 * tstar * tstar
-                b_t = B0 + B1 * tstar + B2 * tstar * tstar
-            lo, hi = cut(lo, hi, a_t, b_t, viol)
-            new_c = np.where(lo <= hi, _clip(gamma_c, lo, hi), 0.0)
-            if np.all(new_c == gamma_c):
-                break
-            gamma_c = new_c
+                qa, qb, qc = b2 * a1 - b1 * a2, b2 * a0 - b0 * a2, b1 * a0 - b0 * a1
+                h = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
+                for s in (h / qa, qc / h):
+                    inside = (into * s > 0.0) & (into * s <= 0.5 * w)
+                    lo, hi = cut(lo, hi, a0 + (a1 + a2 * s) * s, b0 + (b1 + b2 * s) * s,
+                                 r.mmask & inside)
     empty = lo > hi
     return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
 
@@ -566,23 +564,14 @@ def _pool(sign, gamma: np.ndarray, sums, cfg: TrainConfig, lo=None, hi=None) -> 
 
 def _clamp(rows: _ClampRows, cfg: TrainConfig, gamma: np.ndarray, sums) -> np.ndarray:
     """Clamp leaf-value proposals gamma (sides, rows) into the feasible
-    intervals of the bound clamp rows, pool the degree-1 kinks that bend
-    against the curvature sign, then halve each row's sides together until
-    the exact check passes; a row still failing after 60 halvings becomes a
-    no-op. sums are the rows' side sums (sgl, sgr, shl, shr)."""
-    lo, hi = _feasible_interval(rows, gamma)
+    intervals of the bound clamp rows and pool the degree-1 kinks that bend
+    against the curvature sign. A row whose clamped pair fails the exact
+    check becomes a no-op, which keeps the current state. sums are the
+    rows' side sums (sgl, sgr, shl, shr)."""
+    lo, hi = _feasible_interval(rows)
     gamma = _pool(rows.kink, _clip(gamma, lo, hi), sums, cfg, lo, hi)
-
-    todo = np.arange(gamma.shape[1])
-    for _ in range(60):
-        sub = rows if todo.size == gamma.shape[1] else rows.take(np.s_[:, todo])
-        ok = _worst_after(sub, gamma[:, todo]).min(axis=0) >= -FEAS_SLACK
-        todo = todo[~ok]
-        if todo.size == 0:
-            return gamma
-        gamma[:, todo] *= 0.5
-    gamma[:, todo] = 0.0
-    return gamma
+    ok = _worst_after(rows, gamma).min(axis=0) >= -FEAS_SLACK
+    return np.where(ok, gamma, 0.0)
 
 
 # ---------------------------------------------------------------------------

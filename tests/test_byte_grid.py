@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = "6ed7b7f15fd0651b4e7421163c64c4db1784245240156f6d8c99c5599b2a8121"
+PINNED = "f1fa9e0ace4503ca9c2a0c78add506120a9154e49dd8c4c1451025c52c4c399f"
 
 
 def test_byte_grid_seed_0_is_pinned():

@@ -1,18 +1,20 @@
 """Shape-constraint enforcement: sign feasibility at every stage of training."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from polygam.booster import (
+    FEAS_SLACK,
     TrainConfig,
     _Candidates,
     _clamp,
     _ClampRows,
-    _clip,
     _feasible_interval,
     _FeatureWork,
-    _pool,
+    _worst_after,
     leaf_value,
     train,
 )
@@ -182,6 +184,23 @@ def test_unconstrained_feature_is_untouched_by_neighbor_constraint():
     assert f0.max() > 0.05 and f0.min() < -0.05
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+def test_signs_hold_to_rounding_at_every_target_scale(scale):
+    # the clamp aims the constrained derivatives at 0, not at an absolute
+    # slack, so they hold to rounding relative to the shape whatever the
+    # target's units
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 4.0, 2000)
+    y = (x**2 + np.exp(0.7 * x) + rng.normal(scale=0.3, size=x.size)) * scale
+    fc = FeatureConstraint(smoothness=1, max_degree=3, monotone=1, curvature=1)
+    res, _ = fit(x, y, fc, max_iterations=300)
+    assert res.n_iterations == 300
+    g = np.linspace(x.min(), x.max(), 20_001)
+    for order in (1, 2):
+        v = evaluate_derivative(res.store, 0, 0, g, order)
+        assert v.min() >= -1e-12 * np.abs(v).max(), order
+
+
 # ---------------------------------------------------------------------------
 # the batched clamp
 
@@ -205,6 +224,15 @@ def one_block(wk, d, lr, rows, i=0, k=0):
     return _ClampRows([(i, k, wk, d, rows, rows)], lr)
 
 
+def take(rows, index):
+    """The clamp rows selected by index, an index into (sides, rows)."""
+    out = copy.copy(rows)
+    index = (Ellipsis,) + index + (slice(None),)
+    for name in ("mmask", "cmask", "w", "A", "B", "C", "D", "AU", "Dw"):
+        setattr(out, name, getattr(rows, name)[index])
+    return out
+
+
 def assert_feasible(state, fc, g, what):
     if fc.monotone:
         assert (fc.monotone * evaluate_derivative(state, 0, 0, g, 1)).min() >= TOL, what
@@ -213,7 +241,7 @@ def assert_feasible(state, fc, g, what):
 
 
 @given(clamp_cases())
-# the interior-minimum refinement takes several steps on some rows here
+# some rows' intervals end at an interior minimum of f' here
 @example((FeatureConstraint(smoothness=-1, max_degree=3, monotone=1), 2, 0))
 def test_batched_clamp_is_rowwise_and_feasible(case):
     fc, d, seed = case
@@ -238,10 +266,10 @@ def test_batched_clamp_is_rowwise_and_feasible(case):
     sums = (sgl, sgr, shl, shr)
     # every (side, threshold) row gets the interval it gets alone
     rows = one_block(wk, d, lr, R).at(store)
-    lo, hi = _feasible_interval(rows, gamma)
+    lo, hi = _feasible_interval(rows)
     for s, t in np.ndindex(shape):
         one = np.s_[s : s + 1, t : t + 1]
-        lo1, hi1 = _feasible_interval(rows.take(one), gamma[one])
+        lo1, hi1 = _feasible_interval(take(rows, one))
         assert (lo1.tobytes(), hi1.tobytes()) == (lo[one].tobytes(), hi[one].tobytes()), (s, t)
     # and every threshold gets the clamped pair it gets alone
     clamped = _clamp(rows, cfg, gamma, sums)
@@ -310,47 +338,68 @@ def fit_clamp_cases(draw):
     return fcs, pieces, mask, iterations, draw(st.integers(0, 2**16))
 
 
-def halvings(start, end):
-    """Each row's halving count from its clamped pair `start` (sides, rows)
-    to the pair `end` that the exact check passed; 60 where the row fell
-    back to a no-op."""
-    s, e = np.abs(start).max(axis=0), np.abs(end).max(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(e == 0.0, np.where(s == 0.0, 0, 60), np.log2(s / e))
+def clamp_fit(case):
+    """The fit of a fit_clamp_cases example: its feature works, candidates
+    and state, and the rng that drew its data, to draw proposals from."""
+    fcs, pieces, mask, iterations, seed = case
+    rng = np.random.default_rng(seed)
+    n, J = 240, mask.shape[0]
+    X = rng.uniform(-1.0, 2.0, size=(n, len(fcs)))
+    f = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
+    if J == 1:
+        ds = make_dataset(X, f + rng.normal(scale=0.3, size=n))
+    else:
+        y = np.digitize(f, np.quantile(f, np.linspace(0, 1, J + 1)[1:-1]))
+        ds = make_dataset(X, y, task="multiclass")
+    layout = BinLayout([layout_for(make_dataset(X[:, k], f), 32, p)[0]
+                        for k, p in enumerate(pieces)])
+    spec = ConstraintSpec(features=fcs, allow_mask=mask)
+    cfg = TrainConfig(learning_rate=0.3, max_iterations=iterations, early_stopping_patience=0,
+                      validation_fraction=0.0, min_data_in_leaf=5)
+    store = train(ds, layout, spec, cfg).store
+    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), J)
+             for k, fc in enumerate(fcs)]
+    return works, _Candidates(works, J, cfg, n), store, cfg, rng
+
+
+# an example whose rows' intervals end at interior minima of f'
+INTERIOR = ([FeatureConstraint(smoothness=2, max_degree=3, monotone=1, curvature=-1),
+             FeatureConstraint(smoothness=2, max_degree=3, monotone=1)],
+            [2, 5], np.array([[True, True]]), 2, 6843)
+
+
+def ends_only(r):
+    """Oracle: each row's interval from the cuts at its pieces' edges alone,
+    without the minima of f' inside a piece."""
+    w, cuts = r.w, []
+    if r.mono:
+        cuts += [(r.mmask, r.A[0], r.B[0]), (r.mmask, r.AU[0], r.B[0] + r.B[1] * w + r.B[2] * w * w)]
+    if r.curv:
+        cuts += [(r.cmask, r.D[0], r.C[0]), (r.cmask, r.Dw, r.C[0] + r.C[1] * w)]
+    lo, hi = np.full(w.shape[:-1], -np.inf), np.full(w.shape[:-1], np.inf)
+    for mask, a, b in cuts:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = -b / a
+        lo = np.maximum(lo, np.where(mask & (a > 0.0), bound, -np.inf).max(axis=-1))
+        hi = np.minimum(hi, np.where(mask & (a < 0.0), bound, np.inf).min(axis=-1))
+    return lo, hi
 
 
 @pytest.mark.filterwarnings("ignore:feature .* is constrained but allowed in multiple outputs")
 def test_one_clamp_pass_equals_each_block_clamped_alone():
-    steps = []  # each example's halving counts
+    vertex = []  # per example, whether some row's interval ends inside a piece
 
     @given(fit_clamp_cases())
     # a degree-1 kink block (S = 0, curvature) beside global rows (S = 2)
     @example(([FeatureConstraint(smoothness=0, max_degree=2, monotone=1, curvature=1),
                FeatureConstraint(smoothness=2, max_degree=3, monotone=-1, curvature=1)],
               [3, 8], np.array([[True, True], [True, False]]), 4, 1))
+    @example(INTERIOR)
     def check(case):
-        fcs, pieces, mask, iterations, seed = case
-        rng = np.random.default_rng(seed)
-        n, J = 240, mask.shape[0]
-        X = rng.uniform(-1.0, 2.0, size=(n, len(fcs)))
-        f = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
-        if J == 1:
-            ds = make_dataset(X, f + rng.normal(scale=0.3, size=n))
-        else:
-            y = np.digitize(f, np.quantile(f, np.linspace(0, 1, J + 1)[1:-1]))
-            ds = make_dataset(X, y, task="multiclass")
-        layout = BinLayout([layout_for(make_dataset(X[:, k], f), 32, p)[0]
-                            for k, p in enumerate(pieces)])
-        spec = ConstraintSpec(features=fcs, allow_mask=mask)
-        lr = 0.3
-        cfg = TrainConfig(learning_rate=lr, max_iterations=iterations, early_stopping_patience=0,
-                          validation_fraction=0.0, min_data_in_leaf=5)
-        store = train(ds, layout, spec, cfg).store
-        works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), J)
-                 for k, fc in enumerate(fcs)]
-        cands = _Candidates(works, J, cfg, n)
+        works, cands, store, cfg, rng = clamp_fit(case)
+        lr = cfg.learning_rate
         rows, out, col = cands.clamp, cands.clamp.out, cands.clamp.col
-        widths = {layout[k].n_coarse_bins for k in range(len(fcs))}
+        widths = {wk.fb.n_coarse_bins for wk in works}
         assert len(widths) > 1 and rows.w.shape[-1] == max(widths)  # pieces are padded
         R = out.size
         gamma = rng.normal(size=(2, R)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(2, R))
@@ -360,8 +409,8 @@ def test_one_clamp_pass_equals_each_block_clamped_alone():
         sums = (sgl, sgr, shl, shr)
         bound = rows.at(store)
         batch = _clamp(bound, cfg, gamma.copy(), sums)
-        lo, hi = _feasible_interval(bound, gamma)
-        steps.append(halvings(_pool(rows.kink, _clip(gamma, lo, hi), sums, cfg, lo, hi), batch))
+        (lo, hi), (e_lo, e_hi) = _feasible_interval(bound), ends_only(bound)
+        vertex.append(((e_lo <= e_hi) & ((lo > e_lo) | (hi < e_hi))).any())
         at = {(o, c): r for r, (o, c) in enumerate(zip(out.tolist(), col.tolist()))}
         start = seen = 0
         for k, wk in enumerate(works):
@@ -381,9 +430,41 @@ def test_one_clamp_pass_equals_each_block_clamped_alone():
         assert seen == R  # every batch row is some block's
 
     check()
-    # the examples reach a row that needs several halvings, and the fallback
-    steps = np.concatenate(steps)
-    assert ((steps >= 2) & (steps < 60)).any() and (steps == 60).any()
+    # the examples reach a row whose interval ends at a minimum of f' inside a piece
+    assert any(vertex)
+
+
+@given(fit_clamp_cases())
+@example(INTERIOR)
+@pytest.mark.filterwarnings("ignore:feature .* is constrained but allowed in multiple outputs")
+def test_feasible_interval_ends_are_exact(case):
+    # every finite end passes the exact check, and one pushed outward fails
+    # it. An end within 1e-6 of 0 belongs to a bound the state already
+    # touches up to rounding; a touch of eps moves the end by up to ~sqrt(eps)
+    # either way, so it has no outward side to test.
+    _, cands, store, _, _ = clamp_fit(case)
+    rows = cands.clamp.at(store)
+    for end, outward in zip(_feasible_interval(rows), (-1.0, 1.0)):
+        finite, moved = np.isfinite(end), np.isfinite(end) & (np.abs(end) > 1e-6)
+        assert (_worst_after(rows, np.where(finite, end, 0.0))[finite] >= -FEAS_SLACK).all()
+        pushed = np.where(moved, end + outward * 1e-6 * np.abs(end), 0.0)
+        assert (_worst_after(rows, pushed)[moved] < 0.0).all()
+
+
+def test_row_bound_to_an_infeasible_state_is_a_no_op():
+    # f' = -1 on every piece of an increasing feature; a degree-2 split
+    # adds no slope at its threshold, so no step of either side repairs it
+    x = np.linspace(0.0, 2.0, 200)
+    fc = FeatureConstraint(smoothness=1, max_degree=2, monotone=1)
+    res, ds = fit(x, x, fc, max_iterations=0)
+    res.store.params[0][0].poly_coeffs[:, 1] = -1.0
+    wk = _FeatureWork(ds.X[:, 0], res.store.layout[0], fc)
+    cfg = TrainConfig()
+    R = np.flatnonzero(wk.row_degree == 2)
+    gamma = np.array([[2.0], [1.0]]).repeat(R.size, axis=1)
+    sums = tuple(np.full(R.size, v) for v in (-3.0, -1.0, 2.0, 1.0))
+    clamped = _clamp(one_block(wk, 2, cfg.learning_rate, R).at(res.store), cfg, gamma, sums)
+    assert (clamped == 0.0).all()
 
 
 def update_deriv_coeffs(delta, d, lr, order):

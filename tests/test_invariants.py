@@ -29,7 +29,7 @@ from polygam.model import (
 from conftest import make_dataset
 
 GAP_TOL = 1e-8  # as in the continuity acceptance criterion
-SIGN_TOL = -1e-9  # the trainer enforces >= -1e-10
+SIGN_TOL = -1e-9  # the clamp aims at 0 and drops a step whose exact check is below -1e-10
 
 
 @st.composite
