@@ -15,10 +15,13 @@ leaf values into a feasible interval before gains are compared.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import copy
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,6 +43,11 @@ from .model import (
 
 H_FLOOR = 1e-12
 FEAS_SLACK = 1e-10  # rounding guard of the clamp's final check; tests allow -1e-9
+# the scan runs on lanes only when two runs each hold this many slots: the
+# lanes' overhead is per numpy call, and on a 2-core x86 host 8-feature
+# binary fits on two lanes broke even at about 24,500 slots per run and
+# took 9% less time at about 37,000
+PAR_MIN_SLOTS = 2**15
 
 
 @dataclass
@@ -280,6 +288,14 @@ class _FeatureWork:
         self.Wh = Wh.reshape(2, n_rows, mb * (2 * dmax + 1))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: the scan's lane count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
 class _Scan:
     """The fit's scan: each call fills every allowed output's side sums of
     every feature into its `sums`, fine thresholds then table rows.
@@ -295,7 +311,13 @@ class _Scan:
     (output, g/h, fine bin), `gmom` and `hmom` (output, piece, m). Each
     feature keeps its own recombination products and outputs are gathered
     one at a time, so its sums are bit for bit those of a scan of it and of
-    that output alone."""
+    that output alone.
+
+    When at least two runs hold PAR_MIN_SLOTS slots each, the runs are dealt
+    into lanes, one per usable CPU (at most one per such run), longest
+    first by slots times outputs, each to the least loaded lane. Each lane
+    has its own gather buffer and a run writes only its own arrays, so the
+    lanes can scan concurrently and every sum keeps its bits."""
 
     def __init__(self, works: list[_FeatureWork]):
         works = [wk for wk in works if wk.sums.size and wk.outputs.size]
@@ -308,13 +330,46 @@ class _Scan:
             runs[-1][1] += wk.slot_row.size
             runs[-1][2].append(wk)
         self.runs = [_Run(run) for _, _, run in runs]
-        self.buf = np.empty(3 * max((r.slot_row.size for r in self.runs), default=0))
+        big = sum(r.slot_row.size >= PAR_MIN_SLOTS for r in self.runs)
+        self.lanes = [[] for _ in range(min(_cpus(), big) if big >= 2 else 1)]
+        load = [0] * len(self.lanes)
+        for run in sorted(self.runs, key=lambda r: -r.slot_row.size * len(r.outputs)):
+            lane = load.index(min(load))
+            self.lanes[lane].append(run)
+            load[lane] += run.slot_row.size * len(run.outputs)
+        self.bufs = [np.empty(3 * max((r.slot_row.size for r in lane), default=0))
+                     for lane in self.lanes]
 
-    def __call__(self, GH: np.ndarray, h_side: bool = True) -> None:
+    def __call__(self, GH: np.ndarray, h_side: bool = True, pool=None) -> None:
         """GH is (2J, n + 1), g then h by output, with a zero last column.
-        Without h_side only the g side is summed, and the h side kept."""
-        for run in self.runs:
-            run.scan(GH, h_side, self.buf)
+        Without h_side only the g side is summed, and the h side kept. With
+        a pool (an executor), every lane but the first runs on it, while the
+        first runs on this thread; without one, the lanes run one after
+        another."""
+        lanes = list(zip(self.lanes, self.bufs))
+        # a worker lane runs in a copy of this thread's context, which holds
+        # numpy's error state, so every lane warns or raises alike
+        futures = [pool.submit(contextvars.copy_context().run, self._lane, *lane, GH, h_side)
+                   for lane in lanes[1:]] if pool else []
+        for lane in lanes[: len(lanes) - len(futures)]:
+            self._lane(*lane, GH, h_side)
+        for f in futures:
+            f.result()
+
+    @staticmethod
+    def _lane(runs: list["_Run"], buf: np.ndarray, GH: np.ndarray, h_side: bool) -> None:
+        for run in runs:
+            run.scan(GH, h_side, buf)
+
+    def pool(self):
+        """A context holding a pool with a thread for every lane but the
+        first, or None when there is one lane; leaving it joins them."""
+        if len(self.lanes) == 1:
+            return contextlib.nullcontext()
+        # imported here, so that a fit on one lane never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor(len(self.lanes) - 1, thread_name_prefix="polygam-scan")
 
 
 class _Run:
@@ -846,27 +901,29 @@ def train(
     best_iter = 0
     last_iter = 0
 
-    for it in range(1, cfg.max_iterations + 1):
-        batch = derivatives(task, ds_train.y, F, p)
-        GH[:J, :-1], GH[J:, :-1] = batch.g.T, batch.h.T
-        del batch  # GH holds g and h; freeing them keeps the scan's peak memory low
-        scan(GH, h_side=it == 1 or task != "regression")  # regression's h never changes
-        picks = _best_updates(cands, store, cfg, it)
-        if not picks:
-            last_iter = it - 1
-            break
-        for rec in picks:
-            _apply_candidate(store, rec, cfg.learning_rate, works, F, X_valid, F_valid)
-        p, train_loss, valid_loss = losses(f"loss at iteration {it}")
-        for rec in picks:
-            rec.train_loss, rec.valid_loss = train_loss, valid_loss
-        log += picks
-        last_iter = it
-        if F_valid is not None and valid_loss < best_valid:
-            best_valid = valid_loss
-            best_iter = it
-        if use_early_stop and it - best_iter >= cfg.early_stopping_patience:
-            break
+    # the scan's lanes run on this pool; leaving the block joins its threads
+    with scan.pool() as pool:
+        for it in range(1, cfg.max_iterations + 1):
+            batch = derivatives(task, ds_train.y, F, p)
+            GH[:J, :-1], GH[J:, :-1] = batch.g.T, batch.h.T
+            del batch  # GH holds g and h; freeing them keeps the scan's peak memory low
+            scan(GH, it == 1 or task != "regression", pool)  # regression's h never changes
+            picks = _best_updates(cands, store, cfg, it)
+            if not picks:
+                last_iter = it - 1
+                break
+            for rec in picks:
+                _apply_candidate(store, rec, cfg.learning_rate, works, F, X_valid, F_valid)
+            p, train_loss, valid_loss = losses(f"loss at iteration {it}")
+            for rec in picks:
+                rec.train_loss, rec.valid_loss = train_loss, valid_loss
+            log += picks
+            last_iter = it
+            if F_valid is not None and valid_loss < best_valid:
+                best_valid = valid_loss
+                best_iter = it
+            if use_early_stop and it - best_iter >= cfg.early_stopping_patience:
+                break
 
     if not use_early_stop:
         best_iter = last_iter

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .losses import link_apply
-from .model import ParameterStore, evaluate_derivative, evaluate_shape, predict
+from .model import ParameterStore, check_pair, evaluate_derivative, evaluate_shape, predict
 from .uncertainty import shape_ci
 
 DEFAULT_GRID = 512
@@ -39,9 +40,13 @@ def shape_grid(
     store: ParameterStore, i: int, k: int, grid_size: int = DEFAULT_GRID, with_ci: bool = False
 ) -> ShapeGrid:
     """Sample shape i,k on grid_size points spanning the observed range;
-    a grid_size below 1 is refused."""
+    a grid_size that is not an integer >= 1 is refused, as are indices
+    outside the model."""
+    if not isinstance(grid_size, numbers.Integral):
+        raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 1:
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
+    check_pair(store, i, k)
     fb = store.layout[k]
     if fb.x_max > fb.x_min:
         x = np.linspace(fb.x_min, fb.x_max, grid_size)
@@ -82,7 +87,8 @@ def export_shapes(
 
     Only (output, feature) pairs permitted by the allow-mask are exported.
     Unknown feature names in the filter are an error; so are requesting CI
-    output on a model without stored accumulators and a grid_size below 1.
+    output on a model without stored accumulators and a grid_size that is
+    not an integer >= 1.
     Every grid is sampled before the directory is made.
     """
     names = store.feature_names

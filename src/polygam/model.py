@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -343,9 +344,27 @@ def horner(coef: np.ndarray, rows: np.ndarray, t: np.ndarray, order: int = 0, st
     return val
 
 
+def _check_index(what: str, v, n: int) -> None:
+    try:
+        if 0 <= operator.index(v) < n:
+            return
+    except TypeError:  # not an integer
+        pass
+    raise ConfigError(f"{what} index must be an integer in 0..{n - 1}, got {v!r}")
+
+
+def check_pair(store: ParameterStore, i, k) -> None:
+    """Refuse, with ConfigError, an output index outside 0..J-1 or a feature
+    index outside 0..K-1; a negative or non-integer index is refused too,
+    where list indexing would wrap it or fail with a bare IndexError."""
+    _check_index("output", i, store.n_outputs)
+    _check_index("feature", k, len(store.feature_names))
+
+
 def _evaluate(store: ParameterStore, i: int, k: int, x, order: int):
     """Shape function i, k (order 0, with the step layer) or its derivative
     of that order at x, a scalar or a vector."""
+    check_pair(store, i, k)
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     fb, sp = store.layout[k], store.params[i][k]
@@ -368,7 +387,7 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
     contributes.
     """
     if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+        raise ConfigError(f"order must be 1 or 2, got {order}")
     return _evaluate(store, i, k, x, order)
 
 
@@ -529,6 +548,7 @@ def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarr
     order 0 includes the step layer; orders 1 and 2 are polynomial-only. Used
     by the smoothness tests: a C^S fit must show zero gaps up to order S.
     """
+    check_pair(store, i, k)
     fb = store.layout[k]
     sp = store.params[i][k]
     edges = fb.fine_edges

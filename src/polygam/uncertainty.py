@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import FeatureBins
 from .losses import hessian_diag
-from .model import ParameterStore, evaluate_shape, fine_code, locate, predict
+from .model import ParameterStore, check_pair, evaluate_shape, fine_code, locate, predict
 
 Z_95 = 1.96
 
@@ -97,6 +97,7 @@ class UncertaintyTable:
 
 
 def param_se(store: ParameterStore, i: int, k: int) -> UncertaintyTable:
+    check_pair(store, i, k)
     if not store.has_uncertainty or store.se_fine[i][k] is None:
         raise ValueError(
             "no uncertainty accumulators stored for this output/feature; "
@@ -124,6 +125,7 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
     bin); degrees 1..D contribute from x's own coarse piece and from every
     piece below it, saturated at its upper edge. Outside the observed range
     [x_min, x_max] the variance is infinite."""
+    check_pair(store, i, k)
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if not store.has_uncertainty or store.se_fine[i][k] is None:

@@ -1,15 +1,19 @@
 """Training loop: leaf values, gains, split scans, replay, stopping, masking."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import polygam
+from polygam import booster
 from polygam.booster import (
     TrainConfig,
     _FeatureWork,
@@ -455,6 +459,80 @@ def test_global_term_bytes_do_not_depend_on_blas_threads():
     )
     shas = model_sha_per_thread_count(fit)
     assert shas[0] == shas[1]
+
+
+# two features of 40,000 rows: each feature is its own run of at least
+# PAR_MIN_SLOTS slots, so with two CPUs the fit scans on two lanes
+LANE_FIT = (
+    "rng = np.random.default_rng(5)\n"
+    "X = rng.normal(size=(40000, 2))\n"
+    "f = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 + rng.logistic(size=40000)\n"
+    "ds = pg.Dataset(X=X, y=(f > 1).astype(np.int64), feature_names=['a', 'b'],\n"
+    "                kinds=['numeric'] * 2, task='binary', n_outputs=1)\n"
+    "cfg = pg.TrainConfig(max_iterations=4, early_stopping_patience=0,\n"
+    "                     validation_fraction=0.0)\n"
+    "res = pg.train(ds, config=cfg)"
+)
+
+
+def lane_fit(monkeypatch, cpus: int):
+    """LANE_FIT with the scan's CPU count stubbed to `cpus`; returns the
+    result and the set of threads that scanned a run."""
+    monkeypatch.setattr(booster, "_cpus", lambda: cpus)
+    threads, scan = set(), booster._Run.scan
+
+    def spy(run, *args):
+        threads.add(threading.get_ident())
+        return scan(run, *args)
+
+    monkeypatch.setattr(booster._Run, "scan", spy)
+    ns = {"pg": polygam, "np": np}
+    exec(LANE_FIT, ns)
+    monkeypatch.setattr(booster._Run, "scan", scan)
+    return ns["res"], threads
+
+
+def test_lanes_keep_model_bytes_and_log(monkeypatch):
+    one, one_threads = lane_fit(monkeypatch, 1)
+    two, two_threads = lane_fit(monkeypatch, 2)
+    assert one_threads == {threading.get_ident()}
+    assert len(two_threads) == 2  # a worker lane scanned beside this thread
+    assert dumps_model(two.store) == dumps_model(one.store)
+    assert [r.to_json() for r in two.log] == [r.to_json() for r in one.log]
+    # the lane fit at one and two BLAS threads, in fresh interpreters
+    shas = model_sha_per_thread_count("pg.booster._cpus = lambda: 2\n" + LANE_FIT)
+    assert shas == [hashlib.sha256(dumps_model(one.store).encode()).hexdigest()] * 2
+
+
+def test_lanes_leave_no_thread_and_raise_a_lane_error(monkeypatch):
+    before = threading.active_count()
+    lane_fit(monkeypatch, 2)
+    assert threading.active_count() == before
+    scan, caller = booster._Run.scan, threading.get_ident()
+
+    def fail_off_the_calling_thread(run, *args):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("lane failed")
+        return scan(run, *args)
+
+    monkeypatch.setattr(booster._Run, "scan", fail_off_the_calling_thread)
+    with pytest.raises(FloatingPointError, match="lane failed"):
+        exec(LANE_FIT, {"pg": polygam, "np": np})
+    assert threading.active_count() == before
+
+
+def test_worker_lanes_keep_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setattr(booster, "_cpus", lambda: 2)
+    seen, scan = set(), booster._Run.scan
+
+    def spy(run, *args):
+        seen.add((threading.get_ident(), np.geterr()["over"]))
+        return scan(run, *args)
+
+    monkeypatch.setattr(booster._Run, "scan", spy)
+    with np.errstate(over="raise"):
+        exec(LANE_FIT, {"pg": polygam, "np": np})
+    assert {over for _, over in seen} == {"raise"} and len(seen) == 2
 
 
 @pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])

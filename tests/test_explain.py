@@ -15,8 +15,9 @@ from polygam.model import (
     FeatureConstraint,
     evaluate_derivative,
     evaluate_shape,
+    knot_gaps,
 )
-from polygam.uncertainty import attach_se_accumulators
+from polygam.uncertainty import attach_se_accumulators, param_se, shape_ci, variance_pred
 
 from conftest import make_dataset, single_feature_store
 
@@ -69,6 +70,41 @@ def test_shape_grid_refuses_an_empty_grid(tmp_path, grid_size):
     with pytest.raises(ConfigError, match=want):
         export_shapes(store, str(tmp_path / "s"), grid_size=grid_size)
     assert not (tmp_path / "s").exists()
+
+
+SELECTIONS = {
+    "evaluate_shape": lambda s, i, k: evaluate_shape(s, i, k, 1.0),
+    "evaluate_derivative": lambda s, i, k: evaluate_derivative(s, i, k, 1.0, 1),
+    "shape_grid": lambda s, i, k: shape_grid(s, i, k, grid_size=8),
+    "shape_ci": lambda s, i, k: shape_ci(s, i, k, 1.0),
+    "knot_gaps": knot_gaps,
+    "param_se": param_se,
+    "variance_pred": lambda s, i, k: variance_pred(s, i, k, 1.0),
+}
+
+
+@pytest.mark.parametrize("i, k", [(-1, 0), (2, 0), (0, -1), (0, 1), (0.0, 0), (0, 0.5),
+                                  (None, 0), (0, "x0")])
+@pytest.mark.parametrize("call", SELECTIONS)
+def test_a_selection_outside_the_model_is_refused(call, i, k):
+    # a negative index would wrap to the last output or feature, and one
+    # past the end would fail with a bare IndexError
+    store = single_feature_store([1.0], [1.0], 0.25, 1.75, n_outputs=2, task="multiclass")
+    with pytest.raises(ConfigError, match="output index|feature index"):
+        SELECTIONS[call](store, i, k)
+
+
+@pytest.mark.parametrize("grid_size", [2.5, float("nan"), "8"])
+def test_shape_grid_refuses_a_grid_size_that_is_not_an_integer(grid_size):
+    store = single_feature_store([1.0], [1.0], 0.25, 1.75)
+    with pytest.raises(ConfigError, match="grid_size must be an integer"):
+        shape_grid(store, 0, 0, grid_size=grid_size)
+
+
+def test_a_derivative_order_other_than_1_or_2_is_a_config_error():
+    store = single_feature_store([1.0], [1.0], 0.25, 1.75)
+    with pytest.raises(ConfigError, match="order must be 1 or 2"):
+        evaluate_derivative(store, 0, 0, 1.0, 3)
 
 
 def test_default_grid_is_512_rows(tmp_path):
