@@ -18,17 +18,22 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import copy
+import functools
 import json
 import math
 import numbers
 import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import BinLayout, Dataset, FeatureBins, build_bin_layout, split_indices
 from .errors import ConfigError, DataError, NumericError
-from .losses import derivatives, link_apply, loss_eval
+# derivatives and loss_eval are not called here: the benchmark's tracer
+# binds these names in this module
+from .losses import (  # noqa: F401
+    checked_labels, derivative_rows, derivatives, link_rows, loss_eval, loss_mean, loss_rows)
 from .model import (
     ConstraintSpec,
     FeatureConstraint,
@@ -43,11 +48,11 @@ from .model import (
 
 H_FLOOR = 1e-12
 FEAS_SLACK = 1e-10  # rounding guard of the clamp's final check; tests allow -1e-9
-# the scan runs on lanes only when two runs each hold this many slots: the
-# lanes' overhead is per numpy call, and on a 2-core x86 host 8-feature
-# binary fits on two lanes broke even at about 24,500 slots per run and
-# took 9% less time at about 37,000
-PAR_MIN_SLOTS = 2**15
+# a pass runs on lanes only when its numpy calls on one lane would see at
+# least this many values: a scan run's slots, a row pass's rows (most of
+# its calls are one output column long). The lanes' overhead is per numpy
+# call; see the README for the crossovers measured on a 2-core x86 host
+PAR_MIN_VALUES = 2**15
 
 
 @dataclass
@@ -289,11 +294,36 @@ class _FeatureWork:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on: the scan's lane count."""
+    """CPUs this process may run on: a fit's lane count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
         return os.cpu_count() or 1
+
+
+def _lanes_pool(lanes: int):
+    """A context holding a pool with a thread for every lane but the first,
+    or None for one lane; leaving it joins the threads."""
+    if lanes == 1:
+        return contextlib.nullcontext()
+    # imported here, so that a fit on one lane never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(lanes - 1, thread_name_prefix="polygam-lane")
+
+
+def _on_lanes(pool, jobs) -> None:
+    """Run one job per lane: with a pool, every job but the first on it and
+    the first on this thread; without one, one after another. A worker job
+    runs in a copy of this thread's context, which holds numpy's error
+    state, so every lane warns or raises alike; a job's error is raised
+    here."""
+    futures = [pool.submit(contextvars.copy_context().run, job)
+               for job in jobs[1:]] if pool else []
+    for job in jobs[: len(jobs) - len(futures)]:
+        job()
+    for f in futures:
+        f.result()
 
 
 class _Scan:
@@ -305,21 +335,25 @@ class _Scan:
     of 2^14 and the biggest feature's slot count. A run lays its features'
     blocks end to end, so per output one `take` per side, one fine reduceat,
     one block product and one per-piece reduceat serve all of them. That
-    saves numpy calls on small data; on large data every run is one feature
-    and the gather buffer stays three rows of the biggest. The run's arrays
-    are its features' only `slot_row` and `tblock`, and hold their `bins`
-    (output, g/h, fine bin), `gmom` and `hmom` (output, piece, m). Each
-    feature keeps its own recombination products and outputs are gathered
-    one at a time, so its sums are bit for bit those of a scan of it and of
-    that output alone.
+    saves numpy calls on small data; on large data every run is one
+    feature. The run's arrays are its features' only `slot_row` and
+    `tblock`, and hold their `bins` (output, g/h, fine bin), `gmom` and
+    `hmom` (output, piece, m). Each feature keeps its own recombination
+    products and outputs are gathered one at a time, so its sums are bit
+    for bit those of a scan of it and of that output alone.
 
-    When at least two runs hold PAR_MIN_SLOTS slots each, the runs are dealt
-    into lanes, one per usable CPU (at most one per such run), longest
-    first by slots times outputs, each to the least loaded lane. Each lane
-    has its own gather buffer and a run writes only its own arrays, so the
-    lanes can scan concurrently and every sum keeps its bits."""
+    On more than one lane (a run of PAR_MIN_VALUES slots or more opens the
+    gate), each run is cut at piece starts into one segment per lane, and
+    the segments are dealt longest first by slots times outputs, each to
+    the least loaded lane, so lane loads differ by at most one segment.
+    Each lane has a gather buffer of three rows of its biggest segment. A
+    piece and each of its fine bins lie in one segment and sum the same
+    slots in the same order as in a scan of the whole run, and a run's
+    recombination runs once all its segments are done, on the lane that
+    finished the last one; so every sum keeps its bits on any number of
+    lanes."""
 
-    def __init__(self, works: list[_FeatureWork]):
+    def __init__(self, works: list[_FeatureWork], lanes: int = 1):
         works = [wk for wk in works if wk.sums.size and wk.outputs.size]
         limit = max([2**14] + [wk.slot_row.size for wk in works])
         runs = []  # key, slots, features
@@ -330,15 +364,20 @@ class _Scan:
             runs[-1][1] += wk.slot_row.size
             runs[-1][2].append(wk)
         self.runs = [_Run(run) for _, _, run in runs]
-        big = sum(r.slot_row.size >= PAR_MIN_SLOTS for r in self.runs)
-        self.lanes = [[] for _ in range(min(_cpus(), big) if big >= 2 else 1)]
-        load = [0] * len(self.lanes)
-        for run in sorted(self.runs, key=lambda r: -r.slot_row.size * len(r.outputs)):
+        if max((r.slot_row.size for r in self.runs), default=0) < PAR_MIN_VALUES:
+            lanes = 1
+        self.lanes = [[] for _ in range(lanes)]
+        load = [0] * lanes
+        cuts = [run.cut(lanes) for run in self.runs]
+        self.n_segments = {run: len(segs) for run, segs in zip(self.runs, cuts)}
+        segments = [seg for segs in cuts for seg in segs]
+        for seg in sorted(segments, key=lambda s: -s.slot_row.size * len(s.run.outputs)):
             lane = load.index(min(load))
-            self.lanes[lane].append(run)
-            load[lane] += run.slot_row.size * len(run.outputs)
-        self.bufs = [np.empty(3 * max((r.slot_row.size for r in lane), default=0))
+            self.lanes[lane].append(seg)
+            load[lane] += seg.slot_row.size * len(seg.run.outputs)
+        self.bufs = [np.empty(3 * max((s.slot_row.size for s in lane), default=0))
                      for lane in self.lanes]
+        self.lock = threading.Lock()
 
     def __call__(self, GH: np.ndarray, h_side: bool = True, pool=None) -> None:
         """GH is (2J, n + 1), g then h by output, with a zero last column.
@@ -346,30 +385,18 @@ class _Scan:
         a pool (an executor), every lane but the first runs on it, while the
         first runs on this thread; without one, the lanes run one after
         another."""
-        lanes = list(zip(self.lanes, self.bufs))
-        # a worker lane runs in a copy of this thread's context, which holds
-        # numpy's error state, so every lane warns or raises alike
-        futures = [pool.submit(contextvars.copy_context().run, self._lane, *lane, GH, h_side)
-                   for lane in lanes[1:]] if pool else []
-        for lane in lanes[: len(lanes) - len(futures)]:
-            self._lane(*lane, GH, h_side)
-        for f in futures:
-            f.result()
+        pending = dict(self.n_segments)
 
-    @staticmethod
-    def _lane(runs: list["_Run"], buf: np.ndarray, GH: np.ndarray, h_side: bool) -> None:
-        for run in runs:
-            run.scan(GH, h_side, buf)
+        def lane(segments, buf):
+            for seg in segments:
+                seg.scan(GH, h_side, buf)
+                with self.lock:
+                    pending[seg.run] -= 1
+                    last = not pending[seg.run]
+                if last:
+                    seg.run.recombine(h_side)
 
-    def pool(self):
-        """A context holding a pool with a thread for every lane but the
-        first, or None when there is one lane; leaving it joins them."""
-        if len(self.lanes) == 1:
-            return contextlib.nullcontext()
-        # imported here, so that a fit on one lane never loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(len(self.lanes) - 1, thread_name_prefix="polygam-scan")
+        _on_lanes(pool, [functools.partial(lane, *job) for job in zip(self.lanes, self.bufs)])
 
 
 class _Run:
@@ -402,26 +429,19 @@ class _Run:
             w.bins = self.bins[:, :, f, : w.fb.n_fine_bins]
             w.gmom, w.hmom = self.gmom[:, p], self.hmom[:, p]
 
-    def scan(self, GH: np.ndarray, h_side: bool, buf: np.ndarray) -> None:
-        """Gathers each output's g, h and h * t^max_split_deg into slot order
-        in buf, of at least 3 * slot_row.size, and sums them."""
-        dmax, ne, J, sides = self.dmax, self.nonempty, self.gmom.shape[0], 2 if h_side else 1
-        W = buf[: 3 * self.slot_row.size].reshape((3,) + self.slot_row.shape)
-        W = W[: sides + (h_side and dmax > 0)]
-        for i in self.outputs:
-            for side in range(sides):
-                GH[side * GH.shape[0] // 2 + i].take(self.slot_row, out=W[side], mode="clip")
-            if self.fine:
-                self.bins[i, :sides].reshape(sides, -1)[:, self.fine_dest] = np.add.reduceat(
-                    W[:sides].reshape(sides, -1), self.fine_cut, axis=1)
-            if dmax:
-                if h_side:
-                    np.multiply(W[1], self.tblock[:, dmax], out=W[2])
-                per_piece = np.add.reduceat(self.tblock @ W.transpose(1, 2, 0), self.block_start)
-                self.gmom[i, ne] = per_piece[..., 0]
-                if h_side:
-                    self.hmom[i, ne, : dmax + 1] = per_piece[..., 1]
-                    self.hmom[i, ne, dmax + 1 :] = per_piece[:, 1:, 2]
+    def cut(self, parts: int) -> list["_Segment"]:
+        """The run cut into at most `parts` segments of about equal slots,
+        each starting at a non-empty piece's first block."""
+        starts = self.block_start
+        want = np.arange(1, parts) * self.slot_row.shape[0] / parts
+        ends = np.unique(np.abs(starts[:, None] - want).argmin(axis=0))
+        bounds = [0] + [int(q) for q in ends if q > 0] + [starts.size]
+        return [_Segment(self, q0, q1) for q0, q1 in zip(bounds, bounds[1:])]
+
+    def recombine(self, h_side: bool) -> None:
+        """Turn the run's fine-bin sums and per-piece moments into its
+        features' side sums."""
+        J, sides, dmax = self.gmom.shape[0], 2 if h_side else 1, self.dmax
         cum = self.bins[:, :sides].cumsum(3) if self.fine else None
         for f, wk in enumerate(self.works):
             S, nf = wk.sums, wk.n_fine
@@ -433,6 +453,50 @@ class _Run:
                 np.matmul(wk.Wg, wk.gmom.reshape(J, 1, -1, 1), out=S[:, :2, nf:, None])
                 if h_side:
                     np.matmul(wk.Wh, wk.hmom.reshape(J, 1, -1, 1), out=S[:, 2:, nf:, None])
+
+
+class _Segment:
+    """The non-empty pieces q0:q1 of a run, as a run of their own: their
+    blocks' slot rows and powers, their first blocks, and the run's fine
+    cuts in their slots. A piece of a feature with a fine scan starts with
+    a cut, so slots before a segment's first cut belong to a feature
+    without one and are not summed."""
+
+    def __init__(self, run: _Run, q0: int, q1: int):
+        self.run = run
+        starts, size = run.block_start, run.slot_row.shape[1]
+        b0 = starts[q0]
+        b1 = starts[q1] if q1 < starts.size else run.slot_row.shape[0]
+        self.slot_row = run.slot_row[b0:b1]
+        self.tblock = run.tblock[b0:b1] if run.dmax else None
+        self.block_start = starts[q0:q1] - b0
+        self.nonempty = run.nonempty[q0:q1]
+        lo, hi = np.searchsorted(run.fine_cut, [b0 * size, b1 * size])
+        self.fine_cut = run.fine_cut[lo:hi] - b0 * size
+        self.fine_dest = run.fine_dest[lo:hi]
+
+    def scan(self, GH: np.ndarray, h_side: bool, buf: np.ndarray) -> None:
+        """Gathers each output's g, h and h * t^max_split_deg into slot order
+        in buf, of at least 3 * slot_row.size, and sums them into the run's
+        fine-bin sums and per-piece moments."""
+        run = self.run
+        dmax, ne, sides = run.dmax, self.nonempty, 2 if h_side else 1
+        W = buf[: 3 * self.slot_row.size].reshape((3,) + self.slot_row.shape)
+        W = W[: sides + (h_side and dmax > 0)]
+        for i in run.outputs:
+            for side in range(sides):
+                GH[side * GH.shape[0] // 2 + i].take(self.slot_row, out=W[side], mode="clip")
+            if run.fine:
+                run.bins[i, :sides].reshape(sides, -1)[:, self.fine_dest] = np.add.reduceat(
+                    W[:sides].reshape(sides, -1), self.fine_cut, axis=1)
+            if dmax:
+                if h_side:
+                    np.multiply(W[1], self.tblock[:, dmax], out=W[2])
+                per_piece = np.add.reduceat(self.tblock @ W.transpose(1, 2, 0), self.block_start)
+                run.gmom[i, ne] = per_piece[..., 0]
+                if h_side:
+                    run.hmom[i, ne, : dmax + 1] = per_piece[..., 1]
+                    run.hmom[i, ne, dmax + 1 :] = per_piece[:, 1:, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -736,32 +800,105 @@ def _fold(store: ParameterStore, rec: LogRecord, lr: float) -> int:
     return k
 
 
-def _apply_candidate(
-    store: ParameterStore,
-    rec: LogRecord,
-    lr: float,
-    works: list[_FeatureWork],
-    F: np.ndarray,
-    X_valid: np.ndarray | None,
-    F_valid: np.ndarray | None,
-) -> None:
-    """Fold the update into the store and add lr*gamma*(x-u)^d to the
-    training and validation scores, gamma_left where x < u and gamma_right
-    elsewhere; a global term is one side with u the feature minimum."""
-    k = _fold(store, rec, lr)
-    i, d, gl, gr = rec.output, rec.degree, rec.gamma_left, rec.gamma_right
-    is_global = rec.kind == "global"
-    u = works[k].fb.x_min if is_global else rec.threshold
-    side = np.array([gr, gl])  # indexed by s < 0
-    targets = [(works[k].x, F)]
-    if F_valid is not None:
-        targets.append((X_valid[:, k], F_valid))
-    for x, scores in targets:
-        s = x - u  # one pass over the (strided) column; s < 0 exactly when x < u
+def _add_update(rec: LogRecord, u: float, lr: float, x: np.ndarray, scores: np.ndarray,
+                s: np.ndarray, v: np.ndarray) -> None:
+    """Add lr*gamma*(x-u)^d to scores, a column of rows x: gamma_left where
+    x < u and gamma_right elsewhere; a global term is one side with u the
+    feature minimum. s and v are scratch as long as x."""
+    np.subtract(x, u, out=s)  # s < 0 exactly when x < u
+    if rec.kind == "global":
+        s **= rec.degree  # in place, with the bits of s**d
+        np.multiply(lr * rec.gamma_left, s, out=v)
+    else:
         # the side as a two-entry table lookup on the comparison's bytes, a
-        # third of np.where's time; unnamed, its buffer is free for the
-        # next product to reuse
-        scores[:, i] += lr * (gl if is_global else side.take((s < 0.0).view(np.uint8))) * s**d
+        # third of np.where's time
+        side = lr * np.array([rec.gamma_right, rec.gamma_left])  # indexed by s < 0
+        side.take((s < 0.0).view(np.uint8), out=v, mode="clip")
+        s **= rec.degree
+        v *= s
+    scores += v
+
+
+class _RowSet:
+    """Rows a fit scores, training or validation: their feature columns,
+    labels (as `losses.checked_labels` returns them) and scores F, and per-fit
+    buffers: the link p (None for regression), each row's loss term
+    `terms` and a scratch row `tmp`."""
+
+    def __init__(self, task: str, cols: list, y: np.ndarray, F: np.ndarray, terms, tmp):
+        self.cols, self.y, self.F, self.terms, self.tmp = cols, y, F, terms, tmp
+        self.p = None if task == "regression" else np.empty_like(F)
+
+
+class _Rows:
+    """The per-row work of a fit's iterations, in two passes over ranges of
+    rows, one range per lane.
+
+    Pass A writes each training row's g and h into GH. Pass B adds the
+    iteration's updates to the scores, then writes the link into p and
+    each row's loss term into `terms`, over the training rows and then
+    the validation rows, cut as one sequence into equal ranges. The
+    training set's `terms` and `tmp` are GH's first two rows, free between
+    the scan and the next pass A. Every row's arithmetic is that of a pass
+    over all rows, and each loss is one mean over its set's terms on the
+    calling thread, so the losses and the model keep their bits on any
+    number of lanes. Fewer than PAR_MIN_VALUES training rows run on one
+    lane."""
+
+    def __init__(self, task: str, works: list[_FeatureWork], y: np.ndarray, F: np.ndarray,
+                 GH: np.ndarray, valid: tuple | None, lanes: int):
+        self.task, self.GH, self.works = task, GH, works
+        n = F.shape[0]
+        self.train = _RowSet(task, [wk.x for wk in works], y, F, GH[0, :n], GH[1, :n])
+        self.sets = [self.train]
+        if valid is not None:
+            X, yv, Fv = valid
+            buf = np.empty((2, X.shape[0]))
+            self.sets.append(_RowSet(task, list(X.T), yv, Fv, buf[0], buf[1]))
+        self.lanes = lanes if n >= PAR_MIN_VALUES else 1
+        self.ranges_a = [slice(n * k // self.lanes, n * (k + 1) // self.lanes)
+                         for k in range(self.lanes)]
+        # pass B's ranges: the sets' rows as one sequence, cut into equal parts
+        total = sum(rs.F.shape[0] for rs in self.sets)
+        cuts = [total * k // self.lanes for k in range(self.lanes + 1)]
+        self.ranges_b = [[] for _ in range(self.lanes)]
+        at = 0
+        for rs in self.sets:
+            m = rs.F.shape[0]
+            for part, (lo, hi) in zip(self.ranges_b, zip(cuts, cuts[1:])):
+                a, b = max(lo - at, 0), min(hi - at, m)
+                if a < b:
+                    part.append((rs, slice(a, b)))
+            at += m
+
+    def pass_a(self, pool) -> None:
+        """g and h of every training row into GH."""
+        rs = self.train
+        _on_lanes(pool, [functools.partial(derivative_rows, self.task, rs.y, rs.F, rs.p,
+                                           self.GH, r) for r in self.ranges_a])
+
+    def pass_b(self, store: ParameterStore, picks: list[LogRecord], lr: float, pool):
+        """Fold the picks into the store, add their updates to every set's
+        scores, and return the training and validation (or None) loss."""
+        steps = []
+        for rec in picks:
+            k = _fold(store, rec, lr)
+            u = self.works[k].fb.x_min if rec.kind == "global" else rec.threshold
+            steps.append((rec, k, u))
+        task = self.task
+
+        def part(ranges):
+            for rs, r in ranges:
+                for rec, k, u in steps:
+                    _add_update(rec, u, lr, rs.cols[k][r], rs.F[r, rec.output], rs.tmp[r],
+                                rs.terms[r])
+                if task != "regression":
+                    link_rows(task, rs.F, rs.p, rs.tmp, r)
+                loss_rows(task, rs.y, rs.F, rs.p, rs.terms, rs.tmp, r)
+
+        _on_lanes(pool, [functools.partial(part, ranges) for ranges in self.ranges_b])
+        train_loss, *valid_loss = (loss_mean(task, rs.terms) for rs in self.sets)
+        return train_loss, valid_loss[0] if valid_loss else None
 
 
 def replay(
@@ -873,53 +1010,47 @@ def train(
     n_tr = ds_train.X.shape[0]
     cands = _Candidates(works, J, cfg, n_tr)
     GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
-    scan = _Scan(works)
+    lanes = _cpus()
+    scan = _Scan(works, lanes)
     F = _start_scores(intercepts, n_tr)
+    valid_rows = None
     if ds_valid is not None and ds_valid.X.shape[0] > 0:
-        F_valid = _start_scores(intercepts, ds_valid.X.shape[0])
-        X_valid = ds_valid.X
-    else:
-        F_valid = None
-        X_valid = None
-
-    def losses(when: str):
-        """The link of the training scores, which feeds both the loss after
-        an update and the derivatives of the next iteration, so it is
-        computed once, and both losses; a non-finite loss raises."""
-        p = None if task == "regression" else link_apply(task, F)
-        tl = loss_eval(task, ds_train.y, F, p)
-        vl = loss_eval(task, ds_valid.y, F_valid) if F_valid is not None else None
-        if not math.isfinite(tl) or (vl is not None and not math.isfinite(vl)):
-            raise NumericError(f"non-finite {when}")
-        return p, tl, vl
-
+        n_va = ds_valid.X.shape[0]
+        valid_rows = (ds_valid.X, checked_labels(task, ds_valid.y, n_va, J),
+                      _start_scores(intercepts, n_va))
+    rows = _Rows(task, works, checked_labels(task, ds_train.y, n_tr, J), F, GH, valid_rows, lanes)
     log: list[LogRecord] = []
-    p, train_loss, valid_loss = losses(
-        "starting loss: the targets hold NaN/inf or values too large to square")
-    start_losses = train_loss, valid_loss
-    best_valid = valid_loss if valid_loss is not None else math.inf
     best_iter = 0
     last_iter = 0
 
-    # the scan's lanes run on this pool; leaving the block joins its threads
-    with scan.pool() as pool:
+    # the lanes run on this pool; leaving the block joins its threads
+    with _lanes_pool(max(len(scan.lanes), rows.lanes)) as pool:
+
+        def losses(picks: list[LogRecord], when: str):
+            """Pass B: fold the picks in and return both losses; a
+            non-finite loss raises."""
+            tl, vl = rows.pass_b(store, picks, cfg.learning_rate, pool)
+            if not math.isfinite(tl) or (vl is not None and not math.isfinite(vl)):
+                raise NumericError(f"non-finite {when}")
+            return tl, vl
+
+        train_loss, valid_loss = losses(
+            [], "starting loss: the targets hold NaN/inf or values too large to square")
+        start_losses = train_loss, valid_loss
+        best_valid = valid_loss if valid_loss is not None else math.inf
         for it in range(1, cfg.max_iterations + 1):
-            batch = derivatives(task, ds_train.y, F, p)
-            GH[:J, :-1], GH[J:, :-1] = batch.g.T, batch.h.T
-            del batch  # GH holds g and h; freeing them keeps the scan's peak memory low
+            rows.pass_a(pool)
             scan(GH, it == 1 or task != "regression", pool)  # regression's h never changes
             picks = _best_updates(cands, store, cfg, it)
             if not picks:
                 last_iter = it - 1
                 break
-            for rec in picks:
-                _apply_candidate(store, rec, cfg.learning_rate, works, F, X_valid, F_valid)
-            p, train_loss, valid_loss = losses(f"loss at iteration {it}")
+            train_loss, valid_loss = losses(picks, f"loss at iteration {it}")
             for rec in picks:
                 rec.train_loss, rec.valid_loss = train_loss, valid_loss
             log += picks
             last_iter = it
-            if F_valid is not None and valid_loss < best_valid:
+            if valid_rows is not None and valid_loss < best_valid:
                 best_valid = valid_loss
                 best_iter = it
             if use_early_stop and it - best_iter >= cfg.early_stopping_patience:

@@ -353,6 +353,20 @@ def _check_index(what: str, v, n: int) -> None:
     raise ConfigError(f"{what} index must be an integer in 0..{n - 1}, got {v!r}")
 
 
+def _check_order(order, lowest: int) -> None:
+    """Refuse, with ConfigError, a derivative order that is not an integer
+    in lowest..2, where math.perm would fail on a float or a negative order
+    with a bare error and a higher order would give gaps no caller asks
+    for."""
+    try:
+        if lowest <= operator.index(order) <= 2:
+            return
+    except TypeError:  # not an integer
+        pass
+    allowed = ", ".join(map(str, range(lowest, 2))) + " or 2"
+    raise ConfigError(f"order must be {allowed}, got {order!r}")
+
+
 def check_pair(store: ParameterStore, i, k) -> None:
     """Refuse, with ConfigError, an output index outside 0..J-1 or a feature
     index outside 0..K-1; a negative or non-integer index is refused too,
@@ -386,8 +400,7 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
     The step layer is piecewise constant, so only the polynomial layer
     contributes.
     """
-    if order not in (1, 2):
-        raise ConfigError(f"order must be 1 or 2, got {order}")
+    _check_order(order, 1)
     return _evaluate(store, i, k, x, order)
 
 
@@ -547,8 +560,10 @@ def knot_gaps(store: ParameterStore, i: int, k: int, order: int = 0) -> np.ndarr
 
     order 0 includes the step layer; orders 1 and 2 are polynomial-only. Used
     by the smoothness tests: a C^S fit must show zero gaps up to order S.
+    Any other order is a ConfigError.
     """
     check_pair(store, i, k)
+    _check_order(order, 0)
     fb = store.layout[k]
     sp = store.params[i][k]
     edges = fb.fine_edges

@@ -461,78 +461,162 @@ def test_global_term_bytes_do_not_depend_on_blas_threads():
     assert shas[0] == shas[1]
 
 
-# two features of 40,000 rows: each feature is its own run of at least
-# PAR_MIN_SLOTS slots, so with two CPUs the fit scans on two lanes
+# two features of 40,000 rows, 35,000 of them for training: each feature
+# is its own run of more than PAR_MIN_VALUES slots and the training rows
+# number more than PAR_MIN_VALUES, so with two CPUs the fit scans segments
+# and runs its row passes on two lanes; the validation rows are the last
+# range of pass B
 LANE_FIT = (
     "rng = np.random.default_rng(5)\n"
     "X = rng.normal(size=(40000, 2))\n"
     "f = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 + rng.logistic(size=40000)\n"
-    "ds = pg.Dataset(X=X, y=(f > 1).astype(np.int64), feature_names=['a', 'b'],\n"
-    "                kinds=['numeric'] * 2, task='binary', n_outputs=1)\n"
+    "y = {'regression': f, 'binary': (f > 1).astype(np.int64),\n"
+    "     'multiclass': np.digitize(f, [0.5, 1.5])}[task]\n"
+    "ds = pg.Dataset(X=X, y=y, feature_names=['a', 'b'], kinds=['numeric'] * 2, task=task,\n"
+    "                n_outputs=3 if task == 'multiclass' else 1)\n"
     "cfg = pg.TrainConfig(max_iterations=4, early_stopping_patience=0,\n"
-    "                     validation_fraction=0.0)\n"
+    "                     validation_fraction=0.125)\n"
     "res = pg.train(ds, config=cfg)"
 )
+# the per-lane stages: a scan segment, pass A's and pass B's row kernels
+LANE_STAGES = [(booster._Segment, "scan"), (booster, "derivative_rows"), (booster, "loss_rows")]
 
 
-def lane_fit(monkeypatch, cpus: int):
-    """LANE_FIT with the scan's CPU count stubbed to `cpus`; returns the
-    result and the set of threads that scanned a run."""
-    monkeypatch.setattr(booster, "_cpus", lambda: cpus)
-    threads, scan = set(), booster._Run.scan
-
-    def spy(run, *args):
-        threads.add(threading.get_ident())
-        return scan(run, *args)
-
-    monkeypatch.setattr(booster._Run, "scan", spy)
-    ns = {"pg": polygam, "np": np}
+def run_lane_fit(task="binary"):
+    ns = {"pg": polygam, "np": np, "task": task}
     exec(LANE_FIT, ns)
-    monkeypatch.setattr(booster._Run, "scan", scan)
-    return ns["res"], threads
+    return ns["res"]
+
+
+def spy_lanes(monkeypatch, seen: dict, record=lambda: threading.get_ident()):
+    """Wrap every per-lane stage so that each call adds record() to
+    seen[stage name]."""
+    for owner, name in LANE_STAGES:
+        fn = getattr(owner, name)
+
+        def spy(*args, fn=fn, name=name):
+            seen.setdefault(name, set()).add(record())
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+
+def lane_fit(monkeypatch, cpus: int, task="binary"):
+    """LANE_FIT with the CPU count stubbed to `cpus`; returns the result
+    and, per stage, the set of threads that ran it."""
+    monkeypatch.setattr(booster, "_cpus", lambda: cpus)
+    threads = {}
+    with monkeypatch.context() as m:
+        spy_lanes(m, threads)
+        res = run_lane_fit(task)
+    return res, threads
 
 
 def test_lanes_keep_model_bytes_and_log(monkeypatch):
-    one, one_threads = lane_fit(monkeypatch, 1)
-    two, two_threads = lane_fit(monkeypatch, 2)
-    assert one_threads == {threading.get_ident()}
-    assert len(two_threads) == 2  # a worker lane scanned beside this thread
-    assert dumps_model(two.store) == dumps_model(one.store)
-    assert [r.to_json() for r in two.log] == [r.to_json() for r in one.log]
-    # the lane fit at one and two BLAS threads, in fresh interpreters
-    shas = model_sha_per_thread_count("pg.booster._cpus = lambda: 2\n" + LANE_FIT)
-    assert shas == [hashlib.sha256(dumps_model(one.store).encode()).hexdigest()] * 2
+    for task in ("regression", "binary", "multiclass"):
+        one, one_threads = lane_fit(monkeypatch, 1, task)
+        two, two_threads = lane_fit(monkeypatch, 2, task)
+        assert set(one_threads) == set(two_threads) == {name for _, name in LANE_STAGES}
+        assert all(t == {threading.get_ident()} for t in one_threads.values()), task
+        # a worker lane scanned and ran both row passes beside this thread
+        assert all(len(t) == 2 for t in two_threads.values()), task
+        assert one.valid_loss is not None
+        assert dumps_model(two.store) == dumps_model(one.store), task
+        assert [r.to_json() for r in two.log] == [r.to_json() for r in one.log], task
+        assert (two.train_loss, two.valid_loss) == (one.train_loss, one.valid_loss), task
+        if task == "binary":
+            one_lane_sha = hashlib.sha256(dumps_model(one.store).encode()).hexdigest()
+    # the binary lane fit at one and two BLAS threads, in fresh interpreters
+    shas = model_sha_per_thread_count("pg.booster._cpus = lambda: 2\ntask = 'binary'\n" + LANE_FIT)
+    assert shas == [one_lane_sha] * 2
 
 
 def test_lanes_leave_no_thread_and_raise_a_lane_error(monkeypatch):
-    before = threading.active_count()
+    before, caller = threading.active_count(), threading.get_ident()
     lane_fit(monkeypatch, 2)
     assert threading.active_count() == before
-    scan, caller = booster._Run.scan, threading.get_ident()
+    for owner, name in LANE_STAGES:  # an error in a scan segment, in pass A and in pass B
+        fn = getattr(owner, name)
 
-    def fail_off_the_calling_thread(run, *args):
-        if threading.get_ident() != caller:
-            raise FloatingPointError("lane failed")
-        return scan(run, *args)
+        def fail_off_the_calling_thread(*args, fn=fn):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("lane failed")
+            return fn(*args)
 
-    monkeypatch.setattr(booster._Run, "scan", fail_off_the_calling_thread)
-    with pytest.raises(FloatingPointError, match="lane failed"):
-        exec(LANE_FIT, {"pg": polygam, "np": np})
-    assert threading.active_count() == before
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, fail_off_the_calling_thread)
+            with pytest.raises(FloatingPointError, match="lane failed"):
+                run_lane_fit()
+        assert threading.active_count() == before, name
 
 
 def test_worker_lanes_keep_the_callers_numpy_error_state(monkeypatch):
     monkeypatch.setattr(booster, "_cpus", lambda: 2)
-    seen, scan = set(), booster._Run.scan
-
-    def spy(run, *args):
-        seen.add((threading.get_ident(), np.geterr()["over"]))
-        return scan(run, *args)
-
-    monkeypatch.setattr(booster._Run, "scan", spy)
+    seen = {}
+    spy_lanes(monkeypatch, seen, lambda: (threading.get_ident(), np.geterr()["over"]))
     with np.errstate(over="raise"):
-        exec(LANE_FIT, {"pg": polygam, "np": np})
-    assert {over for _, over in seen} == {"raise"} and len(seen) == 2
+        run_lane_fit()
+    assert len(seen) == len(LANE_STAGES)
+    for calls in seen.values():
+        assert {over for _, over in calls} == {"raise"} and len(calls) == 2
+
+
+def test_segments_of_equal_runs_deal_evenly(monkeypatch):
+    # seven equal one-feature runs on two lanes: dealt whole they load the
+    # lanes 4 to 3 runs; cut into two segments each, the lanes' loads differ
+    # by at most one segment, and every sum keeps its bits
+    monkeypatch.setattr(booster, "PAR_MIN_VALUES", 0)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=10000)
+    ds = make_dataset(np.column_stack([x] * 7), x + rng.normal(size=10000))
+    layout = layout_for(ds)
+    works = [[_FeatureWork(x, layout[k], FeatureConstraint()) for k in range(7)]
+             for _ in range(2)]
+    one, two = _Scan(works[0]), _Scan(works[1], lanes=2)
+    assert len(one.runs) == len(two.runs) == 7
+    assert list(two.n_segments.values()) == [2] * 7
+    loads = [sum(seg.slot_row.size for seg in lane) for lane in two.lanes]
+    biggest = max(seg.slot_row.size for lane in two.lanes for seg in lane)
+    assert abs(loads[0] - loads[1]) <= biggest
+    assert max(lane_buf.size for lane_buf in two.bufs) < one.bufs[0].size
+    GH = scan_matrix(rng.normal(size=10000), rng.uniform(0.1, 1.0, size=10000))
+    one(GH)
+    with booster._lanes_pool(2) as pool:
+        two(GH, pool=pool)
+    for a, b in zip(works[0], works[1]):
+        assert a.sums.tobytes() == b.sums.tobytes()
+
+
+def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch):
+    # more lanes than cores and a short switch interval: a lost update of
+    # the shared countdown of segments would skip a run's recombination or
+    # run it twice
+    monkeypatch.setattr(booster, "PAR_MIN_VALUES", 0)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=8000)
+    ds = make_dataset(np.column_stack([x] * 6), x + rng.normal(size=8000))
+    layout = layout_for(ds)
+    works = [[_FeatureWork(x, layout[k], FeatureConstraint()) for k in range(6)]
+             for _ in range(2)]
+    one, four = _Scan(works[0]), _Scan(works[1], lanes=4)
+    assert list(four.n_segments.values()) == [4] * 6
+    GH = scan_matrix(rng.normal(size=8000), rng.uniform(0.1, 1.0, size=8000))
+    one(GH)
+    calls, recombine = [], booster._Run.recombine
+    monkeypatch.setattr(booster._Run, "recombine",
+                        lambda run, h_side: calls.append(id(run)) or recombine(run, h_side))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with booster._lanes_pool(4) as pool:
+            for _ in range(40):
+                calls.clear()
+                four(GH, pool=pool)
+                assert sorted(calls) == sorted(id(run) for run in four.runs)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(*works):
+        assert a.sums.tobytes() == b.sums.tobytes()
 
 
 @pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
@@ -788,11 +872,10 @@ def test_target_length_mismatch_is_refused_before_training():
 def test_training_computes_the_link_once_per_iteration(monkeypatch):
     # the training loss after an update and the next iteration's derivatives
     # share one softmax; the validation loss needs its own
-    import polygam.losses as losses
-
     calls = []
-    softmax = losses._softmax
-    monkeypatch.setattr(losses, "_softmax", lambda F: calls.append(F.shape[0]) or softmax(F))
+    link_rows = booster.link_rows
+    monkeypatch.setattr(booster, "link_rows", lambda task, F, p, tmp, r: calls.append(
+        r.stop - r.start) or link_rows(task, F, p, tmp, r))
     rng = np.random.default_rng(20)
     X = rng.uniform(-2, 2, size=(240, 2))
     y = np.digitize(X[:, 0] + rng.normal(scale=0.5, size=240), [-0.5, 0.5])

@@ -16,10 +16,19 @@ ROOT = Path(__file__).resolve().parents[1]
 PINNED = "f1fa9e0ace4503ca9c2a0c78add506120a9154e49dd8c4c1451025c52c4c399f"
 
 
-def test_byte_grid_seed_0_is_pinned():
+def grid_sha(*args: str) -> str:
     env = dict(os.environ, PB_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, str(ROOT / "tools" / "byte_grid.py"), "--seed", "0"],
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "byte_grid.py"), *args],
                          env=env, capture_output=True, check=True, timeout=600).stdout
-    assert hashlib.sha256(out).hexdigest() == PINNED
+    return hashlib.sha256(out).hexdigest()
+
+
+def test_byte_grid_seed_0_is_pinned():
+    assert grid_sha("--seed", "0") == PINNED
+
+
+def test_byte_grid_on_two_lanes_is_pinned():
+    # every cell scans its segments and runs its row passes on two lanes
+    assert grid_sha("--seed", "0", "--lanes", "2") == PINNED

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polygam.booster import LogRecord, _apply_candidate, _FeatureWork, _start_scores
+from polygam.booster import LogRecord, _add_update, _start_scores
 from polygam.data import SplitScheme, build_bin_layout
 from polygam.errors import DataError
-from polygam.losses import _softmax, derivatives, hessian_diag, link_apply, loss_eval
-from polygam.model import ConstraintSpec, FeatureConstraint, zero_init
+from polygam.losses import derivatives, hessian_diag, link_apply, loss_eval
 
 from conftest import make_dataset
 from oracles import (
@@ -54,7 +53,7 @@ def test_softmax_equals_row_max_form_bit_for_bit(J, n, seed):
     F = np.where(rng.random((n, J)) < 0.3, rng.choice(specials, (n, J)),
                  rng.normal(scale=5.0, size=(n, J)))
     with np.errstate(invalid="ignore", over="ignore"):
-        got, want = _softmax(F), softmax_by_row_max(F)
+        got, want = link_apply("multiclass", F), softmax_by_row_max(F)
     assert got.tobytes() == want.tobytes()
 
 
@@ -220,7 +219,8 @@ def test_softmax_layouts_agree_below_eight_outputs():
     rng = np.random.default_rng(5)
     for J in range(2, 13):
         F = rng.normal(scale=5.0, size=(300, J))
-        same = _softmax(F).tobytes() == _softmax(np.asfortranarray(F)).tobytes()
+        same = (link_apply("multiclass", F).tobytes()
+                == link_apply("multiclass", np.asfortranarray(F)).tobytes())
         assert same or J >= 8
         assert _start_scores(np.zeros(J), 300).flags.f_contiguous == (J < 8)
 
@@ -264,13 +264,11 @@ def test_side_select_sends_the_threshold_row_right(order):
     u = float(layout[0].fine_edges[3])
     X[::5, 0] = u
     X[1, 0], X[2, 0] = np.nextafter(u, -np.inf), np.nextafter(u, np.inf)
-    spec = ConstraintSpec.default(ds)
-    store = zero_init(layout, "regression", 1, ["x"], spec)
-    works = [_FeatureWork(X[:, 0], layout[0], FeatureConstraint(), np.array([0]), 1)]
     F = np.zeros((60, 1), order=order)
     F_valid = np.zeros((60, 1), order=order)
     rec = LogRecord(1, 0, "x", 0, "split", u, -0.75, 1.25, 1.0)
-    _apply_candidate(store, rec, 0.1, works, F, X[::-1], F_valid)
+    for x, scores in ((X[:, 0], F), (X[::-1, 0], F_valid)):
+        _add_update(rec, u, 0.1, x, scores[:, 0], np.empty(60), np.empty(60))
     x = X[:, 0]
     assert (F[x == u, 0] == 0.1 * 1.25).all() and F[1, 0] == 0.1 * -0.75 and F[2, 0] == 0.1 * 1.25
     assert F[:, 0].tobytes() == (0.1 * reference_side(x - u, -0.75, 1.25) * (x - u) ** 0).tobytes()

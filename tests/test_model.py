@@ -359,6 +359,20 @@ def test_knot_gaps_detect_slope_break():
     assert knot_gaps(store, 0, 0, 1)[0] == 1.0
 
 
+@pytest.mark.parametrize("fn,order", [
+    (evaluate_derivative, 1.0), (evaluate_derivative, 0), (evaluate_derivative, 3),
+    (evaluate_derivative, "1"), (knot_gaps, -1), (knot_gaps, 1.5), (knot_gaps, 2.0),
+    (knot_gaps, 3), (knot_gaps, None),
+])
+def test_derivative_orders_outside_their_range_are_config_errors(fn, order):
+    # evaluate_derivative takes the integers 1 and 2, knot_gaps 0 to 2;
+    # floats, negatives and higher orders are refused alike
+    store = single_feature_store([1.0], [1.0], 0.0, 2.0)
+    args = (0.5, order) if fn is evaluate_derivative else (order,)
+    with pytest.raises(ConfigError, match="order must be"):
+        fn(store, 0, 0, *args)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -19,12 +19,13 @@ from hypothesis import given, strategies as st
 from polygam.booster import (
     LogRecord,
     TrainConfig,
-    _apply_candidate,
+    _add_update,
     _best_updates,
     _Candidates,
     _clamp,
     _ClampRows,
     _FeatureWork,
+    _fold,
     _Scan,
     candidate_gain,
     leaf_value,
@@ -166,4 +167,7 @@ def test_stacked_scorer_matches_per_scan_reference(case):
             if it == 0 and duplicate and mask[rec.output, 0]:
                 # the zero state gives both copies identical gains: the lower wins
                 assert rec.feature != ds.feature_names[1]
-            _apply_candidate(store, rec, cfg.learning_rate, works, F, None, None)
+            k = _fold(store, rec, cfg.learning_rate)
+            u = works[k].fb.x_min if rec.kind == "global" else rec.threshold
+            _add_update(rec, u, cfg.learning_rate, works[k].x, F[:, rec.output],
+                        np.empty(n), np.empty(n))
