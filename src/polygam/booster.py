@@ -820,84 +820,68 @@ def _add_update(rec: LogRecord, u: float, lr: float, x: np.ndarray, scores: np.n
 
 
 class _RowSet:
-    """Rows a fit scores, training or validation: their feature columns,
-    labels (as `losses.checked_labels` returns them) and scores F, and per-fit
-    buffers: the link p (None for regression), each row's loss term
-    `terms` and a scratch row `tmp`."""
+    """Rows a fit scores, training or validation: their feature matrix X,
+    labels (as `losses.checked_labels` returns them) and scores F, started
+    at the intercepts, and per-fit buffers: the link p (None for
+    regression), each row's loss term `terms` and a scratch row `tmp`."""
 
-    def __init__(self, task: str, cols: list, y: np.ndarray, F: np.ndarray, terms, tmp):
-        self.cols, self.y, self.F, self.terms, self.tmp = cols, y, F, terms, tmp
-        self.p = None if task == "regression" else np.empty_like(F)
+    def __init__(self, ds: Dataset, intercepts: np.ndarray, terms, tmp):
+        self.X, self.terms, self.tmp = ds.X, terms, tmp
+        self.y = checked_labels(ds.task, ds.y, ds.n_rows, ds.n_outputs)
+        self.F = _start_scores(intercepts, ds.n_rows)
+        self.p = None if ds.task == "regression" else np.empty_like(self.F)
 
 
 class _Rows:
-    """The per-row work of a fit's iterations, in two passes over ranges of
-    rows, one range per lane.
+    """The per-row work of a fit: one pass over ranges of rows per
+    iteration.
 
-    Pass A writes each training row's g and h into GH. Pass B adds the
-    iteration's updates to the scores, then writes the link into p and
-    each row's loss term into `terms`, over the training rows and then
-    the validation rows, cut as one sequence into equal ranges. The
-    training set's `terms` and `tmp` are GH's first two rows, free between
-    the scan and the next pass A. Every row's arithmetic is that of a pass
-    over all rows, and each loss is one mean over its set's terms on the
-    calling thread, so the losses and the model keep their bits on any
+    The pass adds the iteration's updates to the scores, then writes the
+    link into p and each row's loss term into `terms`, and for the training
+    rows the next iteration's g and h into GH. Each set is cut into one
+    equal range per lane, and a lane runs its validation range before its
+    training range, so GH is the last array it writes before the scan. The
+    training set's `tmp` is GH's last row, which `derivative_rows` writes
+    only after the range is done with it. Every row's arithmetic is that of
+    a pass over all rows, and each loss is one mean over its set's terms on
+    the calling thread, so the losses and the model keep their bits on any
     number of lanes. Fewer than PAR_MIN_VALUES training rows run on one
     lane."""
 
-    def __init__(self, task: str, works: list[_FeatureWork], y: np.ndarray, F: np.ndarray,
-                 GH: np.ndarray, valid: tuple | None, lanes: int):
-        self.task, self.GH, self.works = task, GH, works
-        n = F.shape[0]
-        self.train = _RowSet(task, [wk.x for wk in works], y, F, GH[0, :n], GH[1, :n])
-        self.sets = [self.train]
-        if valid is not None:
-            X, yv, Fv = valid
-            buf = np.empty((2, X.shape[0]))
-            self.sets.append(_RowSet(task, list(X.T), yv, Fv, buf[0], buf[1]))
-        self.lanes = lanes if n >= PAR_MIN_VALUES else 1
-        self.ranges_a = [slice(n * k // self.lanes, n * (k + 1) // self.lanes)
-                         for k in range(self.lanes)]
-        # pass B's ranges: the sets' rows as one sequence, cut into equal parts
-        total = sum(rs.F.shape[0] for rs in self.sets)
-        cuts = [total * k // self.lanes for k in range(self.lanes + 1)]
-        self.ranges_b = [[] for _ in range(self.lanes)]
-        at = 0
-        for rs in self.sets:
-            m = rs.F.shape[0]
-            for part, (lo, hi) in zip(self.ranges_b, zip(cuts, cuts[1:])):
-                a, b = max(lo - at, 0), min(hi - at, m)
-                if a < b:
-                    part.append((rs, slice(a, b)))
-            at += m
+    def __init__(self, train: Dataset, valid: Dataset | None, intercepts: np.ndarray,
+                 GH: np.ndarray, lanes: int):
+        self.task, self.GH, n = train.task, GH, train.n_rows
+        self.train = _RowSet(train, intercepts, np.empty(n), GH[-1, :n])
+        self.sets = [self.train] if valid is None else [
+            _RowSet(valid, intercepts, *np.empty((2, valid.n_rows))), self.train]
+        self.lanes = L = lanes if n >= PAR_MIN_VALUES else 1
+        self.ranges = [[(rs, slice(len(rs.F) * k // L, len(rs.F) * (k + 1) // L))
+                        for rs in self.sets] for k in range(L)]
 
-    def pass_a(self, pool) -> None:
-        """g and h of every training row into GH."""
-        rs = self.train
-        _on_lanes(pool, [functools.partial(derivative_rows, self.task, rs.y, rs.F, rs.p,
-                                           self.GH, r) for r in self.ranges_a])
-
-    def pass_b(self, store: ParameterStore, picks: list[LogRecord], lr: float, pool):
+    def apply(self, store: ParameterStore, picks: list[LogRecord], lr: float, pool):
         """Fold the picks into the store, add their updates to every set's
-        scores, and return the training and validation (or None) loss."""
+        scores, write the training rows' next g and h into GH, and return
+        the training and validation (or None) loss."""
         steps = []
         for rec in picks:
             k = _fold(store, rec, lr)
-            u = self.works[k].fb.x_min if rec.kind == "global" else rec.threshold
+            u = store.layout[k].x_min if rec.kind == "global" else rec.threshold
             steps.append((rec, k, u))
-        task = self.task
+        task, GH, train = self.task, self.GH, self.train
 
         def part(ranges):
             for rs, r in ranges:
                 for rec, k, u in steps:
-                    _add_update(rec, u, lr, rs.cols[k][r], rs.F[r, rec.output], rs.tmp[r],
+                    _add_update(rec, u, lr, rs.X[r, k], rs.F[r, rec.output], rs.tmp[r],
                                 rs.terms[r])
                 if task != "regression":
                     link_rows(task, rs.F, rs.p, rs.tmp, r)
                 loss_rows(task, rs.y, rs.F, rs.p, rs.terms, rs.tmp, r)
+                if rs is train:
+                    derivative_rows(task, rs.y, rs.F, rs.p, GH, r)
 
-        _on_lanes(pool, [functools.partial(part, ranges) for ranges in self.ranges_b])
-        train_loss, *valid_loss = (loss_mean(task, rs.terms) for rs in self.sets)
+        _on_lanes(pool, [functools.partial(part, ranges) for ranges in self.ranges])
+        *valid_loss, train_loss = (loss_mean(task, rs.terms) for rs in self.sets)
         return train_loss, valid_loss[0] if valid_loss else None
 
 
@@ -954,7 +938,9 @@ def train(
 
     When `valid` is None and validation_fraction > 0, a validation split is
     carved out of `dataset` (stratified by class for classification). Bin
-    edges always come from `dataset` as handed in, before any carving.
+    edges always come from `dataset` as handed in, before any carving. A
+    `valid` set whose feature names, task or output count differ from
+    `dataset`'s, or a `layout` of another feature count, is a DataError.
     """
     cfg = config or TrainConfig()
     cfg.validate()
@@ -963,8 +949,17 @@ def train(
         raise DataError("the training set has no rows")
     if valid is not None:
         valid.validate()
+        for name, want, got in (("feature_names", list(dataset.feature_names),
+                                 list(valid.feature_names)),
+                                ("task", dataset.task, valid.task),
+                                ("n_outputs", dataset.n_outputs, valid.n_outputs)):
+            if got != want:
+                raise DataError(f"valid has {name} {got!r}; the training set has {want!r}")
     if layout is None:
         layout = build_bin_layout(dataset)
+    elif len(layout) != dataset.n_features:
+        raise DataError(f"layout has {len(layout)} features; the training set has "
+                        f"{dataset.n_features}")
     if constraints is None:
         constraints = ConstraintSpec.default(dataset)
     constraints.validate(dataset.feature_names, dataset.n_outputs)
@@ -986,8 +981,10 @@ def train(
         ds_train = dataset
         ds_valid = valid
 
+    if ds_valid is not None and ds_valid.n_rows == 0:
+        ds_valid = None
     use_early_stop = cfg.early_stopping_patience > 0
-    if use_early_stop and (ds_valid is None or ds_valid.X.shape[0] == 0):
+    if use_early_stop and ds_valid is None:
         raise ConfigError(
             "early stopping requires a non-empty validation split; "
             "set early_stopping_patience=0 or provide validation data"
@@ -1012,13 +1009,7 @@ def train(
     GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
     lanes = _cpus()
     scan = _Scan(works, lanes)
-    F = _start_scores(intercepts, n_tr)
-    valid_rows = None
-    if ds_valid is not None and ds_valid.X.shape[0] > 0:
-        n_va = ds_valid.X.shape[0]
-        valid_rows = (ds_valid.X, checked_labels(task, ds_valid.y, n_va, J),
-                      _start_scores(intercepts, n_va))
-    rows = _Rows(task, works, checked_labels(task, ds_train.y, n_tr, J), F, GH, valid_rows, lanes)
+    rows = _Rows(ds_train, ds_valid, intercepts, GH, lanes)
     log: list[LogRecord] = []
     best_iter = 0
     last_iter = 0
@@ -1027,9 +1018,9 @@ def train(
     with _lanes_pool(max(len(scan.lanes), rows.lanes)) as pool:
 
         def losses(picks: list[LogRecord], when: str):
-            """Pass B: fold the picks in and return both losses; a
-            non-finite loss raises."""
-            tl, vl = rows.pass_b(store, picks, cfg.learning_rate, pool)
+            """The row pass: fold the picks in, write the next g and h and
+            return both losses; a non-finite loss raises."""
+            tl, vl = rows.apply(store, picks, cfg.learning_rate, pool)
             if not math.isfinite(tl) or (vl is not None and not math.isfinite(vl)):
                 raise NumericError(f"non-finite {when}")
             return tl, vl
@@ -1039,7 +1030,6 @@ def train(
         start_losses = train_loss, valid_loss
         best_valid = valid_loss if valid_loss is not None else math.inf
         for it in range(1, cfg.max_iterations + 1):
-            rows.pass_a(pool)
             scan(GH, it == 1 or task != "regression", pool)  # regression's h never changes
             picks = _best_updates(cands, store, cfg, it)
             if not picks:
@@ -1050,7 +1040,7 @@ def train(
                 rec.train_loss, rec.valid_loss = train_loss, valid_loss
             log += picks
             last_iter = it
-            if valid_rows is not None and valid_loss < best_valid:
+            if valid_loss is not None and valid_loss < best_valid:
                 best_valid = valid_loss
                 best_iter = it
             if use_early_stop and it - best_iter >= cfg.early_stopping_patience:

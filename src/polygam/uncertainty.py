@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureBins
+from .errors import ConfigError
 from .losses import hessian_diag
 from .model import ParameterStore, check_pair, evaluate_shape, fine_code, locate, predict
 
@@ -99,7 +100,7 @@ class UncertaintyTable:
 def param_se(store: ParameterStore, i: int, k: int) -> UncertaintyTable:
     check_pair(store, i, k)
     if not store.has_uncertainty or store.se_fine[i][k] is None:
-        raise ValueError(
+        raise ConfigError(
             "no uncertainty accumulators stored for this output/feature; "
             "run attach_se_accumulators first"
         )
@@ -124,11 +125,16 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
     approximation: exactly one degree-0 term is active at any x (its fine
     bin); degrees 1..D contribute from x's own coarse piece and from every
     piece below it, saturated at its upper edge. Outside the observed range
-    [x_min, x_max] the variance is infinite."""
+    [x_min, x_max] the variance is infinite. A model without accumulators
+    is a ConfigError; a pair masked out of an SE-attached model, whose
+    shape is exactly 0, has variance 0."""
     check_pair(store, i, k)
+    if not store.has_uncertainty:
+        raise ConfigError("model stores no uncertainty accumulators; "
+                          "run attach_se_accumulators first")
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if not store.has_uncertainty or store.se_fine[i][k] is None:
+    if store.se_fine[i][k] is None:
         out = np.zeros_like(xv)
         return float(out[0]) if scalar else out
     fb = store.layout[k]

@@ -464,8 +464,8 @@ def test_global_term_bytes_do_not_depend_on_blas_threads():
 # two features of 40,000 rows, 35,000 of them for training: each feature
 # is its own run of more than PAR_MIN_VALUES slots and the training rows
 # number more than PAR_MIN_VALUES, so with two CPUs the fit scans segments
-# and runs its row passes on two lanes; the validation rows are the last
-# range of pass B
+# and runs its row pass on two lanes; each lane passes over a range of the
+# validation rows, then a range of the training rows
 LANE_FIT = (
     "rng = np.random.default_rng(5)\n"
     "X = rng.normal(size=(40000, 2))\n"
@@ -478,7 +478,8 @@ LANE_FIT = (
     "                     validation_fraction=0.125)\n"
     "res = pg.train(ds, config=cfg)"
 )
-# the per-lane stages: a scan segment, pass A's and pass B's row kernels
+# the per-lane stages: a scan segment and the row pass's derivative and
+# loss kernels
 LANE_STAGES = [(booster._Segment, "scan"), (booster, "derivative_rows"), (booster, "loss_rows")]
 
 
@@ -518,7 +519,7 @@ def test_lanes_keep_model_bytes_and_log(monkeypatch):
         two, two_threads = lane_fit(monkeypatch, 2, task)
         assert set(one_threads) == set(two_threads) == {name for _, name in LANE_STAGES}
         assert all(t == {threading.get_ident()} for t in one_threads.values()), task
-        # a worker lane scanned and ran both row passes beside this thread
+        # a worker lane scanned and ran the row pass beside this thread
         assert all(len(t) == 2 for t in two_threads.values()), task
         assert one.valid_loss is not None
         assert dumps_model(two.store) == dumps_model(one.store), task
@@ -535,7 +536,8 @@ def test_lanes_leave_no_thread_and_raise_a_lane_error(monkeypatch):
     before, caller = threading.active_count(), threading.get_ident()
     lane_fit(monkeypatch, 2)
     assert threading.active_count() == before
-    for owner, name in LANE_STAGES:  # an error in a scan segment, in pass A and in pass B
+    # an error in a scan segment, and in the row pass's derivatives and loss terms
+    for owner, name in LANE_STAGES:
         fn = getattr(owner, name)
 
         def fail_off_the_calling_thread(*args, fn=fn):
@@ -799,6 +801,38 @@ def test_early_stop_without_validation_is_config_error():
         train(ds, config=cfg)
 
 
+def refit_case(case):
+    """A 3-feature fit and train's keyword arguments for a `valid` set or
+    a `layout` that does not fit it."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(120, 4))
+    y = X[:, 0] + rng.normal(scale=0.3, size=120)
+    ds = make_dataset(X[:, :3], y)
+    if case == "valid_4_outputs":
+        ds = make_dataset(X[:, :3], np.arange(120) % 3, task="multiclass")
+        valid = make_dataset(X[:, :3], np.arange(120) % 3, task="multiclass")
+        valid.n_outputs = 4
+        return ds, {"valid": valid}
+    if case.startswith("layout"):
+        width = int(case[-1])
+        return ds, {"layout": build_bin_layout(make_dataset(X[:, :width], y))}
+    valid = {"valid_2_columns": make_dataset(X[:, :2], y),
+             "valid_4_columns": make_dataset(X, y),
+             "valid_reordered": make_dataset(X[:, [1, 0, 2]], y, names=["x1", "x0", "x2"]),
+             "valid_binary": make_dataset(X[:, :3], y > 0, task="binary")}[case]
+    return ds, {"valid": valid}
+
+
+@pytest.mark.parametrize("case", ["valid_2_columns", "valid_4_columns", "valid_reordered",
+                                  "valid_binary", "valid_4_outputs", "layout_2",
+                                  "layout_4"])
+def test_train_refuses_a_valid_set_or_layout_that_does_not_fit(case):
+    ds, kwargs = refit_case(case)
+    cfg = TrainConfig(max_iterations=3, early_stopping_patience=0)
+    with pytest.raises(DataError, match="valid has|layout has"):
+        train(ds, config=cfg, **kwargs)
+
+
 def test_train_config_collects_all_errors():
     cfg = TrainConfig(learning_rate=0.0, l2=-1.0, min_data_in_leaf=0)
     with pytest.raises(ConfigError) as exc:
@@ -883,7 +917,25 @@ def test_training_computes_the_link_once_per_iteration(monkeypatch):
     cfg = TrainConfig(max_iterations=12, early_stopping_patience=0, validation_fraction=0.25)
     res = train(ds, config=cfg)
     assert res.n_iterations == 12
-    assert calls == [180, 60] * 13
+    # each pass runs the validation rows before the training rows
+    assert calls == [60, 180] * 13
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_iteration_is_two_lane_jobs(monkeypatch, cpus):
+    # the starting loss's row pass, then per iteration a scan and a row pass
+    # that also writes the next iteration's g and h
+    jobs, on_lanes = [], booster._on_lanes
+
+    def count(pool, lane_jobs):
+        jobs.append(len(lane_jobs))
+        on_lanes(pool, lane_jobs)
+
+    monkeypatch.setattr(booster, "_cpus", lambda: cpus)
+    monkeypatch.setattr(booster, "_on_lanes", count)
+    res = run_lane_fit()
+    assert res.n_iterations == 4
+    assert jobs == [cpus] * (1 + 2 * 4)
 
 
 def test_overflowing_target_is_refused_before_training():

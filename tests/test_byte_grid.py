@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = "f1fa9e0ace4503ca9c2a0c78add506120a9154e49dd8c4c1451025c52c4c399f"
 
@@ -29,6 +31,8 @@ def test_byte_grid_seed_0_is_pinned():
     assert grid_sha("--seed", "0") == PINNED
 
 
-def test_byte_grid_on_two_lanes_is_pinned():
-    # every cell scans its segments and runs its row passes on two lanes
-    assert grid_sha("--seed", "0", "--lanes", "2") == PINNED
+@pytest.mark.parametrize("lanes", ["2", "3"])
+def test_byte_grid_on_lanes_is_pinned(lanes):
+    # every cell scans its segments and runs its row pass on these lanes;
+    # three give uneven row ranges and segment counts
+    assert grid_sha("--seed", "0", "--lanes", lanes) == PINNED

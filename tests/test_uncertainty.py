@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from polygam import model, uncertainty
 from polygam.booster import TrainConfig, train
 from polygam.data import BinLayout, FeatureBins, build_bin_layout
+from polygam.errors import ConfigError
 from polygam.explain import shape_grid
 from polygam.losses import hessian_diag
 from polygam.model import (
@@ -60,8 +61,17 @@ def test_param_se_empty_bin_is_infinite():
 
 def test_param_se_requires_accumulators():
     store = single_feature_store([1.0], [1.0], 0.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         param_se(store, 0, 0)
+
+
+def test_a_band_needs_accumulators():
+    # without them the variance is unknown, not 0: no zero-width band
+    store = single_feature_store([1.0], [1.0], 0.0, 2.0)
+    for band in (lambda: variance_pred(store, 0, 0, 0.5), lambda: shape_ci(store, 0, 0, 0.5),
+                 lambda: shape_grid(store, 0, 0, with_ci=True)):
+        with pytest.raises(ConfigError, match="no uncertainty accumulators"):
+            band()
 
 
 def test_doubling_data_shrinks_se_by_sqrt2():

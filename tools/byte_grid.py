@@ -25,9 +25,9 @@ Run it under two source trees and diff the output:
     PYTHONPATH=<tree>/src python3 tools/byte_grid.py --seed 0 > grid_0.txt
 
 The fits are far below the size at which training scans and runs its row
-passes on parallel lanes. `--lanes N` stubs the trainer's CPU count to N
+pass on parallel lanes. `--lanes N` stubs the trainer's CPU count to N
 and opens its size gate, so that every cell scans its segments and runs
-its row passes on N lanes; the hashes must not change.
+its row pass on N lanes; the hashes must not change.
 
 Uses only the standard library and numpy. The library and its tests do not
 import it.
