@@ -15,19 +15,17 @@ leaf values into a feasible interval before gains are compared.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import copy
 import functools
 import json
 import math
 import numbers
-import os
 import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import lanes
 from .data import BinLayout, Dataset, FeatureBins, build_bin_layout, split_indices
 from .errors import ConfigError, DataError, NumericError
 # derivatives and loss_eval are not called here: the benchmark's tracer
@@ -48,11 +46,6 @@ from .model import (
 
 H_FLOOR = 1e-12
 FEAS_SLACK = 1e-10  # rounding guard of the clamp's final check; tests allow -1e-9
-# a pass runs on lanes only when its numpy calls on one lane would see at
-# least this many values: a scan run's slots, a row pass's rows (most of
-# its calls are one output column long). The lanes' overhead is per numpy
-# call; see the README for the crossovers measured on a 2-core x86 host
-PAR_MIN_VALUES = 2**15
 
 
 @dataclass
@@ -293,39 +286,6 @@ class _FeatureWork:
         self.Wh = Wh.reshape(2, n_rows, mb * (2 * dmax + 1))
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: a fit's lane count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        return os.cpu_count() or 1
-
-
-def _lanes_pool(lanes: int):
-    """A context holding a pool with a thread for every lane but the first,
-    or None for one lane; leaving it joins the threads."""
-    if lanes == 1:
-        return contextlib.nullcontext()
-    # imported here, so that a fit on one lane never loads it
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(lanes - 1, thread_name_prefix="polygam-lane")
-
-
-def _on_lanes(pool, jobs) -> None:
-    """Run one job per lane: with a pool, every job but the first on it and
-    the first on this thread; without one, one after another. A worker job
-    runs in a copy of this thread's context, which holds numpy's error
-    state, so every lane warns or raises alike; a job's error is raised
-    here."""
-    futures = [pool.submit(contextvars.copy_context().run, job)
-               for job in jobs[1:]] if pool else []
-    for job in jobs[: len(jobs) - len(futures)]:
-        job()
-    for f in futures:
-        f.result()
-
-
 class _Scan:
     """The fit's scan: each call fills every allowed output's side sums of
     every feature into its `sums`, fine thresholds then table rows.
@@ -342,18 +302,18 @@ class _Scan:
     products and outputs are gathered one at a time, so its sums are bit
     for bit those of a scan of it and of that output alone.
 
-    On more than one lane (a run of PAR_MIN_VALUES slots or more opens the
-    gate), each run is cut at piece starts into one segment per lane, and
-    the segments are dealt longest first by slots times outputs, each to
-    the least loaded lane, so lane loads differ by at most one segment.
-    Each lane has a gather buffer of three rows of its biggest segment. A
-    piece and each of its fine bins lie in one segment and sum the same
-    slots in the same order as in a scan of the whole run, and a run's
-    recombination runs once all its segments are done, on the lane that
-    finished the last one; so every sum keeps its bits on any number of
-    lanes."""
+    On more than one lane (a run of `lanes.PAR_MIN_VALUES` slots or more
+    opens the gate), each run is cut at piece starts into one segment per
+    lane, and the segments are dealt longest first by slots times outputs,
+    each to the least loaded lane, so lane loads differ by at most one
+    segment. Each lane has a gather buffer of three rows of its biggest
+    segment. A piece and each of its fine bins lie in one segment and sum
+    the same slots in the same order as in a scan of the whole run, and a
+    run's recombination runs once all its segments are done, on the lane
+    that finished the last one; so every sum keeps its bits on any number
+    of lanes."""
 
-    def __init__(self, works: list[_FeatureWork], lanes: int = 1):
+    def __init__(self, works: list[_FeatureWork], n_lanes: int = 1):
         works = [wk for wk in works if wk.sums.size and wk.outputs.size]
         limit = max([2**14] + [wk.slot_row.size for wk in works])
         runs = []  # key, slots, features
@@ -364,11 +324,11 @@ class _Scan:
             runs[-1][1] += wk.slot_row.size
             runs[-1][2].append(wk)
         self.runs = [_Run(run) for _, _, run in runs]
-        if max((r.slot_row.size for r in self.runs), default=0) < PAR_MIN_VALUES:
-            lanes = 1
-        self.lanes = [[] for _ in range(lanes)]
-        load = [0] * lanes
-        cuts = [run.cut(lanes) for run in self.runs]
+        if max((r.slot_row.size for r in self.runs), default=0) < lanes.PAR_MIN_VALUES:
+            n_lanes = 1
+        self.lanes = [[] for _ in range(n_lanes)]
+        load = [0] * n_lanes
+        cuts = [run.cut(n_lanes) for run in self.runs]
         self.n_segments = {run: len(segs) for run, segs in zip(self.runs, cuts)}
         segments = [seg for segs in cuts for seg in segs]
         for seg in sorted(segments, key=lambda s: -s.slot_row.size * len(s.run.outputs)):
@@ -396,7 +356,8 @@ class _Scan:
                 if last:
                     seg.run.recombine(h_side)
 
-        _on_lanes(pool, [functools.partial(lane, *job) for job in zip(self.lanes, self.bufs)])
+        lanes._on_lanes(pool, [functools.partial(lane, *job)
+                               for job in zip(self.lanes, self.bufs)])
 
 
 class _Run:
@@ -845,16 +806,16 @@ class _Rows:
     only after the range is done with it. Every row's arithmetic is that of
     a pass over all rows, and each loss is one mean over its set's terms on
     the calling thread, so the losses and the model keep their bits on any
-    number of lanes. Fewer than PAR_MIN_VALUES training rows run on one
-    lane."""
+    number of lanes. Fewer than `lanes.PAR_MIN_VALUES` training rows run on
+    one lane."""
 
     def __init__(self, train: Dataset, valid: Dataset | None, intercepts: np.ndarray,
-                 GH: np.ndarray, lanes: int):
+                 GH: np.ndarray, n_lanes: int):
         self.task, self.GH, n = train.task, GH, train.n_rows
         self.train = _RowSet(train, intercepts, np.empty(n), GH[-1, :n])
         self.sets = [self.train] if valid is None else [
             _RowSet(valid, intercepts, *np.empty((2, valid.n_rows))), self.train]
-        self.lanes = L = lanes if n >= PAR_MIN_VALUES else 1
+        self.lanes = L = n_lanes if n >= lanes.PAR_MIN_VALUES else 1
         self.ranges = [[(rs, slice(len(rs.F) * k // L, len(rs.F) * (k + 1) // L))
                         for rs in self.sets] for k in range(L)]
 
@@ -880,7 +841,7 @@ class _Rows:
                 if rs is train:
                     derivative_rows(task, rs.y, rs.F, rs.p, GH, r)
 
-        _on_lanes(pool, [functools.partial(part, ranges) for ranges in self.ranges])
+        lanes._on_lanes(pool, [functools.partial(part, ranges) for ranges in self.ranges])
         *valid_loss, train_loss = (loss_mean(task, rs.terms) for rs in self.sets)
         return train_loss, valid_loss[0] if valid_loss else None
 
@@ -1007,15 +968,15 @@ def train(
     n_tr = ds_train.X.shape[0]
     cands = _Candidates(works, J, cfg, n_tr)
     GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
-    lanes = _cpus()
-    scan = _Scan(works, lanes)
-    rows = _Rows(ds_train, ds_valid, intercepts, GH, lanes)
+    n_lanes = lanes._cpus()
+    scan = _Scan(works, n_lanes)
+    rows = _Rows(ds_train, ds_valid, intercepts, GH, n_lanes)
     log: list[LogRecord] = []
     best_iter = 0
     last_iter = 0
 
     # the lanes run on this pool; leaving the block joins its threads
-    with _lanes_pool(max(len(scan.lanes), rows.lanes)) as pool:
+    with lanes._lanes_pool(max(len(scan.lanes), rows.lanes)) as pool:
 
         def losses(picks: list[LogRecord], when: str):
             """The row pass: fold the picks in, write the next g and h and

@@ -345,11 +345,19 @@ def split_indices(
 
     With labels given, the split is stratified per class; indices within each
     part are sorted so the result does not depend on class enumeration order.
+    An n or seed that is not an integer >= 0, or fractions that are not
+    finite, lie outside [0, 1] or do not sum to 1, raise ConfigError.
     """
+    for what, v in (("n", n), ("seed", seed)):
+        if not (isinstance(v, numbers.Integral) and v >= 0):
+            raise ConfigError(f"split {what} must be an integer >= 0, got {v!r}")
     f_train, f_valid, f_test = fractions
+    # written so that NaN fails it
+    if not all(isinstance(f, numbers.Real) and 0.0 <= f <= 1.0 for f in fractions):
+        raise ConfigError(f"split fractions must each lie in [0, 1], got {fractions!r}")
     total = f_train + f_valid + f_test
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError(f"split fractions must sum to 1, got {total}")
+        raise ConfigError(f"split fractions must sum to 1, got {total}")
     rng = np.random.default_rng(seed)
     if labels is None:
         perm = rng.permutation(n)

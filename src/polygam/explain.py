@@ -135,9 +135,9 @@ def elasticity(store: ParameterStore, i: int, k: int, x: float, row=None) -> flo
             "probability elasticity is not a function of one shape derivative",
             stacklevel=2,
         )
-        raise ValueError("probability elasticity requires a single-output feature")
+        raise ConfigError("probability elasticity requires a single-output feature")
     if row is None:
-        raise ValueError("probability elasticity requires a full feature row")
+        raise ConfigError("probability elasticity requires a full feature row")
     row = np.asarray(row, dtype=float).reshape(1, -1).copy()
     row[0, k] = x
     p = link_apply(store.task, predict(store, row))[0]
@@ -167,7 +167,7 @@ def render_svg(grid: ShapeGrid, width: int = 640, height: int = 440) -> str:
     the plot range.
     """
     if grid.x.size == 0:
-        raise ValueError("cannot render an empty grid")
+        raise ConfigError("cannot render an empty grid")
     ml, mr, mt, mb = 70.0, 20.0, 24.0, 50.0
     pw, ph = width - ml - mr, height - mt - mb
 

@@ -14,6 +14,7 @@ the sum-of-trees form agree to float rounding.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lanes
 from .data import BinLayout, CATEGORICAL, TASKS, Dataset, FeatureBins, refuse_nonfinite
 from .errors import ConfigError, DataError
 
@@ -37,6 +39,16 @@ MAX_DEGREE = 3
 TABLE_MIN_VALUES = 1024
 SEARCH_MAX_EDGES = 8  # grids of at most this many fine edges skip the table
 CHUNK_ROWS = 2 * TABLE_MIN_VALUES  # `predict`'s rows per chunk
+# `predict` on lanes: a lane's chunk is max(CHUNK_ROWS, LANE_CHUNK_VALUES //
+# pairs) rows. At CHUNK_ROWS each chunk's many short numpy calls take the
+# interpreter lock in turn, and two lanes are slower than one (binary_large
+# 35 ms against 25). Median of 15 bulk calls, 2-core x86 host, one lane
+# against two at 2^16, 2^17 and 2^18 values: binary_large (8 pairs, 200,000
+# rows) 25 ms against 17, 16 and 28; housing (13 pairs, 101,200 rows) 25
+# against 19, 17.5 and 20; choice (20 pairs, 100,000 rows) 18 against 14,
+# 14.5 and 19; choice_monotone (8 pairs, 100,000 rows) 9.9 against 7.8, 9.2
+# and 13. The README has the ranges.
+LANE_CHUNK_VALUES = 2**17
 
 
 @dataclass
@@ -404,6 +416,32 @@ def evaluate_derivative(store: ParameterStore, i: int, k: int, x, order: int):
     return _evaluate(store, i, k, x, order)
 
 
+def _check_fold(store: ParameterStore, i, k, d, split: bool, values: tuple) -> None:
+    """Refuse, with ConfigError, a fold the model cannot hold: an index
+    outside the model (`check_pair`); a pair its allow mask leaves out; a
+    degree that is not an integer in 0..D of the feature, or in S+1..D for
+    a split, as a split of degree <= S breaks C^S at its threshold; a gamma
+    or learning rate that is not finite."""
+    check_pair(store, i, k)
+    fc, name = store.constraints.features[k], store.feature_names[k]
+    if not store.constraints.allow_mask[i, k]:
+        raise ConfigError(f"output {i} does not use feature {name!r}: the pair is masked out")
+    lowest = fc.smoothness + 1 if split else 0
+    try:
+        ok = lowest <= operator.index(d) <= fc.max_degree
+    except TypeError:  # not an integer
+        ok = False
+    if not ok:
+        raise ConfigError(f"{'split' if split else 'global'} degree of feature {name!r} must "
+                          f"be an integer in {lowest}..{fc.max_degree}, got {d!r}")
+    try:
+        ok = all(map(math.isfinite, values))
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
+        raise ConfigError(f"gamma and learning rate must be finite, got {values!r}")
+
+
 def _fold(store: ParameterStore, i: int, k: int, d: int, u: float, sides, lr: float) -> None:
     """Add lr*gamma*(x - u)^d to shape i, k over each (part, gamma) of sides:
     to the fine step values of the part for d = 0, else to the local
@@ -432,13 +470,16 @@ def accumulate_update(
     Degree 0 updates add constants to the fine step layer on each side of the
     threshold (a fine-grid edge). Degree >= 1 updates add gamma*(x-u)^d per
     side (u a coarse-grid edge), expanded into each affected piece's local
-    coordinates by `shift`; a side with gamma = 0 is left untouched.
+    coordinates by `shift`; a side with gamma = 0 is left untouched. A
+    fold the model cannot hold raises ConfigError (see `_check_fold`), and
+    so does a threshold that is not an edge of its grid.
     """
+    _check_fold(store, i, k, d, True, (gamma_left, gamma_right, learning_rate))
     fb = store.layout[k]
     grid, edges = ("fine", fb.fine_edges) if d == 0 else ("coarse", fb.coarse_edges)
     j = int(np.searchsorted(edges, threshold))
     if j >= edges.size or edges[j] != threshold:
-        raise ValueError(f"threshold {threshold!r} is not a {grid}-grid edge")
+        raise ConfigError(f"threshold {threshold!r} is not a {grid}-grid edge")
     sides = [(slice(0, j + 1), gamma_left), (slice(j + 1, None), gamma_right)]
     _fold(store, i, k, d, threshold, [s for s in sides if d == 0 or s[1] != 0.0], learning_rate)
 
@@ -450,7 +491,9 @@ def accumulate_global(
 
     x_ref is the observed feature minimum. d = 0 adds a constant to every fine
     step value; d >= 1 expands into every coarse piece, also when gamma = 0.
+    A fold the model cannot hold raises ConfigError (see `_check_fold`).
     """
+    _check_fold(store, i, k, d, False, (gamma, learning_rate))
     _fold(store, i, k, d, store.layout[k].x_min, [(slice(None), gamma)], learning_rate)
 
 
@@ -487,6 +530,50 @@ def _plan(store: ParameterStore) -> tuple:
     return plan
 
 
+def _work(P: int, J: int, slots: int, m: int) -> tuple:
+    """One lane's work arrays for chunks of up to m rows: per pair its
+    (pair, fine bin) entries, piece rows, t, values and gathered numbers;
+    the (slot, output) stack, whose slots past an output's last pair hold
+    -0.0, which leaves every sum unchanged; and the outputs' sums."""
+    (at, rows), (t, val, c) = np.empty((2, P, m), np.intp), np.empty((3, P, m))
+    return at, rows, t, val, c, np.full((slots * J, m), -0.0), np.empty((J, m))
+
+
+def _predict_rows(X, F, codes, start: int, stop: int, chunk: int, work: tuple, plan: tuple,
+                  coef, steps, intercepts) -> None:
+    """`predict`'s rows start..stop into F and codes, in chunks of `chunk`
+    rows, in the work arrays `_work` made for min(stop - start, chunk)
+    rows."""
+    _, _, used, bins, fine_off, lower, _, feature, bin_off, coef_row, _, dest, slots = plan
+    J, K = F.shape[1], used.size
+    at, rows, t, val, c, stack, acc = work
+    m = acc.shape[1]
+    for lo in range(start, stop, chunk):
+        if stop - lo < m:  # a last, shorter chunk works in the arrays' first columns
+            m = stop - lo
+            at, rows, t, val, c, stack, acc = (a[:, :m] for a in work)
+        # each used feature serves a pair, so x, its fine codes and their pieces'
+        # lower edges fit in the first rows of arrays that are free until later
+        x, fcode, lo_edge = val[:K], rows[:K], c[:K]
+        X[lo : lo + m].T.take(used, axis=0, out=x, mode="clip")
+        for f, k in enumerate(used):
+            fcode[f] = fine_code(bins[f], x[f])
+            if codes[k] is not None:
+                codes[k][lo : lo + m] = fcode[f]
+        fcode.take(feature, axis=0, out=at, mode="clip")
+        at += bin_off  # each pair's (pair, fine bin) entry
+        fcode += fine_off  # each feature's (feature, fine bin) entry
+        x -= lower.take(fcode, out=lo_edge, mode="clip")  # t, once per feature
+        x.take(feature, axis=0, out=t, mode="clip")
+        coef_row.take(at, out=rows, mode="clip")
+        horner(coef, rows, t, step=(steps, at), out=(val, c))
+        stack[dest] = val
+        acc[...] = intercepts[:, None]
+        for s in range(slots):
+            acc += stack[s * J : (s + 1) * J]
+        F[lo : lo + m] = acc.T
+
+
 def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False):
     """Raw scores F, shape (N, J). Masked (output, feature) pairs are skipped
     outright, so their columns cannot influence the output even in principle.
@@ -495,7 +582,11 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     Rows go in chunks of CHUNK_ROWS: fine codes per used feature, then one
     `horner` over every pair, whose values each output adds to its intercept
     in feature order, one slot at a time. Parameters are read afresh on
-    every call.
+    every call. A call of `lanes.PAR_MIN_VALUES` rows or more on more than
+    one CPU cuts its rows into one contiguous range per lane, each in chunks
+    of about LANE_CHUNK_VALUES (pair, row) values; every row's arithmetic is
+    the same in any chunk, so F and the codes keep their bits on any number
+    of lanes.
 
     With return_codes, returns (F, codes): codes[k] holds feature k's fine
     codes in the smallest unsigned type that fits its fine bins, or None
@@ -507,51 +598,34 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
             f"got shape {X.shape}"
         )
     refuse_nonfinite(X, store.feature_names)
-    (_, _, used, bins, fine_off, lower, pairs, feature, bin_off, coef_row, n_pieces, dest,
-     slots) = _plan(store)
+    plan = _plan(store)
+    _, _, used, bins, _, _, pairs, _, _, coef_row, n_pieces, _, slots = plan
     coef = np.concatenate(  # degree-first: (4, stacked pieces)
         [np.zeros((MAX_DEGREE + 1, 0))] + [store.params[i][k].poly_coeffs.T for i, k in pairs],
         axis=1)
     steps = np.concatenate([[]] + [store.params[i][k].step_values for i, k in pairs])
     if coef.shape[1] != n_pieces or steps.size != coef_row.size:  # so no index is clipped
         raise DataError("model parameters do not match the bin layout")
-    n, J, P, K = X.shape[0], store.n_outputs, len(pairs), used.size
+    n, J, P = X.shape[0], store.n_outputs, len(pairs)
     F = np.empty((n, J))
     codes = [None] * X.shape[1]
     if return_codes:
         for k, fb in zip(used, bins):
             codes[k] = np.empty(n, np.min_scalar_type(fb.n_fine_bins - 1))
-    # one chunk's work arrays, shared by all chunks: per pair its (pair, fine
-    # bin) entries, piece rows, t, values and gathered numbers; the (slot,
-    # output) stack, whose slots past an output's last pair hold -0.0, which
-    # leaves every sum unchanged
-    m = min(n, CHUNK_ROWS)
-    (at, rows), (t, val, c) = np.empty((2, P, m), np.intp), np.empty((3, P, m))
-    stack = np.full((slots * J, m), -0.0)
-    for lo in range(0, n, CHUNK_ROWS):
-        if n - lo < m:  # a last, shorter chunk works in the arrays' first columns
-            m = n - lo
-            at, rows, t, val, c, stack = (a[:, :m] for a in (at, rows, t, val, c, stack))
-        # each used feature serves a pair, so x, its fine codes and their pieces'
-        # lower edges fit in the first rows of arrays that are free until later
-        x, fcode, lo_edge = val[:K], rows[:K], c[:K]
-        X[lo : lo + m].T.take(used, axis=0, out=x, mode="clip")
-        for f, k in enumerate(used):
-            fcode[f] = fine_code(bins[f], x[f])
-            if return_codes:
-                codes[k][lo : lo + m] = fcode[f]
-        fcode.take(feature, axis=0, out=at, mode="clip")
-        at += bin_off  # each pair's (pair, fine bin) entry
-        fcode += fine_off  # each feature's (feature, fine bin) entry
-        x -= lower.take(fcode, out=lo_edge, mode="clip")  # t, once per feature
-        x.take(feature, axis=0, out=t, mode="clip")
-        coef_row.take(at, out=rows, mode="clip")
-        horner(coef, rows, t, step=(steps, at), out=(val, c))
-        stack[dest] = val
-        acc = np.repeat(store.intercepts[:, None], m, axis=1)
-        for s in range(slots):
-            acc += stack[s * J : (s + 1) * J]
-        F[lo : lo + m] = acc.T
+    if n < lanes.PAR_MIN_VALUES or (L := lanes._cpus()) == 1:
+        _predict_rows(X, F, codes, 0, n, CHUNK_ROWS, _work(P, J, slots, min(n, CHUNK_ROWS)),
+                      plan, coef, steps, store.intercepts)
+    else:
+        # this thread makes every lane's work arrays: arrays a worker makes
+        # stay in its thread's malloc arena once freed, and raise the peak RSS
+        chunk = max(CHUNK_ROWS, LANE_CHUNK_VALUES // max(P, 1))
+        cut = [n * lane // L for lane in range(L + 1)]
+        jobs = [functools.partial(_predict_rows, X, F, codes, lo, hi, chunk,
+                                  _work(P, J, slots, min(hi - lo, chunk)), plan, coef, steps,
+                                  store.intercepts)
+                for lo, hi in zip(cut, cut[1:])]
+        with lanes._lanes_pool(L) as pool:
+            lanes._on_lanes(pool, jobs)
     return (F, codes) if return_codes else F
 
 

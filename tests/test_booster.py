@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polygam
-from polygam import booster
+from polygam import booster, lanes
 from polygam.booster import (
     TrainConfig,
     _FeatureWork,
@@ -505,7 +505,7 @@ def spy_lanes(monkeypatch, seen: dict, record=lambda: threading.get_ident()):
 def lane_fit(monkeypatch, cpus: int, task="binary"):
     """LANE_FIT with the CPU count stubbed to `cpus`; returns the result
     and, per stage, the set of threads that ran it."""
-    monkeypatch.setattr(booster, "_cpus", lambda: cpus)
+    monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
     threads = {}
     with monkeypatch.context() as m:
         spy_lanes(m, threads)
@@ -528,7 +528,7 @@ def test_lanes_keep_model_bytes_and_log(monkeypatch):
         if task == "binary":
             one_lane_sha = hashlib.sha256(dumps_model(one.store).encode()).hexdigest()
     # the binary lane fit at one and two BLAS threads, in fresh interpreters
-    shas = model_sha_per_thread_count("pg.booster._cpus = lambda: 2\ntask = 'binary'\n" + LANE_FIT)
+    shas = model_sha_per_thread_count("pg.lanes._cpus = lambda: 2\ntask = 'binary'\n" + LANE_FIT)
     assert shas == [one_lane_sha] * 2
 
 
@@ -553,7 +553,7 @@ def test_lanes_leave_no_thread_and_raise_a_lane_error(monkeypatch):
 
 
 def test_worker_lanes_keep_the_callers_numpy_error_state(monkeypatch):
-    monkeypatch.setattr(booster, "_cpus", lambda: 2)
+    monkeypatch.setattr(lanes, "_cpus", lambda: 2)
     seen = {}
     spy_lanes(monkeypatch, seen, lambda: (threading.get_ident(), np.geterr()["over"]))
     with np.errstate(over="raise"):
@@ -567,14 +567,14 @@ def test_segments_of_equal_runs_deal_evenly(monkeypatch):
     # seven equal one-feature runs on two lanes: dealt whole they load the
     # lanes 4 to 3 runs; cut into two segments each, the lanes' loads differ
     # by at most one segment, and every sum keeps its bits
-    monkeypatch.setattr(booster, "PAR_MIN_VALUES", 0)
+    monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
     rng = np.random.default_rng(8)
     x = rng.normal(size=10000)
     ds = make_dataset(np.column_stack([x] * 7), x + rng.normal(size=10000))
     layout = layout_for(ds)
     works = [[_FeatureWork(x, layout[k], FeatureConstraint()) for k in range(7)]
              for _ in range(2)]
-    one, two = _Scan(works[0]), _Scan(works[1], lanes=2)
+    one, two = _Scan(works[0]), _Scan(works[1], n_lanes=2)
     assert len(one.runs) == len(two.runs) == 7
     assert list(two.n_segments.values()) == [2] * 7
     loads = [sum(seg.slot_row.size for seg in lane) for lane in two.lanes]
@@ -583,7 +583,7 @@ def test_segments_of_equal_runs_deal_evenly(monkeypatch):
     assert max(lane_buf.size for lane_buf in two.bufs) < one.bufs[0].size
     GH = scan_matrix(rng.normal(size=10000), rng.uniform(0.1, 1.0, size=10000))
     one(GH)
-    with booster._lanes_pool(2) as pool:
+    with lanes._lanes_pool(2) as pool:
         two(GH, pool=pool)
     for a, b in zip(works[0], works[1]):
         assert a.sums.tobytes() == b.sums.tobytes()
@@ -593,14 +593,14 @@ def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch
     # more lanes than cores and a short switch interval: a lost update of
     # the shared countdown of segments would skip a run's recombination or
     # run it twice
-    monkeypatch.setattr(booster, "PAR_MIN_VALUES", 0)
+    monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
     rng = np.random.default_rng(9)
     x = rng.normal(size=8000)
     ds = make_dataset(np.column_stack([x] * 6), x + rng.normal(size=8000))
     layout = layout_for(ds)
     works = [[_FeatureWork(x, layout[k], FeatureConstraint()) for k in range(6)]
              for _ in range(2)]
-    one, four = _Scan(works[0]), _Scan(works[1], lanes=4)
+    one, four = _Scan(works[0]), _Scan(works[1], n_lanes=4)
     assert list(four.n_segments.values()) == [4] * 6
     GH = scan_matrix(rng.normal(size=8000), rng.uniform(0.1, 1.0, size=8000))
     one(GH)
@@ -610,7 +610,7 @@ def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with booster._lanes_pool(4) as pool:
+        with lanes._lanes_pool(4) as pool:
             for _ in range(40):
                 calls.clear()
                 four(GH, pool=pool)
@@ -925,14 +925,14 @@ def test_training_computes_the_link_once_per_iteration(monkeypatch):
 def test_each_iteration_is_two_lane_jobs(monkeypatch, cpus):
     # the starting loss's row pass, then per iteration a scan and a row pass
     # that also writes the next iteration's g and h
-    jobs, on_lanes = [], booster._on_lanes
+    jobs, on_lanes = [], lanes._on_lanes
 
     def count(pool, lane_jobs):
         jobs.append(len(lane_jobs))
         on_lanes(pool, lane_jobs)
 
-    monkeypatch.setattr(booster, "_cpus", lambda: cpus)
-    monkeypatch.setattr(booster, "_on_lanes", count)
+    monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+    monkeypatch.setattr(lanes, "_on_lanes", count)
     res = run_lane_fit()
     assert res.n_iterations == 4
     assert jobs == [cpus] * (1 + 2 * 4)

@@ -262,6 +262,21 @@ def test_split_fractions_must_sum_to_one():
         split_indices(100, (0.5, 0.2, 0.2), seed=0)
 
 
+@pytest.mark.parametrize("n, fractions, seed", [
+    (100, (1.5, -0.5, 0.0), 0),
+    (100, (0.7, 0.1, float("nan")), 0),
+    (100, (float("inf"), 0.0, 0.0), 0),
+    (100, (0.5, 0.2, 0.2), 0),
+    (-5, (0.7, 0.1, 0.2), 0),
+    (10.0, (0.7, 0.1, 0.2), 0),
+    (100, (0.7, 0.1, 0.2), -1),
+    (100, (0.7, 0.1, 0.2), 1.5),
+])
+def test_split_refuses_bad_input_with_config_error(n, fractions, seed):
+    with pytest.raises(ConfigError):
+        split_indices(n, fractions, seed)
+
+
 def test_split_disjoint_and_complete():
     tr, va, te = split_indices(103, (0.7, 0.1, 0.2), seed=11)
     allidx = np.concatenate([tr, va, te])

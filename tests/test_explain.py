@@ -9,7 +9,7 @@ import pytest
 
 from polygam.booster import TrainConfig, train
 from polygam.errors import ConfigError
-from polygam.explain import elasticity, export_shapes, render_svg, shape_grid
+from polygam.explain import ShapeGrid, elasticity, export_shapes, render_svg, shape_grid
 from polygam.model import (
     ConstraintSpec,
     FeatureConstraint,
@@ -228,6 +228,18 @@ def test_elasticity_classification_needs_row():
     store = single_feature_store([], [], 0.0, 2.0, n_outputs=1, task="binary")
     with pytest.raises(ValueError, match="row"):
         elasticity(store, 0, 0, 1.0)
+
+
+def test_elasticity_and_render_refusals_are_config_errors():
+    store = single_feature_store([], [], 0.0, 2.0, n_outputs=3, task="multiclass")
+    with pytest.warns(UserWarning), pytest.raises(ConfigError, match="single-output"):
+        elasticity(store, 0, 0, 1.0, row=[1.0])
+    store = single_feature_store([], [], 0.0, 2.0, n_outputs=1, task="binary")
+    with pytest.raises(ConfigError, match="full feature row"):
+        elasticity(store, 0, 0, 1.0)
+    empty = np.zeros(0)
+    with pytest.raises(ConfigError, match="empty grid"):
+        render_svg(ShapeGrid(0, 0, "x0", empty, empty, empty, empty))
 
 
 def test_elasticity_sign_follows_slope_and_x():

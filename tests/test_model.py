@@ -226,6 +226,54 @@ def test_degree1_threshold_must_be_coarse_edge():
         accumulate_update(store, 0, 0, 1, 1.0, 1.0, 1.0, 1.0)  # fine-only edge
 
 
+def bad_fold_store():
+    """Two outputs over one feature with S = 1, D = 3; output 1 is masked out."""
+    store = single_feature_store([1.0, 2.0], [2.0], 0.0, 3.0, n_outputs=2,
+                                 constraint=FeatureConstraint(smoothness=1, max_degree=3))
+    store.constraints.allow_mask[1, 0] = False
+    return store
+
+
+@pytest.mark.parametrize("args, match", [
+    ((5, 0, 2, 2.0, 1.0, 1.0, 1.0), "output index"),
+    ((0, -1, 2, 2.0, 1.0, 1.0, 1.0), "feature index"),
+    ((1, 0, 2, 2.0, 1.0, 1.0, 1.0), "masked out"),
+    ((0, 0, 4, 2.0, 1.0, 1.0, 1.0), r"integer in 2\.\.3"),
+    ((0, 0, -1, 2.0, 1.0, 1.0, 1.0), "degree"),
+    ((0, 0, 1.5, 2.0, 1.0, 1.0, 1.0), "degree"),
+    ((0, 0, 1, 2.0, 1.0, 1.0, 1.0), "degree"),  # a split of degree <= S breaks C^1
+    ((0, 0, 0, 2.0, 1.0, 1.0, 1.0), "degree"),
+    ((0, 0, 2, 2.0, float("nan"), 1.0, 1.0), "finite"),
+    ((0, 0, 2, 2.0, 1.0, -float("inf"), 1.0), "finite"),
+    ((0, 0, 2, 2.0, 1.0, 1.0, float("nan")), "finite"),
+    ((0, 0, 2, 1.0, 1.0, 1.0, 1.0), "not a coarse-grid edge"),
+])
+def test_accumulate_update_refuses_bad_input(args, match):
+    store = bad_fold_store()
+    before = dumps_model(store)
+    with pytest.raises(ConfigError, match=match):
+        accumulate_update(store, *args)
+    assert dumps_model(store) == before
+
+
+@pytest.mark.parametrize("args, match", [
+    ((2, 0, 1, 1.0, 1.0), "output index"),
+    ((0, 1, 1, 1.0, 1.0), "feature index"),
+    ((1, 0, 1, 1.0, 1.0), "masked out"),
+    ((0, 0, 7, 1.0, 1.0), r"integer in 0\.\.3"),
+    ((0, 0, -1, 1.0, 1.0), "degree"),
+    ((0, 0, 1.5, 1.0, 1.0), "degree"),
+    ((0, 0, 1, float("nan"), 1.0), "finite"),
+    ((0, 0, 1, 1.0, float("inf")), "finite"),
+])
+def test_accumulate_global_refuses_bad_input(args, match):
+    store = bad_fold_store()
+    before = dumps_model(store)
+    with pytest.raises(ConfigError, match=match):
+        accumulate_global(store, *args)
+    assert dumps_model(store) == before
+
+
 def test_global_degree0_shifts_every_step_value():
     store = single_feature_store([1.0, 2.0], [2.0], 0.0, 3.0)
     accumulate_global(store, 0, 0, 0, gamma=5.0, learning_rate=0.1)

@@ -3,15 +3,18 @@
 `oracles.reference_predict` adds each allowed (feature, output) pair to its
 output's column in feature order, as `predict` did before it evaluated all
 pairs at once. The two must agree bit for bit, codes included, for any
-store, any row count around the chunk size, and after any change to the
-store between calls.
+store, any row count around the chunk size, on one lane or several, and
+after any change to the store between calls.
 """
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from polygam import model
+from polygam import lanes, model
+from polygam.booster import TrainConfig, train
 from polygam.data import BinLayout, FeatureBins
 from polygam.errors import DataError
 from polygam.model import (
@@ -20,10 +23,13 @@ from polygam.model import (
     ShapeParams,
     accumulate_global,
     accumulate_update,
+    dumps_model,
     predict,
     zero_init,
 )
+from polygam.uncertainty import attach_se_accumulators
 
+from conftest import make_dataset
 from oracles import reference_predict
 
 # rows at +-1e300 overflow the cubics to inf and NaN, in the reference too
@@ -98,10 +104,13 @@ def cases(draw):
 def test_predict_equals_the_reference_loop_bit_for_bit(case):
     J, n_edges, mask, n, seed = case
     store = build_store(J, n_edges, mask, seed)
-    X = rows(store, n, seed)
+    assert_matches_reference(store, rows(store, n, seed))
+
+
+def assert_matches_reference(store, X):
     F, codes = predict(store, X, return_codes=True)
     R, want = reference_predict(store, X, return_codes=True)
-    assert F.shape == R.shape == (n, J)
+    assert F.shape == R.shape == (X.shape[0], store.n_outputs)
     assert F.tobytes() == R.tobytes()
     assert predict(store, X).tobytes() == F.tobytes()
     for got, ref in zip(codes, want, strict=True):
@@ -166,3 +175,119 @@ def test_predict_refuses_parameters_that_do_not_fit_the_layout(field, cut):
     setattr(sp, field, getattr(sp, field)[cut])
     with pytest.raises(DataError, match="do not match the bin layout"):
         predict(store, rows(store, 5, 7))
+
+
+# ---------------------------------------------------------------------------
+# lanes: with the gate forced open, a call cuts its rows into one range per
+# lane, each in chunks of max(CHUNK_ROWS, LANE_CHUNK_VALUES // pairs) rows
+
+LANE_MASK = [[1, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0]]  # four pairs
+LANE_CHUNK = 2500  # rows per lane chunk, with LANE_CHUNK_VALUES patched
+
+
+def lane_store(seed=11):
+    return build_store(3, [5, 0, 3, 40], LANE_MASK, seed)
+
+
+def open_lanes(monkeypatch, cpus, chunk_values=None):
+    monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
+    monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+    if chunk_values is not None:
+        monkeypatch.setattr(model, "LANE_CHUNK_VALUES", chunk_values)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_lane_predict_equals_the_reference_loop_bit_for_bit(monkeypatch, cpus):
+    store = lane_store()
+    open_lanes(monkeypatch, cpus, chunk_values=4 * LANE_CHUNK)
+    L, ch = cpus, LANE_CHUNK
+    # empty and one-row calls, lane cuts that leave lanes without rows or
+    # uneven, and each lane's range around one and two lane chunks
+    counts = {0, 1, L - 1, L, L + 1, 2 * L + 1, C - 1, C + 1, ch - 1, ch, ch + 1,
+              L * ch - 1, L * ch, L * ch + 1, L * (ch + 1) + 1, 2 * L * ch + L - 1}
+    X = rows(store, max(counts), cpus)
+    for n in sorted(counts):
+        assert_matches_reference(store, X[:n])
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_lane_predict_at_the_lane_chunk_size_of_the_module(monkeypatch, cpus):
+    store = lane_store(12)
+    open_lanes(monkeypatch, cpus)
+    chunk = model.LANE_CHUNK_VALUES // 4
+    assert chunk > C
+    X = rows(store, cpus * chunk + cpus + 1, 12)
+    for n in (cpus * chunk - 1, cpus * chunk + cpus + 1):
+        assert_matches_reference(store, X[:n])
+
+
+def test_lane_se_attach_keeps_model_bytes(monkeypatch):
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(3000, 3))
+    y = np.digitize(X[:, 0] + X[:, 1] ** 2 + rng.logistic(size=3000), [0.0, 1.5])
+    ds = make_dataset(X, y, task="multiclass")
+    cfg = TrainConfig(max_iterations=8, early_stopping_patience=0, validation_fraction=0.0)
+    store = train(ds, config=cfg).store
+    dumps = []
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as m:
+            open_lanes(m, cpus, chunk_values=1000)
+            s = store.copy()
+            attach_se_accumulators(s, X)
+            dumps.append(dumps_model(s))
+    assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
+
+
+def test_lane_predict_leaves_no_thread_and_raises_a_lane_error(monkeypatch):
+    store = lane_store(14)
+    X = rows(store, 3000, 14)
+    open_lanes(monkeypatch, 2, chunk_values=4000)
+    before, caller, seen = threading.active_count(), threading.get_ident(), set()
+    code = model.fine_code
+
+    def spy(fb, x):
+        seen.add(threading.get_ident())
+        return code(fb, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "fine_code", spy)
+        predict(store, X)
+    assert len(seen) == 2 and caller in seen  # a worker lane ran beside this thread
+    assert threading.active_count() == before
+
+    def fail_off_the_calling_thread(fb, x):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("lane failed")
+        return code(fb, x)
+
+    monkeypatch.setattr(model, "fine_code", fail_off_the_calling_thread)
+    with pytest.raises(FloatingPointError, match="lane failed"):
+        predict(store, X)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_lane_predict_keeps_the_callers_numpy_error_state(monkeypatch, cpus):
+    store = lane_store(15)
+    X = rows(store, 400, 15)
+    X[np.abs(X) == 1e300] = 0.0
+    open_lanes(monkeypatch, cpus)
+    with np.errstate(over="raise"):
+        predict(store, X)
+        for big in (1e300, -1e300):
+            X[-1, 0] = big  # in the last lane's range: a worker's on two lanes
+            with pytest.raises(FloatingPointError, match="overflow"):
+                predict(store, X)
+
+
+def test_one_row_predict_stays_off_the_lanes(monkeypatch):
+    store = lane_store(16)
+    X = rows(store, lanes.PAR_MIN_VALUES, 16)
+    calls, pool = [], lanes._lanes_pool
+    monkeypatch.setattr(lanes, "_cpus", lambda: calls.append("cpus") or 2)
+    monkeypatch.setattr(lanes, "_lanes_pool", lambda n: calls.append("pool") or pool(n))
+    predict(store, X[:1])
+    predict(store, X[:-1])
+    assert calls == []
+    predict(store, X)  # at the gate: the spies see it
+    assert calls == ["cpus", "pool"]

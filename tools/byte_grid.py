@@ -25,9 +25,11 @@ Run it under two source trees and diff the output:
     PYTHONPATH=<tree>/src python3 tools/byte_grid.py --seed 0 > grid_0.txt
 
 The fits are far below the size at which training scans and runs its row
-pass on parallel lanes. `--lanes N` stubs the trainer's CPU count to N
-and opens its size gate, so that every cell scans its segments and runs
-its row pass on N lanes; the hashes must not change.
+pass on parallel lanes, and the probe below the size at which `predict`
+does. `--lanes N` stubs the CPU count of `polygam.lanes` to N and opens
+its size gate, so that every cell scans its segments, runs its row pass,
+predicts the probe and attaches SEs on N lanes; the hashes must not
+change.
 
 Uses only the standard library and numpy. The library and its tests do not
 import it.
@@ -135,13 +137,13 @@ def main(argv=None) -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--iterations", type=int, default=40)
     ap.add_argument("--lanes", type=int, default=None,
-                    help="run every fit on this many lanes, gate open")
+                    help="run every fit and predict on this many lanes, gate open")
     args = ap.parse_args(argv)
     if args.lanes is not None:
         if args.lanes < 1:
             ap.error("--lanes must be at least 1")
-        pg.booster._cpus = lambda: args.lanes
-        pg.booster.PAR_MIN_VALUES = 0
+        pg.lanes._cpus = lambda: args.lanes
+        pg.lanes.PAR_MIN_VALUES = 0
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
         # constrained columns allowed in several outputs warn by design
         warnings.simplefilter("ignore")
