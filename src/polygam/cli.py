@@ -12,12 +12,12 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, replace
+from itertools import groupby
 
 from .booster import TrainConfig, train, write_log
-from .data import SplitScheme, TASKS, build_bin_layout, load_csv, load_feature_matrix, split_indices
+from .data import (SplitScheme, TASKS, build_bin_layout, fraction_problems, load_csv,
+                   load_feature_matrix, split_indices)
 from .errors import ConfigError, DataError, NumericError
 from .explain import export_shapes
 from .losses import link_apply, loss_eval
@@ -41,46 +41,104 @@ class RunConfig:
     target: str
     task: str
     out_dir: str
-    categorical: tuple[str, ...] = ()
-    fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    seed: int = 0
-    train_config: TrainConfig = field(default_factory=TrainConfig)
-    scheme: SplitScheme = field(default_factory=SplitScheme)
-    smoothness: int = -1
-    max_degree: int = 3
-    feature_overrides: dict = field(default_factory=dict)  # name -> FeatureConstraint
-    outputs_for: dict = field(default_factory=dict)  # name -> list[int]
+    categorical: tuple[str, ...]
+    fractions: tuple[float, float, float]
+    seed: int
+    train_config: TrainConfig
+    scheme: SplitScheme
+    smoothness: int
+    max_degree: int
+    feature_overrides: dict  # name -> FeatureConstraint
+    outputs_for: dict  # name -> list[int]
 
 
-_FEATURE_KEYS = ("monotone", "curvature", "s", "d", "outputs")
+def _defaults() -> RunConfig:
+    """Each key's value when the file leaves it out; None marks a required key."""
+    fc = FeatureConstraint()
+    return RunConfig(
+        train_path=None, target=None, task=None, out_dir=None,
+        categorical=(), fractions=(0.7, 0.1, 0.2), seed=0,
+        train_config=TrainConfig(validation_fraction=0.0), scheme=SplitScheme(),
+        smoothness=fc.smoothness, max_degree=fc.max_degree,
+        feature_overrides={}, outputs_for={},
+    )
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in raw.split(",") if c.strip())
+
+
+def _fractions(raw: str) -> tuple[float, float, float]:
+    parts = tuple(float(p) for p in raw.split(","))
+    if len(parts) != 3:
+        raise ValueError(raw)
+    return parts
+
+
+# The INI grammar, in the order config_resolved.ini writes it:
+# (section, key, the RunConfig field it sets, parser). A dotted field is an
+# attribute of train_config or scheme. `parse_config` and `resolved_ini`
+# both walk this table; `_defaults` gives each key's default.
+GRAMMAR = (
+    ("data", "train", "train_path", str),
+    ("data", "target", "target", str),
+    ("data", "task", "task", str),
+    ("data", "categorical", "categorical", _names),
+    ("split", "fractions", "fractions", _fractions),
+    ("split", "seed", "seed", int),
+    ("train", "learning_rate", "train_config.learning_rate", float),
+    ("train", "l1", "train_config.l1", float),
+    ("train", "l2", "train_config.l2", float),
+    ("train", "min_data_in_leaf", "train_config.min_data_in_leaf", int),
+    ("train", "max_iterations", "train_config.max_iterations", int),
+    ("train", "early_stopping_patience", "train_config.early_stopping_patience", int),
+    ("train", "n_bins_degree0", "scheme.n_bins_degree0", int),
+    ("train", "n_bins_higher", "scheme.n_bins_higher", int),
+    ("constraints", "smoothness", "smoothness", int),
+    ("constraints", "max_degree", "max_degree", int),
+    ("output", "dir", "out_dir", str),
+)
+
+# The keys of a `feature.<name> = monotone=-1 curvature=+1 S=2 D=3 outputs=[2]`
+# line, in the order the resolved line writes them, with the FeatureConstraint
+# attribute each sets; `outputs` sets the feature's allowed outputs instead.
+FEATURE_KEYS = {
+    "monotone": "monotone", "curvature": "curvature", "S": "smoothness", "D": "max_degree",
+    "outputs": None,
+}
+_FEATURE_ATTRS = {key.lower(): attr for key, attr in FEATURE_KEYS.items()}
+
+
+def _field(cfg: RunConfig, path: str):
+    """The object and attribute name a GRAMMAR field path names."""
+    owner, _, attr = path.rpartition(".")
+    return (getattr(cfg, owner) if owner else cfg), attr
 
 
 def _parse_feature_value(name: str, value: str, errs: list[str]):
-    """Parse one `feature.<name> = monotone=-1 curvature=+1 S=2 D=3 outputs=[2]` line."""
+    """The FeatureConstraint settings, by attribute, and the output list (None
+    when not given) of one `feature.<name>` line."""
     settings = {}
     outputs = None
     for token in value.split():
-        if "=" not in token:
-            errs.append(f"feature {name!r}: expected key=value, got {token!r}")
-            continue
-        key, _, raw = token.partition("=")
+        key, eq, raw = token.partition("=")
         key = key.lower()
-        if key not in _FEATURE_KEYS:
+        if not eq:
+            errs.append(f"feature {name!r}: expected key=value, got {token!r}")
+        elif key not in _FEATURE_ATTRS:
             errs.append(f"feature {name!r}: unknown setting {key!r}")
-            continue
-        if key == "outputs":
-            if not (raw.startswith("[") and raw.endswith("]")):
-                errs.append(f"feature {name!r}: outputs must look like [0,2], got {raw!r}")
-                continue
+        elif key != "outputs":
+            try:
+                settings[_FEATURE_ATTRS[key]] = int(raw)
+            except ValueError:
+                errs.append(f"feature {name!r}: {key} must be an integer, got {raw!r}")
+        elif not (raw.startswith("[") and raw.endswith("]")):
+            errs.append(f"feature {name!r}: outputs must look like [0,2], got {raw!r}")
+        else:
             try:
                 outputs = [int(p) for p in raw[1:-1].split(",") if p.strip() != ""]
             except ValueError:
                 errs.append(f"feature {name!r}: bad outputs list {raw!r}")
-            continue
-        try:
-            settings[key] = int(raw)
-        except ValueError:
-            errs.append(f"feature {name!r}: {key} must be an integer, got {raw!r}")
     return settings, outputs
 
 
@@ -95,168 +153,74 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
 
     errs: list[str] = []
-    known = {
-        "data": {"train", "target", "task", "categorical"},
-        "split": {"fractions", "seed"},
-        "train": {
-            "learning_rate", "l1", "l2", "min_data_in_leaf", "max_iterations",
-            "early_stopping_patience", "n_bins_degree0", "n_bins_higher",
-        },
-        "constraints": {"smoothness", "max_degree"},
-        "output": {"dir"},
-    }
+    keys = {(section, key) for section, key, _, _ in GRAMMAR}
     for section in cp.sections():
-        if section not in known:
+        if section not in {s for s, _ in keys}:
             errs.append(f"unknown section [{section}]")
             continue
-        for key in cp[section]:
-            if section == "constraints" and key.startswith("feature."):
-                continue
-            if key not in known[section]:
-                errs.append(f"unknown key {key!r} in [{section}]")
+        errs += [f"unknown key {key!r} in [{section}]" for key in cp[section]
+                 if (section, key) not in keys
+                 and not (section == "constraints" and key.startswith("feature."))]
 
-    def get(section, key, cast, default=None, required=False):
+    cfg = _defaults()
+    for section, key, where, parse in GRAMMAR:
+        owner, attr = _field(cfg, where)
         if not cp.has_option(section, key):
-            if required:
+            if getattr(owner, attr) is None:
                 errs.append(f"missing required key {key!r} in [{section}]")
-            return default
+            continue
         raw = cp.get(section, key)
         try:
-            return cast(raw)
+            setattr(owner, attr, parse(raw))
         except (TypeError, ValueError):
             errs.append(f"[{section}] {key}: cannot parse {raw!r}")
-            return default
 
-    train_path = get("data", "train", str, required=True)
-    target = get("data", "target", str, required=True)
-    task = get("data", "task", str, required=True)
-    if task is not None and task not in TASKS:
-        errs.append(f"[data] task must be one of {', '.join(TASKS)}; got {task!r}")
-    cat_raw = get("data", "categorical", str, default="")
-    categorical = tuple(c.strip() for c in cat_raw.split(",") if c.strip()) if cat_raw else ()
-
-    def _fractions(raw: str):
-        parts = [float(p) for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ValueError(raw)
-        return tuple(parts)
-
-    fractions = get("split", "fractions", _fractions, default=(0.7, 0.1, 0.2))
-    if fractions is not None:
-        if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-            errs.append(f"[split] fractions must be non-negative and sum to 1, got {fractions}")
-        if fractions[0] <= 0:
-            errs.append("[split] train fraction must be positive")
-    seed = get("split", "seed", int, default=0)
-    if seed < 0:
-        errs.append(f"[split] seed must be an integer >= 0, got {seed}")
-
-    tc = TrainConfig(validation_fraction=0.0)
-    tc.learning_rate = get("train", "learning_rate", float, tc.learning_rate)
-    tc.l1 = get("train", "l1", float, tc.l1)
-    tc.l2 = get("train", "l2", float, tc.l2)
-    tc.min_data_in_leaf = get("train", "min_data_in_leaf", int, tc.min_data_in_leaf)
-    tc.max_iterations = get("train", "max_iterations", int, tc.max_iterations)
-    tc.early_stopping_patience = get(
-        "train", "early_stopping_patience", int, tc.early_stopping_patience
-    )
-    scheme = SplitScheme()
-    scheme.n_bins_degree0 = get("train", "n_bins_degree0", int, scheme.n_bins_degree0)
-    scheme.n_bins_higher = get("train", "n_bins_higher", int, scheme.n_bins_higher)
-    errs.extend(scheme.problems())
+    if cfg.task is not None and cfg.task not in TASKS:
+        errs.append(f"[data] task must be one of {', '.join(TASKS)}; got {cfg.task!r}")
+    errs.extend(fraction_problems(cfg.fractions))
+    if cfg.fractions[0] <= 0:
+        errs.append("[split] train fraction must be positive")
+    if cfg.seed < 0:
+        errs.append(f"[split] seed must be an integer >= 0, got {cfg.seed}")
+    errs.extend(cfg.scheme.problems())
     try:
-        tc.validate()
+        cfg.train_config.validate()
     except ConfigError as exc:
         errs.append(str(exc))
 
-    smoothness = get("constraints", "smoothness", int, -1)
-    max_degree = get("constraints", "max_degree", int, 3)
-    overrides: dict[str, FeatureConstraint] = {}
-    outputs_for: dict[str, list[int]] = {}
-    if cp.has_section("constraints"):
-        for key in cp["constraints"]:
-            if not key.startswith("feature."):
-                continue
-            name = key[len("feature.") :]
+    base = FeatureConstraint(smoothness=cfg.smoothness, max_degree=cfg.max_degree)
+    for key in cp["constraints"] if cp.has_section("constraints") else ():
+        if key.startswith("feature."):
+            name = key[len("feature."):]
             settings, outputs = _parse_feature_value(name, cp.get("constraints", key), errs)
-            fc = FeatureConstraint(
-                smoothness=settings.get("s", smoothness),
-                max_degree=settings.get("d", max_degree),
-                monotone=settings.get("monotone", 0),
-                curvature=settings.get("curvature", 0),
-            )
+            fc = cfg.feature_overrides[name] = replace(base, **settings)
             errs.extend(fc.validate(name))
-            overrides[name] = fc
             if outputs is not None:
-                outputs_for[name] = outputs
-
-    out_dir = get("output", "dir", str, required=True)
+                cfg.outputs_for[name] = outputs
 
     if errs:
         raise ConfigError("; ".join(errs))
-    return RunConfig(
-        train_path=train_path,
-        target=target,
-        task=task,
-        out_dir=out_dir,
-        categorical=categorical,
-        fractions=fractions,
-        seed=seed,
-        train_config=tc,
-        scheme=scheme,
-        smoothness=smoothness,
-        max_degree=max_degree,
-        feature_overrides=overrides,
-        outputs_for=outputs_for,
-    )
+    return cfg
 
 
 def resolved_ini(cfg: RunConfig) -> str:
     """Render the fully resolved configuration; reloading it reproduces the run."""
-    tc = cfg.train_config
-    lines = [
-        "[data]",
-        f"train = {cfg.train_path}",
-        f"target = {cfg.target}",
-        f"task = {cfg.task}",
-    ]
-    if cfg.categorical:
-        lines.append(f"categorical = {','.join(cfg.categorical)}")
-    lines += [
-        "",
-        "[split]",
-        f"fractions = {cfg.fractions[0]!r},{cfg.fractions[1]!r},{cfg.fractions[2]!r}",
-        f"seed = {cfg.seed}",
-        "",
-        "[train]",
-        f"learning_rate = {tc.learning_rate!r}",
-        f"l1 = {tc.l1!r}",
-        f"l2 = {tc.l2!r}",
-        f"min_data_in_leaf = {tc.min_data_in_leaf}",
-        f"max_iterations = {tc.max_iterations}",
-        f"early_stopping_patience = {tc.early_stopping_patience}",
-        f"n_bins_degree0 = {cfg.scheme.n_bins_degree0}",
-        f"n_bins_higher = {cfg.scheme.n_bins_higher}",
-        "",
-        "[constraints]",
-        f"smoothness = {cfg.smoothness}",
-        f"max_degree = {cfg.max_degree}",
-    ]
-    for name in sorted(set(cfg.feature_overrides) | set(cfg.outputs_for)):
-        fc = cfg.feature_overrides.get(
-            name, FeatureConstraint(cfg.smoothness, cfg.max_degree)
-        )
-        parts = [
-            f"monotone={fc.monotone}",
-            f"curvature={fc.curvature}",
-            f"S={fc.smoothness}",
-            f"D={fc.max_degree}",
-        ]
-        if name in cfg.outputs_for:
-            parts.append(f"outputs=[{','.join(str(i) for i in cfg.outputs_for[name])}]")
-        lines.append(f"feature.{name} = {' '.join(parts)}")
-    lines += ["", "[output]", f"dir = {cfg.out_dir}", ""]
-    return "\n".join(lines)
+    blocks = []
+    for section, rows in groupby(GRAMMAR, key=lambda row: row[0]):
+        lines = [f"[{section}]"]
+        for _, key, where, _ in rows:
+            value = getattr(*_field(cfg, where))
+            if isinstance(value, tuple):  # categorical or fractions; no categorical: no line
+                value = ",".join(map(str, value)) or None
+            if value is not None:
+                lines.append(f"{key} = {value}")
+        for name, fc in sorted(cfg.feature_overrides.items()) if section == "constraints" else ():
+            parts = [f"{key}={getattr(fc, attr)}" for key, attr in FEATURE_KEYS.items() if attr]
+            if name in cfg.outputs_for:
+                parts.append(f"outputs=[{','.join(map(str, cfg.outputs_for[name]))}]")
+            lines.append(f"feature.{name} = {' '.join(parts)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 class _Lock:

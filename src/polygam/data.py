@@ -335,6 +335,20 @@ def build_bin_layout(dataset: Dataset, scheme: SplitScheme | None = None) -> Bin
     return BinLayout(features=feats)
 
 
+def fraction_problems(fractions) -> list[str]:
+    """Every way three split fractions fail: each must be a finite number in
+    [0, 1], and together they must sum to 1."""
+    if len(fractions) != 3:
+        return [f"split fractions must be three (train, valid, test), got {fractions!r}"]
+    # written so that NaN fails it
+    if not all(isinstance(f, numbers.Real) and 0.0 <= f <= 1.0 for f in fractions):
+        return [f"split fractions must each lie in [0, 1], got {fractions!r}"]
+    total = sum(fractions)
+    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
+        return [f"split fractions must sum to 1, got {total}"]
+    return []
+
+
 def split_indices(
     n: int,
     fractions: tuple[float, float, float],
@@ -343,41 +357,33 @@ def split_indices(
 ):
     """Seeded shuffle split into (train, valid, test) index arrays.
 
-    With labels given, the split is stratified per class; indices within each
-    part are sorted so the result does not depend on class enumeration order.
-    An n or seed that is not an integer >= 0, or fractions that are not
-    finite, lie outside [0, 1] or do not sum to 1, raise ConfigError.
+    With labels given, the split is stratified per class; without, all rows
+    are one class. Indices within each part are sorted so the result does
+    not depend on class enumeration order. An n or seed that is not an
+    integer >= 0, labels that are not one per row, or `fraction_problems`
+    raise ConfigError.
     """
     for what, v in (("n", n), ("seed", seed)):
         if not (isinstance(v, numbers.Integral) and v >= 0):
             raise ConfigError(f"split {what} must be an integer >= 0, got {v!r}")
-    f_train, f_valid, f_test = fractions
-    # written so that NaN fails it
-    if not all(isinstance(f, numbers.Real) and 0.0 <= f <= 1.0 for f in fractions):
-        raise ConfigError(f"split fractions must each lie in [0, 1], got {fractions!r}")
-    total = f_train + f_valid + f_test
-    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ConfigError(f"split fractions must sum to 1, got {total}")
+    problems = fraction_problems(fractions)
+    if problems:
+        raise ConfigError(problems[0])
+    labels = np.zeros(n) if labels is None else np.asarray(labels)
+    if labels.shape != (n,):
+        raise ConfigError(f"split labels must hold one value per row ({n}), got shape "
+                          f"{labels.shape}")
+    f_train, f_valid, _ = fractions
     rng = np.random.default_rng(seed)
-    if labels is None:
-        perm = rng.permutation(n)
-        n_train = int(round(n * f_train))
-        n_valid = int(round(n * f_valid))
-        parts = (perm[:n_train], perm[n_train : n_train + n_valid], perm[n_train + n_valid :])
-    else:
-        labels = np.asarray(labels)
-        tr, va, te = [], [], []
-        for cls in np.unique(labels):
-            idx = np.flatnonzero(labels == cls)
-            idx = idx[rng.permutation(idx.size)]
-            m = idx.size
-            n_train = int(round(m * f_train))
-            n_valid = int(round(m * f_valid))
-            tr.append(idx[:n_train])
-            va.append(idx[n_train : n_train + n_valid])
-            te.append(idx[n_train + n_valid :])
-        parts = (np.concatenate(tr), np.concatenate(va), np.concatenate(te))
-    return tuple(np.sort(p).astype(np.intp) for p in parts)
+    parts = ([np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, np.intp)])
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(idx.size)]
+        n_train = int(round(idx.size * f_train))
+        n_valid = int(round(idx.size * f_valid))
+        for part, piece in zip(parts, np.split(idx, [n_train, n_train + n_valid])):
+            part.append(piece)
+    return tuple(np.sort(np.concatenate(p)).astype(np.intp) for p in parts)
 
 
 def _parse_matrix(path, require_rows: bool):

@@ -51,6 +51,15 @@ CHUNK_ROWS = 2 * TABLE_MIN_VALUES  # `predict`'s rows per chunk
 LANE_CHUNK_VALUES = 2**17
 
 
+def _is_int(v) -> bool:
+    """Whether v is an integer: a Python or numpy int, not a float."""
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass
 class FeatureConstraint:
     """Shape rules for one feature.
@@ -67,7 +76,13 @@ class FeatureConstraint:
     curvature: int = 0
 
     def validate(self, name: str) -> list[str]:
-        errs = []
+        values = (("D", self.max_degree), ("S", self.smoothness),
+                  ("monotone sign", self.monotone), ("curvature sign", self.curvature))
+        # 3.0 in (0, 1, 2, 3) holds, but a float degree breaks range() in the fit
+        errs = [f"feature {name!r}: {what} must be an integer, got {v!r}"
+                for what, v in values if not _is_int(v)]
+        if errs:
+            return errs
         if self.max_degree not in (0, 1, 2, 3):
             errs.append(f"feature {name!r}: D must be in 0..3, got {self.max_degree}")
         if self.smoothness not in (-1, 0, 1, 2):
@@ -125,10 +140,9 @@ class ConstraintSpec:
             k = dataset.feature_names.index(name)
             mask[:, k] = False
             for i in outs:
-                if not 0 <= i < dataset.n_outputs:
-                    raise ConfigError(
-                        f"feature {name!r}: output index {i} out of range 0..{dataset.n_outputs - 1}"
-                    )
+                if not (_is_int(i) and 0 <= i < dataset.n_outputs):
+                    raise ConfigError(f"feature {name!r}: output index must be an integer in "
+                                      f"0..{dataset.n_outputs - 1}, got {i!r}")
                 mask[i, k] = True
         return cls(features=feats, allow_mask=mask)
 
@@ -357,12 +371,8 @@ def horner(coef: np.ndarray, rows: np.ndarray, t: np.ndarray, order: int = 0, st
 
 
 def _check_index(what: str, v, n: int) -> None:
-    try:
-        if 0 <= operator.index(v) < n:
-            return
-    except TypeError:  # not an integer
-        pass
-    raise ConfigError(f"{what} index must be an integer in 0..{n - 1}, got {v!r}")
+    if not (_is_int(v) and 0 <= v < n):
+        raise ConfigError(f"{what} index must be an integer in 0..{n - 1}, got {v!r}")
 
 
 def _check_order(order, lowest: int) -> None:
@@ -370,11 +380,8 @@ def _check_order(order, lowest: int) -> None:
     in lowest..2, where math.perm would fail on a float or a negative order
     with a bare error and a higher order would give gaps no caller asks
     for."""
-    try:
-        if lowest <= operator.index(order) <= 2:
-            return
-    except TypeError:  # not an integer
-        pass
+    if _is_int(order) and lowest <= order <= 2:
+        return
     allowed = ", ".join(map(str, range(lowest, 2))) + " or 2"
     raise ConfigError(f"order must be {allowed}, got {order!r}")
 
@@ -427,11 +434,7 @@ def _check_fold(store: ParameterStore, i, k, d, split: bool, values: tuple) -> N
     if not store.constraints.allow_mask[i, k]:
         raise ConfigError(f"output {i} does not use feature {name!r}: the pair is masked out")
     lowest = fc.smoothness + 1 if split else 0
-    try:
-        ok = lowest <= operator.index(d) <= fc.max_degree
-    except TypeError:  # not an integer
-        ok = False
-    if not ok:
+    if not (_is_int(d) and lowest <= d <= fc.max_degree):
         raise ConfigError(f"{'split' if split else 'global'} degree of feature {name!r} must "
                           f"be an integer in {lowest}..{fc.max_degree}, got {d!r}")
     try:
@@ -769,6 +772,15 @@ def load_model(path) -> ParameterStore:
     return store
 
 
+def _json_int(f: dict, key: str) -> int:
+    """A feature's integer setting; int() would truncate 2.7 and accept
+    "3" or true."""
+    v = f[key]
+    if type(v) is not int:
+        raise DataError(f"feature {f.get('name')!r}: {key} must be a JSON integer, got {v!r}")
+    return v
+
+
 def _from_document(doc: dict) -> ParameterStore:
     """The store a model document describes, before validation."""
     feats = doc["features"]
@@ -787,10 +799,10 @@ def _from_document(doc: dict) -> ParameterStore:
     constraints = ConstraintSpec(
         features=[
             FeatureConstraint(
-                smoothness=int(f["S"]),
-                max_degree=int(f["D"]),
-                monotone=int(f["monotone"]),
-                curvature=int(f["curvature"]),
+                smoothness=_json_int(f, "S"),
+                max_degree=_json_int(f, "D"),
+                monotone=_json_int(f, "monotone"),
+                curvature=_json_int(f, "curvature"),
             )
             for f in feats
         ],

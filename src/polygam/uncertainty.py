@@ -21,6 +21,8 @@ there are infinite too.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +155,11 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
 
 
 def shape_ci(store: ParameterStore, i: int, k: int, x, z: float = Z_95):
-    """Shape value with a pointwise z-interval: f, f - z*se, f + z*se."""
+    """Shape value with a pointwise z-interval: f, f - z*se, f + z*se. A z
+    that is not a finite number >= 0 raises ConfigError."""
+    # written so that NaN fails it
+    if not (isinstance(z, numbers.Real) and 0.0 <= z < math.inf):
+        raise ConfigError(f"z must be a finite number >= 0, got {z!r}")
     f = evaluate_shape(store, i, k, x)
     var = variance_pred(store, i, k, x)
     se = np.sqrt(var)

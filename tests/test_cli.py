@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from polygam.cli import main, parse_config, resolved_ini
+from polygam.cli import FEATURE_KEYS, GRAMMAR, main, parse_config, resolved_ini
 from polygam.data import split_indices
 from polygam.errors import ConfigError
 
@@ -143,6 +144,139 @@ feature.x1 = monotone=1 S=0 D=2
     p2.write_text(text1)
     cfg2 = parse_config(str(p2))
     assert resolved_ini(cfg2) == text1
+
+
+EVERY_KEY_INI = """[data]
+train = data/train.csv
+target = y
+task = multiclass
+categorical = city, zone
+
+[split]
+fractions = 0.6,0.15,0.25
+seed = 7
+
+[train]
+learning_rate = 0.05
+l1 = 0.0
+l2 = 0.5
+min_data_in_leaf = 4
+max_iterations = 300
+early_stopping_patience = 20
+n_bins_degree0 = 128
+n_bins_higher = 16
+
+[constraints]
+smoothness = 1
+max_degree = 3
+feature.price = monotone=-1 curvature=+1 S=1 D=3
+feature.region_cost = monotone=-1 outputs=[2,0]
+
+[output]
+dir = out/run1
+"""
+
+EVERY_KEY_RESOLVED = """[data]
+train = data/train.csv
+target = y
+task = multiclass
+categorical = city,zone
+
+[split]
+fractions = 0.6,0.15,0.25
+seed = 7
+
+[train]
+learning_rate = 0.05
+l1 = 0.0
+l2 = 0.5
+min_data_in_leaf = 4
+max_iterations = 300
+early_stopping_patience = 20
+n_bins_degree0 = 128
+n_bins_higher = 16
+
+[constraints]
+smoothness = 1
+max_degree = 3
+feature.price = monotone=-1 curvature=1 S=1 D=3
+feature.region_cost = monotone=-1 curvature=0 S=1 D=3 outputs=[2,0]
+
+[output]
+dir = out/run1
+"""
+
+README_RESOLVED = """[data]
+train = data/train.csv
+target = y
+task = regression
+
+[split]
+fractions = 0.7,0.1,0.2
+seed = 3
+
+[train]
+learning_rate = 0.1
+l1 = 0.001
+l2 = 0.01
+min_data_in_leaf = 10
+max_iterations = 25000
+early_stopping_patience = 100
+n_bins_degree0 = 256
+n_bins_higher = 20
+
+[constraints]
+smoothness = 1
+max_degree = 3
+feature.price = monotone=-1 curvature=1 S=1 D=3
+feature.region_cost = monotone=-1 curvature=0 S=1 D=3 outputs=[2]
+
+[output]
+dir = out/run1
+"""
+
+
+def readme_ini():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        return re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+
+
+@pytest.mark.parametrize("text, want", [(EVERY_KEY_INI, EVERY_KEY_RESOLVED),
+                                        (None, README_RESOLVED)], ids=["every-key", "readme"])
+def test_resolved_ini_text_is_pinned(tmp_path, text, want):
+    p = tmp_path / "run.ini"
+    p.write_text(readme_ini() if text is None else text)
+    assert resolved_ini(parse_config(str(p))) == want
+
+
+def test_readme_example_names_every_key_of_the_grammar():
+    keys, feature_keys, section = set(), set(), None
+    for line in readme_ini().splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line.startswith("feature."):
+            feature_keys |= {t.partition("=")[0] for t in line.partition(" = ")[2].split()}
+        elif "=" in line:
+            keys.add((section, line.lstrip("; ").partition(" =")[0]))
+    assert keys == {(section, key) for section, key, _, _ in GRAMMAR}
+    assert feature_keys == set(FEATURE_KEYS)
+
+
+@pytest.mark.parametrize("fractions", ["nan,0.5,0.5", "0.5,nan,0.5", "1.0,0.0,nan"])
+def test_nan_split_fractions_are_refused_before_the_run_starts(tmp_path, capsys, fractions):
+    # NaN passes both `f < 0` and `abs(sum - 1) > tol` unnoticed
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv)
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out", "learning_rate = 2.0\n")
+    with open(ini) as fh:
+        text = fh.read()
+    with open(ini, "w") as fh:
+        fh.write(text.replace("fractions = 0.7,0.1,0.2", f"fractions = {fractions}"))
+    assert main(["train", "-c", ini]) == 2
+    err = capsys.readouterr().err
+    assert "split fractions must each lie in [0, 1]" in err and "learning_rate" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

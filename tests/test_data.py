@@ -271,6 +271,8 @@ def test_split_fractions_must_sum_to_one():
     (10.0, (0.7, 0.1, 0.2), 0),
     (100, (0.7, 0.1, 0.2), -1),
     (100, (0.7, 0.1, 0.2), 1.5),
+    (100, (0.5, 0.5), 0),
+    (100, (0.5, 0.25, 0.25, 0.0), 0),
 ])
 def test_split_refuses_bad_input_with_config_error(n, fractions, seed):
     with pytest.raises(ConfigError):
@@ -298,6 +300,31 @@ def test_split_stratified_keeps_all_classes():
         assert set(labels[part].tolist()) == {0, 1, 2}
     # rough proportionality on the dominant class
     assert abs((labels[tr] == 0).mean() - 0.6) < 0.05
+
+
+@pytest.mark.parametrize("n, fractions, seed, labels, parts", [
+    (12, (0.5, 0.25, 0.25), 0, None, [[2, 4, 5, 7, 9, 11], [0, 3, 6], [1, 8, 10]]),
+    (37, (0.7, 0.1, 0.2), 5, None, [
+        [1, 2, 3, 6, 7, 8, 9, 11, 12, 13, 17, 19, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+         34, 35, 36],
+        [16, 20, 21, 33],
+        [0, 4, 5, 10, 14, 15, 18]]),
+    (20, (0.6, 0.2, 0.2), 3, np.repeat([0, 1], [13, 7]),
+     [[0, 1, 2, 4, 7, 9, 11, 12, 13, 16, 17, 18], [5, 6, 10, 19], [3, 8, 14, 15]]),
+    (0, (0.7, 0.1, 0.2), 0, None, [[], [], []]),
+    (0, (0.7, 0.1, 0.2), 0, np.zeros(0), [[], [], []]),
+])
+def test_split_indices_are_pinned(n, fractions, seed, labels, parts):
+    # a seed keeps its split, so an old config_resolved.ini reruns the same fit
+    got = split_indices(n, fractions, seed, labels=labels)
+    assert [p.tolist() for p in got] == parts
+    assert all(p.dtype == np.intp for p in got)
+
+
+@pytest.mark.parametrize("labels", [np.zeros(5), np.zeros(11), np.zeros((10, 1))])
+def test_split_refuses_labels_that_are_not_one_per_row(labels):
+    with pytest.raises(ConfigError, match=r"labels must hold one value per row \(10\)"):
+        split_indices(10, (0.5, 0.3, 0.2), 0, labels=labels)
 
 
 # ---------------------------------------------------------------------------

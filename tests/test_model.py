@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polygam.booster import TrainConfig, train
 from polygam.data import BinLayout, FeatureBins, FineTable
 from polygam.errors import ConfigError, DataError
 from polygam.losses import link_apply
@@ -92,6 +93,36 @@ def test_multi_output_constrained_feature_warns():
     )
     with pytest.warns(UserWarning, match="multiple"):
         spec.validate(ds.feature_names, ds.n_outputs)
+
+
+@pytest.mark.parametrize("kw, what", [
+    (dict(max_degree=3.0), "D"),
+    (dict(smoothness=0.0), "S"),
+    (dict(monotone=1.0, smoothness=0, max_degree=2), "monotone sign"),
+    (dict(curvature=-1.0, smoothness=0, max_degree=2), "curvature sign"),
+    (dict(max_degree="3"), "D"),
+])
+def test_train_refuses_constraint_values_that_are_not_integers(kw, what):
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.uniform(size=(60, 1)), rng.normal(size=60))
+    spec = ConstraintSpec([FeatureConstraint(**kw)], np.ones((1, 1), dtype=bool))
+    with pytest.raises(ConfigError, match=f"'x0': {what} must be an integer"):
+        train(ds, constraints=spec,
+              config=TrainConfig(max_iterations=3, early_stopping_patience=0))
+
+
+def test_numpy_integer_constraint_values_are_integers():
+    fc = FeatureConstraint(*(np.int64(v) for v in (0, 2, 1, -1)))
+    assert fc.validate("x") == []
+
+
+@pytest.mark.parametrize("index", [0.0, 1.5, "0"])
+def test_default_spec_refuses_output_indices_that_are_not_integers(index):
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng.normal(size=(30, 2)), rng.integers(0, 3, 30), task="multiclass")
+    with pytest.raises(ConfigError, match="'x1': output index must be an integer in 0..2"):
+        ConstraintSpec.default(ds, outputs_for={"x1": [index]})
+    assert ConstraintSpec.default(ds, outputs_for={"x1": [np.int64(2)]}).allow_mask[2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +594,20 @@ def test_load_refuses_a_constraint_out_of_range(tmp_path):
     doc["features"][0]["S"] = 7
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="'x0': S must be in -1..2, got 7"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("D", 2.7),  # int() would give D = 2 under cubic coefficients
+    ("monotone", 0.5),  # int() would drop the sign constraint
+    ("D", "3"),
+    ("S", True),
+])
+def test_load_refuses_constraint_values_that_are_not_json_integers(tmp_path, key, value):
+    path, doc = saved_doc(tmp_path)
+    doc["features"][0][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"'x0': {key} must be a JSON integer, got {value!r}"):
         load_model(path)
 
 

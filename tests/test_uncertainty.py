@@ -93,6 +93,14 @@ def test_ci_halfwidth_point196():
     assert f - lo == pytest.approx(1.96 * 0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("z", [-1.0, float("nan"), float("inf"), "1.96"])
+def test_shape_ci_refuses_a_z_that_is_not_finite_and_non_negative(z):
+    # a negative z would give lo > hi, a NaN z NaN bounds
+    store = store_with_counts([50, 50], FeatureConstraint(max_degree=0))
+    with pytest.raises(ConfigError, match="z must be a finite number >= 0"):
+        shape_ci(store, 0, 0, 0.5, z=z)
+
+
 def test_ci_midpoint_is_shape_value():
     rng = np.random.default_rng(0)
     store = store_with_counts([30, 20, 10])
