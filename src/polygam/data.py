@@ -24,6 +24,21 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 
+def feature_problems(names: list[str], kinds: list[str]) -> list[str]:
+    """Every problem of a feature list: a name that is not a string or is
+    used twice (an update and the model file name their feature, and
+    `load_feature_matrix` looks each name up in the CSV header), and kinds
+    that are not one known kind per feature."""
+    errs = [f"feature names must be strings, got {n!r}" for n in names if not isinstance(n, str)]
+    if not errs and len(set(names)) < len(names):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        errs.append(f"feature names must be unique; repeated: {repeated}")
+    if len(kinds) != len(names) or not set(kinds) <= {NUMERIC, CATEGORICAL}:
+        errs.append(f"kinds must give {NUMERIC!r} or {CATEGORICAL!r} for each of the "
+                    f"{len(names)} features, got {kinds}")
+    return errs
+
+
 def refuse_nonfinite(X: np.ndarray, names: list[str]) -> None:
     """Raise DataError naming the first column and row of X holding NaN or inf."""
     finite = np.isfinite(X)
@@ -66,7 +81,8 @@ class Dataset:
         """Raise DataError when the task is unknown, n_outputs is not 1 for
         regression and binary or is below 2 for multiclass, X is not (rows,
         features), kinds does not give a known kind per feature, y does not
-        give one target per row, two features share a name, X holds a NaN or
+        give one target per row, a feature name is not a string or two
+        features share a name, X holds a NaN or
         infinite value, or a class label is not a whole number the task can
         hold: 0 or 1 for binary, 0..n_outputs-1 for multiclass."""
         if self.task not in TASKS:
@@ -80,13 +96,8 @@ class Dataset:
             raise DataError(
                 f"X has shape {self.X.shape}, expected (rows, {len(self.feature_names)} features)"
             )
-        names = self.feature_names  # an update and the model file name their feature
-        if len(set(names)) < len(names):
-            repeated = sorted({n for n in names if names.count(n) > 1})
-            raise DataError(f"feature names must be unique; repeated: {repeated}")
-        if len(self.kinds) != len(names) or not set(self.kinds) <= {NUMERIC, CATEGORICAL}:
-            raise DataError(f"kinds must give {NUMERIC!r} or {CATEGORICAL!r} for each of the "
-                            f"{len(names)} features, got {self.kinds}")
+        if errs := feature_problems(self.feature_names, self.kinds):
+            raise DataError("; ".join(errs))
         if self.y.shape != (self.X.shape[0],):
             raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
         refuse_nonfinite(self.X, self.feature_names)

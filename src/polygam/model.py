@@ -18,13 +18,15 @@ import functools
 import json
 import math
 import operator
+import reprlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lanes
-from .data import BinLayout, CATEGORICAL, TASKS, Dataset, FeatureBins, refuse_nonfinite
+from .data import (BinLayout, CATEGORICAL, TASKS, Dataset, FeatureBins, feature_problems,
+                   refuse_nonfinite)
 from .errors import ConfigError, DataError
 
 FORMAT_VERSION = "1"
@@ -210,20 +212,13 @@ class ParameterStore:
     plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ParameterStore":
-        return ParameterStore(
-            layout=self.layout,
-            task=self.task,
-            n_outputs=self.n_outputs,
-            feature_names=self.feature_names,
-            constraints=self.constraints,
-            intercepts=self.intercepts.copy(),
-            params=[[p.copy() for p in row] for row in self.params],
-            se_fine=[[a.copy() if a is not None else None for a in row] for row in self.se_fine],
-            se_coarse=[
-                [a.copy() if a is not None else None for a in row] for row in self.se_coarse
-            ],
-            target_name=self.target_name,
-        )
+        """A store with its own parameter and SE arrays; the layout, names
+        and constraints are shared, and `predict`'s plan is left unset."""
+        def own(rows):
+            return [[None if a is None else a.copy() for a in row] for row in rows]
+
+        return replace(self, intercepts=self.intercepts.copy(), params=own(self.params),
+                       se_fine=own(self.se_fine), se_coarse=own(self.se_coarse))
 
     @property
     def has_uncertainty(self) -> bool:
@@ -233,8 +228,10 @@ class ParameterStore:
         """Raise DataError listing every array whose shape does not match the
         layout, every edge list that is not strictly ascending, every coarse
         edge that is not a fine edge, every non-finite number, an unknown
-        task, and every problem `ConstraintSpec.problems` finds (S, D and
-        sign ranges, the allow mask's shape)."""
+        task, a feature or target name that is not a string, a repeated
+        feature name or an unknown feature kind (`data.feature_problems`), and
+        every problem `ConstraintSpec.problems` finds (S, D and sign ranges,
+        the allow mask's shape)."""
         J, K = self.n_outputs, len(self.feature_names)
         se = (self.se_fine, self.se_coarse) if self.has_uncertainty else ()
         if (
@@ -244,6 +241,9 @@ class ParameterStore:
         ):
             raise DataError(f"model parameters do not match {J} outputs x {K} features")
         errs = self.constraints.problems(self.feature_names, J)
+        errs += feature_problems(self.feature_names, [fb.kind for fb in self.layout.features])
+        if not isinstance(self.target_name, str):
+            errs.append(f"the target name must be a string, got {self.target_name!r}")
         if self.task not in TASKS:
             errs.append(f"unknown task {self.task!r}, expected one of {TASKS}")
         numbers = [("intercepts", self.intercepts)]  # (what, array): checked for finiteness
@@ -679,44 +679,54 @@ def _plain(obj):
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=_plain)
 
 
+def _refuse(label: str, want: str, v):
+    raise DataError(f"{label} must be {want}, got {reprlib.repr(v)}")
+
+
+def _json(want: str, *types: type, convert=lambda v: v):
+    """A reader of a JSON value of one of types (int() would truncate 2.7 and
+    accept "3" or true): it takes the value and a label naming the feature
+    and key, and raises DataError for any other value."""
+    return lambda v, label: convert(v) if type(v) in types else _refuse(label, want, v)
+
+
+_json_int, _string = _json("a JSON integer", int), _json("a JSON string", str)
+_number = _json("a JSON number", int, float, convert=float)
+
+
+def _array(v, label: str, kinds: str = "iuf", dtype=float) -> np.ndarray:
+    """JSON numbers, or with kinds "b" JSON booleans, as an array of dtype;
+    an empty array passes."""
+    a = np.asarray(v)
+    if a.size and a.dtype.kind not in kinds:
+        _refuse(label, "JSON booleans" if kinds == "b" else "JSON numbers", v)
+    return a.astype(dtype, copy=False)
+
+
+# The model file's keys, in file order; `_document` writes them and
+# `_from_document` reads them. A feature's entry is its name, then (key,
+# attribute, reader) for each FeatureBins and then each FeatureConstraint
+# attribute. A pair's entry holds the ShapeParams attributes, an SE entry
+# one array of each of the store's SE lists.
+_NAME_KEY = "name"
+_FEATURE_KEYS = (
+    (FeatureBins, (("kind", "kind", _string), ("fine_edges", "fine_edges", _array),
+                   ("coarse_edges", "coarse_edges", _array), ("x_min", "x_min", _number),
+                   ("x_max", "x_max", _number))),
+    (FeatureConstraint, (("S", "smoothness", _json_int), ("D", "max_degree", _json_int),
+                         ("monotone", "monotone", _json_int),
+                         ("curvature", "curvature", _json_int))),
+)
+_PAIR_KEYS = ("step_values", "poly_coeffs")
+_SE_KEYS = (("fine", "se_fine"), ("coarse", "se_coarse"))
+
+
 def _document(store: ParameterStore) -> dict:
     """The model file's JSON document; numpy values are left for `_plain`."""
-    feats = []
-    for name, fb, fc in zip(store.feature_names, store.layout.features, store.constraints.features):
-        feats.append(
-            {
-                "name": name,
-                "kind": fb.kind,
-                "fine_edges": fb.fine_edges,
-                "coarse_edges": fb.coarse_edges,
-                "x_min": fb.x_min,
-                "x_max": fb.x_max,
-                "S": fc.smoothness,
-                "D": fc.max_degree,
-                "monotone": fc.monotone,
-                "curvature": fc.curvature,
-            }
-        )
-    params = [
-        [
-            {"step_values": sp.step_values, "poly_coeffs": sp.poly_coeffs}
-            for sp in row
-        ]
-        for row in store.params
-    ]
-    if store.has_uncertainty:
-        se_acc = [
-            [
-                {
-                    "fine": store.se_fine[i][k],
-                    "coarse": store.se_coarse[i][k],
-                }
-                for k in range(len(store.feature_names))
-            ]
-            for i in range(store.n_outputs)
-        ]
-    else:
-        se_acc = None
+    feats = [{_NAME_KEY: name, **{key: getattr(obj, attr) for obj, (_, keys)
+                                  in zip(held, _FEATURE_KEYS) for key, attr, _ in keys}}
+             for name, *held in zip(store.feature_names, store.layout.features,
+                                    store.constraints.features)]
     return {
         "format_version": FORMAT_VERSION,
         "task": store.task,
@@ -725,8 +735,13 @@ def _document(store: ParameterStore) -> dict:
         "features": feats,
         "allow_mask": store.constraints.allow_mask.astype(bool),
         "intercepts": store.intercepts,
-        "params": params,
-        "se_accumulators": se_acc,
+        "params": [[{key: getattr(sp, key) for key in _PAIR_KEYS} for sp in row]
+                   for row in store.params],
+        "se_accumulators": [
+            [{key: getattr(store, attr)[i][k] for key, attr in _SE_KEYS}
+             for k in range(len(store.feature_names))]
+            for i in range(store.n_outputs)
+        ] if store.has_uncertainty else None,
     }
 
 
@@ -772,73 +787,35 @@ def load_model(path) -> ParameterStore:
     return store
 
 
-def _json_int(f: dict, key: str) -> int:
-    """A feature's integer setting; int() would truncate 2.7 and accept
-    "3" or true."""
-    v = f[key]
-    if type(v) is not int:
-        raise DataError(f"feature {f.get('name')!r}: {key} must be a JSON integer, got {v!r}")
-    return v
-
-
 def _from_document(doc: dict) -> ParameterStore:
-    """The store a model document describes, before validation."""
-    feats = doc["features"]
-    layout = BinLayout(
-        features=[
-            FeatureBins(
-                fine_edges=np.asarray(f["fine_edges"], dtype=float),
-                coarse_edges=np.asarray(f["coarse_edges"], dtype=float),
-                x_min=float(f["x_min"]),
-                x_max=float(f["x_max"]),
-                kind=f["kind"],
-            )
-            for f in feats
-        ]
-    )
-    constraints = ConstraintSpec(
-        features=[
-            FeatureConstraint(
-                smoothness=_json_int(f, "S"),
-                max_degree=_json_int(f, "D"),
-                monotone=_json_int(f, "monotone"),
-                curvature=_json_int(f, "curvature"),
-            )
-            for f in feats
-        ],
-        allow_mask=np.asarray(doc["allow_mask"], dtype=bool),
-    )
-    params = [
-        [
-            ShapeParams(
-                step_values=np.asarray(sp["step_values"], dtype=float),
-                poly_coeffs=np.asarray(sp["poly_coeffs"], dtype=float),
-            )
-            for sp in row
-        ]
-        for row in doc["params"]
-    ]
+    """The store a model document describes, before validation. A value of
+    the wrong JSON type raises DataError naming its feature and key."""
+    names, feats = [], []  # feats: (FeatureBins, FeatureConstraint) per feature
+    for k, f in enumerate(doc["features"]):
+        names.append(name := _string(f[_NAME_KEY], f"feature {k}: {_NAME_KEY}"))
+        feats.append([cls(**{attr: read(f[key], f"feature {name!r}: {key}")
+                             for key, attr, read in keys}) for cls, keys in _FEATURE_KEYS])
+    named = dict(enumerate(names)).get  # a feature past the last is named by its index
+
+    def pairs(rows, read):  # read(entry, label) over each (output, feature) entry
+        return [[read(e, f"feature {named(k, k)!r}, output {i}: ") for k, e in enumerate(row)]
+                for i, row in enumerate(rows)]
+
     store = ParameterStore(
-        layout=layout,
+        layout=BinLayout([fb for fb, _ in feats]),
         task=doc["task"],
-        n_outputs=int(doc["outputs"]),
-        feature_names=[f["name"] for f in feats],
-        constraints=constraints,
-        intercepts=np.asarray(doc["intercepts"], dtype=float),
-        params=params,
-        target_name=doc.get("target_column", "target"),
+        n_outputs=_json_int(doc["outputs"], "outputs"),
+        feature_names=names,
+        constraints=ConstraintSpec([fc for _, fc in feats],
+                                   _array(doc["allow_mask"], "allow_mask", "b", bool)),
+        intercepts=_array(doc["intercepts"], "intercepts"),
+        params=pairs(doc["params"], lambda e, at: ShapeParams(
+            **{key: _array(e[key], at + key) for key in _PAIR_KEYS})),
+        target_name=_string(doc.get("target_column", "target"), "target_column"),
     )
     se_acc = doc.get("se_accumulators")
     if se_acc is not None:
-        store.se_fine = [
-            [np.asarray(e["fine"], dtype=float) if e["fine"] is not None else None for e in row]
-            for row in se_acc
-        ]
-        store.se_coarse = [
-            [
-                np.asarray(e["coarse"], dtype=float) if e["coarse"] is not None else None
-                for e in row
-            ]
-            for row in se_acc
-        ]
+        for key, attr in _SE_KEYS:
+            setattr(store, attr, pairs(se_acc, lambda e, at: None if e[key] is None
+                                       else _array(e[key], f"{at}SE {key}")))
     return store

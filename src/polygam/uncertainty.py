@@ -155,12 +155,12 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
 
 
 def shape_ci(store: ParameterStore, i: int, k: int, x, z: float = Z_95):
-    """Shape value with a pointwise z-interval: f, f - z*se, f + z*se. A z
-    that is not a finite number >= 0 raises ConfigError."""
+    """Shape value with a pointwise z-interval: f, f - z*se, f + z*se; z = 0
+    gives lo = hi = f everywhere, also outside the observed range, where se
+    is infinite. A z that is not a finite number >= 0 raises ConfigError."""
     # written so that NaN fails it
     if not (isinstance(z, numbers.Real) and 0.0 <= z < math.inf):
         raise ConfigError(f"z must be a finite number >= 0, got {z!r}")
     f = evaluate_shape(store, i, k, x)
-    var = variance_pred(store, i, k, x)
-    se = np.sqrt(var)
-    return f, f - z * se, f + z * se
+    half = z * np.sqrt(variance_pred(store, i, k, x)) if z else 0.0  # 0*inf is NaN
+    return f, f - half, f + half

@@ -429,6 +429,7 @@ def test_validate_refuses_repeated_feature_names():
         ({"n_outputs": 2}, "regression needs exactly 1 outputs, got n_outputs = 2"),
         ({"task": "binary", "n_outputs": 2}, "binary needs exactly 1 outputs"),
         ({"task": "multiclass", "n_outputs": 1}, "multiclass needs at least 2 outputs"),
+        ({"feature_names": ["a", 5]}, "feature names must be strings, got 5"),
     ],
 )
 def test_validate_refuses_an_unknown_task_kinds_or_output_count(change, message):

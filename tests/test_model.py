@@ -1,6 +1,8 @@
 """Parameter store: evaluation, update folding, masking, knots, serialization."""
 
+import inspect
 import json
+import os
 import re
 
 import numpy as np
@@ -629,6 +631,141 @@ def test_load_refuses_an_allow_mask_of_the_wrong_shape(tmp_path):
         load_model(path)
 
 
+def golden_store():
+    """Two outputs, a masked pair, a categorical feature, empty edge lists,
+    S, D and both signs set, and SE attached."""
+    features = [
+        FeatureBins(np.array([0.5, 1.0, 1.5, 2.0]), np.array([1.0]), 0.0, 3.0),
+        FeatureBins(np.array([1.5, 2.5]), np.array([]), 1.0, 3.0, kind="categorical"),
+        FeatureBins(np.array([]), np.array([]), -1.0, 0.1),
+    ]
+    constraints = [
+        FeatureConstraint(smoothness=1, max_degree=3, monotone=-1, curvature=1),
+        FeatureConstraint(smoothness=-1, max_degree=0, monotone=1),
+        FeatureConstraint(smoothness=0, max_degree=2, curvature=-1),
+    ]
+    mask = np.array([[True, True, False], [True, False, True]])
+    store = zero_init(BinLayout(features), "multiclass", 2, ["price", "zone", "flat"],
+                      ConstraintSpec(constraints, mask), target_name="choice")
+    store.intercepts[:] = [0.1, -0.0]
+    for i, row in enumerate(store.params):
+        for k, sp in enumerate(row):
+            sp.step_values[:] = np.arange(sp.step_values.size) / 3 - i
+            sp.poly_coeffs[:] = np.arange(sp.poly_coeffs.size).reshape(-1, 4) * 0.5 - k
+    store.se_fine = [[np.full(fb.n_fine_bins, 0.25 + i) if mask[i, k] else None
+                      for k, fb in enumerate(features)] for i in range(2)]
+    store.se_coarse = [[np.full((fb.n_coarse_bins, 3), 1e-7 * (k + 1)) if mask[i, k] else None
+                        for k, fb in enumerate(features)] for i in range(2)]
+    return store
+
+
+# `golden_store`'s file, pinned: `reference_dumps` writes what `_document`
+# gives it, so only this text catches a slipped key name or key order there
+GOLDEN_TEXT = (
+    '{"format_version":"1","task":"multiclass","outputs":2,"target_column":"choice",'
+    '"features":[{"name":"price","kind":"numeric","fine_edges":[0.5,1.0,1.5,2.0],'
+    '"coarse_edges":[1.0],"x_min":0.0,"x_max":3.0,"S":1,"D":3,"monotone":-1,"curvature":1},'
+    '{"name":"zone","kind":"categorical","fine_edges":[1.5,2.5],"coarse_edges":[],'
+    '"x_min":1.0,"x_max":3.0,"S":-1,"D":0,"monotone":1,"curvature":0},{"name":"flat",'
+    '"kind":"numeric","fine_edges":[],"coarse_edges":[],"x_min":-1.0,"x_max":0.1,"S":0,"D":2,'
+    '"monotone":0,"curvature":-1}],"allow_mask":[[true,true,false],[true,false,true]],'
+    '"intercepts":[0.1,-0.0],"params":[[{"step_values":[0.0,0.3333333333333333,'
+    '0.6666666666666666,1.0,1.3333333333333333],"poly_coeffs":[[0.0,0.5,1.0,1.5],[2.0,2.5,'
+    '3.0,3.5]]},{"step_values":[0.0,0.3333333333333333,0.6666666666666666],'
+    '"poly_coeffs":[[-1.0,-0.5,0.0,0.5]]},{"step_values":[0.0],"poly_coeffs":[[-2.0,-1.5,'
+    '-1.0,-0.5]]}],[{"step_values":[-1.0,-0.6666666666666667,-0.33333333333333337,0.0,'
+    '0.33333333333333326],"poly_coeffs":[[0.0,0.5,1.0,1.5],[2.0,2.5,3.0,3.5]]},'
+    '{"step_values":[-1.0,-0.6666666666666667,-0.33333333333333337],"poly_coeffs":[[-1.0,'
+    '-0.5,0.0,0.5]]},{"step_values":[-1.0],"poly_coeffs":[[-2.0,-1.5,-1.0,-0.5]]}]],'
+    '"se_accumulators":[[{"fine":[0.25,0.25,0.25,0.25,0.25],"coarse":[[1e-07,1e-07,1e-07],'
+    '[1e-07,1e-07,1e-07]]},{"fine":[0.25,0.25,0.25],"coarse":[[2e-07,2e-07,2e-07]]},'
+    '{"fine":null,"coarse":null}],[{"fine":[1.25,1.25,1.25,1.25,1.25],"coarse":[[1e-07,1e-07,'
+    '1e-07],[1e-07,1e-07,1e-07]]},{"fine":null,"coarse":null},{"fine":[1.25],'
+    '"coarse":[[3e-07,3e-07,3e-07]]}]]}'
+)
+
+
+def test_dumps_of_a_hand_built_store_is_pinned(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(golden_store(), path)
+    assert path.read_text() == GOLDEN_TEXT + "\n"
+    assert dumps_model(load_model(path)) == GOLDEN_TEXT
+
+
+def golden_doc(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(golden_store(), path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("where, value, match", [
+    (("outputs",), 2.7, "outputs must be a JSON integer, got 2.7"),  # int() gave 2
+    (("outputs",), "2", "outputs must be a JSON integer, got '2'"),
+    # both were read as True, unmasking the pair
+    (("allow_mask", 0, 2), "no", "allow_mask must be JSON booleans"),
+    (("allow_mask", 0, 2), 0.5, "allow_mask must be JSON booleans"),
+    (("features", 0, "x_min"), "0.1", "feature 'price': x_min must be a JSON number, got '0.1'"),
+    (("features", 0, "x_max"), True, "feature 'price': x_max must be a JSON number, got True"),
+    (("features", 1, "name"), 5, "feature 1: name must be a JSON string, got 5"),
+    (("features", 1, "kind"), 0, "feature 'zone': kind must be a JSON string, got 0"),
+    (("target_column",), 5, "target_column must be a JSON string, got 5"),
+    (("features", 0, "fine_edges"), ["0.5", "1.0", "1.5", "2.0"],
+     "feature 'price': fine_edges must be JSON numbers"),
+    (("intercepts",), ["0.1", "0.0"], "intercepts must be JSON numbers"),
+    (("params", 1, 0, "step_values"), [True, False, True, False, True],
+     "feature 'price', output 1: step_values must be JSON numbers"),
+    (("params", 0, 2, "poly_coeffs"), [["-2.0", -1.5, -1.0, -0.5]],
+     "feature 'flat', output 0: poly_coeffs must be JSON numbers"),
+    (("se_accumulators", 1, 2, "fine"), ["1.25"],
+     "feature 'flat', output 1: SE fine must be JSON numbers"),
+], ids=["outputs-float", "outputs-str", "mask-str", "mask-float", "x_min-str", "x_max-bool",
+        "name-int", "kind-int", "target-int", "edges-str", "intercepts-str", "steps-bool",
+        "coeffs-str", "se-str"])
+def test_load_refuses_values_of_the_wrong_json_type(tmp_path, where, value, match):
+    path, doc = golden_doc(tmp_path)
+    entry = doc
+    for key in where[:-1]:
+        entry = entry[key]
+    entry[where[-1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(match)):
+        load_model(path)
+
+
+@pytest.mark.parametrize("k, key, value, match", [
+    (1, "kind", "bogus", r"kinds must give .* got \['numeric', 'bogus', 'numeric'\]"),
+    # `polygam predict` would feed both features the one CSV column
+    (2, "name", "price", r"feature names must be unique; repeated: \['price'\]"),
+])
+def test_save_and_load_refuse_an_unknown_kind_and_repeated_names(tmp_path, k, key, value, match):
+    path, doc = golden_doc(tmp_path)
+    doc["features"][k][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        load_model(path)
+    store = golden_store()
+    if key == "name":
+        store.feature_names[k] = value
+    else:
+        store.layout.features[k].kind = value
+    with pytest.raises(DataError, match=match):
+        dumps_model(store)
+
+
+@pytest.mark.parametrize("feature, match", [
+    (True, "feature names must be strings, got 5"),
+    (False, "the target name must be a string, got 5"),
+])
+def test_save_refuses_a_name_that_load_refuses(feature, match):
+    store = golden_store()
+    if feature:
+        store.feature_names[1] = 5
+    else:
+        store.target_name = 5
+    with pytest.raises(DataError, match=match):
+        dumps_model(store)
+
+
 def test_predict_refuses_hand_built_coarse_edges_off_the_fine_grid():
     store = single_feature_store([0.5, 1.5], [1.0], 0.0, 2.0)
     with pytest.raises(DataError, match="coarse edges are not on the fine grid"):
@@ -685,7 +822,8 @@ NAMES = ['plain', 'quo"te', "back\\slash", "tab\tnew\nline\x01", "caf\u00e9", "\
 @st.composite
 def stores(draw):
     """Valid stores with 1-3 outputs and 1-3 features: masked pairs, SE on or
-    off, empty edge lists, edge floats, numpy scalars and escaped names."""
+    off, empty edge lists, edge floats, numpy scalars and distinct escaped
+    names."""
     number = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
     scalar = number | number.map(np.float64) | st.sampled_from([0.5, -2.0, 1e-7]).map(np.float32)
     name = st.sampled_from(NAMES) | st.text(max_size=6)
@@ -716,7 +854,8 @@ def stores(draw):
         ))
     mask = np.array(draw(st.lists(st.booleans(), min_size=J * K, max_size=J * K))).reshape(J, K)
     store = zero_init(BinLayout(features=features), draw(st.sampled_from(["regression", "binary"])),
-                      J, [draw(name) for _ in range(K)], ConstraintSpec(constraints, mask),
+                      J, draw(st.lists(name, min_size=K, max_size=K, unique=True)),
+                      ConstraintSpec(constraints, mask),
                       target_name=draw(name))
     store.intercepts = array(J)
     for row in store.params:
@@ -734,6 +873,35 @@ def stores(draw):
 @given(stores())
 def test_dumps_matches_the_reference_writer_byte_for_byte(store):
     assert dumps_model(store) == reference_dumps(store)
+
+
+@given(store=stores())
+def test_load_gives_back_the_dumped_text(tmp_path_factory, store):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    text = dumps_model(store)
+    path.write_text(text)
+    assert dumps_model(load_model(path)) == text
+
+
+def file_keys():
+    """Every key of a feature, pair and SE entry, in file order."""
+    return ([model._NAME_KEY] + [key for _, keys in model._FEATURE_KEYS for key, _, _ in keys]
+            + list(model._PAIR_KEYS) + [key for key, _ in model._SE_KEYS])
+
+
+def test_the_writer_and_reader_take_every_entry_key_from_the_tables():
+    keys = file_keys()
+    assert len(set(keys)) == len(keys) == 14
+    for walker in (model._document, model._from_document):
+        source = inspect.getsource(walker)
+        assert not [key for key in keys if f'"{key}"' in source]
+
+
+def test_readme_model_file_section_names_every_entry_key_in_file_order():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = re.search(r"## The model file\n(.*?)\n## ", fh.read(), re.S).group(1)
+    assert re.findall(r'`"(\w+)"`', section) == file_keys()
 
 
 def test_encoder_matches_the_reference_writer_on_numpy_values():

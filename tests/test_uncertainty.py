@@ -1,5 +1,7 @@
 """Diagonal-Hessian standard errors and confidence bands."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +101,19 @@ def test_shape_ci_refuses_a_z_that_is_not_finite_and_non_negative(z):
     store = store_with_counts([50, 50], FeatureConstraint(max_degree=0))
     with pytest.raises(ConfigError, match="z must be a finite number >= 0"):
         shape_ci(store, 0, 0, 0.5, z=z)
+
+
+def test_shape_ci_with_z_zero_is_the_shape_value_everywhere():
+    # outside [x_min, x_max] se is infinite, and 0 * inf is NaN
+    store = store_with_counts([30, 20, 10])
+    store.params[0][0].poly_coeffs[:, 1] = 0.5
+    x = np.array([-1.0, 0.5, 2.5, 9.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, lo, hi = shape_ci(store, 0, 0, x, z=0.0)
+        assert np.isinf(variance_pred(store, 0, 0, x)[[0, 3]]).all()
+        assert shape_ci(store, 0, 0, 9.0, z=0) == (f[3], f[3], f[3])
+    assert np.array_equal(lo, f) and np.array_equal(hi, f) and np.isfinite(f).all()
 
 
 def test_ci_midpoint_is_shape_value():
