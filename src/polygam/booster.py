@@ -15,6 +15,7 @@ leaf values into a feasible interval before gains are compared.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import json
@@ -161,12 +162,11 @@ def candidate_gain(gamma_left, sg_left, sh_left, gamma_right, sg_right, sh_right
 # per-feature workspace
 
 
-def _powers(v: np.ndarray, top: int) -> np.ndarray:
-    """Rows v^0..v^top on a new first axis, each the previous row times v."""
-    out = np.empty((top + 1,) + v.shape)
+def _powers(out: np.ndarray) -> np.ndarray:
+    """In place, out[p] = v^p for v = out[1]: each row the previous one times v."""
     out[0] = 1.0
-    for p in range(1, top + 1):
-        np.multiply(out[p - 1], v, out=out[p])
+    for p in range(2, len(out)):
+        np.multiply(out[p - 1], out[1], out=out[p])
     return out
 
 
@@ -186,22 +186,16 @@ class _FeatureWork:
         self.high_degrees = [d for d in self.split_degrees if d >= 1]  # coarse-grid splits
         self.global_degrees = list(range(0, fc.smoothness + 1))
 
-        fcodes = fine_code(fb, x)
-        piece, t = locate(fb, x, fcodes)
-        counts = np.bincount(fcodes, minlength=fb.n_fine_bins)
-        self.n_left_fine = np.cumsum(counts)[:-1]  # per fine edge
-        # the degree-0 scan runs on the fine grid; n_fine is its threshold count
-        self.n_fine = fb.fine_edges.size if 0 in self.split_degrees else 0
-
-        ccounts = np.bincount(piece, minlength=fb.n_coarse_bins)
-        self.n_left_coarse = np.cumsum(ccounts)[:-1]  # per coarse edge
-
         self.lower = fb.coarse_lower_edges
         self.upper = np.append(fb.coarse_edges, fb.x_max)
         self.widths = self.upper - self.lower
 
         self.max_split_deg = max(self.high_degrees, default=0)
-        self._build_blocks(fcodes, counts, t, ccounts)
+        fcounts, counts = self._build_blocks()
+        self.n_left_fine = np.cumsum(fcounts)[:-1]  # per fine edge
+        # the degree-0 scan runs on the fine grid; n_fine is its threshold count
+        self.n_fine = fb.fine_edges.size if 0 in self.split_degrees else 0
+        self.n_left_coarse = np.cumsum(counts)[:-1]  # per coarse edge
         self._build_tensors()
 
         # the scan's side sums; a fit's `_Candidates` makes `sums` a view of
@@ -209,31 +203,42 @@ class _FeatureWork:
         J = int(outputs.max(initial=-1)) + 1 if n_outputs is None else n_outputs
         self.sums = np.zeros((J, 4, self.n_fine + self.row_degree.size))
 
-    def _build_blocks(self, fcodes, fcounts, t, counts) -> None:
+    def _build_blocks(self):
         """Rows sorted stably by fine code, so that every fine bin and every
         coarse piece is a run of rows, and cut into blocks of at most `size`
         rows; a block never holds two pieces, so a piece's moments are the
-        sums of its blocks' products.
+        sums of its blocks' products. Returns the row counts of the fine bins
+        and of the coarse pieces.
 
         slot_row[b, c] is the row in slot c of block b. The last block of a
         piece pads out with row n, the zero last column of the scan's g/h
         matrix, so padding adds nothing and a non-finite weight stays in its
         own piece and fine bin. tblock[b, m, c] is the slot's t^m for
-        m = 0..max_split_deg. fine_start is the first slot of each non-empty
-        fine bin; a bin's rows (and any padding) run to the next one's.
-        Blocks of n / (4 * pieces) rows keep the padding under a quarter of
-        the rows; they hold at least 32, because each block is one BLAS
-        call, and on small data the calls would cost more than the padded
-        slots do."""
-        n, n_pieces = t.size, counts.size
+        m = 0..max_split_deg, stored as (m, b, c): the block product's BLAS
+        path, and so its bits, depend on that layout. fine_start is the first
+        slot of each non-empty fine bin; a bin's rows (and any padding) run
+        to the next one's. Blocks of n / (4 * pieces) rows keep the padding
+        under a quarter of the rows; they hold at least 32, because each
+        block is one BLAS call, and on small data the calls would cost more
+        than the padded slots do. Arrays of n rows go once used, so beside
+        the arrays kept the powers need only t."""
+        fb, x = self.fb, self.x
+        fcodes = fine_code(fb, x)
+        piece, t = locate(fb, x, fcodes)
+        t = np.append(t, 0.0)  # padding's t, so its powers are finite
+        fcounts = np.bincount(fcodes, minlength=fb.n_fine_bins)
+        counts = np.bincount(piece, minlength=fb.n_coarse_bins)
+        del piece
+        n, n_pieces = x.size, counts.size
         size = max(-(-n // (4 * n_pieces)), 32)
         n_blocks = -(-counts // size)
         self.nonempty = np.flatnonzero(counts)
         first_block = np.cumsum(n_blocks) - n_blocks
         self.block_start = first_block[self.nonempty]
-        # a key of 16 bits or fewer sorts by radix, several times faster;
-        # fine bins nest in coarse pieces, so the rows run by piece too
-        order = np.argsort(fcodes.astype(np.min_scalar_type(fcounts.size)), kind="stable")
+        # a key of 8 bits (256 fine bins) or 16 sorts by radix, several times
+        # faster; fine bins nest in coarse pieces, so the rows run by piece too
+        order = np.argsort(fcodes.astype(np.min_scalar_type(fcounts.size - 1)), kind="stable")
+        del fcodes
         # the q-th row of piece p goes to slot q of the piece's first block
         start = np.cumsum(counts) - counts
         dest = np.arange(n) + np.repeat(first_block * size - start, counts)
@@ -242,9 +247,13 @@ class _FeatureWork:
         self.slot_row = row.reshape(-1, size)
         self.fine_nonempty = np.flatnonzero(fcounts)
         self.fine_start = dest[(np.cumsum(fcounts) - fcounts)[self.fine_nonempty]]
+        del order, dest
         if self.max_split_deg >= 1:
-            T = _powers(np.append(t, 0.0)[self.slot_row], self.max_split_deg)
-            self.tblock = T.transpose(1, 0, 2)
+            T = np.empty((self.max_split_deg + 1,) + self.slot_row.shape)
+            t.take(self.slot_row, out=T[1], mode="clip")  # "raise" buffers out
+            del t
+            self.tblock = _powers(T).transpose(1, 0, 2)
+        return fcounts, counts
 
     def _build_tensors(self) -> None:
         """The row table: every polynomial candidate of the feature is one
@@ -958,25 +967,36 @@ def train(
     store.intercepts = intercepts.copy()
     initial_store = store.copy()
 
-    J = dataset.n_outputs
-    works = [
-        _FeatureWork(ds_train.X[:, k], layout.features[k], constraints.features[k],
-                     np.flatnonzero(constraints.allow_mask[:, k]), J)
-        for k in range(len(dataset.feature_names))
-    ]
-
-    n_tr = ds_train.X.shape[0]
-    cands = _Candidates(works, J, cfg, n_tr)
-    GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
-    n_lanes = lanes._cpus()
-    scan = _Scan(works, n_lanes)
-    rows = _Rows(ds_train, ds_valid, intercepts, GH, n_lanes)
+    J, F, n_tr, n_lanes = dataset.n_outputs, dataset.n_features, ds_train.n_rows, lanes._cpus()
     log: list[LogRecord] = []
     best_iter = 0
     last_iter = 0
 
-    # the lanes run on this pool; leaving the block joins its threads
-    with lanes._lanes_pool(max(len(scan.lanes), rows.lanes)) as pool:
+    # the fit's one pool, joined on leaving the block. From PAR_MIN_VALUES
+    # training rows the build, the scan and the row pass all go on lanes and
+    # it opens before the build; below, only a scan run can open it, after
+    with contextlib.ExitStack() as held:
+        setup = n_lanes if n_tr >= lanes.PAR_MIN_VALUES else 1
+        pool = held.enter_context(lanes._lanes_pool(setup)) if setup > 1 else None
+        # whole features, most powers first, each to the least loaded lane
+        works, jobs, load = [None] * F, [[] for _ in range(setup)], [0] * setup
+        for k in sorted(range(F), key=lambda k: -constraints.features[k].max_degree):
+            lane = load.index(min(load))
+            jobs[lane].append(k)
+            load[lane] += constraints.features[k].max_degree + 2  # slot_row, t^0..t^D
+
+        def build(ks):
+            for k in ks:
+                works[k] = _FeatureWork(ds_train.X[:, k], layout[k], constraints.features[k],
+                                        np.flatnonzero(constraints.allow_mask[:, k]), J)
+
+        lanes._on_lanes(pool, [functools.partial(build, ks) for ks in jobs])
+        cands = _Candidates(works, J, cfg, n_tr)
+        GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
+        scan = _Scan(works, n_lanes)
+        rows = _Rows(ds_train, ds_valid, intercepts, GH, n_lanes)
+        if setup == 1:
+            pool = held.enter_context(lanes._lanes_pool(len(scan.lanes)))
 
         def losses(picks: list[LogRecord], when: str):
             """The row pass: fold the picks in, write the next g and h and

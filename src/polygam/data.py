@@ -39,6 +39,16 @@ def feature_problems(names: list[str], kinds: list[str]) -> list[str]:
     return errs
 
 
+def output_problems(task: str, n_outputs) -> list[str]:
+    """The problem of an output count that a known task cannot have: it
+    needs exactly 1 for regression and binary, at least 2 for multiclass."""
+    multi = task == "multiclass"
+    if isinstance(n_outputs, numbers.Integral) and (n_outputs >= 2 if multi else n_outputs == 1):
+        return []
+    return [f"{task} needs {'at least 2' if multi else 'exactly 1'} outputs, "
+            f"got n_outputs = {n_outputs}"]
+
+
 def refuse_nonfinite(X: np.ndarray, names: list[str]) -> None:
     """Raise DataError naming the first column and row of X holding NaN or inf."""
     finite = np.isfinite(X)
@@ -87,11 +97,8 @@ class Dataset:
         hold: 0 or 1 for binary, 0..n_outputs-1 for multiclass."""
         if self.task not in TASKS:
             raise DataError(f"unknown task {self.task!r}, expected one of {TASKS}")
-        multi = self.task == "multiclass"
-        J = self.n_outputs
-        if not (isinstance(J, numbers.Integral) and (J >= 2 if multi else J == 1)):
-            raise DataError(f"{self.task} needs {'at least 2' if multi else 'exactly 1'} "
-                            f"outputs, got n_outputs = {J}")
+        if errs := output_problems(self.task, self.n_outputs):
+            raise DataError(errs[0])
         if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
             raise DataError(
                 f"X has shape {self.X.shape}, expected (rows, {len(self.feature_names)} features)"

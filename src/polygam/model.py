@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lanes
 from .data import (BinLayout, CATEGORICAL, TASKS, Dataset, FeatureBins, feature_problems,
-                   refuse_nonfinite)
+                   output_problems, refuse_nonfinite)
 from .errors import ConfigError, DataError
 
 FORMAT_VERSION = "1"
@@ -51,6 +51,9 @@ CHUNK_ROWS = 2 * TABLE_MIN_VALUES  # `predict`'s rows per chunk
 # 14.5 and 19; choice_monotone (8 pairs, 100,000 rows) 9.9 against 7.8, 9.2
 # and 13. The README has the ranges.
 LANE_CHUNK_VALUES = 2**17
+# values between `predict`'s per-pair work arrays: 40 cache lines, so the
+# five start at five different offsets in a 4 KiB page (see `_work`)
+WORK_GAP = 320
 
 
 def _is_int(v) -> bool:
@@ -227,11 +230,13 @@ class ParameterStore:
     def validate(self) -> None:
         """Raise DataError listing every array whose shape does not match the
         layout, every edge list that is not strictly ascending, every coarse
-        edge that is not a fine edge, every non-finite number, an unknown
-        task, a feature or target name that is not a string, a repeated
-        feature name or an unknown feature kind (`data.feature_problems`), and
-        every problem `ConstraintSpec.problems` finds (S, D and sign ranges,
-        the allow mask's shape)."""
+        edge that is not a fine edge, every non-finite number, SE
+        accumulators missing on an allowed pair or set on a masked one, an
+        unknown task or an output count it cannot have
+        (`data.output_problems`), a feature or target name that is not a
+        string, a repeated feature name or an unknown feature kind
+        (`data.feature_problems`), and every problem `ConstraintSpec.problems`
+        finds (S, D and sign ranges, the allow mask's shape)."""
         J, K = self.n_outputs, len(self.feature_names)
         se = (self.se_fine, self.se_coarse) if self.has_uncertainty else ()
         if (
@@ -246,7 +251,10 @@ class ParameterStore:
             errs.append(f"the target name must be a string, got {self.target_name!r}")
         if self.task not in TASKS:
             errs.append(f"unknown task {self.task!r}, expected one of {TASKS}")
+        else:
+            errs += output_problems(self.task, J)
         numbers = [("intercepts", self.intercepts)]  # (what, array): checked for finiteness
+        mask = self.constraints.allow_mask
         for k, (name, fb) in enumerate(zip(self.feature_names, self.layout.features)):
             for grid, edges in (("fine", fb.fine_edges), ("coarse", fb.coarse_edges)):
                 numbers.append((f"feature {name!r}: {grid} edges", edges))
@@ -269,6 +277,12 @@ class ParameterStore:
                         ("SE coarse accumulator", self.se_coarse[i][k],
                          (fb.n_coarse_bins, MAX_DEGREE)),
                     ]
+                    for what, arr, _ in arrays[2:]:
+                        # `shape_ci` reads an allowed pair's SEs; a masked pair has none
+                        if mask.shape == (J, K) and (arr is None) == bool(mask[i, k]):
+                            errs.append(f"feature {name!r}, output {i}: {what} " + (
+                                "missing on an allowed pair" if arr is None
+                                else "set on a masked pair"))
                 for what, arr, want in arrays:
                     if arr is None:  # a masked pair has no SE accumulators
                         continue
@@ -537,8 +551,20 @@ def _work(P: int, J: int, slots: int, m: int) -> tuple:
     """One lane's work arrays for chunks of up to m rows: per pair its
     (pair, fine bin) entries, piece rows, t, values and gathered numbers;
     the (slot, output) stack, whose slots past an output's last pair hold
-    -0.0, which leaves every sum unchanged; and the outputs' sums."""
-    (at, rows), (t, val, c) = np.empty((2, P, m), np.intp), np.empty((3, P, m))
+    -0.0, which leaves every sum unchanged; and the outputs' sums.
+
+    The five per-pair arrays share one buffer, each WORK_GAP values past
+    the end of the one before, so that arrays of a power-of-two size do not
+    start on the same cache sets. binary_large's (8, 16384) arrays are
+    1 MiB each; laid back to back on huge pages, the lane's chunk loop ran
+    at about half speed."""
+    n = P * m
+    if n < WORK_GAP:  # arrays this small share a page anyway; a one-row call stays lean
+        (at, rows), (t, val, c) = np.empty((2, P, m), np.intp), np.empty((3, P, m))
+    else:
+        buf = np.empty((5, n + WORK_GAP))[:, :n].reshape(5, P, m)
+        # intp is the size of float64 on 64-bit hosts
+        (at, rows), (t, val, c) = buf[:2].view(np.intp), buf[2:]
     return at, rows, t, val, c, np.full((slots * J, m), -0.0), np.empty((J, m))
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,11 +462,12 @@ def test_global_term_bytes_do_not_depend_on_blas_threads():
     assert shas[0] == shas[1]
 
 
-# two features of 40,000 rows, 35,000 of them for training: each feature
-# is its own run of more than PAR_MIN_VALUES slots and the training rows
-# number more than PAR_MIN_VALUES, so with two CPUs the fit scans segments
-# and runs its row pass on two lanes; each lane passes over a range of the
-# validation rows, then a range of the training rows
+# two features of 40,000 rows, 35,000 of them for training: the training
+# rows number more than PAR_MIN_VALUES and each feature is its own run of
+# more than PAR_MIN_VALUES slots, so with two CPUs the fit builds one
+# feature's workspace on each lane, then scans segments and runs its row
+# pass on two lanes; each lane passes over a range of the validation rows,
+# then a range of the training rows
 LANE_FIT = (
     "rng = np.random.default_rng(5)\n"
     "X = rng.normal(size=(40000, 2))\n"
@@ -478,9 +480,10 @@ LANE_FIT = (
     "                     validation_fraction=0.125)\n"
     "res = pg.train(ds, config=cfg)"
 )
-# the per-lane stages: a scan segment and the row pass's derivative and
-# loss kernels
-LANE_STAGES = [(booster._Segment, "scan"), (booster, "derivative_rows"), (booster, "loss_rows")]
+# the per-lane stages: a workspace build, a scan segment and the row pass's
+# derivative and loss kernels
+LANE_STAGES = [(booster._FeatureWork, "_build_blocks"), (booster._Segment, "scan"),
+               (booster, "derivative_rows"), (booster, "loss_rows")]
 
 
 def run_lane_fit(task="binary"):
@@ -519,7 +522,8 @@ def test_lanes_keep_model_bytes_and_log(monkeypatch):
         two, two_threads = lane_fit(monkeypatch, 2, task)
         assert set(one_threads) == set(two_threads) == {name for _, name in LANE_STAGES}
         assert all(t == {threading.get_ident()} for t in one_threads.values()), task
-        # a worker lane scanned and ran the row pass beside this thread
+        # a worker lane built a workspace, scanned and ran the row pass
+        # beside this thread
         assert all(len(t) == 2 for t in two_threads.values()), task
         assert one.valid_loss is not None
         assert dumps_model(two.store) == dumps_model(one.store), task
@@ -536,7 +540,8 @@ def test_lanes_leave_no_thread_and_raise_a_lane_error(monkeypatch):
     before, caller = threading.active_count(), threading.get_ident()
     lane_fit(monkeypatch, 2)
     assert threading.active_count() == before
-    # an error in a scan segment, and in the row pass's derivatives and loss terms
+    # an error in a workspace build, a scan segment, and the row pass's
+    # derivatives and loss terms
     for owner, name in LANE_STAGES:
         fn = getattr(owner, name)
 
@@ -561,6 +566,77 @@ def test_worker_lanes_keep_the_callers_numpy_error_state(monkeypatch):
     assert len(seen) == len(LANE_STAGES)
     for calls in seen.values():
         assert {over for _, over in calls} == {"raise"} and len(calls) == 2
+
+
+def lane_fit_works(monkeypatch, cpus: int):
+    """The workspaces of LANE_FIT with the CPU count stubbed to `cpus`, as
+    the fit hands them from the build to `_Candidates`."""
+    monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+    built, candidates = [], booster._Candidates
+    with monkeypatch.context() as m:
+        m.setattr(booster, "_Candidates",
+                  lambda works, *args: built.append(works) or candidates(works, *args))
+        run_lane_fit()
+    return built[0]
+
+
+def test_workspaces_keep_their_bits_on_two_lanes(monkeypatch):
+    one, two = lane_fit_works(monkeypatch, 1), lane_fit_works(monkeypatch, 2)
+    assert len(one) == len(two) == 2
+    for a, b in zip(one, two):
+        for name in ("slot_row", "tblock", "fine_start", "block_start", "Wg", "Wh"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        # t^m is stored as (m, block, slot): the block product's BLAS path,
+        # and so its bits, depend on that layout
+        assert b.tblock.transpose(1, 0, 2).flags.c_contiguous
+
+
+def test_workspace_build_holds_little_beside_what_it_keeps():
+    # the build's transient peak, its peak less the arrays it keeps, in
+    # arrays of n float64; gathering t^1 into the powers, forming them in
+    # place and dropping the sort's arrays first keeps it under 2.5
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=40000)
+    fb = layout_for(make_dataset(x, x))[0]
+    fc = FeatureConstraint(smoothness=-1, max_degree=3)
+    _FeatureWork(x, fb, fc)  # the layout's cached lookups are made here
+    tracemalloc.start()
+    try:
+        wk = _FeatureWork(x, fb, fc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wk.tblock.shape[1] == 4
+    assert (peak - kept) / (8 * x.size) <= 2.5
+
+
+def test_one_pool_per_fit_opens_at_the_first_gate_it_passes(monkeypatch):
+    # LANE_FIT on 4,000 rows: 3,500 training rows, and both features in one
+    # run of over 7,000 slots. At a gate of 3,500 values the build, the scan
+    # and the row pass go on lanes, and the pool opens before the build; at
+    # 5,000 only the scan does, and it opens once the build is done; at 2^20
+    # none does, and there is no pool
+    monkeypatch.setattr(lanes, "_cpus", lambda: 2)
+    pool, dumps = lanes._lanes_pool, []
+    for gate, opened, on_two in ((3500, [(2, False)], {"_build_blocks", "scan", "derivative_rows",
+                                                        "loss_rows"}),
+                                 (5000, [(2, True)], {"scan"}),
+                                 (2**20, [(1, True)], set())):
+        threads, calls = {}, []
+        with monkeypatch.context() as m:
+            m.setattr(lanes, "PAR_MIN_VALUES", gate)
+            m.setattr(lanes, "_lanes_pool",
+                      lambda n: calls.append((n, "_build_blocks" in threads)) or pool(n))
+            spy_lanes(m, threads)
+            before = threading.active_count()
+            ns = {"pg": polygam, "np": np, "task": "binary"}
+            exec(LANE_FIT.replace("40000", "4000"), ns)
+        assert threading.active_count() == before
+        assert calls == opened, gate
+        assert {name for name, t in threads.items() if len(t) == 2} == on_two, gate
+        dumps.append(dumps_model(ns["res"].store))
+    assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
 
 
 def test_segments_of_equal_runs_deal_evenly(monkeypatch):
@@ -923,8 +999,9 @@ def test_training_computes_the_link_once_per_iteration(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_each_iteration_is_two_lane_jobs(monkeypatch, cpus):
-    # the starting loss's row pass, then per iteration a scan and a row pass
-    # that also writes the next iteration's g and h
+    # the workspace build and the starting loss's row pass, then per
+    # iteration a scan and a row pass that also writes the next iteration's
+    # g and h
     jobs, on_lanes = [], lanes._on_lanes
 
     def count(pool, lane_jobs):
@@ -935,7 +1012,7 @@ def test_each_iteration_is_two_lane_jobs(monkeypatch, cpus):
     monkeypatch.setattr(lanes, "_on_lanes", count)
     res = run_lane_fit()
     assert res.n_iterations == 4
-    assert jobs == [cpus] * (1 + 2 * 4)
+    assert jobs == [cpus] * (2 + 2 * 4)
 
 
 def test_overflowing_target_is_refused_before_training():

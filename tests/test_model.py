@@ -261,7 +261,7 @@ def test_degree1_threshold_must_be_coarse_edge():
 
 def bad_fold_store():
     """Two outputs over one feature with S = 1, D = 3; output 1 is masked out."""
-    store = single_feature_store([1.0, 2.0], [2.0], 0.0, 3.0, n_outputs=2,
+    store = single_feature_store([1.0, 2.0], [2.0], 0.0, 3.0, n_outputs=2, task="multiclass",
                                  constraint=FeatureConstraint(smoothness=1, max_degree=3))
     store.constraints.allow_mask[1, 0] = False
     return store
@@ -732,6 +732,47 @@ def test_load_refuses_values_of_the_wrong_json_type(tmp_path, where, value, matc
         load_model(path)
 
 
+@pytest.mark.parametrize("i, k, match", [
+    # `shape_ci` would draw a zero-width band round an allowed pair's shape
+    (1, 0, "feature 'price', output 1: SE fine accumulator missing on an allowed pair"),
+    (0, 2, "feature 'flat', output 0: SE fine accumulator set on a masked pair"),
+], ids=["allowed-without", "masked-with"])
+def test_save_and_load_tie_se_accumulators_to_the_allow_mask(tmp_path, i, k, match):
+    path, doc = golden_doc(tmp_path)
+    entry = doc["se_accumulators"][i][k]
+    masked = entry["fine"] is None
+    # 'flat' has one fine bin and one coarse piece
+    entry["fine"], entry["coarse"] = ([0.5], [[0.5] * 3]) if masked else (None, None)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        load_model(path)
+    store = golden_store()
+    store.se_fine[i][k] = np.full(1, 0.5) if masked else None
+    store.se_coarse[i][k] = np.full((1, 3), 0.5) if masked else None
+    with pytest.raises(DataError, match=match):
+        dumps_model(store)
+
+
+@pytest.mark.parametrize("task, J", [("regression", 2), ("binary", 2), ("multiclass", 1)])
+def test_save_and_load_refuse_an_output_count_the_task_cannot_have(tmp_path, task, J):
+    fb = FeatureBins(np.array([0.5]), np.array([]), 0.0, 1.0)
+    spec = ConstraintSpec([FeatureConstraint()], np.ones((J, 1), dtype=bool))
+    store = zero_init(BinLayout([fb]), "multiclass" if J > 1 else "regression", J, ["a"], spec)
+    path = tmp_path / "m.json"
+    save_model(store, path)
+    doc = json.loads(path.read_text())
+    doc["task"] = task
+    path.write_text(json.dumps(doc))
+    # the rule and message of `Dataset.validate`
+    match = (f"{task} needs {'at least 2' if task == 'multiclass' else 'exactly 1'} outputs, "
+             f"got n_outputs = {J}")
+    with pytest.raises(DataError, match=match):
+        load_model(path)
+    store.task = task
+    with pytest.raises(DataError, match=match):
+        dumps_model(store)
+
+
 @pytest.mark.parametrize("k, key, value, match", [
     (1, "kind", "bogus", r"kinds must give .* got \['numeric', 'bogus', 'numeric'\]"),
     # `polygam predict` would feed both features the one CSV column
@@ -853,8 +894,10 @@ def stores(draw):
             curvature=draw(small_int(-1, 1)) if S >= 0 and D >= 2 else 0,
         ))
     mask = np.array(draw(st.lists(st.booleans(), min_size=J * K, max_size=J * K))).reshape(J, K)
-    store = zero_init(BinLayout(features=features), draw(st.sampled_from(["regression", "binary"])),
-                      J, draw(st.lists(name, min_size=K, max_size=K, unique=True)),
+    # the output count the task needs: exactly 1, or at least 2 for multiclass
+    task = draw(st.sampled_from(["regression", "binary"] if J == 1 else ["multiclass"]))
+    store = zero_init(BinLayout(features=features), task, J,
+                      draw(st.lists(name, min_size=K, max_size=K, unique=True)),
                       ConstraintSpec(constraints, mask),
                       target_name=draw(name))
     store.intercepts = array(J)

@@ -291,3 +291,12 @@ def test_one_row_predict_stays_off_the_lanes(monkeypatch):
     assert calls == []
     predict(store, X)  # at the gate: the spies see it
     assert calls == ["cpus", "pool"]
+
+
+def test_lane_work_arrays_start_at_five_offsets_in_a_page():
+    # binary_large's lane: 8 pairs and 16,384-row chunks, 1 MiB per array;
+    # arrays that start at one offset in a page fall on the same cache sets
+    at, rows, t, val, c, *_ = model._work(8, 1, 8, 16384)
+    assert len({a.ctypes.data % 4096 for a in (at, rows, t, val, c)}) == 5
+    assert at.dtype == rows.dtype == np.intp
+    assert all(a.shape == (8, 16384) and a.flags.c_contiguous for a in (at, rows, t, val, c))

@@ -24,12 +24,12 @@ Run it under two source trees and diff the output:
 
     PYTHONPATH=<tree>/src python3 tools/byte_grid.py --seed 0 > grid_0.txt
 
-The fits are far below the size at which training scans and runs its row
-pass on parallel lanes, and the probe below the size at which `predict`
-does. `--lanes N` stubs the CPU count of `polygam.lanes` to N and opens
-its size gate, so that every cell scans its segments, runs its row pass,
-predicts the probe and attaches SEs on N lanes; the hashes must not
-change.
+The fits are far below the size at which training builds its feature
+workspaces, scans and runs its row pass on parallel lanes, and the probe
+below the size at which `predict` does. `--lanes N` stubs the CPU count of
+`polygam.lanes` to N and opens its size gate, so that every cell builds its
+workspaces, scans its segments, runs its row pass, predicts the probe and
+attaches SEs on N lanes; the hashes must not change.
 
 Uses only the standard library and numpy. The library and its tests do not
 import it.
