@@ -15,7 +15,6 @@ leaf values into a feasible interval before gains are compared.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import json
@@ -311,16 +310,15 @@ class _Scan:
     products and outputs are gathered one at a time, so its sums are bit
     for bit those of a scan of it and of that output alone.
 
-    On more than one lane (a run of `lanes.PAR_MIN_VALUES` slots or more
-    opens the gate), each run is cut at piece starts into one segment per
-    lane, and the segments are dealt longest first by slots times outputs,
-    each to the least loaded lane, so lane loads differ by at most one
-    segment. Each lane has a gather buffer of three rows of its biggest
-    segment. A piece and each of its fine bins lie in one segment and sum
-    the same slots in the same order as in a scan of the whole run, and a
-    run's recombination runs once all its segments are done, on the lane
-    that finished the last one; so every sum keeps its bits on any number
-    of lanes."""
+    On more than one lane (`lanes.gate` on the biggest run's slots), each
+    run is cut at piece starts into one segment per lane, and `lanes.deal`
+    hands out the segments, weighed by slots times outputs, so lane loads
+    differ by at most one segment. Each lane has a gather buffer of three
+    rows of its biggest segment. A piece and each of its fine bins lie in
+    one segment and sum the same slots in the same order as in a scan of
+    the whole run, and a run's recombination runs once all its segments
+    are done, on the lane that finished the last one; so every sum keeps
+    its bits on any number of lanes."""
 
     def __init__(self, works: list[_FeatureWork], n_lanes: int = 1):
         works = [wk for wk in works if wk.sums.size and wk.outputs.size]
@@ -333,17 +331,11 @@ class _Scan:
             runs[-1][1] += wk.slot_row.size
             runs[-1][2].append(wk)
         self.runs = [_Run(run) for _, _, run in runs]
-        if max((r.slot_row.size for r in self.runs), default=0) < lanes.PAR_MIN_VALUES:
-            n_lanes = 1
-        self.lanes = [[] for _ in range(n_lanes)]
-        load = [0] * n_lanes
-        cuts = [run.cut(n_lanes) for run in self.runs]
-        self.n_segments = {run: len(segs) for run, segs in zip(self.runs, cuts)}
-        segments = [seg for segs in cuts for seg in segs]
-        for seg in sorted(segments, key=lambda s: -s.slot_row.size * len(s.run.outputs)):
-            lane = load.index(min(load))
-            self.lanes[lane].append(seg)
-            load[lane] += seg.slot_row.size * len(seg.run.outputs)
+        n_lanes = lanes.gate(max((r.slot_row.size for r in self.runs), default=0), n_lanes)
+        segments = [seg for run in self.runs for seg in run.cut(n_lanes)]
+        self.n_segments = {run: sum(seg.run is run for seg in segments) for run in self.runs}
+        self.lanes = [[segments[i] for i in lane] for lane in lanes.deal(
+            [seg.slot_row.size * len(seg.run.outputs) for seg in segments], n_lanes)]
         self.bufs = [np.empty(3 * max((s.slot_row.size for s in lane), default=0))
                      for lane in self.lanes]
         self.lock = threading.Lock()
@@ -808,15 +800,15 @@ class _Rows:
 
     The pass adds the iteration's updates to the scores, then writes the
     link into p and each row's loss term into `terms`, and for the training
-    rows the next iteration's g and h into GH. Each set is cut into one
-    equal range per lane, and a lane runs its validation range before its
-    training range, so GH is the last array it writes before the scan. The
-    training set's `tmp` is GH's last row, which `derivative_rows` writes
-    only after the range is done with it. Every row's arithmetic is that of
-    a pass over all rows, and each loss is one mean over its set's terms on
-    the calling thread, so the losses and the model keep their bits on any
-    number of lanes. Fewer than `lanes.PAR_MIN_VALUES` training rows run on
-    one lane."""
+    rows the next iteration's g and h into GH. `lanes.cuts` cuts the
+    validation rows and then the training rows, as one sequence, into one
+    range per lane, so GH is the last array a lane writes before the scan;
+    `lanes.gate` on the training rows gives the lanes. The training set's
+    `tmp` is GH's last row, which `derivative_rows` writes only after the
+    range is done with it. Every row's arithmetic is that of a pass over
+    all rows, and each loss is one mean over its set's terms on the
+    calling thread, so the losses and the model keep their bits on any
+    number of lanes."""
 
     def __init__(self, train: Dataset, valid: Dataset | None, intercepts: np.ndarray,
                  GH: np.ndarray, n_lanes: int):
@@ -824,9 +816,8 @@ class _Rows:
         self.train = _RowSet(train, intercepts, np.empty(n), GH[-1, :n])
         self.sets = [self.train] if valid is None else [
             _RowSet(valid, intercepts, *np.empty((2, valid.n_rows))), self.train]
-        self.lanes = L = n_lanes if n >= lanes.PAR_MIN_VALUES else 1
-        self.ranges = [[(rs, slice(len(rs.F) * k // L, len(rs.F) * (k + 1) // L))
-                        for rs in self.sets] for k in range(L)]
+        self.ranges = [[(self.sets[s], r) for s, r in pieces] for pieces in lanes.cuts(
+            [len(rs.F) for rs in self.sets], lanes.gate(n, n_lanes))]
 
     def apply(self, store: ParameterStore, picks: list[LogRecord], lr: float, pool):
         """Fold the picks into the store, add their updates to every set's
@@ -972,31 +963,25 @@ def train(
     best_iter = 0
     last_iter = 0
 
-    # the fit's one pool, joined on leaving the block. From PAR_MIN_VALUES
-    # training rows the build, the scan and the row pass all go on lanes and
-    # it opens before the build; below, only a scan run can open it, after
-    with contextlib.ExitStack() as held:
-        setup = n_lanes if n_tr >= lanes.PAR_MIN_VALUES else 1
-        pool = held.enter_context(lanes._lanes_pool(setup)) if setup > 1 else None
-        # whole features, most powers first, each to the least loaded lane
-        works, jobs, load = [None] * F, [[] for _ in range(setup)], [0] * setup
-        for k in sorted(range(F), key=lambda k: -constraints.features[k].max_degree):
-            lane = load.index(min(load))
-            jobs[lane].append(k)
-            load[lane] += constraints.features[k].max_degree + 2  # slot_row, t^0..t^D
+    # the fit's one pool, joined on leaving the block; each stage's gate
+    # sets how many jobs it hands the pool, so a fit below every gate
+    # starts no thread
+    with lanes._lanes_pool(n_lanes) as pool:
+        works = [None] * F
 
         def build(ks):
             for k in ks:
                 works[k] = _FeatureWork(ds_train.X[:, k], layout[k], constraints.features[k],
                                         np.flatnonzero(constraints.allow_mask[:, k]), J)
 
+        # whole features, weighed by the rows they keep: slot_row, t^0..t^D
+        jobs = lanes.deal([fc.max_degree + 2 for fc in constraints.features],
+                          lanes.gate(n_tr, n_lanes))
         lanes._on_lanes(pool, [functools.partial(build, ks) for ks in jobs])
         cands = _Candidates(works, J, cfg, n_tr)
         GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
         scan = _Scan(works, n_lanes)
         rows = _Rows(ds_train, ds_valid, intercepts, GH, n_lanes)
-        if setup == 1:
-            pool = held.enter_context(lanes._lanes_pool(len(scan.lanes)))
 
         def losses(picks: list[LogRecord], when: str):
             """The row pass: fold the picks in, write the next g and h and

@@ -1,9 +1,12 @@
 """Parallel lanes: one per CPU this process may run on.
 
-A fit's scan and row pass and a large `predict` each cut their work into
-one job per lane. The first lane runs on the calling thread and the others
-on a thread pool; numpy releases the interpreter lock inside its calls, so
-the lanes overlap wherever those calls are long.
+A fit's workspace build, scan and row pass and a large `predict` each split
+their work into at most one job per lane. Every rule of that split is here:
+`gate` gives a pass its number of lanes, `deal` hands weighted jobs to the
+lanes and `cuts` cuts rows into contiguous ranges. The first lane runs on
+the calling thread and the others on a thread pool; numpy releases the
+interpreter lock inside its calls, so the lanes overlap wherever those calls
+are long.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import contextvars
 import os
 
 # a pass runs on lanes only when its numpy calls on one lane would see at
-# least this many values: a scan run's slots, a row pass's rows (most of
-# its calls are one output column long), a predict's rows. The lanes'
-# overhead is per numpy call; see the README for the crossovers measured
-# on a 2-core x86 host
+# least this many values: a scan run's slots, a build's or a row pass's
+# training rows (most of the row pass's calls are one output column long),
+# a predict's rows. The lanes' overhead is per numpy call; see the README
+# for the crossovers measured on a 2-core x86 host
 PAR_MIN_VALUES = 2**15
 
 
@@ -28,9 +31,44 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def gate(values: int, n: int | None = None) -> int:
+    """Lanes for a pass whose numpy calls see `values` values each: n (by
+    default the CPU count, read only then) from PAR_MIN_VALUES values on,
+    else 1."""
+    return (_cpus() if n is None else n) if values >= PAR_MIN_VALUES else 1
+
+
+def deal(weights, n: int) -> list[list[int]]:
+    """The indices of `weights` dealt to n lanes: heaviest first, each to
+    the least loaded lane so far, ties to the lower index and the lower
+    lane. Each lane lists its indices in the order dealt; lanes may be
+    empty."""
+    out, load = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        lane = load.index(min(load))
+        out[lane].append(i)
+        load[lane] += weights[i]
+    return out
+
+
+def cuts(sizes, n: int) -> list[list[tuple[int, slice]]]:
+    """The rows of sets of these sizes, end to end as one sequence, cut
+    into n contiguous ranges of near-equal length: range k ends at row
+    total * (k + 1) // n. Each range is its pieces (set, slice of that
+    set's rows), in sequence order; an empty piece or range is left out,
+    so fewer rows than lanes give fewer ranges."""
+    ends = [sum(sizes[:s]) for s in range(len(sizes) + 1)]  # set starts, then the total
+    cut = [ends[-1] * k // n for k in range(n + 1)]
+    return [pieces for lo, hi in zip(cut, cut[1:]) if (pieces := [
+        (s, slice(max(lo, a) - a, min(hi, b) - a))
+        for s, (a, b) in enumerate(zip(ends, ends[1:])) if max(lo, a) < min(hi, b)])]
+
+
 def _lanes_pool(lanes: int):
     """A context holding a pool with a thread for every lane but the first,
-    or None for one lane; leaving it joins the threads."""
+    or None for one lane; leaving it joins the threads. A thread starts
+    only when the pool is first handed a job, and `_on_lanes` runs a lone
+    job on the calling thread, so passes of one job start none."""
     if lanes == 1:
         return contextlib.nullcontext()
     # imported here, so that work on one lane never loads it

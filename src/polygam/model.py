@@ -611,11 +611,11 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     Rows go in chunks of CHUNK_ROWS: fine codes per used feature, then one
     `horner` over every pair, whose values each output adds to its intercept
     in feature order, one slot at a time. Parameters are read afresh on
-    every call. A call of `lanes.PAR_MIN_VALUES` rows or more on more than
-    one CPU cuts its rows into one contiguous range per lane, each in chunks
-    of about LANE_CHUNK_VALUES (pair, row) values; every row's arithmetic is
-    the same in any chunk, so F and the codes keep their bits on any number
-    of lanes.
+    every call. On more than one lane (`lanes.gate` on the rows),
+    `lanes.cuts` cuts the rows into one contiguous range per lane, each run
+    in chunks of about LANE_CHUNK_VALUES (pair, row) values; every row's
+    arithmetic is the same in any chunk, so F and the codes keep their bits
+    on any number of lanes.
 
     With return_codes, returns (F, codes): codes[k] holds feature k's fine
     codes in the smallest unsigned type that fits its fine bins, or None
@@ -641,18 +641,17 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     if return_codes:
         for k, fb in zip(used, bins):
             codes[k] = np.empty(n, np.min_scalar_type(fb.n_fine_bins - 1))
-    if n < lanes.PAR_MIN_VALUES or (L := lanes._cpus()) == 1:
+    if (L := lanes.gate(n)) == 1:
         _predict_rows(X, F, codes, 0, n, CHUNK_ROWS, _work(P, J, slots, min(n, CHUNK_ROWS)),
                       plan, coef, steps, store.intercepts)
     else:
         # this thread makes every lane's work arrays: arrays a worker makes
         # stay in its thread's malloc arena once freed, and raise the peak RSS
         chunk = max(CHUNK_ROWS, LANE_CHUNK_VALUES // max(P, 1))
-        cut = [n * lane // L for lane in range(L + 1)]
-        jobs = [functools.partial(_predict_rows, X, F, codes, lo, hi, chunk,
-                                  _work(P, J, slots, min(hi - lo, chunk)), plan, coef, steps,
-                                  store.intercepts)
-                for lo, hi in zip(cut, cut[1:])]
+        jobs = [functools.partial(_predict_rows, X, F, codes, r.start, r.stop, chunk,
+                                  _work(P, J, slots, min(r.stop - r.start, chunk)), plan, coef,
+                                  steps, store.intercepts)
+                for [(_, r)] in lanes.cuts([n], L)]
         with lanes._lanes_pool(L) as pool:
             lanes._on_lanes(pool, jobs)
     return (F, codes) if return_codes else F

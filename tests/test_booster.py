@@ -466,8 +466,10 @@ def test_global_term_bytes_do_not_depend_on_blas_threads():
 # rows number more than PAR_MIN_VALUES and each feature is its own run of
 # more than PAR_MIN_VALUES slots, so with two CPUs the fit builds one
 # feature's workspace on each lane, then scans segments and runs its row
-# pass on two lanes; each lane passes over a range of the validation rows,
-# then a range of the training rows
+# pass on two lanes. The row pass cuts the validation rows and then the
+# training rows as one sequence: the first lane passes over all 5,000
+# validation rows and the first 15,000 training rows, the second over the
+# other 20,000 training rows
 LANE_FIT = (
     "rng = np.random.default_rng(5)\n"
     "X = rng.normal(size=(40000, 2))\n"
@@ -611,30 +613,32 @@ def test_workspace_build_holds_little_beside_what_it_keeps():
     assert (peak - kept) / (8 * x.size) <= 2.5
 
 
-def test_one_pool_per_fit_opens_at_the_first_gate_it_passes(monkeypatch):
+def test_one_pool_per_fit_opens_before_the_build(monkeypatch):
     # LANE_FIT on 4,000 rows: 3,500 training rows, and both features in one
     # run of over 7,000 slots. At a gate of 3,500 values the build, the scan
-    # and the row pass go on lanes, and the pool opens before the build; at
-    # 5,000 only the scan does, and it opens once the build is done; at 2^20
-    # none does, and there is no pool
+    # and the row pass go on lanes; at 5,000 only the scan does; at 2^20
+    # none does, and no thread starts. At every gate the fit opens one pool
+    # of two lanes, before the build
     monkeypatch.setattr(lanes, "_cpus", lambda: 2)
-    pool, dumps = lanes._lanes_pool, []
-    for gate, opened, on_two in ((3500, [(2, False)], {"_build_blocks", "scan", "derivative_rows",
-                                                        "loss_rows"}),
-                                 (5000, [(2, True)], {"scan"}),
-                                 (2**20, [(1, True)], set())):
-        threads, calls = {}, []
+    pool, start, dumps = lanes._lanes_pool, threading.Thread.start, []
+    for gate, on_two in ((3500, {"_build_blocks", "scan", "derivative_rows", "loss_rows"}),
+                         (5000, {"scan"}),
+                         (2**20, set())):
+        threads, calls, started = {}, [], []
         with monkeypatch.context() as m:
             m.setattr(lanes, "PAR_MIN_VALUES", gate)
             m.setattr(lanes, "_lanes_pool",
                       lambda n: calls.append((n, "_build_blocks" in threads)) or pool(n))
+            m.setattr(threading.Thread, "start",
+                      lambda self: started.append(self.name) or start(self))
             spy_lanes(m, threads)
             before = threading.active_count()
             ns = {"pg": polygam, "np": np, "task": "binary"}
             exec(LANE_FIT.replace("40000", "4000"), ns)
         assert threading.active_count() == before
-        assert calls == opened, gate
+        assert calls == [(2, False)], gate
         assert {name for name, t in threads.items() if len(t) == 2} == on_two, gate
+        assert len(started) == (1 if on_two else 0), gate
         dumps.append(dumps_model(ns["res"].store))
     assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
 
