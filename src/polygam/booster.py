@@ -60,28 +60,25 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Refuse, in one ConfigError naming each, every field of the wrong
+        type or out of its range; each range test is written so that NaN
+        fails it."""
         errs = []
-        if not 0.0 < self.learning_rate <= 1.0:
-            errs.append(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        # comparisons written so that NaN fails them
-        if not 0.0 <= self.l1 < math.inf:
-            errs.append(f"l1 must be finite and >= 0, got {self.l1}")
-        if not 0.0 <= self.l2 < math.inf:
-            errs.append(f"l2 must be finite and >= 0, got {self.l2}")
-        if not (isinstance(self.min_data_in_leaf, numbers.Integral) and self.min_data_in_leaf >= 1):
-            errs.append(
-                f"min_data_in_leaf must be an integer >= 1, got {self.min_data_in_leaf}")
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
-            errs.append(f"max_iterations must be an integer >= 0, got {self.max_iterations}")
-        if not self.early_stopping_patience >= 0:
-            errs.append(
-                f"early_stopping_patience must be >= 0, got {self.early_stopping_patience}")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            errs.append(
-                f"validation_fraction must be in [0, 1), got {self.validation_fraction}"
-            )
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            errs.append(f"seed must be an integer >= 0, got {self.seed}")
+        for name, kind, ok, bound in (
+                ("learning_rate", numbers.Real, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                ("l1", numbers.Real, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+                ("l2", numbers.Real, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+                ("min_data_in_leaf", numbers.Integral, lambda v: v >= 1, ">= 1"),
+                ("max_iterations", numbers.Integral, lambda v: v >= 0, ">= 0"),
+                ("early_stopping_patience", numbers.Integral, lambda v: v >= 0, ">= 0"),
+                ("validation_fraction", numbers.Real, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                ("seed", numbers.Integral, lambda v: v >= 0, ">= 0")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                errs.append(f"{name} must be {what}, got {value!r}")
+            elif not ok(value):
+                errs.append(f"{name} must be {bound}, got {value!r}")
         if errs:
             raise ConfigError("; ".join(errs))
 
@@ -171,12 +168,12 @@ def _powers(out: np.ndarray) -> np.ndarray:
 
 class _FeatureWork:
     """Cached per-feature structures for the fit's scan (`_Scan`). `sums`,
-    (output, sgl/sgr/shl/shr, candidate), is indexed by output, of n_outputs
-    (default: one past the last allowed output); a masked output's entries
-    stay 0."""
+    (output, sgl/sgr/shl/shr, candidate), is indexed by output, up to the
+    last allowed one; a masked output's entries stay 0. A fit's
+    `_Candidates` makes it a view of the feature's columns of the fit's
+    table, which holds every output."""
 
-    def __init__(self, x: np.ndarray, fb: FeatureBins, fc: FeatureConstraint, outputs=(0,),
-                 n_outputs: int | None = None):
+    def __init__(self, x: np.ndarray, fb: FeatureBins, fc: FeatureConstraint, outputs=(0,)):
         self.x = x
         self.fb = fb
         self.fc = fc
@@ -197,10 +194,8 @@ class _FeatureWork:
         self.n_left_coarse = np.cumsum(counts)[:-1]  # per coarse edge
         self._build_tensors()
 
-        # the scan's side sums; a fit's `_Candidates` makes `sums` a view of
-        # its columns of the fit's table
-        J = int(outputs.max(initial=-1)) + 1 if n_outputs is None else n_outputs
-        self.sums = np.zeros((J, 4, self.n_fine + self.row_degree.size))
+        self.sums = np.zeros((int(outputs.max(initial=-1)) + 1, 4,
+                              self.n_fine + self.row_degree.size))
 
     def _build_blocks(self):
         """Rows sorted stably by fine code, so that every fine bin and every
@@ -296,7 +291,9 @@ class _FeatureWork:
 
 class _Scan:
     """The fit's scan: each call fills every allowed output's side sums of
-    every feature into its `sums`, fine thresholds then table rows.
+    every feature into its `sums`, fine thresholds then table rows. Each
+    feature must have a candidate and an allowed output; `train` builds no
+    workspace for any other.
 
     It works over runs: stretches of consecutive features that share the
     block size, the allowed outputs and max_split_deg, of at most the larger
@@ -320,8 +317,7 @@ class _Scan:
     are done, on the lane that finished the last one; so every sum keeps
     its bits on any number of lanes."""
 
-    def __init__(self, works: list[_FeatureWork], n_lanes: int = 1):
-        works = [wk for wk in works if wk.sums.size and wk.outputs.size]
+    def __init__(self, works: list[_FeatureWork]):
         limit = max([2**14] + [wk.slot_row.size for wk in works])
         runs = []  # key, slots, features
         for wk in works:
@@ -331,7 +327,7 @@ class _Scan:
             runs[-1][1] += wk.slot_row.size
             runs[-1][2].append(wk)
         self.runs = [_Run(run) for _, _, run in runs]
-        n_lanes = lanes.gate(max((r.slot_row.size for r in self.runs), default=0), n_lanes)
+        n_lanes = lanes.gate(max((r.slot_row.size for r in self.runs), default=0))
         segments = [seg for run in self.runs for seg in run.cut(n_lanes)]
         self.n_segments = {run: sum(seg.run is run for seg in segments) for run in self.runs}
         self.lanes = [[segments[i] for i in lane] for lane in lanes.deal(
@@ -660,7 +656,9 @@ def _clamp(rows: _ClampRows, cfg: TrainConfig, gamma: np.ndarray, sums) -> np.nd
 
 
 class _Candidates:
-    """Every candidate update of a fit, laid out end to end.
+    """Every candidate update of a fit, laid out end to end. `works` holds
+    each feature's workspace at its index in the store, or None for a
+    feature without one, which has no columns.
 
     Columns run by feature, then degree, then ascending threshold. A feature
     contributes its fine degree-0 scan (only when S = -1) and its row table
@@ -674,9 +672,10 @@ class _Candidates:
     equal gains.
     """
 
-    def __init__(self, works: list[_FeatureWork], n_outputs: int, cfg: TrainConfig, n: int):
+    def __init__(self, works: list[_FeatureWork | None], n_outputs: int, cfg: TrainConfig, n: int):
+        built = [(k, wk) for k, wk in enumerate(works) if wk is not None]
         cols = []  # per feature: feature, degree, threshold (NaN: global), n_left, pool sign
-        for k, wk in enumerate(works):
+        for k, wk in built:
             nf, split = wk.n_fine, wk.row_degree > wk.fc.smoothness
             cols.append((np.full(nf + wk.row_degree.size, k),
                          np.append(np.zeros(nf, dtype=int), wk.row_degree),
@@ -694,7 +693,7 @@ class _Candidates:
         # every valid row of a constrained degree >= 1, once per allowed
         # output: one block of clamp rows per (output, feature, degree)
         blocks = []
-        for k, (wk, start, stop) in enumerate(zip(works, [0] + stops, stops)):
+        for (k, wk), start, stop in zip(built, [0] + stops, stops):
             fc, table = wk.fc, start + wk.n_fine  # the feature's first table row
             allowed[wk.outputs, k] = True
             wk.sums = self.sums[:, :, start:stop]  # so the scan fills its columns in place
@@ -811,13 +810,13 @@ class _Rows:
     number of lanes."""
 
     def __init__(self, train: Dataset, valid: Dataset | None, intercepts: np.ndarray,
-                 GH: np.ndarray, n_lanes: int):
+                 GH: np.ndarray):
         self.task, self.GH, n = train.task, GH, train.n_rows
         self.train = _RowSet(train, intercepts, np.empty(n), GH[-1, :n])
         self.sets = [self.train] if valid is None else [
             _RowSet(valid, intercepts, *np.empty((2, valid.n_rows))), self.train]
         self.ranges = [[(self.sets[s], r) for s, r in pieces] for pieces in lanes.cuts(
-            [len(rs.F) for rs in self.sets], lanes.gate(n, n_lanes))]
+            [len(rs.F) for rs in self.sets], lanes.gate(n))]
 
     def apply(self, store: ParameterStore, picks: list[LogRecord], lr: float, pool):
         """Fold the picks into the store, add their updates to every set's
@@ -958,30 +957,37 @@ def train(
     store.intercepts = intercepts.copy()
     initial_store = store.copy()
 
-    J, F, n_tr, n_lanes = dataset.n_outputs, dataset.n_features, ds_train.n_rows, lanes._cpus()
+    J, F, n_tr = dataset.n_outputs, dataset.n_features, ds_train.n_rows
     log: list[LogRecord] = []
     best_iter = 0
     last_iter = 0
 
     # the fit's one pool, joined on leaving the block; each stage's gate
-    # sets how many jobs it hands the pool, so a fit below every gate
-    # starts no thread
-    with lanes._lanes_pool(n_lanes) as pool:
+    # sets how many jobs it hands the pool, which starts its threads on the
+    # first job, so a fit below every gate starts none
+    with lanes._lanes_pool() as pool:
+        for fb in layout.features:
+            fb.piece_of_fine  # raises for coarse edges off the fine grid, workspace or not
+        # a workspace for each feature that some output uses and that has a
+        # candidate: a global term (S >= 0) or a fine edge (coarse edges are
+        # fine edges)
+        fcs, mask = constraints.features, constraints.allow_mask
+        keep = [k for k, fb in enumerate(layout.features)
+                if mask[:, k].any() and (fcs[k].smoothness >= 0 or fb.fine_edges.size)]
         works = [None] * F
 
         def build(ks):
             for k in ks:
-                works[k] = _FeatureWork(ds_train.X[:, k], layout[k], constraints.features[k],
-                                        np.flatnonzero(constraints.allow_mask[:, k]), J)
+                works[k] = _FeatureWork(ds_train.X[:, k], layout[k], fcs[k],
+                                        np.flatnonzero(mask[:, k]))
 
         # whole features, weighed by the rows they keep: slot_row, t^0..t^D
-        jobs = lanes.deal([fc.max_degree + 2 for fc in constraints.features],
-                          lanes.gate(n_tr, n_lanes))
-        lanes._on_lanes(pool, [functools.partial(build, ks) for ks in jobs])
+        jobs = lanes.deal([fcs[k].max_degree + 2 for k in keep], lanes.gate(n_tr))
+        lanes._on_lanes(pool, [functools.partial(build, [keep[i] for i in ks]) for ks in jobs])
         cands = _Candidates(works, J, cfg, n_tr)
         GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
-        scan = _Scan(works, n_lanes)
-        rows = _Rows(ds_train, ds_valid, intercepts, GH, n_lanes)
+        scan = _Scan([works[k] for k in keep])
+        rows = _Rows(ds_train, ds_valid, intercepts, GH)
 
         def losses(picks: list[LogRecord], when: str):
             """The row pass: fold the picks in, write the next g and h and

@@ -139,10 +139,13 @@ class SplitScheme:
 
     def problems(self) -> list[str]:
         """Every bin count that is not an integer >= 1."""
-        return [f"{name} must be an integer >= 1, got {value}"
-                for name, value in (("n_bins_degree0", self.n_bins_degree0),
-                                    ("n_bins_higher", self.n_bins_higher))
-                if not (isinstance(value, numbers.Integral) and value >= 1)]
+        return _bin_count_problems(**vars(self))
+
+
+def _bin_count_problems(**counts) -> list[str]:
+    """Every one of these named bin counts that is not an integer >= 1."""
+    return [f"{name} must be an integer >= 1, got {value}" for name, value in counts.items()
+            if not (isinstance(value, numbers.Integral) and value >= 1)]
 
 
 def _cell(x, origin: float, scale: float, cells: int, out: np.ndarray) -> np.ndarray:
@@ -288,19 +291,18 @@ def build_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
 
     Duplicate quantiles collapse, so fewer bins than requested may result.
     Every interior edge lies strictly between the observed min and max and
-    every resulting bin contains at least one sample.
+    every resulting bin contains at least one sample. An n_bins that is not
+    an integer >= 1 raises ConfigError.
     """
+    if errs := _bin_count_problems(n_bins=n_bins):
+        raise ConfigError(errs[0])
     v = np.sort(np.asarray(values, dtype=float))
-    n = v.size
-    edges = []
-    for i in range(1, n_bins):
-        idx = (i * n) // n_bins
-        if idx <= 0 or idx >= n:
-            continue
-        lo, hi = v[idx - 1], v[idx]
-        if hi > lo:
-            edges.append(0.5 * (lo + hi))
-    return np.unique(np.asarray(edges, dtype=float))
+    # the ranks i * n // n_bins, each in 1..n-1; from n_bins = n on they are
+    # every rank there, so at most n of them are formed
+    k = min(n_bins, v.size)
+    idx = np.arange(1, k) * v.size // k
+    lo, hi = v[idx - 1], v[idx]
+    return np.unique(0.5 * (lo + hi)[hi > lo])
 
 
 def categorical_edges(values: np.ndarray) -> np.ndarray:

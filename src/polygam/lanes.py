@@ -1,18 +1,20 @@
 """Parallel lanes: one per CPU this process may run on.
 
 A fit's workspace build, scan and row pass and a large `predict` each split
-their work into at most one job per lane. Every rule of that split is here:
-`gate` gives a pass its number of lanes, `deal` hands weighted jobs to the
-lanes and `cuts` cuts rows into contiguous ranges. The first lane runs on
-the calling thread and the others on a thread pool; numpy releases the
-interpreter lock inside its calls, so the lanes overlap wherever those calls
-are long.
+their work into at most one job per lane. Every rule of that split is here,
+and this module alone reads the CPU count: `gate` gives a pass its number of
+lanes, `deal` hands weighted jobs to the lanes and `cuts` cuts rows into
+contiguous ranges. The first lane runs on the calling thread and the others
+on a thread pool that starts only when a pass first hands it a job; numpy
+releases the interpreter lock inside its calls, so the lanes overlap
+wherever those calls are long.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import os
 
 # a pass runs on lanes only when its numpy calls on one lane would see at
@@ -31,11 +33,10 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def gate(values: int, n: int | None = None) -> int:
-    """Lanes for a pass whose numpy calls see `values` values each: n (by
-    default the CPU count, read only then) from PAR_MIN_VALUES values on,
-    else 1."""
-    return (_cpus() if n is None else n) if values >= PAR_MIN_VALUES else 1
+def gate(values: int) -> int:
+    """Lanes for a pass whose numpy calls see `values` values each: the CPU
+    count, read only then, from PAR_MIN_VALUES values on, else 1."""
+    return _cpus() if values >= PAR_MIN_VALUES else 1
 
 
 def deal(weights, n: int) -> list[list[int]]:
@@ -64,17 +65,20 @@ def cuts(sizes, n: int) -> list[list[tuple[int, slice]]]:
         for s, (a, b) in enumerate(zip(ends, ends[1:])) if max(lo, a) < min(hi, b)])]
 
 
-def _lanes_pool(lanes: int):
-    """A context holding a pool with a thread for every lane but the first,
-    or None for one lane; leaving it joins the threads. A thread starts
-    only when the pool is first handed a job, and `_on_lanes` runs a lone
-    job on the calling thread, so passes of one job start none."""
-    if lanes == 1:
-        return contextlib.nullcontext()
-    # imported here, so that work on one lane never loads it
-    from concurrent.futures import ThreadPoolExecutor
+class _lanes_pool(contextlib.ExitStack):
+    """A context for the passes of a fit or a `predict`. Its thread pool, a
+    thread for every lane but the first, starts when `_on_lanes` first
+    hands it a job; `_on_lanes` runs a lone job on the calling thread, so
+    passes of one job start no thread and never import
+    `concurrent.futures`. Leaving the context joins the threads. Only the
+    thread that opened it hands it jobs."""
 
-    return ThreadPoolExecutor(lanes - 1, thread_name_prefix="polygam-lane")
+    @functools.cached_property
+    def executor(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        return self.enter_context(
+            ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="polygam-lane"))
 
 
 def _on_lanes(pool, jobs) -> None:
@@ -83,7 +87,7 @@ def _on_lanes(pool, jobs) -> None:
     runs in a copy of this thread's context, which holds numpy's error
     state, so every lane warns or raises alike; a job's error is raised
     here."""
-    futures = [pool.submit(contextvars.copy_context().run, job)
+    futures = [pool.executor.submit(contextvars.copy_context().run, job)
                for job in jobs[1:]] if pool else []
     for job in jobs[: len(jobs) - len(futures)]:
         job()

@@ -652,7 +652,7 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
                                   _work(P, J, slots, min(r.stop - r.start, chunk)), plan, coef,
                                   steps, store.intercepts)
                 for [(_, r)] in lanes.cuts([n], L)]
-        with lanes._lanes_pool(L) as pool:
+        with lanes._lanes_pool() as pool:
             lanes._on_lanes(pool, jobs)
     return (F, codes) if return_codes else F
 

@@ -25,7 +25,7 @@ from polygam.booster import (
     train,
     write_log,
 )
-from polygam.data import SplitScheme, build_bin_layout
+from polygam.data import FeatureBins, SplitScheme, build_bin_layout
 from polygam.errors import ConfigError, DataError, NumericError
 from polygam.losses import derivatives, link_apply, loss_eval
 from polygam.model import (
@@ -384,12 +384,13 @@ def test_run_scan_matches_each_feature_alone(case):
     for S, D, outputs, pieces, constant in feats:
         x = np.full(n, 2.0) if constant else rng.normal(size=n)
         fb = build_bin_layout(make_dataset(x, np.zeros(n)), SplitScheme(64, pieces))[0]
-        args.append((x, fb, FeatureConstraint(smoothness=S, max_degree=D), outputs, J))
+        args.append((x, fb, FeatureConstraint(smoothness=S, max_degree=D), outputs))
+    # the constant feature has no candidate, so a fit builds it no workspace
+    assert _FeatureWork(*args.pop(1)).sums.size == 0
     works = [_FeatureWork(*a) for a in args]
     alone = [_FeatureWork(*a) for a in args]
     scan = _Scan(works)
-    assert works[1].sums.size == 0 and all(works[1] not in r.works for r in scan.runs)
-    assert scan.runs[0].works[:2] == [works[0], works[2]]
+    assert scan.runs[0].works[:2] == works[:2]
     scans = [_Scan([wk]) for wk in alone]
     g2 = rng.normal(size=(n, J))
     for GH, h_side in ((scan_matrix(g, h), True), (scan_matrix(g2, h), False)):
@@ -397,8 +398,7 @@ def test_run_scan_matches_each_feature_alone(case):
         for s in scans:
             s(GH, h_side)
         for k, (run_wk, wk) in enumerate(zip(works, alone)):
-            names = ("sums", "bins", "gmom", "hmom") if k != 1 else ("sums",)
-            for name in names:
+            for name in ("sums", "bins", "gmom", "hmom"):
                 assert getattr(run_wk, name).tobytes() == getattr(wk, name).tobytes(), (k, name)
 
 
@@ -617,8 +617,8 @@ def test_one_pool_per_fit_opens_before_the_build(monkeypatch):
     # LANE_FIT on 4,000 rows: 3,500 training rows, and both features in one
     # run of over 7,000 slots. At a gate of 3,500 values the build, the scan
     # and the row pass go on lanes; at 5,000 only the scan does; at 2^20
-    # none does, and no thread starts. At every gate the fit opens one pool
-    # of two lanes, before the build
+    # none does, and no thread starts. At every gate the fit opens one pool,
+    # before the build; it starts a thread only once a pass hands it a job
     monkeypatch.setattr(lanes, "_cpus", lambda: 2)
     pool, start, dumps = lanes._lanes_pool, threading.Thread.start, []
     for gate, on_two in ((3500, {"_build_blocks", "scan", "derivative_rows", "loss_rows"}),
@@ -628,7 +628,7 @@ def test_one_pool_per_fit_opens_before_the_build(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(lanes, "PAR_MIN_VALUES", gate)
             m.setattr(lanes, "_lanes_pool",
-                      lambda n: calls.append((n, "_build_blocks" in threads)) or pool(n))
+                      lambda: calls.append("_build_blocks" in threads) or pool())
             m.setattr(threading.Thread, "start",
                       lambda self: started.append(self.name) or start(self))
             spy_lanes(m, threads)
@@ -636,11 +636,68 @@ def test_one_pool_per_fit_opens_before_the_build(monkeypatch):
             ns = {"pg": polygam, "np": np, "task": "binary"}
             exec(LANE_FIT.replace("40000", "4000"), ns)
         assert threading.active_count() == before
-        assert calls == [(2, False)], gate
+        assert calls == [False], gate
         assert {name for name, t in threads.items() if len(t) == 2} == on_two, gate
         assert len(started) == (1 if on_two else 0), gate
         dumps.append(dumps_model(ns["res"].store))
     assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
+
+
+def test_a_fit_below_every_gate_imports_no_thread_pool():
+    # on two CPUs, a fit and a predict far below every gate hand the pool no
+    # job, so it never starts and `concurrent.futures` is never loaded
+    code = (
+        "import sys\n"
+        "import polygam as pg\n"
+        "import numpy as np\n"
+        "pg.lanes._cpus = lambda: 2\n"
+        "rng = np.random.default_rng(0)\n"
+        "X = rng.normal(size=(300, 2))\n"
+        "ds = pg.Dataset(X=X, y=X[:, 0] + rng.normal(size=300), feature_names=['a', 'b'],\n"
+        "                kinds=['numeric'] * 2, task='regression', n_outputs=1)\n"
+        "res = pg.train(ds, config=pg.TrainConfig(max_iterations=20))\n"
+        "pg.predict(res.store, X)\n"
+        "print(res.n_iterations, 'concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    iterations, loaded = out.stdout.split()
+    assert int(iterations) > 0 and loaded == "False"
+
+
+def test_a_feature_without_a_candidate_or_an_output_gets_no_workspace(monkeypatch):
+    # x1 holds one value, so at S = -1 it has no candidate, and every output
+    # masks x2: the fit builds a workspace for neither
+    rng = np.random.default_rng(12)
+    X = np.column_stack([rng.normal(size=400), np.full(400, 2.0), rng.normal(size=(400, 2))])
+    y = np.digitize(X[:, 0] + X[:, 2] + X[:, 3] + rng.normal(size=400), [-1.0, 1.0])
+    ds = make_dataset(X, y, task="multiclass")
+    layout = layout_for(ds)
+    mask = np.ones((3, 4), dtype=bool)
+    mask[:, 2] = False
+    spec = ConstraintSpec(features=[FeatureConstraint(smoothness=-1, max_degree=3)] * 4,
+                          allow_mask=mask)
+    cfg = TrainConfig(max_iterations=10, early_stopping_patience=0, validation_fraction=0.0)
+    built, work = [], booster._FeatureWork
+    monkeypatch.setattr(booster, "_FeatureWork",
+                        lambda x, fb, *args: built.append(fb) or work(x, fb, *args))
+    res = train(ds, layout, spec, cfg)
+    assert sorted(map(id, built)) == sorted(map(id, [layout[0], layout[3]]))
+    assert res.n_iterations == 10 and {rec.feature for rec in res.log} <= {"x0", "x3"}
+
+
+def test_coarse_edges_off_the_fine_grid_are_refused_without_a_workspace():
+    # the masked column's layout is refused although the fit builds it no
+    # workspace
+    ds = wiggly_dataset(200, 20)
+    layout = layout_for(ds)
+    fb = layout[1]
+    layout.features[1] = FeatureBins(fb.fine_edges, fb.coarse_edges + 1e-3, fb.x_min, fb.x_max)
+    spec = ConstraintSpec.default(ds)
+    spec.allow_mask[:, 1] = False
+    with pytest.raises(DataError, match="coarse edges are not on the fine grid"):
+        train(ds, layout, spec, TrainConfig(max_iterations=3, early_stopping_patience=0))
 
 
 def test_segments_of_equal_runs_deal_evenly(monkeypatch):
@@ -648,13 +705,16 @@ def test_segments_of_equal_runs_deal_evenly(monkeypatch):
     # lanes 4 to 3 runs; cut into two segments each, the lanes' loads differ
     # by at most one segment, and every sum keeps its bits
     monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
+    monkeypatch.setattr(lanes, "_cpus", lambda: 1)
     rng = np.random.default_rng(8)
     x = rng.normal(size=10000)
     ds = make_dataset(np.column_stack([x] * 7), x + rng.normal(size=10000))
     layout = layout_for(ds)
     works = [[_FeatureWork(x, layout[k], FeatureConstraint()) for k in range(7)]
              for _ in range(2)]
-    one, two = _Scan(works[0]), _Scan(works[1], n_lanes=2)
+    one = _Scan(works[0])
+    monkeypatch.setattr(lanes, "_cpus", lambda: 2)
+    two = _Scan(works[1])
     assert len(one.runs) == len(two.runs) == 7
     assert list(two.n_segments.values()) == [2] * 7
     loads = [sum(seg.slot_row.size for seg in lane) for lane in two.lanes]
@@ -663,7 +723,7 @@ def test_segments_of_equal_runs_deal_evenly(monkeypatch):
     assert max(lane_buf.size for lane_buf in two.bufs) < one.bufs[0].size
     GH = scan_matrix(rng.normal(size=10000), rng.uniform(0.1, 1.0, size=10000))
     one(GH)
-    with lanes._lanes_pool(2) as pool:
+    with lanes._lanes_pool() as pool:
         two(GH, pool=pool)
     for a, b in zip(works[0], works[1]):
         assert a.sums.tobytes() == b.sums.tobytes()
@@ -674,13 +734,16 @@ def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch
     # the shared countdown of segments would skip a run's recombination or
     # run it twice
     monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
+    monkeypatch.setattr(lanes, "_cpus", lambda: 1)
     rng = np.random.default_rng(9)
     x = rng.normal(size=8000)
     ds = make_dataset(np.column_stack([x] * 6), x + rng.normal(size=8000))
     layout = layout_for(ds)
     works = [[_FeatureWork(x, layout[k], FeatureConstraint()) for k in range(6)]
              for _ in range(2)]
-    one, four = _Scan(works[0]), _Scan(works[1], n_lanes=4)
+    one = _Scan(works[0])
+    monkeypatch.setattr(lanes, "_cpus", lambda: 4)
+    four = _Scan(works[1])
     assert list(four.n_segments.values()) == [4] * 6
     GH = scan_matrix(rng.normal(size=8000), rng.uniform(0.1, 1.0, size=8000))
     one(GH)
@@ -690,7 +753,7 @@ def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with lanes._lanes_pool(4) as pool:
+        with lanes._lanes_pool() as pool:
             for _ in range(40):
                 calls.clear()
                 four(GH, pool=pool)
@@ -950,6 +1013,33 @@ def test_train_config_refuses_nan_and_fractional_iteration_settings(field, value
 def test_train_config_names_a_bad_patience():
     with pytest.raises(ConfigError, match="early_stopping_patience must be >= 0, got -3"):
         TrainConfig(early_stopping_patience=-3).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("learning_rate", "0.1", "a number"), ("l1", None, "a number"),
+     ("early_stopping_patience", "5", "an integer"), ("validation_fraction", "0.1", "a number"),
+     ("early_stopping_patience", 2.5, "an integer"),
+     ("early_stopping_patience", math.inf, "an integer")],
+)
+def test_train_config_refuses_a_field_of_the_wrong_type(field, value, kind):
+    cfg = TrainConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be {kind}, got {value!r}"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=field):
+        train(wiggly_dataset(100, 15), config=cfg)
+
+
+def test_patience_of_max_iterations_keeps_the_best_without_stopping():
+    # what an infinite patience asked for: every iteration runs, and the
+    # model kept is the best on the validation rows
+    ds, valid = wiggly_dataset(150, 13), wiggly_dataset(80, 14)
+    cfg = TrainConfig(learning_rate=0.9, max_iterations=60, early_stopping_patience=60,
+                      validation_fraction=0.0)
+    res = train(ds, valid=valid, config=cfg)
+    by_iteration = {rec.iteration: rec.valid_loss for rec in res.log}
+    assert res.n_iterations == 60
+    assert res.best_iteration == min(by_iteration, key=by_iteration.get) < 60
 
 
 def test_nan_target_is_refused_before_training():

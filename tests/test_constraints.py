@@ -357,7 +357,7 @@ def clamp_fit(case):
     cfg = TrainConfig(learning_rate=0.3, max_iterations=iterations, early_stopping_patience=0,
                       validation_fraction=0.0, min_data_in_leaf=5)
     store = train(ds, layout, spec, cfg).store
-    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), J)
+    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]))
              for k, fc in enumerate(fcs)]
     return works, _Candidates(works, J, cfg, n), store, cfg, rng
 

@@ -65,10 +65,17 @@ def test_build_bins_matches_sort_oracle(seed):
     vals = rng.normal(size=n)
     if seed % 2:
         vals = np.round(vals, 1)  # force ties
-    for n_bins in (2, 7, 32, 256):
+    # 2048 bins are more than the rows: every rank is a cut
+    for n_bins in (1, 2, 7, 32, 256, 2048):
         got = build_bins(vals, n_bins)
         want = quantile_oracle(vals, n_bins)
         assert np.array_equal(got, want), (n_bins, got, want)
+
+
+@pytest.mark.parametrize("n_bins", [1.5, 0, -2, "8", None, 8.0])
+def test_build_bins_refuses_a_bin_count_that_is_not_an_integer_of_at_least_1(n_bins):
+    with pytest.raises(ConfigError, match=f"n_bins must be an integer >= 1, got {n_bins}"):
+        build_bins(np.arange(10.0), n_bins)
 
 
 def test_build_bins_edges_strictly_inside_range():

@@ -2,6 +2,7 @@
 `predict` split their work into lanes, and the one module that holds them."""
 
 import pathlib
+import threading
 
 from hypothesis import given, strategies as st
 
@@ -68,21 +69,35 @@ def test_cuts_of_a_valid_then_train_pair_run_as_one_sequence():
 
 
 def test_gate_opens_at_par_min_values(monkeypatch):
-    at = lanes.PAR_MIN_VALUES
-    assert lanes.gate(at - 1, 4) == 1
-    assert lanes.gate(at, 4) == 4
-    assert lanes.gate(0, 4) == 1
-    # without a lane count it reads the CPU count, and only once open
-    calls = []
-    monkeypatch.setattr(lanes, "_cpus", lambda: calls.append(1) or 3)
-    assert lanes.gate(at - 1) == 1 and calls == []
-    assert lanes.gate(at) == 3 and calls == [1]
+    at, calls = lanes.PAR_MIN_VALUES, []
+    monkeypatch.setattr(lanes, "_cpus", lambda: calls.append(1) or 4)
+    assert lanes.gate(at - 1) == 1 and lanes.gate(0) == 1
+    # it reads the CPU count only once open
+    assert calls == []
+    assert lanes.gate(at) == 4 and calls == [1]
     # the gate reads the module's value at each call
     monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
-    assert lanes.gate(0, 2) == 2
+    assert lanes.gate(0) == 4
 
 
 def test_only_lanes_names_the_gate_value():
+    # and the CPU count and the thread pool: no other module sizes lanes
     src = pathlib.Path(polygam.__file__).parent
-    naming = sorted(p.name for p in src.glob("*.py") if "PAR_MIN_VALUES" in p.read_text())
-    assert naming == ["lanes.py"]
+    for name in ("PAR_MIN_VALUES", "_cpus", "ThreadPoolExecutor"):
+        naming = sorted(p.name for p in src.glob("*.py") if name in p.read_text())
+        assert naming == ["lanes.py"], name
+
+
+def test_pool_starts_on_the_first_job_and_joins_on_exit(monkeypatch):
+    monkeypatch.setattr(lanes, "_cpus", lambda: 3)
+    before, ran = threading.active_count(), []
+
+    def job():
+        ran.append(threading.get_ident())
+
+    with lanes._lanes_pool() as pool:
+        lanes._on_lanes(pool, [job])
+        assert threading.active_count() == before and ran == [threading.get_ident()]
+        lanes._on_lanes(pool, [job, job])
+        assert threading.active_count() == before + 1
+    assert threading.active_count() == before and len(set(ran)) == 2

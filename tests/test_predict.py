@@ -285,12 +285,14 @@ def test_one_row_predict_stays_off_the_lanes(monkeypatch):
     X = rows(store, lanes.PAR_MIN_VALUES, 16)
     calls, pool = [], lanes._lanes_pool
     monkeypatch.setattr(lanes, "_cpus", lambda: calls.append("cpus") or 2)
-    monkeypatch.setattr(lanes, "_lanes_pool", lambda n: calls.append("pool") or pool(n))
+    monkeypatch.setattr(lanes, "_lanes_pool", lambda: calls.append("pool") or pool())
     predict(store, X[:1])
     predict(store, X[:-1])
     assert calls == []
-    predict(store, X)  # at the gate: the spies see it
-    assert calls == ["cpus", "pool"]
+    # at the gate: the gate reads the CPU count, the pool opens, and its
+    # first job reads the count again to size the pool's threads
+    predict(store, X)
+    assert calls == ["cpus", "pool", "cpus"]
 
 
 def test_lane_work_arrays_start_at_five_offsets_in_a_page():

@@ -150,10 +150,11 @@ def test_stacked_scorer_matches_per_scan_reference(case):
     spec = ConstraintSpec(features=fcs, allow_mask=mask)
     store = zero_init(layout, ds.task, ds.n_outputs, ds.feature_names, spec)
     cfg = TrainConfig(learning_rate=0.3, min_data_in_leaf=min_leaf)
-    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]), ds.n_outputs)
-             for k, fc in enumerate(fcs)]
+    # as in a fit, a feature that every output masks has no workspace
+    works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]))
+             if mask[:, k].any() else None for k, fc in enumerate(fcs)]
     cands = _Candidates(works, ds.n_outputs, cfg, n)
-    scan = _Scan(works)
+    scan = _Scan([wk for wk in works if wk is not None])
     F = np.zeros((n, ds.n_outputs))
     for it in range(6):
         batch = derivatives(ds.task, ds.y, F)
