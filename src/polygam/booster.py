@@ -211,11 +211,13 @@ class _FeatureWork:
         m = 0..max_split_deg, stored as (m, b, c): the block product's BLAS
         path, and so its bits, depend on that layout. fine_start is the first
         slot of each non-empty fine bin; a bin's rows (and any padding) run
-        to the next one's. Blocks of n / (4 * pieces) rows keep the padding
-        under a quarter of the rows; they hold at least 32, because each
-        block is one BLAS call, and on small data the calls would cost more
-        than the padded slots do. Arrays of n rows go once used, so beside
-        the arrays kept the powers need only t."""
+        to the next one's. Blocks are sized to the largest piece: it takes
+        the ceil(c_max / s) blocks that s = ceil(n / (4 * pieces)) rows
+        would give it, evened out, so it pads fewer slots than it has blocks
+        and no piece pads s slots or more. They hold at least 32 rows,
+        because each block is one BLAS call, and on small data the calls
+        would cost more than the padded slots do. Arrays of n rows go once
+        used, so beside the arrays kept the powers need only t."""
         fb, x = self.fb, self.x
         fcodes = fine_code(fb, x)
         piece, t = locate(fb, x, fcodes)
@@ -223,8 +225,9 @@ class _FeatureWork:
         fcounts = np.bincount(fcodes, minlength=fb.n_fine_bins)
         counts = np.bincount(piece, minlength=fb.n_coarse_bins)
         del piece
-        n, n_pieces = x.size, counts.size
-        size = max(-(-n // (4 * n_pieces)), 32)
+        n, c_max = x.size, int(counts.max())
+        s = -(-n // (4 * counts.size))
+        size = max(-(-c_max // -(-c_max // s)), 32)
         n_blocks = -(-counts // size)
         self.nonempty = np.flatnonzero(counts)
         first_block = np.cumsum(n_blocks) - n_blocks

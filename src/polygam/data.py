@@ -49,6 +49,20 @@ def output_problems(task: str, n_outputs) -> list[str]:
             f"got n_outputs = {n_outputs}"]
 
 
+def real_matrix(X) -> np.ndarray:
+    """X as float64, or DataError naming its dtype when it does not hold
+    real numbers (complex, strings, dates). Bool, integer and real float
+    arrays convert; an object array converts element by element, so one
+    holding None reads as NaN, which `refuse_nonfinite` then refuses."""
+    X = np.asarray(X)
+    if X.dtype.kind in "biufO":
+        try:
+            return np.asarray(X, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise DataError(f"X must hold real numbers, got dtype {X.dtype}")
+
+
 def refuse_nonfinite(X: np.ndarray, names: list[str]) -> None:
     """Raise DataError naming the first column and row of X holding NaN or inf."""
     finite = np.isfinite(X)
@@ -92,9 +106,10 @@ class Dataset:
         regression and binary or is below 2 for multiclass, X is not (rows,
         features), kinds does not give a known kind per feature, y does not
         give one target per row, a feature name is not a string or two
-        features share a name, X holds a NaN or
-        infinite value, or a class label is not a whole number the task can
-        hold: 0 or 1 for binary, 0..n_outputs-1 for multiclass."""
+        features share a name, X does not hold real numbers (`real_matrix`),
+        holds a NaN or infinite value or is an object array, or a class label
+        is not a whole number the task can hold: 0 or 1 for binary,
+        0..n_outputs-1 for multiclass."""
         if self.task not in TASKS:
             raise DataError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if errs := output_problems(self.task, self.n_outputs):
@@ -107,7 +122,9 @@ class Dataset:
             raise DataError("; ".join(errs))
         if self.y.shape != (self.X.shape[0],):
             raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
-        refuse_nonfinite(self.X, self.feature_names)
+        refuse_nonfinite(real_matrix(self.X), self.feature_names)
+        if self.X.dtype == object:  # the fit reads X as it is, and cannot cast objects
+            raise DataError("X must be a numeric array, got dtype object")
         if self.task != "regression":
             top = 1 if self.task == "binary" else self.n_outputs - 1
             y = self.y.astype(float)
@@ -329,11 +346,13 @@ def nested_coarse_edges(fine_edges: np.ndarray, n_bins_higher: int) -> np.ndarra
 
 def build_bin_layout(dataset: Dataset, scheme: SplitScheme | None = None) -> BinLayout:
     """Both grids of every feature; a bin count that is not an integer >= 1
-    raises ConfigError."""
+    raises ConfigError, and a dataset of no rows DataError."""
     scheme = scheme or SplitScheme()
     errs = scheme.problems()
     if errs:
         raise ConfigError("; ".join(errs))
+    if dataset.n_rows == 0:
+        raise DataError("cannot bin a dataset with no rows")
     feats = []
     for k in range(dataset.n_features):
         col = dataset.X[:, k]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lanes
 from .data import (BinLayout, CATEGORICAL, TASKS, Dataset, FeatureBins, feature_problems,
-                   output_problems, refuse_nonfinite)
+                   output_problems, real_matrix, refuse_nonfinite)
 from .errors import ConfigError, DataError
 
 FORMAT_VERSION = "1"
@@ -606,7 +606,8 @@ def _predict_rows(X, F, codes, start: int, stop: int, chunk: int, work: tuple, p
 def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False):
     """Raw scores F, shape (N, J). Masked (output, feature) pairs are skipped
     outright, so their columns cannot influence the output even in principle.
-    A NaN or infinite value in X raises DataError.
+    An X that does not hold real numbers (`data.real_matrix`) or holds a
+    NaN or infinite value raises DataError.
 
     Rows go in chunks of CHUNK_ROWS: fine codes per used feature, then one
     `horner` over every pair, whose values each output adds to its intercept
@@ -620,7 +621,7 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     With return_codes, returns (F, codes): codes[k] holds feature k's fine
     codes in the smallest unsigned type that fits its fine bins, or None
     where every output masks the feature."""
-    X = np.asarray(X, dtype=float)
+    X = real_matrix(X)
     if X.ndim != 2 or X.shape[1] != len(store.feature_names):
         raise DataError(
             f"expected feature matrix with {len(store.feature_names)} columns, "

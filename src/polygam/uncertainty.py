@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureBins
+from .data import FeatureBins, real_matrix
 from .errors import ConfigError
 from .losses import hessian_diag
 from .model import ParameterStore, check_pair, evaluate_shape, fine_code, locate, predict
@@ -50,9 +50,9 @@ def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
 
     Mutates store.se_fine / se_coarse in place. Masked (output, feature)
     pairs get None. Call after training (and any rollback) so the Hessian is
-    taken at the final scores.
+    taken at the final scores. X is refused as `predict` refuses it.
     """
-    X = np.asarray(X, dtype=float)
+    X = real_matrix(X)
     F, codes = predict(store, X, return_codes=True)
     h = hessian_diag(store.task, F)  # (N, J)
     mask = store.constraints.allow_mask

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import polygam
 from polygam import booster, lanes
@@ -185,6 +185,55 @@ def test_split_sums_stable_when_one_side_is_tiny():
     assert shr[r] == pytest.approx(rhr, rel=1e-12)
 
 
+@st.composite
+def layout_cases(draw):
+    n = draw(st.integers(1, 5000))
+    shape = draw(st.sampled_from(["tied", "skewed", "normal"]))
+    one_piece = draw(st.booleans())
+    return n, shape, one_piece, draw(st.integers(0, 2**16))
+
+
+@given(layout_cases())
+@example((5000, "tied", False, 3))
+def test_blocks_are_sized_to_the_largest_piece(case):
+    """Every piece of c rows takes ceil(c / size) blocks of size >= 32
+    slots and pads fewer than size <= max(s, 32) of them, s = ceil(n /
+    (4 * pieces)). Above the floor, the largest piece pads fewer slots than
+    it has blocks. Each row sits in one slot; the rest hold row n."""
+    n, shape, one_piece, seed = case
+    rng = np.random.default_rng(seed)
+    x = {"tied": lambda: rng.integers(0, 40, n) * 0.25,
+         "skewed": lambda: rng.lognormal(0.0, 2.0, n),
+         "normal": lambda: rng.normal(size=n)}[shape]()
+    fb = build_bin_layout(make_dataset(x, np.zeros(n)), SplitScheme(256, 1 if one_piece else 20))[0]
+    wk = _FeatureWork(x, fb, FeatureConstraint())
+    counts = np.bincount(locate(fb, x, fine_code(fb, x))[0], minlength=fb.n_coarse_bins)
+    n_blocks, size = wk.slot_row.shape
+    s = -(-n // (4 * counts.size))
+    assert 32 <= size <= max(s, 32)
+    assert wk.nonempty.tolist() == np.flatnonzero(counts).tolist()
+    c = counts[wk.nonempty]
+    blocks = np.diff(np.append(wk.block_start, n_blocks))
+    assert blocks.tolist() == (-(-c // size)).tolist()
+    pad = blocks * size - c
+    assert (pad < size).all()
+    if size > 32:
+        largest = np.argmax(c)
+        assert pad[largest] < blocks[largest]
+    rows = wk.slot_row.ravel()
+    assert np.sort(rows[rows < n]).tolist() == list(range(n))
+    assert (rows == n).sum() == pad.sum()
+
+
+@pytest.mark.parametrize("n", [14000, 140000])
+def test_uniform_rows_fill_their_blocks(n):
+    # 20 pieces of n / 20 rows: blocks of n / 80 rows would leave each
+    # piece a few rows in a fifth, padded block (1.225 n slots)
+    x = np.random.default_rng(n).uniform(size=n)
+    fb = build_bin_layout(make_dataset(x, np.zeros(n)), SplitScheme())[0]
+    assert _FeatureWork(x, fb, FeatureConstraint()).slot_row.size <= 1.02 * n
+
+
 def bincount_moments(piece, t, w, max_m, n_pieces):
     """Oracle: per-piece sums of w * t^m, one bincount over all rows per m."""
     tp, out = np.ones_like(t), []
@@ -198,7 +247,7 @@ def bincount_moments(piece, t, w, max_m, n_pieces):
 def moment_cases(draw):
     D = draw(st.integers(1, 3))
     S = draw(st.integers(-1, D - 1))
-    n = draw(st.integers(1, 400))
+    n = draw(st.integers(1, 3000))  # from about 300 rows, blocks hold over 32
     ties = draw(st.booleans())  # 40 levels, so pieces hold tied values
     one_piece = draw(st.booleans())
     outside = draw(st.booleans())  # rows only beyond the layout's data: middle pieces empty
@@ -208,6 +257,7 @@ def moment_cases(draw):
 
 
 @given(moment_cases())
+@example((FeatureConstraint(smoothness=-1, max_degree=3), 3000, True, False, False, 1234, 5))
 def test_block_moments_match_bincount_oracle(case):
     fc, n, ties, one_piece, outside, nan_row, seed = case
     rng = np.random.default_rng(seed)
@@ -252,11 +302,12 @@ def scan_cases(draw):
     S = draw(st.integers(-1, D - 1)) if D else -1
     outputs = draw(st.sampled_from([list(range(J)), [J - 1], [0, J - 1]] if J > 1
                                    else [[0]]))
-    n = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 3000))  # from about 300 rows, blocks hold over 32
+    ties = draw(st.booleans())  # 40 levels, so pieces hold tied values
     outside = draw(st.booleans())  # rows only beyond the layout's data: empty bins and pieces
     nan_at = draw(st.one_of(st.none(), st.tuples(st.integers(0, n - 1), st.integers(0, 2 * J - 1))))
     seed = draw(st.integers(0, 2**16))
-    return J, FeatureConstraint(smoothness=S, max_degree=D), outputs, n, outside, nan_at, seed
+    return J, FeatureConstraint(smoothness=S, max_degree=D), outputs, n, ties, outside, nan_at, seed
 
 
 @given(scan_cases())
@@ -266,11 +317,12 @@ def test_scan_matches_per_output_oracles(case):
     1e-12 * sum|w * t^m|. A NaN weight stays in its own piece and fine bin
     of its own output; an output's sums do not depend on which other
     outputs the feature serves; a kept h side equals a fresh computation."""
-    J, fc, outputs, n, outside, nan_at, seed = case
+    J, fc, outputs, n, ties, outside, nan_at, seed = case
     rng = np.random.default_rng(seed)
-    ref = rng.normal(size=300)
+    draw = (lambda m: rng.integers(0, 40, m) * 0.25) if ties else (lambda m: rng.normal(size=m))
+    ref = draw(300)
     fb = build_bin_layout(make_dataset(ref, np.zeros(300)), SplitScheme(64, 8))[0]
-    x = rng.normal(size=n)
+    x = draw(n)
     if outside:
         x = np.where(rng.random(n) < 0.5, ref.min() - 1.0 - rng.random(n),
                      ref.max() + 1.0 + rng.random(n))
@@ -351,7 +403,9 @@ def run_cases(draw):
     a fine-scan feature, a constant one without candidates and a feature
     without a fine scan that shares the first one's run, then a few drawn
     ones of mixed degrees, output sets and block sizes (one piece of n rows
-    makes blocks of n / 4 > 32 rows)."""
+    makes blocks of n / 4 > 32 rows, and from about 300 rows so do eight
+    pieces). Tied draws give each feature its own largest piece, and so its
+    own block size."""
     J = draw(st.sampled_from([1, 3]))
     out_sets = [list(range(J)), [J - 1], [0, J - 1]] if J > 1 else [[0]]
     D = draw(st.integers(1, 3))
@@ -362,9 +416,10 @@ def run_cases(draw):
         d = draw(st.integers(0, 3))
         feats.append((draw(st.integers(-1, d - 1)) if d else -1, d,
                       draw(st.sampled_from(out_sets)), draw(st.sampled_from([1, 8])), False))
-    n = draw(st.integers(150, 300))
+    n = draw(st.integers(150, 3000))
+    ties = draw(st.booleans())  # 40 levels, so pieces hold tied values
     nan_at = draw(st.one_of(st.none(), st.tuples(st.integers(0, n - 1), st.integers(0, J - 1))))
-    return J, feats, n, nan_at, draw(st.integers(0, 2**16))
+    return J, feats, n, ties, nan_at, draw(st.integers(0, 2**16))
 
 
 @given(run_cases())
@@ -375,14 +430,17 @@ def test_run_scan_matches_each_feature_alone(case):
     first run holds a fine-scan feature followed by one without, so the
     fine reduceat must end the first feature's last bin at the second
     feature's first slot."""
-    J, feats, n, nan_at, seed = case
+    J, feats, n, ties, nan_at, seed = case
     rng = np.random.default_rng(seed)
+    draw = (lambda m: rng.integers(0, 40, m) * 0.25) if ties else (lambda m: rng.normal(size=m))
     g, h = rng.normal(size=(n, J)), rng.uniform(0.1, 2.0, size=(n, J))
     if nan_at is not None:
         g[nan_at] = np.nan
     args = []
-    for S, D, outputs, pieces, constant in feats:
-        x = np.full(n, 2.0) if constant else rng.normal(size=n)
+    for k, (S, D, outputs, pieces, constant) in enumerate(feats):
+        # the third feature reads the first one's column, so the two share
+        # their largest piece, their block size and so their run
+        x = np.full(n, 2.0) if constant else args[0][0] if k == 2 else draw(n)
         fb = build_bin_layout(make_dataset(x, np.zeros(n)), SplitScheme(64, pieces))[0]
         args.append((x, fb, FeatureConstraint(smoothness=S, max_degree=D), outputs))
     # the constant feature has no candidate, so a fit builds it no workspace
@@ -402,25 +460,29 @@ def test_run_scan_matches_each_feature_alone(case):
                 assert getattr(run_wk, name).tobytes() == getattr(wk, name).tobytes(), (k, name)
 
 
+# prints the sha256 of the model file of the fit result `res`
+PRINT_SHA = "print(hashlib.sha256(pg.model.dumps_model(res.store).encode()).hexdigest())"
+
+
+def run_fresh(code: str, threads: str) -> list[str]:
+    """The words `code` prints, run in a fresh interpreter at
+    PB_THREADS=threads after `import polygam as pg, hashlib` and `import
+    numpy as np`. polygam is imported before numpy, so the thread cap lands
+    before BLAS starts."""
+    env = dict(os.environ, PB_THREADS=threads)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    res = subprocess.run([sys.executable, "-c", "import polygam as pg, hashlib\n"
+                          "import numpy as np\n" + code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
 def model_sha_per_thread_count(fit: str) -> list[str]:
     """sha256 of dumps_model(res.store) after running `fit` (which binds
-    pg, np and res) in a fresh interpreter at PB_THREADS=1 and =2. polygam
-    is imported before numpy, so the thread cap lands before BLAS starts."""
-    code = (
-        "import polygam as pg, hashlib\n"
-        "import numpy as np\n"
-        f"{fit}\n"
-        "print(hashlib.sha256(pg.model.dumps_model(res.store).encode()).hexdigest())\n"
-    )
-    shas = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PB_THREADS=threads)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env.pop(var, None)
-        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert res.returncode == 0, res.stderr
-        shas.append(res.stdout.strip())
+    res) in a fresh interpreter at PB_THREADS=1 and =2."""
+    shas = [run_fresh(f"{fit}\n{PRINT_SHA}\n", threads)[0] for threads in ("1", "2")]
     assert len(shas[0]) == 64
     return shas
 
@@ -482,6 +544,14 @@ LANE_FIT = (
     "                     validation_fraction=0.125)\n"
     "res = pg.train(ds, config=cfg)"
 )
+# LANE_FIT's model bytes. Its blocks hold about 360 rows, where every fit of
+# tools/byte_grid.py keeps 32-row blocks, so a change to how blocks are
+# sized moves these bytes and not the grid's. A change that moves them on
+# purpose updates them in the same commit and says why
+LANE_FIT_PINNED = {
+    "binary": "f0ea90e905a66ae1af5289ec626dad9ebe5eddc11a7deefd68df426e2ca9468f",
+    "multiclass": "f583014b933095e2c280b717db674b861fdd709c60a7aaf9967d2d3de30052f1",
+}
 # the per-lane stages: a workspace build, a scan segment and the row pass's
 # derivative and loss kernels
 LANE_STAGES = [(booster._FeatureWork, "_build_blocks"), (booster._Segment, "scan"),
@@ -536,6 +606,17 @@ def test_lanes_keep_model_bytes_and_log(monkeypatch):
     # the binary lane fit at one and two BLAS threads, in fresh interpreters
     shas = model_sha_per_thread_count("pg.lanes._cpus = lambda: 2\ntask = 'binary'\n" + LANE_FIT)
     assert shas == [one_lane_sha] * 2
+
+
+@pytest.mark.parametrize("task", sorted(LANE_FIT_PINNED))
+def test_lane_fit_bytes_are_pinned(task):
+    # on one lane and on two, at one BLAS thread
+    code = (f"task = {task!r}\n"
+            "for cpus in (1, 2):\n"
+            "    pg.lanes._cpus = lambda: cpus\n"
+            f"    exec({LANE_FIT!r})\n"
+            f"    {PRINT_SHA}\n")
+    assert run_fresh(code, "1") == [LANE_FIT_PINNED[task]] * 2
 
 
 def test_lanes_leave_no_thread_and_raise_a_lane_error(monkeypatch):
@@ -614,15 +695,22 @@ def test_workspace_build_holds_little_beside_what_it_keeps():
 
 
 def test_one_pool_per_fit_opens_before_the_build(monkeypatch):
-    # LANE_FIT on 4,000 rows: 3,500 training rows, and both features in one
-    # run of over 7,000 slots. At a gate of 3,500 values the build, the scan
-    # and the row pass go on lanes; at 5,000 only the scan does; at 2^20
-    # none does, and no thread starts. At every gate the fit opens one pool,
-    # before the build; it starts a thread only once a pass hands it a job
+    # LANE_FIT on 4,000 rows: 3,500 training rows, and each feature its own
+    # run of a few hundred slots more. At a gate of 3,500 values the build,
+    # the scan and the row pass go on lanes; at the biggest run's slots only
+    # the scan does; at 2^20 none does, and no thread starts. At every gate
+    # the fit opens one pool, before the build; it starts a thread only once
+    # a pass hands it a job
     monkeypatch.setattr(lanes, "_cpus", lambda: 2)
     pool, start, dumps = lanes._lanes_pool, threading.Thread.start, []
+    scans, scan = [], booster._Scan
+    with monkeypatch.context() as m:
+        m.setattr(booster, "_Scan", lambda works: scans.append(scan(works)) or scans[-1])
+        exec(LANE_FIT.replace("40000", "4000"), {"pg": polygam, "np": np, "task": "binary"})
+    biggest = max(run.slot_row.size for run in scans[0].runs)
+    assert 3500 < min(run.slot_row.size for run in scans[0].runs) <= biggest < 2**20
     for gate, on_two in ((3500, {"_build_blocks", "scan", "derivative_rows", "loss_rows"}),
-                         (5000, {"scan"}),
+                         (biggest, {"scan"}),
                          (2**20, set())):
         threads, calls, started = {}, [], []
         with monkeypatch.context() as m:
@@ -732,7 +820,8 @@ def test_segments_of_equal_runs_deal_evenly(monkeypatch):
 def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch):
     # more lanes than cores and a short switch interval: a lost update of
     # the shared countdown of segments would skip a run's recombination or
-    # run it twice
+    # run it twice. The six features pair into runs, each cut into four
+    # segments
     monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
     monkeypatch.setattr(lanes, "_cpus", lambda: 1)
     rng = np.random.default_rng(9)
@@ -744,7 +833,8 @@ def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch
     one = _Scan(works[0])
     monkeypatch.setattr(lanes, "_cpus", lambda: 4)
     four = _Scan(works[1])
-    assert list(four.n_segments.values()) == [4] * 6
+    assert len(four.runs) < 6
+    assert list(four.n_segments.values()) == [4] * len(four.runs)
     GH = scan_matrix(rng.normal(size=8000), rng.uniform(0.1, 1.0, size=8000))
     one(GH)
     calls, recombine = [], booster._Run.recombine

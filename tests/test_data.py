@@ -451,6 +451,45 @@ def test_validate_refuses_an_unknown_task_kinds_or_output_count(change, message)
         train(bad)
 
 
+@pytest.mark.parametrize(
+    "X, dtype",
+    [
+        (np.arange(8.0).reshape(4, 2) + 1j, "complex128"),
+        (np.arange(8.0).reshape(4, 2).astype(str), "<U32"),
+        (np.array([["a", "b"]] * 4), "<U1"),
+        (np.zeros((4, 2), dtype="datetime64[s]"), r"datetime64\[s\]"),
+    ],
+)
+def test_validate_refuses_a_matrix_that_does_not_hold_real_numbers(X, dtype):
+    bad = Dataset(X=X, y=np.zeros(4), feature_names=["a", "b"], kinds=["numeric"] * 2,
+                  task="regression", n_outputs=1)
+    with pytest.raises(DataError, match=f"X must hold real numbers, got dtype {dtype}$"):
+        bad.validate()
+    with pytest.raises(DataError, match=f"got dtype {dtype}$"):
+        train(bad)
+
+
+def test_validate_refuses_an_object_matrix():
+    # None reads as NaN, refused as non-finite as `predict` refuses it;
+    # numbers in an object array are refused, since the fit reads X as it is
+    fields = dict(y=np.zeros(4), feature_names=["a", "b"], kinds=["numeric"] * 2,
+                  task="regression", n_outputs=1)
+    X = np.arange(8.0).reshape(4, 2).astype(object)
+    X[2, 1] = None
+    with pytest.raises(DataError, match="feature 'b' holds a non-finite value at row 2"):
+        Dataset(X=X, **fields).validate()
+    X[2, 1] = 5.0
+    for call in (Dataset(X=X, **fields).validate, lambda: train(Dataset(X=X, **fields))):
+        with pytest.raises(DataError, match="X must be a numeric array, got dtype object"):
+            call()
+    Dataset(X=X.astype(float), **fields).validate()
+
+
+def test_build_bin_layout_refuses_a_dataset_with_no_rows():
+    with pytest.raises(DataError, match="no rows"):
+        build_bin_layout(make_dataset(np.zeros((0, 2)), np.zeros(0)))
+
+
 def test_train_refuses_a_training_set_with_no_rows():
     ds = make_dataset(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(DataError, match="no rows"):

@@ -177,6 +177,29 @@ def test_predict_refuses_parameters_that_do_not_fit_the_layout(field, cut):
         predict(store, rows(store, 5, 7))
 
 
+def with_none(X):
+    X = X.astype(object)
+    X[3, 1] = None
+    return X
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("make, message", [
+    (lambda X: X + 1j, "X must hold real numbers, got dtype complex128$"),
+    (lambda X: np.full(X.shape, "a"), "X must hold real numbers, got dtype <U1$"),
+    (lambda X: X.astype(str), r"X must hold real numbers, got dtype <U\d+$"),
+    (with_none, "feature 'x1' holds a non-finite value at row 3"),
+])
+def test_predict_and_se_attach_refuse_a_matrix_that_does_not_hold_real_numbers(make, message):
+    # a complex X used to lose its imaginary part to a ComplexWarning
+    store = build_store(2, [6, 6], np.ones((2, 2), bool), 7)
+    X = make(rows(store, 5, 7))
+    for call in (predict, attach_se_accumulators):
+        with pytest.raises(DataError, match=message):
+            call(store, X)
+    assert not store.has_uncertainty
+
+
 # ---------------------------------------------------------------------------
 # lanes: with the gate forced open, a call cuts its rows into one range per
 # lane, each in chunks of max(CHUNK_ROWS, LANE_CHUNK_VALUES // pairs) rows
