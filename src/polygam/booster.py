@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import lanes
-from .data import BinLayout, Dataset, FeatureBins, build_bin_layout, split_indices
+from .data import BinLayout, Dataset, FeatureBins, build_bin_layout, is_integer, split_indices
 from .errors import ConfigError, DataError, NumericError
 # derivatives and loss_eval are not called here: the benchmark's tracer
 # binds these names in this module
@@ -64,19 +64,19 @@ class TrainConfig:
         type or out of its range; each range test is written so that NaN
         fails it."""
         errs = []
-        for name, kind, ok, bound in (
-                ("learning_rate", numbers.Real, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-                ("l1", numbers.Real, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-                ("l2", numbers.Real, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-                ("min_data_in_leaf", numbers.Integral, lambda v: v >= 1, ">= 1"),
-                ("max_iterations", numbers.Integral, lambda v: v >= 0, ">= 0"),
-                ("early_stopping_patience", numbers.Integral, lambda v: v >= 0, ">= 0"),
-                ("validation_fraction", numbers.Real, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-                ("seed", numbers.Integral, lambda v: v >= 0, ">= 0")):
+        for name, integer, ok, bound in (
+                ("learning_rate", False, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                ("l1", False, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+                ("l2", False, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+                ("min_data_in_leaf", True, lambda v: v >= 1, ">= 1"),
+                ("max_iterations", True, lambda v: v >= 0, ">= 0"),
+                ("early_stopping_patience", True, lambda v: v >= 0, ">= 0"),
+                ("validation_fraction", False, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                ("seed", True, lambda v: v >= 0, ">= 0")):
             value = getattr(self, name)
-            if not isinstance(value, kind):
-                what = "an integer" if kind is numbers.Integral else "a number"
-                errs.append(f"{name} must be {what}, got {value!r}")
+            if not (is_integer(value) if integer else isinstance(value, numbers.Real)):
+                errs.append(f"{name} must be {'an integer' if integer else 'a number'}, "
+                            f"got {value!r}")
             elif not ok(value):
                 errs.append(f"{name} must be {bound}, got {value!r}")
         if errs:

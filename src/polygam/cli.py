@@ -19,7 +19,7 @@ from .booster import TrainConfig, train, write_log
 from .data import (SplitScheme, TASKS, build_bin_layout, fraction_problems, load_csv,
                    load_feature_matrix, split_indices)
 from .errors import ConfigError, DataError, NumericError
-from .explain import export_shapes
+from .explain import DEFAULT_GRID, export_shapes
 from .losses import link_apply, loss_eval
 from .model import (
     ConstraintSpec,
@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("explain", help="export shape functions as CSV and SVG")
     pe.add_argument("-m", "--model", required=True, help="model JSON path")
     pe.add_argument("--features", default=None, help="comma-separated feature filter")
-    pe.add_argument("--grid", type=int, default=512, help="grid points per shape")
+    pe.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid points per shape")
     pe.add_argument("--ci", action="store_true", help="include 95%% confidence bands")
     pe.add_argument("-o", "--out", required=True, help="output directory")
     pe.set_defaults(func=cmd_explain)

@@ -39,32 +39,44 @@ def feature_problems(names: list[str], kinds: list[str]) -> list[str]:
     return errs
 
 
+def is_integer(v) -> bool:
+    """Whether v is an integer: a Python or numpy integer (True and False
+    too, as Python counts them), not a float. An array is not an integer,
+    a 0-d one included, whatever it holds. (numbers.Integral gives the same
+    verdicts at several times the cost, on every index check.)"""
+    return isinstance(v, (int, np.integer))
+
+
 def output_problems(task: str, n_outputs) -> list[str]:
     """The problem of an output count that a known task cannot have: it
     needs exactly 1 for regression and binary, at least 2 for multiclass."""
     multi = task == "multiclass"
-    if isinstance(n_outputs, numbers.Integral) and (n_outputs >= 2 if multi else n_outputs == 1):
+    if is_integer(n_outputs) and (n_outputs >= 2 if multi else n_outputs == 1):
         return []
     return [f"{task} needs {'at least 2' if multi else 'exactly 1'} outputs, "
-            f"got n_outputs = {n_outputs}"]
+            f"got n_outputs = {n_outputs!r}"]
 
 
-def real_matrix(X) -> np.ndarray:
-    """X as float64, or DataError naming its dtype when it does not hold
-    real numbers (complex, strings, dates). Bool, integer and real float
-    arrays convert; an object array converts element by element, so one
-    holding None reads as NaN, which `refuse_nonfinite` then refuses."""
-    X = np.asarray(X)
-    if X.dtype.kind in "biufO":
-        try:
-            return np.asarray(X, dtype=float)
-        except (TypeError, ValueError):
-            pass
-    raise DataError(f"X must hold real numbers, got dtype {X.dtype}")
+def real_values(a, what: str) -> np.ndarray:
+    """a as a float64 array, the same object when it already is one, or
+    DataError naming its dtype when it does not hold real numbers: bool,
+    integer and real float arrays (and lists of them) are read, every other
+    kind is refused: complex, strings, bytes, dates and object arrays,
+    whatever those hold. The one rule every entry point reads its arrays
+    by; each keeps its own shape rule."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise DataError(f"{what} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
-def refuse_nonfinite(X: np.ndarray, names: list[str]) -> None:
-    """Raise DataError naming the first column and row of X holding NaN or inf."""
+def feature_matrix(X, names: list[str]) -> np.ndarray:
+    """X as a float64 (rows, len(names)) matrix (`real_values`), or
+    DataError when it has another shape or holds NaN or inf, naming the
+    first column and row that does."""
+    X = real_values(X, "X")
+    if X.ndim != 2 or X.shape[1] != len(names):
+        raise DataError(f"X has shape {X.shape}, expected (rows, {len(names)} features)")
     finite = np.isfinite(X)
     if not finite.all():
         bad = ~finite
@@ -73,16 +85,22 @@ def refuse_nonfinite(X: np.ndarray, names: list[str]) -> None:
             f"feature {names[col]!r} holds a non-finite value at row {row} "
             f"({int(bad.sum())} non-finite cells in all)"
         )
+    return X
 
 
 @dataclass
 class Dataset:
     """Feature matrix plus target, with per-column kind tags.
 
-    X is float64, C-contiguous, shape (N, K); categorical columns hold numeric
-    level codes. y is float64 for regression and int64 class indices for
-    binary/multiclass. n_outputs is 1 for regression and binary, J for
-    multiclass.
+    X has shape (N, K); categorical columns hold numeric level codes. y is
+    real targets for regression and class indices for binary/multiclass.
+    n_outputs is 1 for regression and binary, J for multiclass. `validate`
+    reads X and y as every entry point reads its arrays
+    (`data.real_values`): an array or list of bool, integer or real float
+    values is accepted, while complex, string, bytes, date and object
+    arrays are refused. It then leaves X as the float64 matrix `predict`
+    reads (the same object when X is already float64) and y as an array of
+    its own dtype, so `train` fits exactly the numbers `predict` reads.
     """
 
     X: np.ndarray
@@ -103,37 +121,34 @@ class Dataset:
 
     def validate(self) -> None:
         """Raise DataError when the task is unknown, n_outputs is not 1 for
-        regression and binary or is below 2 for multiclass, X is not (rows,
-        features), kinds does not give a known kind per feature, y does not
-        give one target per row, a feature name is not a string or two
-        features share a name, X does not hold real numbers (`real_matrix`),
-        holds a NaN or infinite value or is an object array, or a class label
-        is not a whole number the task can hold: 0 or 1 for binary,
-        0..n_outputs-1 for multiclass."""
+        regression and binary or is below 2 for multiclass, X is not a
+        finite (rows, features) matrix of real numbers (`feature_matrix`),
+        kinds does not give a known kind per feature, a feature name is not
+        a string or two features share a name, y does not give one real
+        number per row (`real_values`), or a class label is not a whole
+        number the task can hold: 0 or 1 for binary, 0..n_outputs-1 for
+        multiclass. Then rebind X to its float64 matrix and y to an array."""
         if self.task not in TASKS:
             raise DataError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if errs := output_problems(self.task, self.n_outputs):
             raise DataError(errs[0])
-        if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
-            raise DataError(
-                f"X has shape {self.X.shape}, expected (rows, {len(self.feature_names)} features)"
-            )
+        X = feature_matrix(self.X, self.feature_names)
         if errs := feature_problems(self.feature_names, self.kinds):
             raise DataError("; ".join(errs))
-        if self.y.shape != (self.X.shape[0],):
-            raise DataError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
-        refuse_nonfinite(real_matrix(self.X), self.feature_names)
-        if self.X.dtype == object:  # the fit reads X as it is, and cannot cast objects
-            raise DataError("X must be a numeric array, got dtype object")
+        y = np.asarray(self.y)
+        labels = real_values(y, "y")
+        if y.shape != (X.shape[0],):
+            raise DataError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
         if self.task != "regression":
             top = 1 if self.task == "binary" else self.n_outputs - 1
-            y = self.y.astype(float)
-            bad = np.flatnonzero(~((y >= 0.0) & (y <= top) & (y == np.floor(y))))
+            bad = np.flatnonzero(~((labels >= 0.0) & (labels <= top)
+                                   & (labels == np.floor(labels))))
             if bad.size:
                 raise DataError(
                     f"{self.task} labels must be whole numbers in 0..{top}; row {bad[0]} "
-                    f"holds {self.y[bad[0]].item()!r} ({bad.size} bad labels in all)"
+                    f"holds {y[bad[0]].item()!r} ({bad.size} bad labels in all)"
                 )
+        self.X, self.y = X, y
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
@@ -161,8 +176,8 @@ class SplitScheme:
 
 def _bin_count_problems(**counts) -> list[str]:
     """Every one of these named bin counts that is not an integer >= 1."""
-    return [f"{name} must be an integer >= 1, got {value}" for name, value in counts.items()
-            if not (isinstance(value, numbers.Integral) and value >= 1)]
+    return [f"{name} must be an integer >= 1, got {value!r}" for name, value in counts.items()
+            if not (is_integer(value) and value >= 1)]
 
 
 def _cell(x, origin: float, scale: float, cells: int, out: np.ndarray) -> np.ndarray:
@@ -303,17 +318,26 @@ class BinLayout:
         return len(self.features)
 
 
+def _value_column(values) -> np.ndarray:
+    """values as a 1-D float64 array (`real_values`), or DataError."""
+    v = real_values(values, "values")
+    if v.ndim != 1:
+        raise DataError(f"values must be one column, got shape {v.shape}")
+    return v
+
+
 def build_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
     """Quantile edges: midpoints between the two samples straddling each i/n_bins rank.
 
     Duplicate quantiles collapse, so fewer bins than requested may result.
     Every interior edge lies strictly between the observed min and max and
     every resulting bin contains at least one sample. An n_bins that is not
-    an integer >= 1 raises ConfigError.
+    an integer >= 1 raises ConfigError, values that are not one column of
+    real numbers (`_value_column`) DataError.
     """
     if errs := _bin_count_problems(n_bins=n_bins):
         raise ConfigError(errs[0])
-    v = np.sort(np.asarray(values, dtype=float))
+    v = np.sort(_value_column(values))
     # the ranks i * n // n_bins, each in 1..n-1; from n_bins = n on they are
     # every rank there, so at most n of them are formed
     k = min(n_bins, v.size)
@@ -323,8 +347,9 @@ def build_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def categorical_edges(values: np.ndarray) -> np.ndarray:
-    """One bin per distinct level: edges at midpoints between consecutive levels."""
-    u = np.unique(np.asarray(values, dtype=float))
+    """One bin per distinct level: edges at midpoints between consecutive
+    levels; values that are not one column of real numbers raise DataError."""
+    u = np.unique(_value_column(values))
     if u.size < 2:
         return np.empty(0, dtype=float)
     return 0.5 * (u[1:] + u[:-1])
@@ -403,7 +428,7 @@ def split_indices(
     raise ConfigError.
     """
     for what, v in (("n", n), ("seed", seed)):
-        if not (isinstance(v, numbers.Integral) and v >= 0):
+        if not (is_integer(v) and v >= 0):
             raise ConfigError(f"split {what} must be an integer >= 0, got {v!r}")
     problems = fraction_problems(fractions)
     if problems:

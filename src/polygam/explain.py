@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import is_integer, real_values
 from .errors import ConfigError
 from .losses import link_apply
 from .model import ParameterStore, check_pair, evaluate_derivative, evaluate_shape, predict
 from .uncertainty import shape_ci
 
 DEFAULT_GRID = 512
+SVG_WIDTH, SVG_HEIGHT = 640, 440  # `render_svg`'s canvas, in pixels
 
 
 @dataclass
@@ -42,7 +43,7 @@ def shape_grid(
     """Sample shape i,k on grid_size points spanning the observed range;
     a grid_size that is not an integer >= 1 is refused, as are indices
     outside the model."""
-    if not isinstance(grid_size, numbers.Integral):
+    if not is_integer(grid_size):
         raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 1:
         raise ConfigError(f"grid_size must be >= 1, got {grid_size}")
@@ -138,7 +139,7 @@ def elasticity(store: ParameterStore, i: int, k: int, x: float, row=None) -> flo
         raise ConfigError("probability elasticity requires a single-output feature")
     if row is None:
         raise ConfigError("probability elasticity requires a full feature row")
-    row = np.asarray(row, dtype=float).reshape(1, -1).copy()
+    row = real_values(row, "row").reshape(1, -1).copy()
     row[0, k] = x
     p = link_apply(store.task, predict(store, row))[0]
     p_i = float(p[i] if store.task == "multiclass" else p[0])
@@ -159,7 +160,7 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(grid: ShapeGrid, width: int = 640, height: int = 440) -> str:
+def render_svg(grid: ShapeGrid) -> str:
     """Self-contained SVG 1.1 line plot of a shape grid.
 
     Axes with ticks, the f polyline, and a shaded CI band when present.
@@ -169,7 +170,7 @@ def render_svg(grid: ShapeGrid, width: int = 640, height: int = 440) -> str:
     if grid.x.size == 0:
         raise ConfigError("cannot render an empty grid")
     ml, mr, mt, mb = 70.0, 20.0, 24.0, 50.0
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
 
     x0, x1 = float(grid.x[0]), float(grid.x[-1])
     if x1 <= x0:
@@ -193,8 +194,8 @@ def render_svg(grid: ShapeGrid, width: int = 640, height: int = 440) -> str:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     if grid.has_ci and grid.x.size > 1:
         pts = [f"{_px(sx(x))},{_px(sy(u))}" for x, u in zip(grid.x, grid.ci_upper)]
@@ -239,7 +240,7 @@ def render_svg(grid: ShapeGrid, width: int = 640, height: int = 440) -> str:
             f'<circle cx="{_px(sx(x0))}" cy="{_px(sy(float(grid.f[0])))}" r="3" fill="#1f4e9c"/>'
         )
     parts.append(
-        f'<text x="{_px(ml + pw / 2)}" y="{_px(height - 12)}" font-size="12" '
+        f'<text x="{_px(ml + pw / 2)}" y="{_px(SVG_HEIGHT - 12)}" font-size="12" '
         f'text-anchor="middle" font-family="sans-serif">{grid.feature_name}</text>'
     )
     parts.append(

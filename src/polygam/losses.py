@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TASKS
+from .data import TASKS, real_values
 from .errors import DataError
 
 P_CLIP = 1e-15
@@ -38,33 +38,37 @@ class DerivativeBatch:
 
 
 def _as_scores(F: np.ndarray) -> np.ndarray:
-    F = np.asarray(F, dtype=float)
+    """F as (rows, outputs) float64 scores (`real_values`); 1-D scores are
+    one output, and scores of any other shape raise DataError."""
+    F = real_values(F, "F")
     if F.ndim == 1:
         F = F[:, None]
+    if F.ndim != 2:
+        raise DataError(f"F has shape {F.shape}, expected (rows,) or (rows, outputs)")
     return F
 
 
 def checked_labels(task: str, y: np.ndarray, n: int, n_outputs: int) -> np.ndarray:
     """y as the row kernels read it: float targets; for binary, the rows y
     and 1 - y of labels in [0, 1] (fractions too); whole class indices in
-    0..n_outputs-1. One length compare and one min/max pass; a label the
-    task cannot hold is a DataError."""
+    0..n_outputs-1. One length compare and one min/max pass; labels that
+    are not real numbers (`real_values`) or that the task cannot hold are a
+    DataError."""
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}")
-    y = np.asarray(y)
+    y = real_values(y, "y")
     if y.shape != (n,):
         raise DataError(f"y has shape {y.shape}, expected ({n},) to match the scores")
     if task == "regression":
-        return y.astype(float, copy=False)
+        return y
     top = 1 if task == "binary" else n_outputs - 1
     if y.size and not (y.min() >= 0 and y.max() <= top):  # NaN fails both
         raise DataError(f"{task} labels must lie in [0, {top}]; "
                         f"got values in [{y.min()}, {y.max()}]")
     if task == "binary":
-        yf = y.astype(float, copy=False)
-        return np.stack((yf, 1.0 - yf))
-    yi = y.astype(np.intp, copy=False)
-    if yi is not y and not np.array_equal(yi, y):
+        return np.stack((y, 1.0 - y))
+    yi = y.astype(np.intp)
+    if not np.array_equal(yi, y):
         raise DataError("multiclass labels must be whole class indices")
     return yi
 

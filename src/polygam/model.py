@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import reprlib
 import warnings
 from dataclasses import dataclass, field, replace
@@ -25,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lanes
-from .data import (BinLayout, CATEGORICAL, TASKS, Dataset, FeatureBins, feature_problems,
-                   output_problems, real_matrix, refuse_nonfinite)
+from .data import (BinLayout, CATEGORICAL, TASKS, Dataset, FeatureBins, feature_matrix,
+                   feature_problems, is_integer, output_problems, real_values)
 from .errors import ConfigError, DataError
 
 FORMAT_VERSION = "1"
@@ -56,15 +55,6 @@ LANE_CHUNK_VALUES = 2**17
 WORK_GAP = 320
 
 
-def _is_int(v) -> bool:
-    """Whether v is an integer: a Python or numpy int, not a float."""
-    try:
-        operator.index(v)
-    except TypeError:
-        return False
-    return True
-
-
 @dataclass
 class FeatureConstraint:
     """Shape rules for one feature.
@@ -85,7 +75,7 @@ class FeatureConstraint:
                   ("monotone sign", self.monotone), ("curvature sign", self.curvature))
         # 3.0 in (0, 1, 2, 3) holds, but a float degree breaks range() in the fit
         errs = [f"feature {name!r}: {what} must be an integer, got {v!r}"
-                for what, v in values if not _is_int(v)]
+                for what, v in values if not is_integer(v)]
         if errs:
             return errs
         if self.max_degree not in (0, 1, 2, 3):
@@ -145,7 +135,7 @@ class ConstraintSpec:
             k = dataset.feature_names.index(name)
             mask[:, k] = False
             for i in outs:
-                if not (_is_int(i) and 0 <= i < dataset.n_outputs):
+                if not (is_integer(i) and 0 <= i < dataset.n_outputs):
                     raise ConfigError(f"feature {name!r}: output index must be an integer in "
                                       f"0..{dataset.n_outputs - 1}, got {i!r}")
                 mask[i, k] = True
@@ -385,7 +375,7 @@ def horner(coef: np.ndarray, rows: np.ndarray, t: np.ndarray, order: int = 0, st
 
 
 def _check_index(what: str, v, n: int) -> None:
-    if not (_is_int(v) and 0 <= v < n):
+    if not (is_integer(v) and 0 <= v < n):
         raise ConfigError(f"{what} index must be an integer in 0..{n - 1}, got {v!r}")
 
 
@@ -394,7 +384,7 @@ def _check_order(order, lowest: int) -> None:
     in lowest..2, where math.perm would fail on a float or a negative order
     with a bare error and a higher order would give gaps no caller asks
     for."""
-    if _is_int(order) and lowest <= order <= 2:
+    if is_integer(order) and lowest <= order <= 2:
         return
     allowed = ", ".join(map(str, range(lowest, 2))) + " or 2"
     raise ConfigError(f"order must be {allowed}, got {order!r}")
@@ -413,7 +403,7 @@ def _evaluate(store: ParameterStore, i: int, k: int, x, order: int):
     of that order at x, a scalar or a vector."""
     check_pair(store, i, k)
     scalar = np.isscalar(x)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = np.atleast_1d(real_values(x, "x"))
     fb, sp = store.layout[k], store.params[i][k]
     fcode = fine_code(fb, xv)
     piece, t = locate(fb, xv, fcode)
@@ -448,7 +438,7 @@ def _check_fold(store: ParameterStore, i, k, d, split: bool, values: tuple) -> N
     if not store.constraints.allow_mask[i, k]:
         raise ConfigError(f"output {i} does not use feature {name!r}: the pair is masked out")
     lowest = fc.smoothness + 1 if split else 0
-    if not (_is_int(d) and lowest <= d <= fc.max_degree):
+    if not (is_integer(d) and lowest <= d <= fc.max_degree):
         raise ConfigError(f"{'split' if split else 'global'} degree of feature {name!r} must "
                           f"be an integer in {lowest}..{fc.max_degree}, got {d!r}")
     try:
@@ -606,8 +596,8 @@ def _predict_rows(X, F, codes, start: int, stop: int, chunk: int, work: tuple, p
 def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False):
     """Raw scores F, shape (N, J). Masked (output, feature) pairs are skipped
     outright, so their columns cannot influence the output even in principle.
-    An X that does not hold real numbers (`data.real_matrix`) or holds a
-    NaN or infinite value raises DataError.
+    An X that is not a finite matrix of real numbers with one column per
+    feature (`data.feature_matrix`) raises DataError.
 
     Rows go in chunks of CHUNK_ROWS: fine codes per used feature, then one
     `horner` over every pair, whose values each output adds to its intercept
@@ -621,13 +611,7 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     With return_codes, returns (F, codes): codes[k] holds feature k's fine
     codes in the smallest unsigned type that fits its fine bins, or None
     where every output masks the feature."""
-    X = real_matrix(X)
-    if X.ndim != 2 or X.shape[1] != len(store.feature_names):
-        raise DataError(
-            f"expected feature matrix with {len(store.feature_names)} columns, "
-            f"got shape {X.shape}"
-        )
-    refuse_nonfinite(X, store.feature_names)
+    X = feature_matrix(X, store.feature_names)
     plan = _plan(store)
     _, _, used, bins, _, _, pairs, _, _, coef_row, n_pieces, _, slots = plan
     coef = np.concatenate(  # degree-first: (4, stacked pieces)

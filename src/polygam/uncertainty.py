@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureBins, real_matrix
+from .data import FeatureBins, real_values
 from .errors import ConfigError
 from .losses import hessian_diag
 from .model import ParameterStore, check_pair, evaluate_shape, fine_code, locate, predict
@@ -50,9 +50,11 @@ def attach_se_accumulators(store: ParameterStore, X: np.ndarray) -> None:
 
     Mutates store.se_fine / se_coarse in place. Masked (output, feature)
     pairs get None. Call after training (and any rollback) so the Hessian is
-    taken at the final scores. X is refused as `predict` refuses it.
+    taken at the final scores. X is refused as `predict` refuses it: it is
+    read as float64 here (`data.real_values`), and `predict` checks its
+    shape and scans it for NaN and inf once.
     """
-    X = real_matrix(X)
+    X = real_values(X, "X")
     F, codes = predict(store, X, return_codes=True)
     h = hessian_diag(store.task, F)  # (N, J)
     mask = store.constraints.allow_mask
@@ -135,7 +137,7 @@ def variance_pred(store: ParameterStore, i: int, k: int, x) -> np.ndarray | floa
         raise ConfigError("model stores no uncertainty accumulators; "
                           "run attach_se_accumulators first")
     scalar = np.isscalar(x)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = np.atleast_1d(real_values(x, "x"))
     if store.se_fine[i][k] is None:
         out = np.zeros_like(xv)
         return float(out[0]) if scalar else out

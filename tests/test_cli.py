@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from polygam.cli import FEATURE_KEYS, GRAMMAR, main, parse_config, resolved_ini
+from polygam.cli import FEATURE_KEYS, GRAMMAR, _build_parser, main, parse_config, resolved_ini
 from polygam.data import split_indices
 from polygam.errors import ConfigError
+from polygam.explain import DEFAULT_GRID
 
 
 def write_regression_csv(path, n=240, seed=0):
@@ -561,3 +562,8 @@ def test_pb_threads_warns_when_numpy_was_imported_first():
     assert late.returncode != 0
     assert "RuntimeWarning: PB_THREADS has no effect" in late.stderr
     assert early.returncode == 0, early.stderr
+
+
+def test_explain_grid_defaults_to_the_library_grid():
+    args = _build_parser().parse_args(["explain", "-m", "model.json", "-o", "out"])
+    assert args.grid == DEFAULT_GRID

@@ -188,7 +188,7 @@ def with_none(X):
     (lambda X: X + 1j, "X must hold real numbers, got dtype complex128$"),
     (lambda X: np.full(X.shape, "a"), "X must hold real numbers, got dtype <U1$"),
     (lambda X: X.astype(str), r"X must hold real numbers, got dtype <U\d+$"),
-    (with_none, "feature 'x1' holds a non-finite value at row 3"),
+    (with_none, "X must hold real numbers, got dtype object$"),
 ])
 def test_predict_and_se_attach_refuse_a_matrix_that_does_not_hold_real_numbers(make, message):
     # a complex X used to lose its imaginary part to a ComplexWarning
