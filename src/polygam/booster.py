@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import numbers
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -316,9 +315,9 @@ class _Scan:
     differ by at most one segment. Each lane has a gather buffer of three
     rows of its biggest segment. A piece and each of its fine bins lie in
     one segment and sum the same slots in the same order as in a scan of
-    the whole run, and a run's recombination runs once all its segments
-    are done, on the lane that finished the last one; so every sum keeps
-    its bits on any number of lanes."""
+    the whole run, and the runs are recombined on the calling thread once
+    every lane is joined, when no segment writes the sums they read; so
+    every sum keeps its bits on any number of lanes."""
 
     def __init__(self, works: list[_FeatureWork]):
         limit = max([2**14] + [wk.slot_row.size for wk in works])
@@ -332,32 +331,27 @@ class _Scan:
         self.runs = [_Run(run) for _, _, run in runs]
         n_lanes = lanes.gate(max((r.slot_row.size for r in self.runs), default=0))
         segments = [seg for run in self.runs for seg in run.cut(n_lanes)]
-        self.n_segments = {run: sum(seg.run is run for seg in segments) for run in self.runs}
         self.lanes = [[segments[i] for i in lane] for lane in lanes.deal(
             [seg.slot_row.size * len(seg.run.outputs) for seg in segments], n_lanes)]
         self.bufs = [np.empty(3 * max((s.slot_row.size for s in lane), default=0))
                      for lane in self.lanes]
-        self.lock = threading.Lock()
 
     def __call__(self, GH: np.ndarray, h_side: bool = True, pool=None) -> None:
         """GH is (2J, n + 1), g then h by output, with a zero last column.
         Without h_side only the g side is summed, and the h side kept. With
         a pool (an executor), every lane but the first runs on it, while the
         first runs on this thread; without one, the lanes run one after
-        another."""
-        pending = dict(self.n_segments)
+        another. Each run is recombined on this thread once every lane is
+        done."""
 
         def lane(segments, buf):
             for seg in segments:
                 seg.scan(GH, h_side, buf)
-                with self.lock:
-                    pending[seg.run] -= 1
-                    last = not pending[seg.run]
-                if last:
-                    seg.run.recombine(h_side)
 
         lanes._on_lanes(pool, [functools.partial(lane, *job)
                                for job in zip(self.lanes, self.bufs)])
+        for run in self.runs:
+            run.recombine(h_side)
 
 
 class _Run:
@@ -903,7 +897,13 @@ def train(
     carved out of `dataset` (stratified by class for classification). Bin
     edges always come from `dataset` as handed in, before any carving. A
     `valid` set whose feature names, task or output count differ from
-    `dataset`'s, or a `layout` of another feature count, is a DataError.
+    `dataset`'s is a DataError. Constraints the features and outputs cannot
+    take are a ConfigError (`ConstraintSpec.validate`). Then the fit's zero
+    store must pass `ParameterStore.validate`, the rule `save_model` and
+    `load_model` apply, before anything is carved, binned or built: a
+    layout of another feature count or one no model may hold, or a target
+    name that is not a string, is a DataError, so a fit never makes a model
+    that `load_model` would refuse.
     """
     cfg = config or TrainConfig()
     cfg.validate()
@@ -920,12 +920,12 @@ def train(
                 raise DataError(f"valid has {name} {got!r}; the training set has {want!r}")
     if layout is None:
         layout = build_bin_layout(dataset)
-    elif len(layout) != dataset.n_features:
-        raise DataError(f"layout has {len(layout)} features; the training set has "
-                        f"{dataset.n_features}")
     if constraints is None:
         constraints = ConstraintSpec.default(dataset)
     constraints.validate(dataset.feature_names, dataset.n_outputs)
+    store = zero_init(layout, dataset.task, dataset.n_outputs, dataset.feature_names,
+                      constraints, dataset.target_name)
+    store.validate()
 
     if valid is None and cfg.validation_fraction > 0.0:
         labels = dataset.y if dataset.task != "regression" else None
@@ -955,8 +955,6 @@ def train(
 
     task = dataset.task
     intercepts = _initial_intercepts(task, ds_train.y, dataset.n_outputs)
-    store = zero_init(layout, task, dataset.n_outputs, dataset.feature_names,
-                      constraints, dataset.target_name)
     store.intercepts = intercepts.copy()
     initial_store = store.copy()
 
@@ -969,8 +967,6 @@ def train(
     # sets how many jobs it hands the pool, which starts its threads on the
     # first job, so a fit below every gate starts none
     with lanes._lanes_pool() as pool:
-        for fb in layout.features:
-            fb.piece_of_fine  # raises for coarse edges off the fine grid, workspace or not
         # a workspace for each feature that some output uses and that has a
         # candidate: a global term (S >= 0) or a fine edge (coarse edges are
         # fine edges)

@@ -40,11 +40,13 @@ def feature_problems(names: list[str], kinds: list[str]) -> list[str]:
 
 
 def is_integer(v) -> bool:
-    """Whether v is an integer: a Python or numpy integer (True and False
-    too, as Python counts them), not a float. An array is not an integer,
-    a 0-d one included, whatever it holds. (numbers.Integral gives the same
-    verdicts at several times the cost, on every index check.)"""
-    return isinstance(v, (int, np.integer))
+    """Whether v is an integer: a Python or numpy integer, not a bool (True
+    and False count as integers in Python, but not in a model file: JSON
+    keeps them apart, as `model._json_int` does), nor a float. An array is
+    not an integer, a 0-d one included, whatever it holds. (Type tests
+    only: numbers.Integral costs several times as much, on every index
+    check.)"""
+    return isinstance(v, (int, np.integer)) and type(v) is not bool
 
 
 def output_problems(task: str, n_outputs) -> list[str]:
@@ -259,7 +261,12 @@ class FeatureBins:
 
     coarse_edges is always a subset of fine_edges. The lower edge of the first
     coarse piece is the observed minimum (also the reference point x_ref for
-    global polynomial terms).
+    global polynomial terms). The edges are read once, here, as 1-D float64
+    arrays (`real_values`; other values or shapes raise DataError), and
+    x_min and x_max as floats, so a model holds and saves the same numbers
+    whatever type they were handed in as. Whether the bins make a model
+    (ascending edges strictly inside (x_min, x_max), coarse edges on the
+    fine grid, a known kind) is `ParameterStore.validate`'s rule.
     """
 
     fine_edges: np.ndarray
@@ -267,6 +274,11 @@ class FeatureBins:
     x_min: float
     x_max: float
     kind: str = NUMERIC
+
+    def __post_init__(self):
+        self.fine_edges = _column(self.fine_edges, "fine_edges")
+        self.coarse_edges = _column(self.coarse_edges, "coarse_edges")
+        self.x_min, self.x_max = real_values([self.x_min, self.x_max], "x_min and x_max").tolist()
 
     @property
     def n_fine_bins(self) -> int:
@@ -318,11 +330,11 @@ class BinLayout:
         return len(self.features)
 
 
-def _value_column(values) -> np.ndarray:
-    """values as a 1-D float64 array (`real_values`), or DataError."""
-    v = real_values(values, "values")
+def _column(a, what: str) -> np.ndarray:
+    """a as a 1-D float64 array (`real_values`), or DataError naming it."""
+    v = real_values(a, what)
     if v.ndim != 1:
-        raise DataError(f"values must be one column, got shape {v.shape}")
+        raise DataError(f"{what} must be one column, got shape {v.shape}")
     return v
 
 
@@ -333,11 +345,11 @@ def build_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
     Every interior edge lies strictly between the observed min and max and
     every resulting bin contains at least one sample. An n_bins that is not
     an integer >= 1 raises ConfigError, values that are not one column of
-    real numbers (`_value_column`) DataError.
+    real numbers (`_column`) DataError.
     """
     if errs := _bin_count_problems(n_bins=n_bins):
         raise ConfigError(errs[0])
-    v = np.sort(_value_column(values))
+    v = np.sort(_column(values, "values"))
     # the ranks i * n // n_bins, each in 1..n-1; from n_bins = n on they are
     # every rank there, so at most n of them are formed
     k = min(n_bins, v.size)
@@ -349,7 +361,7 @@ def build_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
 def categorical_edges(values: np.ndarray) -> np.ndarray:
     """One bin per distinct level: edges at midpoints between consecutive
     levels; values that are not one column of real numbers raise DataError."""
-    u = np.unique(_value_column(values))
+    u = np.unique(_column(values, "values"))
     if u.size < 2:
         return np.empty(0, dtype=float)
     return 0.5 * (u[1:] + u[:-1])
@@ -493,62 +505,39 @@ def load_csv(
 
     Feature order follows the header, target excluded. A feature is tagged
     categorical when flagged explicitly or when it takes at most two distinct
-    values.
+    values. A multiclass target has the largest label + 1 classes (at least
+    2), no more than its rows, and every class must appear. The dataset
+    returned has passed `Dataset.validate`, the labels rule included; a
+    classification target is then read as int64 class indices.
     """
-    if task not in TASKS:
-        raise DataError(f"unknown task {task!r}, expected one of {TASKS}")
     header, mat = _parse_matrix(path, require_rows=True)
     if target not in header:
         raise DataError(f"{path}: target column {target!r} not found in header")
     unknown = set(categorical) - set(header)
     if unknown:
         raise DataError(f"{path}: categorical flag for unknown column(s) {sorted(unknown)}")
-    t_col = header.index(target)
-    y_raw = mat[:, t_col]
     feature_names = [c for c in header if c != target]
-    cols = [i for i, c in enumerate(header) if c != target]
-    X = np.ascontiguousarray(mat[:, cols])
-
-    if task == "regression":
-        y = y_raw.astype(float)
-        n_outputs = 1
-    else:
-        y_int = y_raw.astype(np.int64)
-        if not np.array_equal(y_int.astype(float), y_raw):
-            raise DataError(f"{path}: target {target!r} must hold integer class labels")
-        if y_int.min() < 0:
-            raise DataError(f"{path}: class labels must be >= 0")
-        if task == "binary":
-            if y_int.max() > 1:
-                raise DataError(f"{path}: binary target must be in {{0,1}}")
-            n_outputs = 1
-        else:
-            n_classes = int(y_int.max()) + 1
-            present = np.unique(y_int)
-            if n_classes < 2 or present.size != n_classes:
-                missing = sorted(set(range(n_classes)) - set(present.tolist()))
-                raise DataError(
-                    f"{path}: multiclass target must cover classes 0..{n_classes - 1}; "
-                    f"missing {missing}"
-                )
-            n_outputs = n_classes
-        y = y_int
-
-    kinds = []
-    for j, name in enumerate(feature_names):
-        if name in categorical or np.unique(X[:, j]).size <= 2:
-            kinds.append(CATEGORICAL)
-        else:
-            kinds.append(NUMERIC)
-    return Dataset(
-        X=X,
-        y=y,
-        feature_names=feature_names,
-        kinds=kinds,
-        task=task,
-        n_outputs=n_outputs,
-        target_name=target,
-    )
+    X = np.ascontiguousarray(mat[:, [header.index(c) for c in feature_names]])
+    y = mat[:, header.index(target)]
+    n_outputs = 1
+    if task == "multiclass":
+        n_outputs = max(int(y.max()) + 1, 2)
+        if n_outputs > y.size:  # before anything is made per class
+            raise DataError(f"{path}: multiclass label {y.max():g} asks for more classes "
+                            f"than the {y.size} rows can cover")
+    kinds = [CATEGORICAL if name in categorical or np.unique(X[:, j]).size <= 2 else NUMERIC
+             for j, name in enumerate(feature_names)]
+    ds = Dataset(X, y, feature_names, kinds, task, n_outputs, target_name=target)
+    try:
+        ds.validate()
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+    if task != "regression":
+        ds.y = y.astype(np.int64)
+    if task == "multiclass" and (missing := np.setdiff1d(np.arange(n_outputs), ds.y)).size:
+        raise DataError(f"{path}: multiclass target must cover classes 0..{n_outputs - 1}; "
+                        f"{missing.size} missing, the first {missing[:5].tolist()}")
+    return ds
 
 
 def load_feature_matrix(path, feature_names: list[str], ignore: tuple[str, ...] = ()):

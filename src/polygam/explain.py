@@ -53,14 +53,12 @@ def shape_grid(
         x = np.linspace(fb.x_min, fb.x_max, grid_size)
     else:
         x = np.array([fb.x_min])  # constant feature
-    f = np.atleast_1d(evaluate_shape(store, i, k, x))
-    fp = np.atleast_1d(evaluate_derivative(store, i, k, x, order=1))
-    fpp = np.atleast_1d(evaluate_derivative(store, i, k, x, order=2))
+    f = evaluate_shape(store, i, k, x)
+    fp = evaluate_derivative(store, i, k, x, order=1)
+    fpp = evaluate_derivative(store, i, k, x, order=2)
     lo = hi = None
     if with_ci:
         _, lo, hi = shape_ci(store, i, k, x)
-        lo = np.atleast_1d(lo)
-        hi = np.atleast_1d(hi)
     return ShapeGrid(i, k, store.feature_names[k], x, f, fp, fpp, lo, hi)
 
 

@@ -186,31 +186,25 @@ def link_apply(task: str, F: np.ndarray) -> np.ndarray:
     return p
 
 
-def loss_eval(task: str, y: np.ndarray, F: np.ndarray, p: np.ndarray | None = None) -> float:
-    """Mean loss over samples at raw scores F. p, when given, is
-    link_apply(task, F) already computed by the caller, and is not changed.
-    A label the task cannot hold is a DataError."""
+def loss_eval(task: str, y: np.ndarray, F: np.ndarray) -> float:
+    """Mean loss over samples at raw scores F. A label the task cannot hold
+    is a DataError."""
     F = _as_scores(F)
     n = F.shape[0]
     y = checked_labels(task, y, n, F.shape[1])
-    if p is None and task != "regression":
-        p = link_apply(task, F)
+    p = None if task == "regression" else link_apply(task, F)
     terms = np.empty((2, n))
     loss_rows(task, y, F, p, terms[0], terms[1], slice(0, n))
     return loss_mean(task, terms[0])
 
 
-def derivatives(
-    task: str, y: np.ndarray, F: np.ndarray, p: np.ndarray | None = None
-) -> DerivativeBatch:
-    """Gradient and Hessian diagonal of the per-sample loss at F. p, when
-    given, is link_apply(task, F) already computed by the caller. A label
+def derivatives(task: str, y: np.ndarray, F: np.ndarray) -> DerivativeBatch:
+    """Gradient and Hessian diagonal of the per-sample loss at F. A label
     the task cannot hold is a DataError."""
     F = _as_scores(F)
     n, J = F.shape
     y = checked_labels(task, y, n, J)
-    if p is None and task != "regression":
-        p = link_apply(task, F)
+    p = None if task == "regression" else link_apply(task, F)
     G = np.empty((2 * J, n))
     derivative_rows(task, y, F, p, G, slice(0, n))
     return DerivativeBatch(g=G[:J].T, h=G[J:].T)

@@ -142,7 +142,10 @@ class ConstraintSpec:
         return cls(features=feats, allow_mask=mask)
 
     def problems(self, feature_names: list[str], n_outputs: int) -> list[str]:
-        """Every way the spec does not fit these features and outputs."""
+        """Every way the spec does not fit these features and outputs: a
+        constraint per feature whose S, D and signs are integers (not bools,
+        `data.is_integer`) in range, and a bool allow mask of shape
+        (outputs, features)."""
         errs = []
         if len(self.features) != len(feature_names):
             errs.append(
@@ -152,9 +155,12 @@ class ConstraintSpec:
         else:
             for name, fc in zip(feature_names, self.features):
                 errs.extend(fc.validate(name))
-        if self.allow_mask.shape != (n_outputs, len(feature_names)):
+        mask = self.allow_mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+            errs.append(f"allow mask must be a bool array, got {reprlib.repr(mask)}")
+        elif mask.shape != (n_outputs, len(feature_names)):
             errs.append(
-                f"allow mask shape {self.allow_mask.shape} does not match "
+                f"allow mask shape {mask.shape} does not match "
                 f"(outputs, features) = ({n_outputs}, {len(feature_names)})"
             )
         return errs
@@ -219,19 +225,24 @@ class ParameterStore:
 
     def validate(self) -> None:
         """Raise DataError listing every array whose shape does not match the
-        layout, every edge list that is not strictly ascending, every coarse
-        edge that is not a fine edge, every non-finite number, SE
-        accumulators missing on an allowed pair or set on a masked one, an
-        unknown task or an output count it cannot have
-        (`data.output_problems`), a feature or target name that is not a
-        string, a repeated feature name or an unknown feature kind
-        (`data.feature_problems`), and every problem `ConstraintSpec.problems`
-        finds (S, D and sign ranges, the allow mask's shape)."""
+        layout, every edge list that is not strictly ascending or whose fine
+        edges do not lie strictly inside (x_min, x_max), every coarse edge
+        that is not a fine edge, every non-finite number, SE accumulators
+        missing on an allowed pair or set on a masked one, an unknown task
+        or an output count it cannot have (`data.output_problems`), a
+        feature or target name that is not a string, a repeated feature name
+        or an unknown feature kind (`data.feature_problems`), and every
+        problem `ConstraintSpec.problems` finds (S, D and signs that are not
+        integers in range, an allow mask that is not bools of the right
+        shape). The one rule of what a model may hold: `save_model` and
+        `load_model` apply it to the store, and `train` to its zero store
+        before it fits."""
         J, K = self.n_outputs, len(self.feature_names)
         se = (self.se_fine, self.se_coarse) if self.has_uncertainty else ()
+        if len(self.layout) != K:
+            raise DataError(f"layout has {len(self.layout)} features; the model has {K}")
         if (
-            len(self.layout) != K
-            or self.intercepts.shape != (J,)
+            self.intercepts.shape != (J,)
             or any(len(t) != J or any(len(row) != K for row in t) for t in (self.params, *se))
         ):
             raise DataError(f"model parameters do not match {J} outputs x {K} features")
@@ -244,12 +255,18 @@ class ParameterStore:
         else:
             errs += output_problems(self.task, J)
         numbers = [("intercepts", self.intercepts)]  # (what, array): checked for finiteness
-        mask = self.constraints.allow_mask
+        mask = self.constraints.allow_mask  # SEs are tied to it once it passes its own rule
+        tie = isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (J, K)
         for k, (name, fb) in enumerate(zip(self.feature_names, self.layout.features)):
             for grid, edges in (("fine", fb.fine_edges), ("coarse", fb.coarse_edges)):
                 numbers.append((f"feature {name!r}: {grid} edges", edges))
                 if edges.ndim != 1 or not (edges[1:] > edges[:-1]).all():
                     errs.append(f"feature {name!r}: {grid} edges are not strictly ascending")
+            # so no piece has a negative width (coarse edges are fine edges)
+            fine = fb.fine_edges
+            if fine.size and not (fb.x_min < fine[0] and fine[-1] < fb.x_max):
+                errs.append(f"feature {name!r}: fine edges must lie strictly inside "
+                            f"(x_min, x_max) = ({fb.x_min!r}, {fb.x_max!r})")
             try:  # `locate` finds pieces through this table
                 fb.piece_of_fine
             except DataError as e:
@@ -269,7 +286,7 @@ class ParameterStore:
                     ]
                     for what, arr, _ in arrays[2:]:
                         # `shape_ci` reads an allowed pair's SEs; a masked pair has none
-                        if mask.shape == (J, K) and (arr is None) == bool(mask[i, k]):
+                        if tie and (arr is None) == mask[i, k]:
                             errs.append(f"feature {name!r}, output {i}: {what} " + (
                                 "missing on an allowed pair" if arr is None
                                 else "set on a masked pair"))
@@ -743,7 +760,7 @@ def _document(store: ParameterStore) -> dict:
         "outputs": store.n_outputs,
         "target_column": store.target_name,
         "features": feats,
-        "allow_mask": store.constraints.allow_mask.astype(bool),
+        "allow_mask": store.constraints.allow_mask,
         "intercepts": store.intercepts,
         "params": [[{key: getattr(sp, key) for key in _PAIR_KEYS} for sp in row]
                    for row in store.params],

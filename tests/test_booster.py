@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polygam
 from polygam import booster, lanes
@@ -25,7 +25,7 @@ from polygam.booster import (
     train,
     write_log,
 )
-from polygam.data import FeatureBins, SplitScheme, build_bin_layout
+from polygam.data import BinLayout, FeatureBins, SplitScheme, build_bin_layout
 from polygam.errors import ConfigError, DataError, NumericError
 from polygam.losses import derivatives, link_apply, loss_eval
 from polygam.model import (
@@ -34,6 +34,7 @@ from polygam.model import (
     dumps_model,
     evaluate_shape,
     fine_code,
+    load_model,
     locate,
     predict,
 )
@@ -804,7 +805,8 @@ def test_segments_of_equal_runs_deal_evenly(monkeypatch):
     monkeypatch.setattr(lanes, "_cpus", lambda: 2)
     two = _Scan(works[1])
     assert len(one.runs) == len(two.runs) == 7
-    assert list(two.n_segments.values()) == [2] * 7
+    segments = [seg for lane in two.lanes for seg in lane]
+    assert [sum(seg.run is run for seg in segments) for run in two.runs] == [2] * 7
     loads = [sum(seg.slot_row.size for seg in lane) for lane in two.lanes]
     biggest = max(seg.slot_row.size for lane in two.lanes for seg in lane)
     assert abs(loads[0] - loads[1]) <= biggest
@@ -817,10 +819,10 @@ def test_segments_of_equal_runs_deal_evenly(monkeypatch):
         assert a.sums.tobytes() == b.sums.tobytes()
 
 
-def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch):
-    # more lanes than cores and a short switch interval: a lost update of
-    # the shared countdown of segments would skip a run's recombination or
-    # run it twice. The six features pair into runs, each cut into four
+def test_each_run_is_recombined_once_under_contention(monkeypatch):
+    # more lanes than cores and a short switch interval: each run is
+    # recombined once per scan, on the calling thread, and its sums keep
+    # their bits. The six features pair into runs, each cut into four
     # segments
     monkeypatch.setattr(lanes, "PAR_MIN_VALUES", 0)
     monkeypatch.setattr(lanes, "_cpus", lambda: 1)
@@ -834,12 +836,14 @@ def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch
     monkeypatch.setattr(lanes, "_cpus", lambda: 4)
     four = _Scan(works[1])
     assert len(four.runs) < 6
-    assert list(four.n_segments.values()) == [4] * len(four.runs)
+    segments = [seg for lane in four.lanes for seg in lane]
+    assert [sum(seg.run is run for seg in segments) for run in four.runs] == [4] * len(four.runs)
     GH = scan_matrix(rng.normal(size=8000), rng.uniform(0.1, 1.0, size=8000))
     one(GH)
     calls, recombine = [], booster._Run.recombine
     monkeypatch.setattr(booster._Run, "recombine",
-                        lambda run, h_side: calls.append(id(run)) or recombine(run, h_side))
+                        lambda run, h_side: calls.append((id(run), threading.get_ident()))
+                        or recombine(run, h_side))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -847,7 +851,8 @@ def test_segment_countdown_recombines_each_run_once_under_contention(monkeypatch
             for _ in range(40):
                 calls.clear()
                 four(GH, pool=pool)
-                assert sorted(calls) == sorted(id(run) for run in four.runs)
+                me = threading.get_ident()
+                assert sorted(calls) == sorted((id(run), me) for run in four.runs)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(*works):
@@ -1064,6 +1069,116 @@ def test_train_refuses_a_valid_set_or_layout_that_does_not_fit(case):
     cfg = TrainConfig(max_iterations=3, early_stopping_patience=0)
     with pytest.raises(DataError, match="valid has|layout has"):
         train(ds, config=cfg, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the one rule of what a fit may start from: `ParameterStore.validate`
+
+
+FINE, COARSE = np.arange(1.0, 10.0), np.array([3.0, 6.0])
+
+
+def boundary_fit(case):
+    """A two-feature regression fit on [0, 10] whose layout, spec or
+    dataset one case changes: (dataset, layout, spec)."""
+    rng = np.random.default_rng(30)
+    X = rng.uniform(0.0, 10.0, size=(200, 2))
+    ds = make_dataset(X, X[:, 0] - X[:, 1] + rng.normal(size=200))
+    bins = dict(fine_edges=FINE, coarse_edges=COARSE, x_min=0.0, x_max=10.0)
+    spec = ConstraintSpec.default(ds)
+    change = {
+        "nan_edge": lambda: bins.update(fine_edges=np.append(FINE[:-1], np.nan)),
+        "nan_x_min": lambda: bins.update(x_min=np.nan),
+        "unknown_kind": lambda: bins.update(kind="ordinal"),
+        "x_min_above_the_first_edge": lambda: bins.update(x_min=1.5),
+        "2d_edges": lambda: bins.update(fine_edges=FINE[None, :]),
+        "int_edges": lambda: bins.update(fine_edges=FINE.astype(int),
+                                         coarse_edges=COARSE.astype(int)),
+        "int_x_min": lambda: bins.update(x_min=0, x_max=10),
+        "list_edges": lambda: bins.update(fine_edges=FINE.tolist(), coarse_edges=COARSE.tolist()),
+        "target_name_5": lambda: setattr(ds, "target_name", 5),
+        "n_outputs_true": lambda: setattr(ds, "n_outputs", True),
+        "monotone_true": lambda: spec.features.__setitem__(0, FeatureConstraint(monotone=True)),
+        "int_allow_mask": lambda: setattr(spec, "allow_mask", spec.allow_mask.astype(int)),
+        "str_allow_mask": lambda: setattr(spec, "allow_mask", np.where(spec.allow_mask, "y", "n")),
+    }
+    if case:
+        change[case]()
+    layout = BinLayout([FeatureBins(**bins), FeatureBins(FINE, COARSE, 0.0, 10.0)])
+    return ds, layout, spec
+
+
+BOUNDARY_CFG = TrainConfig(max_iterations=8, early_stopping_patience=0)
+
+
+@pytest.mark.parametrize("case, error, match", [
+    ("nan_edge", DataError, "fine edges are not strictly ascending"),
+    ("nan_x_min", DataError, "observed range not finite"),
+    ("unknown_kind", DataError, "kinds must give"),
+    ("x_min_above_the_first_edge", DataError, r"strictly inside \(x_min, x_max\)"),
+    ("2d_edges", DataError, r"fine_edges must be one column, got shape \(1, 9\)"),
+    ("target_name_5", DataError, "the target name must be a string, got 5"),
+    ("n_outputs_true", DataError, "got n_outputs = True"),
+    ("monotone_true", ConfigError, "monotone sign must be an integer, got True"),
+    ("int_allow_mask", ConfigError, "allow mask must be a bool array"),
+    ("str_allow_mask", ConfigError, "allow mask must be a bool array"),
+])
+def test_train_refuses_what_load_model_refuses_before_any_fit_work(monkeypatch, case, error,
+                                                                    match):
+    # every input a model file may not hold is refused, with a typed error,
+    # before the fit carves a validation split or builds a workspace
+    def started(*args, **kwargs):
+        raise AssertionError("the fit started work on a refused input")
+
+    monkeypatch.setattr(booster, "split_indices", started)
+    monkeypatch.setattr(booster, "_FeatureWork", started)
+    with pytest.raises(error, match=match):
+        train(*boundary_fit(case), BOUNDARY_CFG)
+
+
+@pytest.mark.parametrize("case", ["int_edges", "int_x_min", "list_edges"])
+def test_train_reads_int_and_list_bins_as_the_float_model_it_saves(tmp_path, case):
+    # the bins hold float64 edges and float bounds whatever they were handed
+    # in as, so the fit is the float layout's and its file reloads to the
+    # same bytes
+    text = dumps_model(train(*boundary_fit(case), BOUNDARY_CFG).store)
+    assert text == dumps_model(train(*boundary_fit(None), BOUNDARY_CFG).store)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert dumps_model(load_model(path)) == text
+
+
+def signed_constraints():
+    """A FeatureConstraint with any S <= D - 1 and signs it can hold."""
+    return st.integers(0, 3).flatmap(lambda D: st.integers(-1, D - 1).flatmap(
+        lambda S: st.builds(FeatureConstraint, st.just(S), st.just(D), st.integers(-1, 1),
+                            st.integers(-1, 1) if S >= 0 and D >= 2 else st.just(0))))
+
+
+@pytest.mark.filterwarnings("ignore:feature .* is constrained but allowed in multiple")
+@settings(max_examples=30)
+@given(st.sampled_from(["regression", "binary", "multiclass"]), st.integers(1, 3),
+       st.data(), st.integers(0, 2**16))
+def test_every_fit_round_trips_byte_for_byte(tmp_path_factory, task, K, data, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(80, K))
+    y = X.sum(axis=1) + rng.normal(size=80)
+    if task != "regression":
+        y = np.digitize(y, [0.0] if task == "binary" else [-0.5, 0.5])
+    ds = make_dataset(X, y, task=task)
+    fcs = [data.draw(signed_constraints()) for _ in range(K)]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=ds.n_outputs * K,
+                                       max_size=ds.n_outputs * K)), dtype=bool)
+    spec = ConstraintSpec(fcs, mask.reshape(ds.n_outputs, K))
+    layout = layout_for(ds, 32, 6)
+    if data.draw(st.booleans()):  # the same bins handed in as lists
+        layout = BinLayout([FeatureBins(fb.fine_edges.tolist(), fb.coarse_edges.tolist(),
+                                        fb.x_min, fb.x_max) for fb in layout.features])
+    cfg = TrainConfig(max_iterations=6, early_stopping_patience=0, min_data_in_leaf=5)
+    text = dumps_model(train(ds, layout, spec, cfg).store)
+    path = tmp_path_factory.getbasetemp() / "fit_round_trip.json"
+    path.write_text(text)
+    assert dumps_model(load_model(path)) == text
 
 
 def test_train_config_collects_all_errors():

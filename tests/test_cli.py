@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ def test_bin_count_below_one_exits_2(tmp_path, capsys, line):
     write_regression_csv(csv)
     ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out")
     key = line.split()[0]
-    text = open(ini).read()
+    text = Path(ini).read_text()
     with open(ini, "w") as fh:
         fh.write(text.replace(f"{key} = {12 if key == 'n_bins_higher' else 64}", line))
     assert main(["train", "-c", ini]) == 2
@@ -418,8 +419,8 @@ def test_predict_reproduces_training_loss(tmp_path):
     out = tmp_path / "out"
     ini = write_config(tmp_path / "run.ini", csv, out, max_iterations=60, patience=0)
     # train on the full file so the log's train loss covers the same rows
-    text = open(ini).read().replace("fractions = 0.7,0.1,0.2", "fractions = 1.0,0.0,0.0")
-    open(ini, "w").write(text)
+    text = Path(ini).read_text().replace("fractions = 0.7,0.1,0.2", "fractions = 1.0,0.0,0.0")
+    Path(ini).write_text(text)
     assert main(["train", "-c", ini]) == 0
 
     preds = tmp_path / "preds.csv"

@@ -387,6 +387,24 @@ def test_load_csv_multiclass_gap_in_classes(tmp_path):
         load_csv(p, target="y", task="multiclass")
 
 
+def test_load_csv_refuses_more_classes_than_rows_before_listing_them(tmp_path):
+    # one label of 10^12 would ask for 10^12 classes: refused by count, not
+    # by a set of every class
+    p = tmp_path / "d.csv"
+    write_csv(p, ["a", "y"], [[1, 0], [2, 10**12], [3, 1]])
+    with pytest.raises(DataError, match="label 1e[+]12 asks for more classes than the 3 rows"):
+        load_csv(p, target="y", task="multiclass")
+
+
+@pytest.mark.parametrize("task, label", [("binary", 0.5), ("binary", 2), ("multiclass", -1),
+                                         ("multiclass", 1.5)])
+def test_load_csv_labels_pass_the_dataset_rule(tmp_path, task, label):
+    p = tmp_path / "d.csv"
+    write_csv(p, ["a", "y"], [[1, 0], [2, label], [3, 1]])
+    with pytest.raises(DataError, match=f"{task} labels must be whole numbers in 0..1; row 1"):
+        load_csv(p, target="y", task=task)
+
+
 def test_load_csv_binary_label_range(tmp_path):
     p = tmp_path / "d.csv"
     write_csv(p, ["a", "y"], [[1, 0], [2, 2]])

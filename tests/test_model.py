@@ -753,6 +753,16 @@ def test_save_and_load_tie_se_accumulators_to_the_allow_mask(tmp_path, i, k, mat
         dumps_model(store)
 
 
+@pytest.mark.parametrize("as_mask", [lambda m: m.tolist(), lambda m: m.astype(int)],
+                         ids=["list", "int"])
+def test_save_refuses_an_allow_mask_that_is_not_a_bool_array(as_mask):
+    # the store holds SE accumulators, which `validate` ties to the mask
+    store = golden_store()
+    store.constraints.allow_mask = as_mask(store.constraints.allow_mask)
+    with pytest.raises(DataError, match="allow mask must be a bool array"):
+        dumps_model(store)
+
+
 @pytest.mark.parametrize("task, J", [("regression", 2), ("binary", 2), ("multiclass", 1)])
 def test_save_and_load_refuse_an_output_count_the_task_cannot_have(tmp_path, task, J):
     fb = FeatureBins(np.array([0.5]), np.array([]), 0.0, 1.0)
@@ -881,11 +891,16 @@ def stores(draw):
     K = draw(st.integers(1, 3))
     features, constraints = [], []
     for _ in range(K):
-        fine = np.unique(np.array(draw(st.lists(number, max_size=5)), dtype=float))
+        # the outermost of the drawn values are the observed range, so the
+        # edges lie strictly inside it; fewer than 3 values give no edges
+        # and an observed range drawn at will
+        values = np.unique(np.array(draw(st.lists(number, max_size=7)), dtype=float))
+        fine, lo, hi = ((values[1:-1], values[0], values[-1]) if values.size >= 3
+                        else (values[:0], draw(scalar), draw(scalar)))
         keep = np.array(draw(st.lists(st.booleans(), min_size=fine.size, max_size=fine.size)),
                         dtype=bool)
         kind = draw(st.sampled_from(["numeric", "categorical"]))
-        features.append(FeatureBins(fine, fine[keep], draw(scalar), draw(scalar), kind=kind))
+        features.append(FeatureBins(fine, fine[keep], lo, hi, kind=kind))
         # S <= D - 1, and a curvature sign needs S >= 0 and D >= 2
         D = draw(small_int(0, 3))
         S = draw(small_int(-1, int(D) - 1))

@@ -214,6 +214,15 @@ def test_every_integer_check_refuses_a_0d_array_and_takes_a_numpy_integer(check)
         call(np.array(good))
 
 
+@pytest.mark.parametrize("check", INTEGER_CHECKS)
+def test_every_integer_check_refuses_a_bool(check):
+    # the bool of the same value is refused: a model file keeps true and 1
+    # apart, so no integer argument takes a bool (`data.is_integer`)
+    call, good = INTEGER_CHECKS[check]
+    with pytest.raises(ConfigError, match=re.escape(repr(bool(good)))):
+        call(bool(good))
+
+
 def test_each_family_keeps_its_own_shape_rule():
     store, with_se = fitted()
     for call in (lambda v: build_bins(v, 4), categorical_edges):
