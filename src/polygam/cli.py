@@ -278,13 +278,9 @@ def cmd_train(args) -> None:
         save_model(store, model_path)
         write_log(result.log, os.path.join(cfg.out_dir, "training_log.ndjson"))
 
-        metrics = {"train": loss_eval(cfg.task, ds_train.y, predict(store, ds_train.X))}
-        metrics["valid"] = (
-            loss_eval(cfg.task, ds_valid.y, predict(store, ds_valid.X)) if ds_valid else None
-        )
-        metrics["test"] = (
-            loss_eval(cfg.task, ds_test.y, predict(store, ds_test.X)) if ds_test else None
-        )
+        metrics = {name: None if part is None else
+                   loss_eval(cfg.task, part.y, predict(store, part.X))
+                   for name, part in (("train", ds_train), ("valid", ds_valid), ("test", ds_test))}
         with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as fh:
             json.dump(metrics, fh, indent=2)
             fh.write("\n")

@@ -12,7 +12,7 @@ import csv
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,7 +255,7 @@ class FineTable:
         return np.minimum(hi, self.n_edges, out=hi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureBins:
     """Interior edges for one feature on both grids, plus observed range.
 
@@ -267,6 +267,12 @@ class FeatureBins:
     whatever type they were handed in as. Whether the bins make a model
     (ascending edges strictly inside (x_min, x_max), coarse edges on the
     fine grid, a known kind) is `ParameterStore.validate`'s rule.
+
+    The bins are never modified after construction, and cannot be: a field
+    cannot be reassigned (FrozenInstanceError), and the edges are read-only
+    copies, so the caller's arrays stay its own. The tables built from them
+    on first use (`piece_of_fine`, `fine_table`, `coarse_lower_edges`) and
+    `predict`'s plan, keyed on the layout object, therefore never go stale.
     """
 
     fine_edges: np.ndarray
@@ -276,9 +282,20 @@ class FeatureBins:
     kind: str = NUMERIC
 
     def __post_init__(self):
-        self.fine_edges = _column(self.fine_edges, "fine_edges")
-        self.coarse_edges = _column(self.coarse_edges, "coarse_edges")
-        self.x_min, self.x_max = real_values([self.x_min, self.x_max], "x_min and x_max").tolist()
+        lo, hi = self.x_min, self.x_max
+        # floats and numpy reals convert alone as they convert as a pair (a
+        # Python int need not: beyond int64 it makes an object array), so
+        # only the rest is read as a pair, which costs ten times as much
+        real = (float, np.floating, np.integer)
+        if isinstance(lo, real) and isinstance(hi, real):
+            lo, hi = float(lo), float(hi)
+        else:
+            lo, hi = real_values([lo, hi], "x_min and x_max").tolist()
+        # frozen: the values read go straight into the instance dict, where
+        # the dataclass keeps its fields and the cached tables are kept
+        vars(self).update(fine_edges=_read_only(self.fine_edges, "fine_edges"),
+                          coarse_edges=_read_only(self.coarse_edges, "coarse_edges"),
+                          x_min=lo, x_max=hi)
 
     @property
     def n_fine_bins(self) -> int:
@@ -291,7 +308,7 @@ class FeatureBins:
     @functools.cached_property
     def coarse_lower_edges(self) -> np.ndarray:
         """Lower edge of each coarse piece; piece 0 starts at the observed min.
-        Built once (the bins are never modified after construction) and
+        Built once (the bins cannot change after construction) and
         read-only, so no caller can change the shared array."""
         lower = np.concatenate(([self.x_min], self.coarse_edges))
         lower.flags.writeable = False
@@ -319,9 +336,15 @@ class FeatureBins:
         return FineTable(self.fine_edges)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinLayout:
-    features: list[FeatureBins] = field(default_factory=list)
+    """The bins of every feature, held as a tuple: like its bins, a layout
+    cannot change once built."""
+
+    features: tuple[FeatureBins, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "features", tuple(self.features))
 
     def __getitem__(self, k: int) -> FeatureBins:
         return self.features[k]
@@ -335,6 +358,13 @@ def _column(a, what: str) -> np.ndarray:
     v = real_values(a, what)
     if v.ndim != 1:
         raise DataError(f"{what} must be one column, got shape {v.shape}")
+    return v
+
+
+def _read_only(a, what: str) -> np.ndarray:
+    """A read-only copy of a as a 1-D float64 array (`_column`)."""
+    v = _column(a, what).copy()
+    v.setflags(write=False)
     return v
 
 
@@ -358,15 +388,6 @@ def build_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(0.5 * (lo + hi)[hi > lo])
 
 
-def categorical_edges(values: np.ndarray) -> np.ndarray:
-    """One bin per distinct level: edges at midpoints between consecutive
-    levels; values that are not one column of real numbers raise DataError."""
-    u = np.unique(_column(values, "values"))
-    if u.size < 2:
-        return np.empty(0, dtype=float)
-    return 0.5 * (u[1:] + u[:-1])
-
-
 def nested_coarse_edges(fine_edges: np.ndarray, n_bins_higher: int) -> np.ndarray:
     """Subsample fine edges so coarse knots sit on the fine grid.
 
@@ -382,32 +403,26 @@ def nested_coarse_edges(fine_edges: np.ndarray, n_bins_higher: int) -> np.ndarra
 
 
 def build_bin_layout(dataset: Dataset, scheme: SplitScheme | None = None) -> BinLayout:
-    """Both grids of every feature; a bin count that is not an integer >= 1
+    """Both grids of every feature, by `build_bins` then `nested_coarse_edges`.
+    A numeric column takes the scheme's two budgets; a categorical column
+    takes its row count for both, which puts an edge between every pair of
+    adjacent levels on both grids. A bin count that is not an integer >= 1
     raises ConfigError, and a dataset of no rows DataError."""
     scheme = scheme or SplitScheme()
     errs = scheme.problems()
     if errs:
         raise ConfigError("; ".join(errs))
-    if dataset.n_rows == 0:
+    n = dataset.n_rows
+    if n == 0:
         raise DataError("cannot bin a dataset with no rows")
     feats = []
-    for k in range(dataset.n_features):
-        col = dataset.X[:, k]
-        if dataset.kinds[k] == CATEGORICAL:
-            fine = categorical_edges(col)
-            coarse = fine.copy()
-        else:
-            fine = build_bins(col, scheme.n_bins_degree0)
-            coarse = nested_coarse_edges(fine, scheme.n_bins_higher)
-        feats.append(
-            FeatureBins(
-                fine_edges=fine,
-                coarse_edges=coarse,
-                x_min=float(col.min()),
-                x_max=float(col.max()),
-                kind=dataset.kinds[k],
-            )
-        )
+    for k, col in enumerate(dataset.X.T):
+        kind = dataset.kinds[k]
+        n_fine, n_coarse = ((n, n) if kind == CATEGORICAL
+                            else (scheme.n_bins_degree0, scheme.n_bins_higher))
+        fine = build_bins(col, n_fine)
+        feats.append(FeatureBins(fine, nested_coarse_edges(fine, n_coarse),
+                                 float(col.min()), float(col.max()), kind))
     return BinLayout(features=feats)
 
 

@@ -195,56 +195,37 @@ def render_svg(grid: ShapeGrid) -> str:
         f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
+
+    def line(x1, y1, x2, y2):
+        parts.append(f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+                     'stroke="black" stroke-width="1"/>')
+
+    def text(x, y, size, anchor, body):
+        parts.append(f'<text x="{_px(x)}" y="{_px(y)}" font-size="{size}" '
+                     f'text-anchor="{anchor}" font-family="sans-serif">{body}</text>')
+
+    def points(xs, vs):
+        return " ".join(f"{_px(sx(x))},{_px(sy(v))}" for x, v in zip(xs, vs))
+
     if grid.has_ci and grid.x.size > 1:
-        pts = [f"{_px(sx(x))},{_px(sy(u))}" for x, u in zip(grid.x, grid.ci_upper)]
-        pts += [f"{_px(sx(x))},{_px(sy(l))}" for x, l in zip(grid.x[::-1], grid.ci_lower[::-1])]
-        parts.append(f'<polygon points="{" ".join(pts)}" fill="#c9d8ef" stroke="none"/>')
-    # axes
-    parts.append(
-        f'<line x1="{_px(ml)}" y1="{_px(mt + ph)}" x2="{_px(ml + pw)}" y2="{_px(mt + ph)}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_px(ml)}" y1="{_px(mt)}" x2="{_px(ml)}" y2="{_px(mt + ph)}" '
-        'stroke="black" stroke-width="1"/>'
-    )
+        band = f"{points(grid.x, grid.ci_upper)} {points(grid.x[::-1], grid.ci_lower[::-1])}"
+        parts.append(f'<polygon points="{band}" fill="#c9d8ef" stroke="none"/>')
+    line(ml, mt + ph, ml + pw, mt + ph)  # axes
+    line(ml, mt, ml, mt + ph)
     for tv in np.linspace(x0, x1, 5):
-        px = sx(tv)
-        parts.append(
-            f'<line x1="{_px(px)}" y1="{_px(mt + ph)}" x2="{_px(px)}" y2="{_px(mt + ph + 5)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_px(px)}" y="{_px(mt + ph + 20)}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{_fmt(tv)}</text>'
-        )
+        line(sx(tv), mt + ph, sx(tv), mt + ph + 5)
+        text(sx(tv), mt + ph + 20, 11, "middle", _fmt(tv))
     for tv in np.linspace(y0, y1, 5):
-        py = sy(tv)
-        parts.append(
-            f'<line x1="{_px(ml - 5)}" y1="{_px(py)}" x2="{_px(ml)}" y2="{_px(py)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_px(ml - 8)}" y="{_px(py + 4)}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{_fmt(tv)}</text>'
-        )
+        line(ml - 5, sy(tv), ml, sy(tv))
+        text(ml - 8, sy(tv) + 4, 11, "end", _fmt(tv))
     if grid.x.size > 1:
-        pts = " ".join(f"{_px(sx(x))},{_px(sy(v))}" for x, v in zip(grid.x, grid.f))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>'
-        )
+        parts.append(f'<polyline points="{points(grid.x, grid.f)}" fill="none" '
+                     'stroke="#1f4e9c" stroke-width="1.5"/>')
     else:
         parts.append(
             f'<circle cx="{_px(sx(x0))}" cy="{_px(sy(float(grid.f[0])))}" r="3" fill="#1f4e9c"/>'
         )
-    parts.append(
-        f'<text x="{_px(ml + pw / 2)}" y="{_px(SVG_HEIGHT - 12)}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">{grid.feature_name}</text>'
-    )
-    parts.append(
-        f'<text x="{_px(ml + pw / 2)}" y="{_px(mt - 8)}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">'
-        f"output {grid.output}: {grid.feature_name}</text>"
-    )
+    text(ml + pw / 2, SVG_HEIGHT - 12, 12, "middle", grid.feature_name)
+    text(ml + pw / 2, mt - 8, 12, "middle", f"output {grid.output}: {grid.feature_name}")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

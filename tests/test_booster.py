@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -780,9 +781,10 @@ def test_coarse_edges_off_the_fine_grid_are_refused_without_a_workspace():
     # the masked column's layout is refused although the fit builds it no
     # workspace
     ds = wiggly_dataset(200, 20)
-    layout = layout_for(ds)
-    fb = layout[1]
-    layout.features[1] = FeatureBins(fb.fine_edges, fb.coarse_edges + 1e-3, fb.x_min, fb.x_max)
+    feats = list(layout_for(ds).features)
+    fb = feats[1]
+    feats[1] = FeatureBins(fb.fine_edges, fb.coarse_edges + 1e-3, fb.x_min, fb.x_max)
+    layout = BinLayout(feats)
     spec = ConstraintSpec.default(ds)
     spec.allow_mask[:, 1] = False
     with pytest.raises(DataError, match="coarse edges are not on the fine grid"):
@@ -1510,3 +1512,19 @@ def test_training_log_ndjson_schema(tmp_path):
         rec = json.loads(line)
         assert list(rec.keys()) == keys
         assert rec["iteration"] >= 1
+
+
+def test_an_explicit_validation_set_of_no_rows_counts_as_none():
+    ds = wiggly_dataset(200, 21)
+    empty = ds.subset(np.arange(0))
+    cfg = TrainConfig(max_iterations=20, early_stopping_patience=0, validation_fraction=0.3)
+    res = train(ds, config=cfg, valid=empty)
+    # the empty set is taken as given, so no rows are carved off for validation
+    alone = train(ds, config=TrainConfig(max_iterations=20, early_stopping_patience=0,
+                                         validation_fraction=0.0))
+    assert dumps_model(res.store) == dumps_model(alone.store)
+    assert all(rec.valid_loss is None for rec in res.log)
+    with pytest.raises(ConfigError, match=re.escape(
+            "early stopping requires a non-empty validation split; "
+            "set early_stopping_patience=0 or provide validation data")):
+        train(ds, config=TrainConfig(max_iterations=20, early_stopping_patience=5), valid=empty)

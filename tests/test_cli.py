@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polygam import cli
 from polygam.cli import FEATURE_KEYS, GRAMMAR, _build_parser, main, parse_config, resolved_ini
 from polygam.data import split_indices
-from polygam.errors import ConfigError
+from polygam.errors import ConfigError, NumericError
 from polygam.explain import DEFAULT_GRID
 
 
@@ -305,6 +306,22 @@ def test_train_writes_all_artifacts(tmp_path):
     assert not (out / ".lock").exists()  # released
 
 
+@pytest.mark.parametrize("fractions, empty", [("1.0,0.0,0.0", ("valid", "test")),
+                                               ("0.8,0.2,0.0", ("test",))])
+def test_metrics_keep_the_order_train_valid_test_with_null_for_an_empty_split(
+        tmp_path, fractions, empty):
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv, n=60)
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out", max_iterations=5, patience=0)
+    text = Path(ini).read_text().replace("fractions = 0.7,0.1,0.2", f"fractions = {fractions}")
+    Path(ini).write_text(text)
+    assert main(["train", "-c", ini]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert list(metrics) == ["train", "valid", "test"]
+    assert [k for k, v in metrics.items() if v is None] == list(empty)
+    assert all(np.isfinite(v) for v in metrics.values() if v is not None)
+
+
 def test_train_determinism_byte_identical(tmp_path):
     out1, _, _ = run_train(tmp_path, "d1")
     out2, _, _ = run_train(tmp_path, "d2")
@@ -396,6 +413,63 @@ def test_bad_split_seed_is_reported_with_the_other_problems(tmp_path, seed):
     assert "[split] seed" in msg and "learning_rate" in msg
     assert main(["train", "-c", ini]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x = 1\n", "File contains no section headers."),
+    ("[data]\ntrain = a\ntrain = b\n", "option 'train' in section 'data' already exists"),
+])
+def test_an_ini_that_configparser_cannot_read_is_a_config_error(tmp_path, text, match):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{ini}: ") + ".*" + re.escape(match)):
+        parse_config(str(ini))
+    assert main(["train", "-c", str(ini)]) == 2
+
+
+@pytest.mark.parametrize("fractions, problem", [
+    ("0.5,0.5", "[split] fractions: cannot parse '0.5,0.5'"),
+    ("a,b,c", "[split] fractions: cannot parse 'a,b,c'"),
+    ("0.0,0.5,0.5", "[split] train fraction must be positive"),
+])
+def test_fractions_not_three_numbers_or_with_no_train_share_are_refused(tmp_path, fractions, problem):
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv, n=20)
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out")
+    Path(ini).write_text(Path(ini).read_text().replace("0.7,0.1,0.2", fractions))
+    with pytest.raises(ConfigError, match=re.escape(problem) + "$"):
+        parse_config(ini)
+
+
+def test_every_feature_line_problem_is_reported_at_once(tmp_path):
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv, n=20)
+    extra = "\n[constraints]\nfeature.x0 = monotone S=a bogus=1 outputs=0 D=x outputs=[0,a]\n"
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out", extra)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(ini)
+    assert str(exc.value).split("; ") == [
+        "feature 'x0': expected key=value, got 'monotone'",
+        "feature 'x0': s must be an integer, got 'a'",
+        "feature 'x0': unknown setting 'bogus'",
+        "feature 'x0': outputs must look like [0,2], got '0'",
+        "feature 'x0': d must be an integer, got 'x'",
+        "feature 'x0': bad outputs list '[0,a]'",
+    ]
+
+
+def test_a_numeric_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise NumericError("non-finite gain at iteration 3")
+
+    monkeypatch.setattr(cli, "train", diverge)
+    csv = tmp_path / "d.csv"
+    write_regression_csv(csv, n=20)
+    ini = write_config(tmp_path / "run.ini", csv, tmp_path / "out")
+    assert main(["train", "-c", ini]) == 4
+    assert capsys.readouterr().err == "numeric failure: non-finite gain at iteration 3\n"
+    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out" / ".lock").exists()
 
 
 def test_missing_config_exits_2():

@@ -1,6 +1,7 @@
 """Binning, the binned-variable transform oracle, splits, and CSV ingestion."""
 
 import re
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from polygam.booster import TrainConfig, train
 from polygam.data import (
+    BinLayout,
     Dataset,
     FeatureBins,
     FineTable,
@@ -17,10 +19,13 @@ from polygam.data import (
     build_bins,
     load_csv,
     load_feature_matrix,
+    nested_coarse_edges,
+    real_values,
     split_indices,
 )
 from polygam.errors import ConfigError, DataError
-from polygam.model import SEARCH_MAX_EDGES, TABLE_MIN_VALUES, fine_code
+from polygam.model import (SEARCH_MAX_EDGES, TABLE_MIN_VALUES, fine_code, load_model, predict,
+                           save_model)
 
 from conftest import make_dataset
 from oracles import dense_bin_transform
@@ -261,6 +266,97 @@ def test_categorical_feature_one_bin_per_level():
     assert np.array_equal(fb.fine_edges, fb.coarse_edges)
 
 
+# levels a quarter apart at most: every midpoint of two levels is exact
+LEVELS = st.integers(-2**40, 2**40).map(lambda i: i / 4)
+
+
+@given(st.data())
+def test_a_categorical_column_gets_the_midpoints_of_its_levels_on_both_grids(data):
+    pool = data.draw(st.lists(LEVELS, min_size=1, max_size=8, unique=True))
+    n = data.draw(st.integers(1, 40))
+    cat = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    num = np.array(data.draw(st.lists(LEVELS, min_size=n, max_size=n)))
+    scheme = SplitScheme(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    ds = make_dataset(np.column_stack([num, cat]), np.zeros(n), kinds=["numeric", "categorical"])
+    fb_num, fb_cat = build_bin_layout(ds, scheme)
+    u = np.unique(cat)
+    mid = 0.5 * (u[1:] + u[:-1])
+    # the column's levels, not the scheme's budgets, set its edges
+    assert fb_cat.fine_edges.tobytes() == mid.tobytes()
+    assert fb_cat.coarse_edges.tobytes() == mid.tobytes()
+    assert (fb_cat.x_min, fb_cat.x_max, fb_cat.kind) == (u[0], u[-1], "categorical")
+    fine = build_bins(num, scheme.n_bins_degree0)
+    assert fb_num.fine_edges.tobytes() == fine.tobytes()
+    coarse = nested_coarse_edges(fine, scheme.n_bins_higher)
+    assert fb_num.coarse_edges.tobytes() == coarse.tobytes()
+
+
+def fitted_on_one_column(seed=3):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 10.0, 500)
+    ds = make_dataset(x, np.sin(x) + rng.normal(scale=0.1, size=500))
+    cfg = TrainConfig(max_iterations=50, early_stopping_patience=0, validation_fraction=0.0)
+    return train(ds, config=cfg).store
+
+
+def test_bins_and_layouts_cannot_change_once_built(tmp_path):
+    store = fitted_on_one_column()
+    probe = np.array([[2.5], [7.5]])
+    before = predict(store, probe)
+    fb = store.layout[0]
+    for name, value in [("fine_edges", fb.fine_edges * 0.9), ("x_min", 0.5), ("x_max", 9.0),
+                        ("coarse_edges", fb.coarse_edges * 0.9), ("kind", "categorical")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(fb, name, value)
+    for edges in (fb.fine_edges, fb.coarse_edges, fb.coarse_lower_edges, fb.piece_of_fine):
+        with pytest.raises(ValueError, match="read-only"):
+            edges[:] = 0
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        store.layout.features[0] = FeatureBins(fb.fine_edges * 0.9, fb.coarse_edges * 0.9,
+                                               fb.x_min, fb.x_max)
+    with pytest.raises(FrozenInstanceError):
+        store.layout.features = ()
+    # every edit was refused: the model in memory is the model in its file
+    path = tmp_path / "m.json"
+    save_model(store, path)
+    assert predict(store, probe).tobytes() == before.tobytes()
+    assert predict(load_model(path), probe).tobytes() == before.tobytes()
+
+
+def test_bins_keep_copies_of_the_edges_they_are_handed():
+    fine, coarse = np.array([1.0, 2.0, 3.0]), np.array([2.0])
+    fb = FeatureBins(fine, coarse, 0.0, 4.0)
+    assert fb.fine_edges is not fine and fb.coarse_edges is not coarse
+    assert fine.flags.writeable and coarse.flags.writeable
+    fine[:] = 9.0
+    assert fb.fine_edges.tolist() == [1.0, 2.0, 3.0]
+    assert isinstance(BinLayout([fb]).features, tuple)
+
+
+BOUNDS = st.one_of(
+    st.floats(), st.integers(-2**70, 2**70), st.booleans(), st.none(), st.text(max_size=2),
+    st.complex_numbers(max_magnitude=4),
+    st.floats(width=32).map(np.float32), st.floats(width=16).map(np.float16),
+    st.floats().map(np.longdouble), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64), st.booleans().map(np.bool_),
+)
+
+
+@given(BOUNDS, BOUNDS)
+def test_x_min_and_x_max_are_read_as_the_pair_rule_reads_them(lo, hi):
+    # scalars that convert alone take a short path; what the bins accept or
+    # refuse, and the floats they keep, are those of the one pair rule
+    try:
+        want = repr(tuple(real_values([lo, hi], "x_min and x_max").tolist()))
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            FeatureBins([], [], lo, hi)
+    else:
+        fb = FeatureBins([], [], lo, hi)
+        assert repr((fb.x_min, fb.x_max)) == want
+        assert type(fb.x_min) is float and type(fb.x_max) is float
+
+
 # ---------------------------------------------------------------------------
 # split_indices
 
@@ -354,6 +450,29 @@ def test_load_csv_regression(tmp_path):
     assert ds.feature_names == ["a", "b"]
     assert ds.task == "regression" and ds.n_outputs == 1
     assert ds.y.tolist() == [3.5, 6.5, 9.5, 0.0]
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "empty file, expected a header row"),
+    ("a,y\n", "no data rows"),
+    ("a,y\n1,2\n3\n", "row 2: expected 2 cells, got 1"),
+    ("a,y\n1,2\n2,x\n", "row 2, column 'y': cannot parse 'x'"),
+    # a blank row is skipped, but it keeps its number
+    ("a,y\n1,2\n\n3,4\n5,?\n", "row 4, column 'y': cannot parse '?'"),
+    ("a,y\n1,2\n3,4\n", "categorical flag for unknown column(s) ['b', 'c']"),
+])
+def test_load_csv_refusals_name_the_file_and_the_cell(tmp_path, text, match):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=re.escape(f"{p}: {match}")):
+        load_csv(p, target="y", task="regression", categorical=("c", "a", "b"))
+
+
+def test_load_csv_skips_blank_rows(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,y\n1,2\n\n3,4\n\n")
+    ds = load_csv(p, target="y", task="regression")
+    assert ds.X.tolist() == [[1.0], [3.0]] and ds.y.tolist() == [2.0, 4.0]
 
 
 def test_load_csv_multiclass_counts_classes(tmp_path):

@@ -1,6 +1,7 @@
 """Shape export, elasticities, and SVG rendering."""
 
 import csv
+import hashlib
 import math
 import os
 
@@ -280,3 +281,45 @@ def test_svg_zero_model_flat_line(tmp_path):
     assert "polyline" in svg
     export_shapes(store, str(tmp_path), grid_size=16)
     assert (tmp_path / "shape_0_x0.svg").exists()
+
+
+INF = np.inf
+PIN_X = np.linspace(-1.0, 3.0, 7)
+PIN_F = np.array([0.5, -0.25, 1.0, 2.5, 2.0, 0.0, -1.5])
+
+
+@pytest.mark.parametrize("grid, want", [
+    (ShapeGrid(0, 0, "price", PIN_X, PIN_F, PIN_F, PIN_F,
+               np.array([-INF, -1.0, 0.5, 2.0, 1.0, -0.5, -INF]),
+               np.array([INF, 0.5, 1.5, 3.0, 3.0, 0.5, INF])),
+     "3abbcba21156edd4194b6f30a22a97f252e7cdca5e12dd8db55caccac2e40719"),
+    (ShapeGrid(1, 2, "zone", PIN_X, PIN_F, PIN_F, PIN_F),
+     "9f8526e9296b53879e81f3df7cf1586c98ad4c330f6c901e5a354497a02d0af9"),
+    (ShapeGrid(0, 1, "flat", np.array([0.5]), np.array([0.25]), np.zeros(1), np.zeros(1)),
+     "db26452edb60f8445652337981d2ee060e97ffef4c2c9e5bce6ceddf673d1095"),
+    (ShapeGrid(0, 1, "flat", np.array([0.5]), np.array([0.25]), np.zeros(1), np.zeros(1),
+               np.array([0.0]), np.array([0.5])),
+     "219d62c8feb2b2e1f77368a0e2a05a539912c3557b48c4e74858443a44977797"),
+    (ShapeGrid(0, 0, "x0", np.linspace(0.0, 2.0, 9), np.zeros(9), np.zeros(9), np.zeros(9)),
+     "b1fae8680fa2ec474d07c96db232c9930389d1851e94fb4eaa6f8fa6d1d7b6db"),
+], ids=["band_with_infinite_ends", "no_band", "one_point", "one_point_with_band",
+        "flat_zero"])
+def test_svg_bytes_are_pinned(grid, want):
+    # a band clipped at both ends, no band, the one-point circle with and
+    # without a band (a point draws no band), and a flat zero shape
+    assert hashlib.sha256(render_svg(grid).encode()).hexdigest() == want
+
+
+def test_a_constant_feature_gives_a_one_point_grid_drawn_as_a_circle(tmp_path):
+    store = single_feature_store([], [], 2.0, 2.0)
+    store.params[0][0].step_values[:] = 0.75
+    g = shape_grid(store, 0, 0, grid_size=64)
+    assert g.x.tolist() == [2.0] and g.f.tolist() == [0.75]
+    assert g.f_prime.tolist() == [0.0] and g.f_double_prime.tolist() == [0.0]
+    svg = render_svg(g)
+    assert svg.count("<circle ") == 1 and "<polyline " not in svg
+    # at the left end of the x axis, half way up a range of f +- 1
+    assert '<circle cx="70.00" cy="207.00" r="3" fill="#1f4e9c"/>' in svg
+    export_shapes(store, str(tmp_path), grid_size=64)
+    assert (tmp_path / "shape_0_x0.csv").read_text() == (
+        "x,f,f_prime,f_double_prime\n2.0,0.75,0.0,0.0\n")

@@ -1,6 +1,7 @@
 """Link functions, losses, and analytic derivatives against finite differences."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ from oracles import (
     reference_side,
     softmax_by_row_max,
 )
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: loss_eval("poisson", np.zeros(2), np.zeros(2)), "unknown task 'poisson'"),
+    (lambda: derivatives("poisson", np.zeros(2), np.zeros(2)), "unknown task 'poisson'"),
+    (lambda: link_apply("poisson", np.zeros(2)), "unknown task 'poisson'"),
+    (lambda: loss_eval("multiclass", np.array([0.0, 1.5, 2.0]), np.zeros((3, 3))),
+     "multiclass labels must be whole class indices"),
+    (lambda: derivatives("multiclass", np.array([0.0, 1.0, 0.5]), np.zeros((3, 2))),
+     "multiclass labels must be whole class indices"),
+])
+def test_an_unknown_task_and_a_fractional_class_are_refused(call, match):
+    with pytest.raises(DataError, match=re.escape(match) + "$"):
+        call()
 
 
 def test_link_identity_for_regression():

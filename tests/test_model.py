@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -798,7 +799,9 @@ def test_save_and_load_refuse_an_unknown_kind_and_repeated_names(tmp_path, k, ke
     if key == "name":
         store.feature_names[k] = value
     else:
-        store.layout.features[k].kind = value
+        feats = list(store.layout.features)
+        feats[k] = replace(feats[k], kind=value)
+        store.layout = BinLayout(feats)
     with pytest.raises(DataError, match=match):
         dumps_model(store)
 
@@ -999,6 +1002,6 @@ def test_save_refuses_a_nonfinite_number_and_keeps_the_old_file(tmp_path, bad, w
 
 def test_save_refuses_what_load_refuses():
     store = random_trained_store()
-    store.layout.features[0].fine_edges[:] = [1.0, 0.5, 1.5]
+    store.layout = BinLayout([replace(store.layout[0], fine_edges=[1.0, 0.5, 1.5])])
     with pytest.raises(DataError, match="fine edges are not strictly ascending"):
         dumps_model(store)

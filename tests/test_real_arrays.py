@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from polygam.booster import TrainConfig, train
-from polygam.data import (Dataset, SplitScheme, build_bins, categorical_edges,
-                          output_problems, split_indices)
+from polygam.data import Dataset, SplitScheme, build_bins, output_problems, split_indices
 from polygam.errors import ConfigError, DataError
 from polygam.explain import elasticity, shape_grid
 from polygam.losses import derivatives, hessian_diag, link_apply, loss_eval
@@ -84,7 +83,7 @@ FAMILIES = {
                      points(lambda store, _, x: evaluate_derivative(store, 0, 1, x, 1)),
                      points(lambda _, se, x: variance_pred(se, 0, 1, x)),
                      points(lambda _, se, x: shape_ci(se, 0, 1, x))]),
-    "value_column": (X01[:, 0], [lambda v: build_bins(v, 4), categorical_edges]),
+    "value_column": (X01[:, 0], [lambda v: build_bins(v, 4)]),
 }
 
 
@@ -225,9 +224,8 @@ def test_every_integer_check_refuses_a_bool(check):
 
 def test_each_family_keeps_its_own_shape_rule():
     store, with_se = fitted()
-    for call in (lambda v: build_bins(v, 4), categorical_edges):
-        with pytest.raises(DataError, match=r"values must be one column, got shape \(8, 2\)"):
-            call(X01)
+    with pytest.raises(DataError, match=r"values must be one column, got shape \(8, 2\)"):
+        build_bins(X01, 4)
     with pytest.raises(DataError, match=r"F has shape \(2, 2, 2\), expected \(rows,\)"):
         link_apply("binary", np.zeros((2, 2, 2)))
     with pytest.raises(DataError, match=r"y has shape \(8, 2\), expected \(8,\)"):
