@@ -278,9 +278,9 @@ def cmd_train(args) -> None:
         save_model(store, model_path)
         write_log(result.log, os.path.join(cfg.out_dir, "training_log.ndjson"))
 
-        metrics = {name: None if part is None else
-                   loss_eval(cfg.task, part.y, predict(store, part.X))
-                   for name, part in (("train", ds_train), ("valid", ds_valid), ("test", ds_test))}
+        metrics = {}
+        for name, part in (("train", ds_train), ("valid", ds_valid), ("test", ds_test)):
+            metrics[name] = loss_eval(cfg.task, part.y, predict(store, part.X)) if part else None
         with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as fh:
             json.dump(metrics, fh, indent=2)
             fh.write("\n")

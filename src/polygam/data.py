@@ -282,15 +282,7 @@ class FeatureBins:
     kind: str = NUMERIC
 
     def __post_init__(self):
-        lo, hi = self.x_min, self.x_max
-        # floats and numpy reals convert alone as they convert as a pair (a
-        # Python int need not: beyond int64 it makes an object array), so
-        # only the rest is read as a pair, which costs ten times as much
-        real = (float, np.floating, np.integer)
-        if isinstance(lo, real) and isinstance(hi, real):
-            lo, hi = float(lo), float(hi)
-        else:
-            lo, hi = real_values([lo, hi], "x_min and x_max").tolist()
+        lo, hi = real_values([self.x_min, self.x_max], "x_min and x_max").tolist()
         # frozen: the values read go straight into the instance dict, where
         # the dataclass keeps its fields and the cached tables are kept
         vars(self).update(fine_edges=_read_only(self.fine_edges, "fine_edges"),
@@ -421,8 +413,15 @@ def build_bin_layout(dataset: Dataset, scheme: SplitScheme | None = None) -> Bin
         n_fine, n_coarse = ((n, n) if kind == CATEGORICAL
                             else (scheme.n_bins_degree0, scheme.n_bins_higher))
         fine = build_bins(col, n_fine)
-        feats.append(FeatureBins(fine, nested_coarse_edges(fine, n_coarse),
-                                 float(col.min()), float(col.max()), kind))
+        feats.append(
+            FeatureBins(
+                fine_edges=fine,
+                coarse_edges=nested_coarse_edges(fine, n_coarse),
+                x_min=float(col.min()),
+                x_max=float(col.max()),
+                kind=kind,
+            )
+        )
     return BinLayout(features=feats)
 
 

@@ -196,8 +196,8 @@ def render_svg(grid: ShapeGrid) -> str:
         f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
 
-    def line(x1, y1, x2, y2):
-        parts.append(f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+    def line(ax, ay, bx, by):
+        parts.append(f'<line x1="{_px(ax)}" y1="{_px(ay)}" x2="{_px(bx)}" y2="{_px(by)}" '
                      'stroke="black" stroke-width="1"/>')
 
     def text(x, y, size, anchor, body):

@@ -20,7 +20,6 @@ from polygam.data import (
     load_csv,
     load_feature_matrix,
     nested_coarse_edges,
-    real_values,
     split_indices,
 )
 from polygam.errors import ConfigError, DataError
@@ -331,30 +330,6 @@ def test_bins_keep_copies_of_the_edges_they_are_handed():
     fine[:] = 9.0
     assert fb.fine_edges.tolist() == [1.0, 2.0, 3.0]
     assert isinstance(BinLayout([fb]).features, tuple)
-
-
-BOUNDS = st.one_of(
-    st.floats(), st.integers(-2**70, 2**70), st.booleans(), st.none(), st.text(max_size=2),
-    st.complex_numbers(max_magnitude=4),
-    st.floats(width=32).map(np.float32), st.floats(width=16).map(np.float16),
-    st.floats().map(np.longdouble), st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.integers(0, 2**64 - 1).map(np.uint64), st.booleans().map(np.bool_),
-)
-
-
-@given(BOUNDS, BOUNDS)
-def test_x_min_and_x_max_are_read_as_the_pair_rule_reads_them(lo, hi):
-    # scalars that convert alone take a short path; what the bins accept or
-    # refuse, and the floats they keep, are those of the one pair rule
-    try:
-        want = repr(tuple(real_values([lo, hi], "x_min and x_max").tolist()))
-    except DataError as exc:
-        with pytest.raises(DataError, match=re.escape(str(exc))):
-            FeatureBins([], [], lo, hi)
-    else:
-        fb = FeatureBins([], [], lo, hi)
-        assert repr((fb.x_min, fb.x_max)) == want
-        assert type(fb.x_min) is float and type(fb.x_max) is float
 
 
 # ---------------------------------------------------------------------------
