@@ -106,7 +106,7 @@ FEATURE_KEYS = {
     "monotone": "monotone", "curvature": "curvature", "S": "smoothness", "D": "max_degree",
     "outputs": None,
 }
-_FEATURE_ATTRS = {key.lower(): attr for key, attr in FEATURE_KEYS.items()}
+_SPELLING = {key.lower(): key for key in FEATURE_KEYS}  # keys are read in any case
 
 
 def _field(cfg: RunConfig, path: str):
@@ -122,14 +122,14 @@ def _parse_feature_value(name: str, value: str, errs: list[str]):
     outputs = None
     for token in value.split():
         key, eq, raw = token.partition("=")
-        key = key.lower()
+        key = _SPELLING.get(key.lower(), key)
         if not eq:
             errs.append(f"feature {name!r}: expected key=value, got {token!r}")
-        elif key not in _FEATURE_ATTRS:
+        elif key not in FEATURE_KEYS:
             errs.append(f"feature {name!r}: unknown setting {key!r}")
         elif key != "outputs":
             try:
-                settings[_FEATURE_ATTRS[key]] = int(raw)
+                settings[FEATURE_KEYS[key]] = int(raw)
             except ValueError:
                 errs.append(f"feature {name!r}: {key} must be an integer, got {raw!r}")
         elif not (raw.startswith("[") and raw.endswith("]")):

@@ -189,13 +189,18 @@ class ShapeParams:
     step_values: np.ndarray  # (n_fine_bins,)
     poly_coeffs: np.ndarray  # (n_coarse_bins, 4) in local coordinates
 
-    def copy(self) -> "ShapeParams":
-        return ShapeParams(self.step_values.copy(), self.poly_coeffs.copy())
-
 
 @dataclass
 class ParameterStore:
-    """All model parameters plus the layout needed to evaluate them."""
+    """All model parameters plus the layout needed to evaluate them.
+
+    A store from `zero_init`, `copy` or `load_model` holds its pairs'
+    parameters in one table (`_bind`): every pair's `poly_coeffs` and
+    `step_values` are contiguous views of it, so in-place edits and
+    `accumulate_*` folds write to the table. `predict` reads the table in
+    place while every allowed pair still holds its two views, checked by
+    identity; a pair rebound to any other array, even another pair's view,
+    makes it build a fresh table from the current arrays instead."""
 
     layout: BinLayout
     task: str
@@ -209,15 +214,18 @@ class ParameterStore:
     target_name: str = "target"
     # `predict`'s plan, cached by `_plan`; never saved or copied
     plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the parameter table and its views, set by `_bind`; never saved or copied
+    table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ParameterStore":
-        """A store with its own parameter and SE arrays; the layout, names
-        and constraints are shared, and `predict`'s plan is left unset."""
+        """A store with its own parameter table (`_bind`) and SE arrays; the
+        layout, names and constraints are shared, and `predict`'s plan is
+        left unset."""
         def own(rows):
             return [[None if a is None else a.copy() for a in row] for row in rows]
 
-        return replace(self, intercepts=self.intercepts.copy(), params=own(self.params),
-                       se_fine=own(self.se_fine), se_coarse=own(self.se_coarse))
+        return _bind(replace(self, intercepts=self.intercepts.copy(),
+                             se_fine=own(self.se_fine), se_coarse=own(self.se_coarse)))
 
     @property
     def has_uncertainty(self) -> bool:
@@ -321,7 +329,7 @@ def zero_init(
         ]
         for _ in range(n_outputs)
     ]
-    return ParameterStore(
+    return _bind(ParameterStore(
         layout=layout,
         task=task,
         n_outputs=n_outputs,
@@ -330,7 +338,39 @@ def zero_init(
         intercepts=np.zeros(n_outputs),
         params=params,
         target_name=target_name,
-    )
+    ))
+
+
+def _table(params: list[list[ShapeParams]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair's parameters in (output, feature) order, as one table of
+    coefficient rows (piece-major, with one zero last row, as
+    `booster._ClampRows.at` stacks them) and one of step values. An array of
+    another rank or row width raises DataError."""
+    pairs = [sp for row in params for sp in row]
+    try:
+        return (np.concatenate([sp.poly_coeffs for sp in pairs] + [np.zeros((1, MAX_DEGREE + 1))]),
+                np.concatenate([np.zeros(0)] + [sp.step_values for sp in pairs]))
+    except ValueError as exc:
+        raise DataError("model parameters do not match the bin layout") from exc
+
+
+def _bind(store: ParameterStore) -> ParameterStore:
+    """The store, given one table of its current parameters (`_table`) and
+    every pair a new ShapeParams of contiguous views of it. The table
+    records the layout object and output count it was built for, and each
+    pair's (step_values, poly_coeffs) views, for `predict`'s identity
+    check."""
+    coef, steps = _table(store.params)
+    views, c, s = [], 0, 0
+    for row in store.params:
+        views.append([])
+        for sp in row:
+            n, m = len(sp.poly_coeffs), sp.step_values.size
+            views[-1].append((steps[s : s + m], coef[c : c + n]))
+            c, s = c + n, s + m
+    store.params = [[ShapeParams(*v) for v in row] for row in views]
+    store.table = (store.layout, store.n_outputs, coef, steps, views)
+    return store
 
 
 def fine_code(fb: FeatureBins, x: np.ndarray) -> np.ndarray:
@@ -528,30 +568,46 @@ def _plan(store: ParameterStore) -> tuple:
     slot is its rank within its output. In order: the layout, the mask key,
     the used features and their bins, per used feature its first entry in
     `lower`, per (used feature, fine bin) its piece's lower edge, the pairs,
-    per pair its used feature and its first (pair, fine bin) entry, per
-    (pair, fine bin) its piece's row in the pairs' stacked coefficients, the
-    pieces' count, per pair its row in the (slot, output) stack, and the slot
-    count."""
+    per pair its used feature and its first entry in the step table
+    (`_table`, every (output, feature) pair), per step-table entry its
+    piece's row in the coefficient table, the table's piece count without
+    its zero last row, per pair its row in the (slot, output) stack, and the
+    slot count."""
     layout, mask, plan = store.layout, store.constraints.allow_mask, store.plan
     key = (mask.shape, mask.tobytes())
     if plan is None or plan[0] is not layout or plan[1] != key:
         used, (outs, ks) = np.flatnonzero(mask.any(axis=0)), np.nonzero(mask)
         bins = [layout[k] for k in used]
         slot = np.arange(outs.size) - np.searchsorted(outs, outs)
-        first = np.cumsum([0] + [layout[k].n_coarse_bins for k in ks])  # pair's first piece
+        grid = [layout[k] for k in range(mask.shape[1])] * len(mask)  # the table's pairs' bins
+        first = np.cumsum([0] + [fb.n_coarse_bins for fb in grid])  # pair's first piece
         plan = store.plan = (
             layout, key, used, bins,
             np.cumsum([0] + [fb.n_fine_bins for fb in bins])[:-1, None],
             np.concatenate([[]] + [fb.coarse_lower_edges[fb.piece_of_fine] for fb in bins]),
             list(zip(outs.tolist(), ks.tolist())),
             np.searchsorted(used, ks),
-            np.cumsum([0] + [layout[k].n_fine_bins for k in ks])[:-1, None],
-            np.concatenate([np.zeros(0, int)] + [p + layout[k].piece_of_fine
-                                                 for p, k in zip(first, ks)]),
+            np.cumsum([0] + [fb.n_fine_bins for fb in grid])[outs * mask.shape[1] + ks, None],
+            np.concatenate([np.zeros(0, int)] + [p + fb.piece_of_fine
+                                                 for p, fb in zip(first, grid)]),
             int(first[-1]),
             slot * len(mask) + outs,
             int(slot.max(initial=-1)) + 1)
     return plan
+
+
+def _read_table(store: ParameterStore, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The store's table (`_bind`) while it was built for the store's layout
+    object and output count and every allowed pair still holds its two
+    views, checked by identity; else a fresh table of the current arrays.
+    The store is not changed."""
+    table, params = store.table, store.params
+    if table is not None and table[0] is store.layout and table[1] == store.n_outputs:
+        views = table[4]
+        if all(params[i][k].step_values is views[i][k][0]
+               and params[i][k].poly_coeffs is views[i][k][1] for i, k in pairs):
+            return table[2], table[3]
+    return _table(params)
 
 
 def _work(P: int, J: int, slots: int, m: int) -> tuple:
@@ -597,7 +653,7 @@ def _predict_rows(X, F, codes, start: int, stop: int, chunk: int, work: tuple, p
             if codes[k] is not None:
                 codes[k][lo : lo + m] = fcode[f]
         fcode.take(feature, axis=0, out=at, mode="clip")
-        at += bin_off  # each pair's (pair, fine bin) entry
+        at += bin_off  # each pair's entry in the step table
         fcode += fine_off  # each feature's (feature, fine bin) entry
         x -= lower.take(fcode, out=lo_edge, mode="clip")  # t, once per feature
         x.take(feature, axis=0, out=t, mode="clip")
@@ -618,8 +674,13 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
 
     Rows go in chunks of CHUNK_ROWS: fine codes per used feature, then one
     `horner` over every pair, whose values each output adds to its intercept
-    in feature order, one slot at a time. Parameters are read afresh on
-    every call. On more than one lane (`lanes.gate` on the rows),
+    in feature order, one slot at a time. Parameters are read from the
+    store's table in place while it was built for the store's layout object
+    and output count and every allowed pair still holds its two views of it
+    (the identity rule, `ParameterStore`); otherwise the call builds a fresh
+    table of the current arrays, and leaves the store as it is. So in-place
+    edits, `accumulate_*` folds, rebound arrays, replaced ShapeParams, mask
+    edits and a new layout all show in the next call. On more than one lane (`lanes.gate` on the rows),
     `lanes.cuts` cuts the rows into one contiguous range per lane, each run
     in chunks of about LANE_CHUNK_VALUES (pair, row) values; every row's
     arithmetic is the same in any chunk, so F and the codes keep their bits
@@ -631,12 +692,10 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     X = feature_matrix(X, store.feature_names)
     plan = _plan(store)
     _, _, used, bins, _, _, pairs, _, _, coef_row, n_pieces, _, slots = plan
-    coef = np.concatenate(  # degree-first: (4, stacked pieces)
-        [np.zeros((MAX_DEGREE + 1, 0))] + [store.params[i][k].poly_coeffs.T for i, k in pairs],
-        axis=1)
-    steps = np.concatenate([[]] + [store.params[i][k].step_values for i, k in pairs])
-    if coef.shape[1] != n_pieces or steps.size != coef_row.size:  # so no index is clipped
+    coef, steps = _read_table(store, pairs)
+    if len(coef) != n_pieces + 1 or steps.size != coef_row.size:  # so no index is clipped
         raise DataError("model parameters do not match the bin layout")
+    coef = coef.T.copy()  # degree-first, as `horner` gathers it
     n, J, P = X.shape[0], store.n_outputs, len(pairs)
     F = np.empty((n, J))
     codes = [None] * X.shape[1]
@@ -811,7 +870,7 @@ def load_model(path) -> ParameterStore:
     except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise DataError(f"{path} is not a polygam model: {exc}") from exc
     store.validate()
-    return store
+    return _bind(store)
 
 
 def _from_document(doc: dict) -> ParameterStore:

@@ -450,10 +450,10 @@ def test_every_feature_line_problem_is_reported_at_once(tmp_path):
         parse_config(ini)
     assert str(exc.value).split("; ") == [
         "feature 'x0': expected key=value, got 'monotone'",
-        "feature 'x0': s must be an integer, got 'a'",
+        "feature 'x0': S must be an integer, got 'a'",
         "feature 'x0': unknown setting 'bogus'",
         "feature 'x0': outputs must look like [0,2], got '0'",
-        "feature 'x0': d must be an integer, got 'x'",
+        "feature 'x0': D must be an integer, got 'x'",
         "feature 'x0': bad outputs list '[0,a]'",
     ]
 

@@ -7,6 +7,7 @@ store, any row count around the chunk size, on one lane or several, and
 after any change to the store between calls.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -24,7 +25,9 @@ from polygam.model import (
     accumulate_global,
     accumulate_update,
     dumps_model,
+    load_model,
     predict,
+    save_model,
     zero_init,
 )
 from polygam.uncertainty import attach_se_accumulators
@@ -43,8 +46,9 @@ ROW_COUNTS = [0, 1, 1023, 1024, C - 1, C, C + 1, 2 * C + 1]
 
 def build_store(n_outputs, n_edges, mask, seed):
     """A store over random grids (n_edges[k] fine edges, about a third of
-    them coarse) with random parameters sprinkled with -0.0. An output that
-    uses no feature gets the intercept -0.0."""
+    them coarse) with random parameters sprinkled with -0.0, written into
+    the arrays `zero_init` made, so `predict` reads them from the store's
+    table. An output that uses no feature gets the intercept -0.0."""
     rng = np.random.default_rng(seed)
     feats = []
     for e in n_edges:
@@ -64,8 +68,8 @@ def build_store(n_outputs, n_edges, mask, seed):
     store.intercepts = np.where(spec.allow_mask.any(axis=1), numbers(n_outputs), -0.0)
     for row in store.params:
         for sp in row:
-            sp.step_values = numbers(*sp.step_values.shape)
-            sp.poly_coeffs = numbers(*sp.poly_coeffs.shape)
+            sp.step_values[...] = numbers(*sp.step_values.shape)
+            sp.poly_coeffs[...] = numbers(*sp.poly_coeffs.shape)
     return store
 
 
@@ -166,15 +170,179 @@ def test_predict_reads_parameters_afresh_after_every_change():
     changed(replan=True)
 
 
-@pytest.mark.parametrize("field, cut", [("step_values", np.s_[:-1]), ("poly_coeffs", np.s_[:-1])])
+@pytest.mark.parametrize("field, cut", [("step_values", np.s_[:-1]), ("poly_coeffs", np.s_[:-1]),
+                                        ("step_values", np.s_[:, None]),
+                                        ("poly_coeffs", np.s_[:, :-1])])
 def test_predict_refuses_parameters_that_do_not_fit_the_layout(field, cut):
     """The flat pass gathers without checking each index, so a parameter
-    array shorter than its grid is refused before any gather."""
+    array shorter than its grid is refused before any gather; one of
+    another rank or row width is refused when the table is built, by
+    `predict` or by `ParameterStore.copy`."""
     store = build_store(2, [6, 6], np.ones((2, 2), bool), 7)
     sp = store.params[1][0]
     setattr(sp, field, getattr(sp, field)[cut])
+    X = rows(store, 5, 7)
     with pytest.raises(DataError, match="do not match the bin layout"):
-        predict(store, rows(store, 5, 7))
+        predict(store, X)
+    with pytest.raises(DataError, match="do not match the bin layout"):
+        predict(store.copy(), X)
+
+
+def assert_in_its_table(store):
+    """Every pair's arrays are contiguous views of the store's one table,
+    laid out in (output, feature) order, with a zero row after the last."""
+    coef, steps = store.table[2:4]
+    pairs = [sp for row in store.params for sp in row]
+    assert coef.shape[1] == 4 and not coef[-1].any()
+    for table, arrays, end in ((coef, [sp.poly_coeffs for sp in pairs], coef[-1].nbytes),
+                               (steps, [sp.step_values for sp in pairs], 0)):
+        at = table.ctypes.data
+        for a in arrays:
+            assert a.base is table and a.flags.c_contiguous and a.ctypes.data == at
+            at += a.nbytes
+        assert at + end == table.ctypes.data + table.nbytes
+
+
+def small_fit():
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(300, 3))
+    y = np.digitize(X[:, 0] + X[:, 1] ** 2 + rng.logistic(size=300), [0.0, 1.5])
+    cfg = TrainConfig(max_iterations=6, early_stopping_patience=0, validation_fraction=0.0)
+    return train(make_dataset(X, y, task="multiclass"), config=cfg), X
+
+
+def test_every_store_the_library_makes_reads_its_parameters_from_one_table(tmp_path):
+    res, X = small_fit()
+    save_model(res.store, tmp_path / "m.json")
+    loaded = load_model(tmp_path / "m.json")
+    built = build_store(2, [6, 0, 3], [[1, 1, 0], [0, 1, 1]], 22)
+    for store in (res.store, res.initial_store, res.replay_to(3), loaded, built,
+                  built.copy(), zero_init(built.layout, "multiclass", 2, built.feature_names,
+                                          built.constraints)):
+        assert_in_its_table(store)
+    assert predict(loaded, X).tobytes() == predict(res.store, X).tobytes()
+
+
+def test_a_copy_and_its_original_share_no_parameter():
+    a = build_store(2, [6, 6, 6], [[1, 1, 0], [1, 0, 1]], 23)
+    b = a.copy()
+    X = rows(a, 40, 23)
+    before = predict(a, X)
+    assert predict(b, X).tobytes() == before.tobytes()
+    for edit, seen, other in ((b, b, a), (a, a, b)):
+        fb = edit.layout[0]
+        edit.params[1][0].poly_coeffs[1, 2] += 0.75
+        accumulate_update(edit, 0, 0, 0, fb.fine_edges[2], 0.3, -0.7, 0.5)
+        assert predict(other, X).tobytes() == reference_predict(other, X).tobytes()
+        assert predict(seen, X).tobytes() == reference_predict(seen, X).tobytes()
+    assert predict(b, X).tobytes() != before.tobytes() != predict(a, X).tobytes()
+
+
+def rebind_fresh(store):
+    sp = store.params[1][2]
+    sp.poly_coeffs = sp.poly_coeffs + 1.5
+
+
+def rebind_to_another_pairs_view(store):
+    store.params[1][0].step_values = store.params[0][0].step_values  # both views of the table
+
+
+def replace_the_params(store):
+    store.params = [[ShapeParams(sp.step_values * 2.0, sp.poly_coeffs) for sp in row]
+                    for row in store.params]
+
+
+@pytest.mark.parametrize("rebind", [rebind_fresh, rebind_to_another_pairs_view,
+                                    replace_the_params])
+def test_predict_sees_arrays_rebound_away_from_the_table(rebind):
+    store = build_store(2, [6, 6, 6], [[1, 1, 0], [1, 0, 1]], 24)
+    X = rows(store, C + 3, 24)
+    before = predict(store, X)
+    rebind(store)
+    F = predict(store, X)
+    assert F.tobytes() == reference_predict(store, X).tobytes()
+    assert F.tobytes() != before.tobytes()
+    assert_matches_reference(store, X)
+
+
+@pytest.mark.parametrize("grow", ["feature", "output"])
+def test_predict_sees_a_store_grown_past_its_table(grow):
+    """The table's views cover the pairs it was built for; a pair past them
+    is read from a fresh table, not looked up among the views."""
+    store = build_store(2, [6, 6], np.ones((2, 2), bool), 28)
+    rng, mask = np.random.default_rng(28), store.constraints.allow_mask
+    if grow == "feature":
+        fb = store.layout[0]
+        store.layout = BinLayout(features=[*store.layout.features, fb])
+        store.feature_names = [*store.feature_names, "x2"]
+        fcs, mask = [*store.constraints.features, FeatureConstraint()], np.ones((2, 3), bool)
+        for row in store.params:
+            row.append(ShapeParams(rng.normal(size=fb.n_fine_bins),
+                                   rng.normal(size=(fb.n_coarse_bins, 4))))
+    else:
+        store.n_outputs, store.intercepts = 3, np.append(store.intercepts, 0.5)
+        store.params.append([ShapeParams(rng.normal(size=fb.n_fine_bins),
+                                         rng.normal(size=(fb.n_coarse_bins, 4)))
+                             for fb in store.layout.features])
+        fcs, mask = store.constraints.features, np.ones((3, 2), bool)
+    store.constraints = ConstraintSpec(features=fcs, allow_mask=mask)
+    assert_matches_reference(store, rows(store, 40, 28))
+
+
+@pytest.mark.parametrize("grid", ["fine", "coarse"])
+def test_predict_refuses_a_layout_with_other_bin_counts(grid):
+    store = build_store(2, [6, 6], np.ones((2, 2), bool), 25)
+    X = rows(store, 5, 25)
+    predict(store, X)
+    f = store.layout[1]
+    fine = f.fine_edges[:-1] if grid == "fine" else f.fine_edges
+    coarse = fine[:1] if grid == "coarse" and f.coarse_edges.size != 1 else fine[:2]
+    store.layout = BinLayout(features=[store.layout[0], FeatureBins(fine, coarse, f.x_min,
+                                                                    f.x_max)])
+    with pytest.raises(DataError, match="do not match the bin layout"):
+        predict(store, X)
+
+
+def test_predict_builds_a_table_only_for_rebound_arrays(monkeypatch):
+    store = small_fit()[0].store
+    X = rows(store, C + 1, 26)
+    calls, table = [], model._table
+    monkeypatch.setattr(model, "_table", lambda params: calls.append(1) or table(params))
+    for _ in range(3):
+        predict(store, X[:1])
+        predict(store, X)
+    assert calls == []
+    store.params[0][1].step_values = store.params[0][1].step_values.copy()
+    predict(store, X[:1])
+    assert calls == [1]
+    predict(store, X)
+    assert calls == [1, 1]
+
+
+def test_threads_sharing_a_store_predict_the_reference_bits():
+    store = build_store(3, [5, 0, 3, 40], LANE_MASK, 27).copy()  # the plan is not built yet
+    X = rows(store, C + 1, 27)
+    want = reference_predict(store, X)
+    bad, interval = [], sys.getswitchinterval()
+
+    def work():
+        for r in range(200):
+            if predict(store, X[r : r + 1]).tobytes() != want[r : r + 1].tobytes():
+                bad.append(r)
+        if predict(store, X).tobytes() != want.tobytes():
+            bad.append("bulk")
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def with_none(X):

@@ -18,7 +18,10 @@ its two float neighbours, the observed range's ends, rows inside and
 outside that range, and +-1e300. The fits have 240 rows, so only the probe
 is large enough for `fine_code`'s cell table. Every cell also checks that
 save -> `load_model` -> dump gives the first dump again, for the model and
-for the SE-attached model, and stops with an error if it does not.
+for the SE-attached model, and that the probe's predictions from a copy of
+the model, from the loaded model and from a copy whose pairs hold fresh
+arrays (so `predict` builds its parameter table afresh) are the same
+bytes; it stops with an error if any is not.
 
 Run it under two source trees and diff the output:
 
@@ -126,7 +129,16 @@ def fit_hash(S, D, m, c, task, seed, iterations, model_path):
         decision = (rec.output, rec.feature, rec.degree, rec.kind, rec.threshold)
         path.update(repr(decision).encode())
     digest.update(pg.model.dumps_model(res.replay_to(res.n_iterations // 2)).encode())
-    pred = hashlib.sha256(pg.predict(res.store, probe(layout, rng)).tobytes())
+    X_probe = probe(layout, rng)
+    pred = pg.predict(res.store, X_probe).tobytes()
+    rebound = res.store.copy()
+    for row in rebound.params:
+        for sp in row:
+            sp.step_values, sp.poly_coeffs = sp.step_values.copy(), sp.poly_coeffs.copy()
+    for store in (res.store.copy(), pg.load_model(model_path), rebound):
+        if pg.predict(store, X_probe).tobytes() != pred:
+            raise AssertionError("a copied, loaded or rebound store changed the predictions")
+    pred = hashlib.sha256(pred)
     pg.attach_se_accumulators(res.store, ds.X)
     se = hashlib.sha256(round_trip(res.store, model_path))
     return digest.hexdigest(), se.hexdigest(), path.hexdigest(), pred.hexdigest(), res.n_iterations
