@@ -35,6 +35,8 @@ from .model import (
     ConstraintSpec,
     FeatureConstraint,
     ParameterStore,
+    _offsets,
+    _read_table,
     accumulate_global,
     accumulate_update,
     fine_code,
@@ -487,25 +489,25 @@ class _ClampRows:
     expanded from that edge, so a row adds exactly 0 to f' (d >= 2) and
     f'' (d = 3) at its own threshold from either side. mmask and cmask mark
     where the monotone and curvature signs bind. out and col are each row's
-    (output, column) of the fit's candidates, pairs each block's (output,
-    feature). `at` binds a store's state.
+    (output, column) of the fit's candidates, coef each (row, piece)'s row
+    in the store's coefficient table. `at` binds a store's state.
     """
 
-    def __init__(self, blocks, lr: float):
+    def __init__(self, blocks, lr: float, first_row: np.ndarray):
         """blocks: (output, feature, work, degree, table rows, columns) of
-        each block of rows; all rows of a block have the one degree."""
+        each block of rows; all rows of a block have the one degree.
+        first_row: each (output, feature) pair's first row in the store's
+        coefficient table (`model._offsets`)."""
         P = max(wk.lower.size for _, _, wk, _, _, _ in blocks)
-        self.pairs = [(i, k) for i, k, *_ in blocks]
-        grids, rowwise, top = [], [], 0
+        grids, rowwise = [], []
         for i, k, wk, d, rows, cols in blocks:
             m_sign, c_sign, n, pieces = wk.fc.monotone, wk.fc.curvature, rows.size, wk.lower.size
             mask = wk.row_mask[:, rows]
             unit = np.zeros((2, 4) + mask.shape)  # coefficients of lr*(x-u)^d at lower, upper
             for unit_at, edge in zip(unit, (wk.lower, wk.upper)):
                 unit_at[: d + 1] = shift(edge - wk.row_u[rows, None], d, lr)[:, None]
-            # each piece's row in `at`'s coefficient stack; padding reads its zero last row
-            coef = np.where(np.arange(P) < pieces, top + np.arange(P), -1)
-            top += pieces
+            # padding reads the table's zero last row
+            coef = np.where(np.arange(P) < pieces, first_row[i, k] + np.arange(P), -1)
             grids.append((mask & bool(m_sign), mask & (bool(c_sign) and d >= 2),
                           np.broadcast_to(wk.widths, mask.shape), np.broadcast_to(coef, (n, P)),
                           m_sign * np.stack(_slopes(unit[0])), c_sign * np.stack(_bends(unit[0])),
@@ -521,10 +523,10 @@ class _ClampRows:
         self.mono, self.curv = bool(self.mmask.any()), bool(self.cmask.any())
 
     def at(self, store: ParameterStore) -> "_ClampRows":
-        """These rows against the store's current coefficients."""
+        """These rows against the store's current coefficients, gathered
+        from its table (`model._read_table`)."""
         out, shape = copy.copy(self), self.mmask.shape
-        c = np.concatenate([store.params[i][k].poly_coeffs for i, k in self.pairs]
-                           + [np.zeros((1, 4))])[self.coef].transpose(2, 0, 1)
+        c = _read_table(store)[0][self.coef].transpose(2, 0, 1)
         out.B = np.broadcast_to((self.m_sign[:, None] * np.stack(_slopes(c)))[:, None], (3, *shape))
         out.C = np.broadcast_to((self.c_sign[:, None] * np.stack(_bends(c)))[:, None], (2, *shape))
         return out
@@ -655,7 +657,9 @@ def _clamp(rows: _ClampRows, cfg: TrainConfig, gamma: np.ndarray, sums) -> np.nd
 class _Candidates:
     """Every candidate update of a fit, laid out end to end. `works` holds
     each feature's workspace at its index in the store, or None for a
-    feature without one, which has no columns.
+    feature without one, which has no columns; `first_row` each (output,
+    feature) pair's first row in the store's coefficient table
+    (`model._offsets`), one row per output, for the clamp rows.
 
     Columns run by feature, then degree, then ascending threshold. A feature
     contributes its fine degree-0 scan (only when S = -1) and its row table
@@ -669,7 +673,7 @@ class _Candidates:
     equal gains.
     """
 
-    def __init__(self, works: list[_FeatureWork | None], n_outputs: int, cfg: TrainConfig, n: int):
+    def __init__(self, works: list[_FeatureWork | None], cfg: TrainConfig, n: int, first_row):
         built = [(k, wk) for k, wk in enumerate(works) if wk is not None]
         cols = []  # per feature: feature, degree, threshold (NaN: global), n_left, pool sign
         for k, wk in built:
@@ -685,8 +689,8 @@ class _Candidates:
         self.is_global = np.isnan(self.threshold)
         min_leaf = cfg.min_data_in_leaf
         ok = self.is_global | ((nl >= min_leaf) & (n - nl >= min_leaf))
-        allowed = np.zeros((n_outputs, len(works)), dtype=bool)
-        self.sums = np.zeros((n_outputs, 4, ok.size))
+        allowed = np.zeros((len(first_row), len(works)), dtype=bool)
+        self.sums = np.zeros((len(first_row), 4, ok.size))
         # every valid row of a constrained degree >= 1, once per allowed
         # output: one block of clamp rows per (output, feature, degree)
         blocks = []
@@ -702,7 +706,7 @@ class _Candidates:
         self.valid = allowed[:, self.feature] & ok  # (output, column)
         self.pool = np.flatnonzero(pool)  # the fine degree-0 columns of monotone features
         self.pool_sign = pool[self.pool]
-        self.clamp = _ClampRows(blocks, cfg.learning_rate) if blocks else None
+        self.clamp = _ClampRows(blocks, cfg.learning_rate, first_row) if blocks else None
 
 
 def _best_updates(
@@ -983,7 +987,7 @@ def train(
         # whole features, weighed by the rows they keep: slot_row, t^0..t^D
         jobs = lanes.deal([fcs[k].max_degree + 2 for k in keep], lanes.gate(n_tr))
         lanes._on_lanes(pool, [functools.partial(build, [keep[i] for i in ks]) for ks in jobs])
-        cands = _Candidates(works, J, cfg, n_tr)
+        cands = _Candidates(works, cfg, n_tr, _offsets(layout, J)[0])
         GH = np.zeros((2 * J, n_tr + 1))  # g then h of the iteration; the last column stays 0
         scan = _Scan([works[k] for k in keep])
         rows = _Rows(ds_train, ds_valid, intercepts, GH)

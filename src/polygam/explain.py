@@ -53,12 +53,10 @@ def shape_grid(
         x = np.linspace(fb.x_min, fb.x_max, grid_size)
     else:
         x = np.array([fb.x_min])  # constant feature
-    f = evaluate_shape(store, i, k, x)
+    # shape_ci evaluates f itself
+    f, lo, hi = shape_ci(store, i, k, x) if with_ci else (evaluate_shape(store, i, k, x), None, None)
     fp = evaluate_derivative(store, i, k, x, order=1)
     fpp = evaluate_derivative(store, i, k, x, order=2)
-    lo = hi = None
-    if with_ci:
-        _, lo, hi = shape_ci(store, i, k, x)
     return ShapeGrid(i, k, store.feature_names[k], x, f, fp, fpp, lo, hi)
 
 

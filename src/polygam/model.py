@@ -182,9 +182,10 @@ class ConstraintSpec:
                     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeParams:
-    """Parameters of one (output, feature) shape function."""
+    """Parameters of one (output, feature) shape function. Frozen: its
+    arrays are edited in place, never rebound (see `ParameterStore`)."""
 
     step_values: np.ndarray  # (n_fine_bins,)
     poly_coeffs: np.ndarray  # (n_coarse_bins, 4) in local coordinates
@@ -195,12 +196,15 @@ class ParameterStore:
     """All model parameters plus the layout needed to evaluate them.
 
     A store from `zero_init`, `copy` or `load_model` holds its pairs'
-    parameters in one table (`_bind`): every pair's `poly_coeffs` and
+    parameters in one table (`_bind`, laid out by `_offsets`): `params` is
+    a tuple of tuples of frozen ShapeParams whose `poly_coeffs` and
     `step_values` are contiguous views of it, so in-place edits and
-    `accumulate_*` folds write to the table. `predict` reads the table in
-    place while every allowed pair still holds its two views, checked by
-    identity; a pair rebound to any other array, even another pair's view,
-    makes it build a fresh table from the current arrays instead."""
+    `accumulate_*` folds write to the table, while a bound pair's arrays
+    cannot be rebound nor a bound pair replaced. `predict` reads the table
+    in place while `params` is still the tuple bound to it. Replacing
+    `params` wholesale is the way to swap arrays: `predict` then builds a
+    fresh table of the allowed pairs, and refuses a pair whose arrays do
+    not fit the layout."""
 
     layout: BinLayout
     task: str
@@ -208,13 +212,13 @@ class ParameterStore:
     feature_names: list[str]
     constraints: ConstraintSpec
     intercepts: np.ndarray  # (J,)
-    params: list[list[ShapeParams]]  # [output][feature]
+    params: tuple[tuple[ShapeParams, ...], ...]  # [output][feature]
     se_fine: list[list[np.ndarray | None]] = field(default_factory=list)
     se_coarse: list[list[np.ndarray | None]] = field(default_factory=list)
     target_name: str = "target"
     # `predict`'s plan, cached by `_plan`; never saved or copied
     plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # the parameter table and its views, set by `_bind`; never saved or copied
+    # the parameter table and the params bound to it, set by `_bind`; never saved or copied
     table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ParameterStore":
@@ -319,16 +323,6 @@ def zero_init(
     constraints: ConstraintSpec,
     target_name: str = "target",
 ) -> ParameterStore:
-    params = [
-        [
-            ShapeParams(
-                step_values=np.zeros(layout[k].n_fine_bins),
-                poly_coeffs=np.zeros((layout[k].n_coarse_bins, MAX_DEGREE + 1)),
-            )
-            for k in range(len(layout))
-        ]
-        for _ in range(n_outputs)
-    ]
     return _bind(ParameterStore(
         layout=layout,
         task=task,
@@ -336,40 +330,57 @@ def zero_init(
         feature_names=feature_names,
         constraints=constraints,
         intercepts=np.zeros(n_outputs),
-        params=params,
+        params=(),
         target_name=target_name,
-    ))
+    ), ())
 
 
-def _table(params: list[list[ShapeParams]]) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair's parameters in (output, feature) order, as one table of
-    coefficient rows (piece-major, with one zero last row, as
-    `booster._ClampRows.at` stacks them) and one of step values. An array of
-    another rank or row width raises DataError."""
-    pairs = [sp for row in params for sp in row]
+def _offsets(layout: BinLayout, n_outputs: int) -> np.ndarray:
+    """The parameter table's one layout rule. Pairs run in (output, feature)
+    order, each after the one before: its coarse pieces' rows of four
+    coefficients (local, degree 0 first) in the coefficient table, which
+    ends in one zero row, and its fine bins' values in the step table.
+    Returns each pair's first coefficient row and first step entry as one
+    (2, outputs, features + 1) array, rows then entries, whose entries
+    [:, i, features] are where output i's pairs end."""
+    ends = np.array([(0, 0)] + [(fb.n_coarse_bins, fb.n_fine_bins) for fb in layout.features]
+                    ).cumsum(axis=0).T  # (rows/entries, features + 1) within one output
+    return ends[:, None] + ends[:, None, -1:] * np.arange(n_outputs)[:, None]
+
+
+def _table(store: ParameterStore, pairs) -> tuple[np.ndarray, np.ndarray, list]:
+    """A fresh table (`_offsets`) of the current arrays of the given
+    (output, feature) pairs, every other entry, the zero last row included,
+    left at 0, and every pair's two slots of it, [output][feature] =
+    (coefficient rows, step entries). `predict` and `booster._ClampRows.at`
+    gather from the table without checking each index, so a pair whose
+    arrays are not shaped as its slots, (coarse bins, 4) and (fine bins,),
+    or that params do not hold, raises DataError."""
+    rows, entries = _offsets(store.layout, store.n_outputs).tolist()
+    n_rows, n_entries = (rows[-1][-1], entries[-1][-1]) if rows else (0, 0)  # 0 outputs: no pair
+    coef, steps = np.zeros((n_rows + 1, MAX_DEGREE + 1)), np.zeros(n_entries)
+    slots = [[(coef[r0:r1], steps[e0:e1]) for r0, r1, e0, e1 in zip(r, r[1:], e, e[1:])]
+             for r, e in zip(rows, entries)]
     try:
-        return (np.concatenate([sp.poly_coeffs for sp in pairs] + [np.zeros((1, MAX_DEGREE + 1))]),
-                np.concatenate([np.zeros(0)] + [sp.step_values for sp in pairs]))
-    except ValueError as exc:
+        for i, k in pairs:
+            sp, (c, s) = store.params[i][k], slots[i][k]
+            if np.shape(sp.poly_coeffs) != c.shape or np.shape(sp.step_values) != s.shape:
+                raise DataError(f"output {i}, feature {k}: parameters do not match the bin layout")
+            c[...], s[...] = sp.poly_coeffs, sp.step_values
+    except IndexError as exc:  # params hold fewer outputs or features than the store
         raise DataError("model parameters do not match the bin layout") from exc
+    return coef, steps, slots
 
 
-def _bind(store: ParameterStore) -> ParameterStore:
-    """The store, given one table of its current parameters (`_table`) and
-    every pair a new ShapeParams of contiguous views of it. The table
-    records the layout object and output count it was built for, and each
-    pair's (step_values, poly_coeffs) views, for `predict`'s identity
-    check."""
-    coef, steps = _table(store.params)
-    views, c, s = [], 0, 0
-    for row in store.params:
-        views.append([])
-        for sp in row:
-            n, m = len(sp.poly_coeffs), sp.step_values.size
-            views[-1].append((steps[s : s + m], coef[c : c + n]))
-            c, s = c + n, s + m
-    store.params = [[ShapeParams(*v) for v in row] for row in views]
-    store.table = (store.layout, store.n_outputs, coef, steps, views)
+def _bind(store: ParameterStore, pairs=None) -> ParameterStore:
+    """The store, given a fresh table (`_table`) of pairs, by default every
+    pair, and as params a tuple of tuples of frozen ShapeParams of its
+    slots. The table records the layout object, output count and params it
+    was bound for, for `_read_table`."""
+    every = np.ndindex(store.n_outputs, len(store.layout))
+    coef, steps, slots = _table(store, every if pairs is None else pairs)
+    store.params = tuple(tuple(ShapeParams(s, c) for c, s in row) for row in slots)
+    store.table = (store.layout, store.n_outputs, store.params, coef, steps)
     return store
 
 
@@ -562,52 +573,51 @@ def accumulate_global(
 
 
 def _plan(store: ParameterStore) -> tuple:
-    """`predict`'s plan for the store's layout object and allow-mask contents,
-    cached on the store; it holds no parameter value. Pairs are the allowed
-    (output, feature) pairs in output order, then feature order, and a pair's
-    slot is its rank within its output. In order: the layout, the mask key,
-    the used features and their bins, per used feature its first entry in
-    `lower`, per (used feature, fine bin) its piece's lower edge, the pairs,
-    per pair its used feature and its first entry in the step table
-    (`_table`, every (output, feature) pair), per step-table entry its
-    piece's row in the coefficient table, the table's piece count without
-    its zero last row, per pair its row in the (slot, output) stack, and the
-    slot count."""
+    """`predict`'s plan for the store's layout object, output count and
+    allow-mask contents, cached on the store; it holds no parameter value.
+    Pairs are the allowed (output, feature) pairs in output order, then
+    feature order, and a pair's slot is its rank within its output. In
+    order: the layout, the key, the used features and their bins, per used
+    feature its first entry in `lower`, per (used feature, fine bin) its
+    piece's lower edge, the pairs, per pair its used feature and its first
+    entry in the step table, per step-table entry its piece's row in the
+    coefficient table (the table laid out by `_offsets`), per pair its row
+    in the (slot, output) stack, and the slot count. An allow mask of
+    another shape than (outputs, features) raises DataError."""
     layout, mask, plan = store.layout, store.constraints.allow_mask, store.plan
-    key = (mask.shape, mask.tobytes())
+    key = (store.n_outputs, mask.shape, mask.tobytes())
     if plan is None or plan[0] is not layout or plan[1] != key:
+        if mask.shape != (store.n_outputs, len(layout)):
+            raise DataError(f"allow mask shape {mask.shape} does not match (outputs, features)")
         used, (outs, ks) = np.flatnonzero(mask.any(axis=0)), np.nonzero(mask)
         bins = [layout[k] for k in used]
         slot = np.arange(outs.size) - np.searchsorted(outs, outs)
-        grid = [layout[k] for k in range(mask.shape[1])] * len(mask)  # the table's pairs' bins
-        first = np.cumsum([0] + [fb.n_coarse_bins for fb in grid])  # pair's first piece
+        rows, entries = _offsets(layout, store.n_outputs)
         plan = store.plan = (
             layout, key, used, bins,
             np.cumsum([0] + [fb.n_fine_bins for fb in bins])[:-1, None],
             np.concatenate([[]] + [fb.coarse_lower_edges[fb.piece_of_fine] for fb in bins]),
             list(zip(outs.tolist(), ks.tolist())),
             np.searchsorted(used, ks),
-            np.cumsum([0] + [fb.n_fine_bins for fb in grid])[outs * mask.shape[1] + ks, None],
-            np.concatenate([np.zeros(0, int)] + [p + fb.piece_of_fine
-                                                 for p, fb in zip(first, grid)]),
-            int(first[-1]),
+            entries[outs, ks, None],
+            np.concatenate([np.zeros(0, int)] + [first + fb.piece_of_fine for row in rows
+                                                 for first, fb in zip(row, layout.features)]),
             slot * len(mask) + outs,
             int(slot.max(initial=-1)) + 1)
     return plan
 
 
-def _read_table(store: ParameterStore, pairs: list) -> tuple[np.ndarray, np.ndarray]:
-    """The store's table (`_bind`) while it was built for the store's layout
-    object and output count and every allowed pair still holds its two
-    views, checked by identity; else a fresh table of the current arrays.
-    The store is not changed."""
-    table, params = store.table, store.params
-    if table is not None and table[0] is store.layout and table[1] == store.n_outputs:
-        views = table[4]
-        if all(params[i][k].step_values is views[i][k][0]
-               and params[i][k].poly_coeffs is views[i][k][1] for i, k in pairs):
-            return table[2], table[3]
-    return _table(params)
+def _read_table(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
+    """The store's table (`_bind`) while it was bound for the store's layout
+    object, output count and params: `params` is the tuple bound to it, and
+    its frozen pairs hold the table's views. Otherwise, as after `params`
+    is replaced, a fresh table of the allowed pairs (`_table`), masked
+    pairs left at 0. The store is not changed."""
+    table = store.table
+    if (table is not None and table[0] is store.layout and table[1] == store.n_outputs
+            and table[2] is store.params):
+        return table[3], table[4]
+    return _table(store, _plan(store)[6])[:2]
 
 
 def _work(P: int, J: int, slots: int, m: int) -> tuple:
@@ -636,7 +646,7 @@ def _predict_rows(X, F, codes, start: int, stop: int, chunk: int, work: tuple, p
     """`predict`'s rows start..stop into F and codes, in chunks of `chunk`
     rows, in the work arrays `_work` made for min(stop - start, chunk)
     rows."""
-    _, _, used, bins, fine_off, lower, _, feature, bin_off, coef_row, _, dest, slots = plan
+    _, _, used, bins, fine_off, lower, _, feature, bin_off, coef_row, dest, slots = plan
     J, K = F.shape[1], used.size
     at, rows, t, val, c, stack, acc = work
     m = acc.shape[1]
@@ -675,12 +685,14 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     Rows go in chunks of CHUNK_ROWS: fine codes per used feature, then one
     `horner` over every pair, whose values each output adds to its intercept
     in feature order, one slot at a time. Parameters are read from the
-    store's table in place while it was built for the store's layout object
-    and output count and every allowed pair still holds its two views of it
-    (the identity rule, `ParameterStore`); otherwise the call builds a fresh
-    table of the current arrays, and leaves the store as it is. So in-place
-    edits, `accumulate_*` folds, rebound arrays, replaced ShapeParams, mask
-    edits and a new layout all show in the next call. On more than one lane (`lanes.gate` on the rows),
+    store's table in place while it was bound for the store's layout
+    object, output count and params (`_read_table`); otherwise, as after
+    `store.params` is replaced wholesale, the call builds a fresh table of
+    the allowed pairs' current arrays, and leaves the store as it is. A
+    masked pair's arrays are never read, and an allowed pair whose arrays
+    are not shaped (fine bins,) and (coarse bins, 4) raises DataError. So
+    in-place edits, `accumulate_*` folds, replaced params, mask edits and a
+    new layout all show in the next call. On more than one lane (`lanes.gate` on the rows),
     `lanes.cuts` cuts the rows into one contiguous range per lane, each run
     in chunks of about LANE_CHUNK_VALUES (pair, row) values; every row's
     arithmetic is the same in any chunk, so F and the codes keep their bits
@@ -691,10 +703,8 @@ def predict(store: ParameterStore, X: np.ndarray, *, return_codes: bool = False)
     where every output masks the feature."""
     X = feature_matrix(X, store.feature_names)
     plan = _plan(store)
-    _, _, used, bins, _, _, pairs, _, _, coef_row, n_pieces, _, slots = plan
-    coef, steps = _read_table(store, pairs)
-    if len(coef) != n_pieces + 1 or steps.size != coef_row.size:  # so no index is clipped
-        raise DataError("model parameters do not match the bin layout")
+    _, _, used, bins, _, _, pairs, _, _, _, _, slots = plan
+    coef, steps = _read_table(store)
     coef = coef.T.copy()  # degree-first, as `horner` gathers it
     n, J, P = X.shape[0], store.n_outputs, len(pairs)
     F = np.empty((n, J))

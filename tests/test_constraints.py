@@ -22,6 +22,7 @@ from polygam.data import BinLayout
 from polygam.model import (
     ConstraintSpec,
     FeatureConstraint,
+    _offsets,
     accumulate_global,
     accumulate_update,
     evaluate_derivative,
@@ -218,10 +219,12 @@ def clamp_cases(draw):
     return FeatureConstraint(smoothness=S, max_degree=D, monotone=m, curvature=c), d, seed
 
 
-def one_block(wk, d, lr, rows, i=0, k=0):
+def one_block(wk, d, lr, rows, i=0, k=0, first_row=np.zeros((1, 1), int)):
     """Clamp rows batched alone: the one block of table rows `rows`, of
-    degree d, of output i and feature k; their columns are the rows."""
-    return _ClampRows([(i, k, wk, d, rows, rows)], lr)
+    degree d, of output i and feature k; their columns are the rows.
+    first_row places the pairs in the store's coefficient table
+    (`model._offsets`); pair (0, 0) comes first in every store."""
+    return _ClampRows([(i, k, wk, d, rows, rows)], lr, first_row)
 
 
 def take(rows, index):
@@ -359,7 +362,7 @@ def clamp_fit(case):
     store = train(ds, layout, spec, cfg).store
     works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]))
              for k, fc in enumerate(fcs)]
-    return works, _Candidates(works, J, cfg, n), store, cfg, rng
+    return works, _Candidates(works, cfg, n, _offsets(layout, J)[0]), store, cfg, rng
 
 
 # an example whose rows' intervals end at interior minima of f'
@@ -407,7 +410,7 @@ def test_one_clamp_pass_equals_each_block_clamped_alone():
         sgl, shl, sgr, shr = (rng.normal(size=R), rng.uniform(0.1, 10.0, R),
                               rng.normal(size=R), rng.uniform(0.1, 10.0, R))
         sums = (sgl, sgr, shl, shr)
-        bound = rows.at(store)
+        bound, first = rows.at(store), _offsets(store.layout, store.n_outputs)[0]
         batch = _clamp(bound, cfg, gamma.copy(), sums)
         (lo, hi), (e_lo, e_hi) = _feasible_interval(bound), ends_only(bound)
         vertex.append(((e_lo <= e_hi) & ((lo > e_lo) | (hi < e_hi))).any())
@@ -423,7 +426,7 @@ def test_one_clamp_pass_equals_each_block_clamped_alone():
                     if block.size == 0:
                         continue
                     r = np.array([at[i, table + b] for b in block.tolist()])
-                    alone = _clamp(one_block(wk, d, lr, block, i, k).at(store), cfg,
+                    alone = _clamp(one_block(wk, d, lr, block, i, k, first).at(store), cfg,
                                    gamma[:, r], tuple(s[r] for s in sums))
                     assert alone.tobytes() == batch[:, r].tobytes(), (k, i, d)
                     seen += r.size

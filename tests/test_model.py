@@ -921,8 +921,8 @@ def stores(draw):
     store.intercepts = array(J)
     for row in store.params:
         for sp in row:
-            sp.step_values = array(*sp.step_values.shape)
-            sp.poly_coeffs = array(*sp.poly_coeffs.shape)
+            sp.step_values[...] = array(*sp.step_values.shape)
+            sp.poly_coeffs[...] = array(*sp.poly_coeffs.shape)
     if draw(st.booleans()):
         store.se_fine = [[array(fb.n_fine_bins) if mask[i, k] else None
                           for k, fb in enumerate(features)] for i in range(J)]

@@ -9,6 +9,7 @@ after any change to the store between calls.
 
 import sys
 import threading
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,7 @@ def cases(draw):
 # has no fine edge; three chunks, the last of one row
 @example((3, [5, 0, 3, 40], [[1, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0]], 2 * C + 1, 1))
 @example((1, [], np.zeros((1, 0), bool), 1, 2))  # no feature at all
+@example((0, [4], np.zeros((0, 1), bool), 3, 5))  # no output at all
 @example((2, [4, 1], np.ones((2, 2), bool), C + 1, 3))  # no padding slot
 @given(cases())
 def test_predict_equals_the_reference_loop_bit_for_bit(case):
@@ -125,7 +127,7 @@ def assert_matches_reference(store, X):
 
 
 def test_predict_reads_parameters_afresh_after_every_change():
-    """No parameter value outlives a call: in-place edits, reassigned arrays,
+    """No parameter value outlives a call: in-place edits, replaced params,
     folded updates, new intercepts, mask edits and a new layout all show in
     the next prediction. The cached plan is rebuilt only for the last three."""
     mask = np.array([[1, 1, 0], [1, 0, 1]], bool)
@@ -146,7 +148,9 @@ def test_predict_reads_parameters_afresh_after_every_change():
     changed()
     store.params[1][0].poly_coeffs[0, 3] -= 1.25
     changed()
-    store.params[1][2].poly_coeffs = rng.normal(size=store.params[1][2].poly_coeffs.shape)
+    store.params = [list(row) for row in store.params]  # read from fresh tables from here on
+    sp = store.params[1][2]
+    store.params[1][2] = replace(sp, poly_coeffs=rng.normal(size=sp.poly_coeffs.shape))
     changed()
     store.params[0][0] = ShapeParams(rng.normal(size=fb.n_fine_bins),
                                      rng.normal(size=(fb.n_coarse_bins, 4)))
@@ -174,13 +178,13 @@ def test_predict_reads_parameters_afresh_after_every_change():
                                         ("step_values", np.s_[:, None]),
                                         ("poly_coeffs", np.s_[:, :-1])])
 def test_predict_refuses_parameters_that_do_not_fit_the_layout(field, cut):
-    """The flat pass gathers without checking each index, so a parameter
-    array shorter than its grid is refused before any gather; one of
-    another rank or row width is refused when the table is built, by
-    `predict` or by `ParameterStore.copy`."""
+    """The flat pass gathers without checking each index, so a pair whose
+    arrays are not shaped as its grids is refused when a fresh table is
+    built, by `predict` or by `ParameterStore.copy`, before any gather."""
     store = build_store(2, [6, 6], np.ones((2, 2), bool), 7)
+    store.params = [list(row) for row in store.params]
     sp = store.params[1][0]
-    setattr(sp, field, getattr(sp, field)[cut])
+    store.params[1][0] = replace(sp, **{field: getattr(sp, field)[cut]})
     X = rows(store, 5, 7)
     with pytest.raises(DataError, match="do not match the bin layout"):
         predict(store, X)
@@ -188,11 +192,39 @@ def test_predict_refuses_parameters_that_do_not_fit_the_layout(field, cut):
         predict(store.copy(), X)
 
 
+def test_predict_refuses_pairs_that_trade_entries_at_equal_totals():
+    """Pair (0, 0) one step value short and pair (0, 1) one long: the
+    table's sizes still match the layout, but every pair is checked on its
+    own, so neither path reads the values shifted across pairs."""
+    store = build_store(1, [6, 6], [[1, 1]], 3)
+    a, b = store.params[0]
+    store.params = [[replace(a, step_values=a.step_values[:-1]),
+                     replace(b, step_values=np.append(b.step_values, a.step_values[-1]))]]
+    X = rows(store, 5, 3)
+    with pytest.raises(DataError, match="do not match the bin layout"):
+        predict(store, X)
+    with pytest.raises(DataError, match="do not match the bin layout"):
+        predict(store.copy(), X)
+
+
+def test_predict_never_reads_a_masked_pair():
+    """A fresh table fills and checks the allowed pairs only: a masked pair
+    one step value short is left at 0, as the bound table's masked pairs
+    are never gathered."""
+    store = build_store(2, [6, 6], [[1, 0], [1, 1]], 3)
+    store.params = [[replace(sp, step_values=sp.step_values[: -1 if (i, k) == (0, 1) else None])
+                     for k, sp in enumerate(row)] for i, row in enumerate(store.params)]
+    assert_matches_reference(store, rows(store, 40, 3))
+
+
 def assert_in_its_table(store):
     """Every pair's arrays are contiguous views of the store's one table,
-    laid out in (output, feature) order, with a zero row after the last."""
-    coef, steps = store.table[2:4]
-    pairs = [sp for row in store.params for sp in row]
+    laid out in (output, feature) order, with a zero row after the last;
+    params is the tuple of tuples bound to it."""
+    params, coef, steps = store.table[2:5]
+    assert params is store.params and type(params) is tuple
+    assert all(type(row) is tuple for row in params)
+    pairs = [sp for row in params for sp in row]
     assert coef.shape[1] == 4 and not coef[-1].any()
     for table, arrays, end in ((coef, [sp.poly_coeffs for sp in pairs], coef[-1].nbytes),
                                (steps, [sp.step_values for sp in pairs], 0)):
@@ -238,27 +270,28 @@ def test_a_copy_and_its_original_share_no_parameter():
     assert predict(b, X).tobytes() != before.tobytes() != predict(a, X).tobytes()
 
 
-def rebind_fresh(store):
+def test_a_bound_pair_cannot_be_rebound_or_replaced():
+    store = build_store(2, [6, 6, 6], [[1, 1, 0], [1, 0, 1]], 24)
     sp = store.params[1][2]
-    sp.poly_coeffs = sp.poly_coeffs + 1.5
+    with pytest.raises(FrozenInstanceError):
+        sp.poly_coeffs = sp.poly_coeffs + 1.5
+    with pytest.raises(FrozenInstanceError):
+        sp.step_values = store.params[0][0].step_values
+    with pytest.raises(TypeError):
+        store.params[1][2] = ShapeParams(sp.step_values.copy(), sp.poly_coeffs.copy())
+    with pytest.raises(TypeError):
+        store.params[1] = store.params[0]
+    assert_in_its_table(store)
 
 
-def rebind_to_another_pairs_view(store):
-    store.params[1][0].step_values = store.params[0][0].step_values  # both views of the table
-
-
-def replace_the_params(store):
-    store.params = [[ShapeParams(sp.step_values * 2.0, sp.poly_coeffs) for sp in row]
-                    for row in store.params]
-
-
-@pytest.mark.parametrize("rebind", [rebind_fresh, rebind_to_another_pairs_view,
-                                    replace_the_params])
-def test_predict_sees_arrays_rebound_away_from_the_table(rebind):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_predict_sees_params_replaced_wholesale(monkeypatch, cpus):
     store = build_store(2, [6, 6, 6], [[1, 1, 0], [1, 0, 1]], 24)
     X = rows(store, C + 3, 24)
     before = predict(store, X)
-    rebind(store)
+    open_lanes(monkeypatch, cpus)
+    store.params = [[ShapeParams(sp.step_values * 2.0, sp.poly_coeffs) for sp in row]
+                    for row in store.params]
     F = predict(store, X)
     assert F.tobytes() == reference_predict(store, X).tobytes()
     assert F.tobytes() != before.tobytes()
@@ -267,8 +300,8 @@ def test_predict_sees_arrays_rebound_away_from_the_table(rebind):
 
 @pytest.mark.parametrize("grow", ["feature", "output"])
 def test_predict_sees_a_store_grown_past_its_table(grow):
-    """The table's views cover the pairs it was built for; a pair past them
-    is read from a fresh table, not looked up among the views."""
+    """A store grown by replacing its params, layout and mask is read from a
+    fresh table laid out for its new pairs."""
     store = build_store(2, [6, 6], np.ones((2, 2), bool), 28)
     rng, mask = np.random.default_rng(28), store.constraints.allow_mask
     if grow == "feature":
@@ -276,14 +309,14 @@ def test_predict_sees_a_store_grown_past_its_table(grow):
         store.layout = BinLayout(features=[*store.layout.features, fb])
         store.feature_names = [*store.feature_names, "x2"]
         fcs, mask = [*store.constraints.features, FeatureConstraint()], np.ones((2, 3), bool)
-        for row in store.params:
-            row.append(ShapeParams(rng.normal(size=fb.n_fine_bins),
-                                   rng.normal(size=(fb.n_coarse_bins, 4))))
+        store.params = [[*row, ShapeParams(rng.normal(size=fb.n_fine_bins),
+                                           rng.normal(size=(fb.n_coarse_bins, 4)))]
+                        for row in store.params]
     else:
         store.n_outputs, store.intercepts = 3, np.append(store.intercepts, 0.5)
-        store.params.append([ShapeParams(rng.normal(size=fb.n_fine_bins),
-                                         rng.normal(size=(fb.n_coarse_bins, 4)))
-                             for fb in store.layout.features])
+        store.params = [*store.params, [ShapeParams(rng.normal(size=fb.n_fine_bins),
+                                                    rng.normal(size=(fb.n_coarse_bins, 4)))
+                                        for fb in store.layout.features]]
         fcs, mask = store.constraints.features, np.ones((3, 2), bool)
     store.constraints = ConstraintSpec(features=fcs, allow_mask=mask)
     assert_matches_reference(store, rows(store, 40, 28))
@@ -303,16 +336,27 @@ def test_predict_refuses_a_layout_with_other_bin_counts(grid):
         predict(store, X)
 
 
-def test_predict_builds_a_table_only_for_rebound_arrays(monkeypatch):
+@pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 1), (2, 3)])
+def test_predict_refuses_an_allow_mask_of_another_shape(shape):
+    """The plan's pairs index the table by (output, feature), so a mask not
+    shaped (outputs, features) is refused before any gather."""
+    store = build_store(2, [6, 6], np.ones((2, 2), bool), 29)
+    X = rows(store, 5, 29)
+    store.constraints.allow_mask = np.ones(shape, bool)
+    with pytest.raises(DataError, match=r"allow mask shape \(\d, \d\) does not match"):
+        predict(store, X)
+
+
+def test_predict_builds_a_table_only_for_replaced_params(monkeypatch):
     store = small_fit()[0].store
     X = rows(store, C + 1, 26)
     calls, table = [], model._table
-    monkeypatch.setattr(model, "_table", lambda params: calls.append(1) or table(params))
+    monkeypatch.setattr(model, "_table", lambda *args: calls.append(1) or table(*args))
     for _ in range(3):
         predict(store, X[:1])
         predict(store, X)
     assert calls == []
-    store.params[0][1].step_values = store.params[0][1].step_values.copy()
+    store.params = [list(row) for row in store.params]
     predict(store, X[:1])
     assert calls == [1]
     predict(store, X)

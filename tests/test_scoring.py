@@ -32,7 +32,7 @@ from polygam.booster import (
 )
 from polygam.data import SplitScheme, build_bin_layout
 from polygam.losses import derivatives
-from polygam.model import ConstraintSpec, FeatureConstraint, fine_code, zero_init
+from polygam.model import ConstraintSpec, FeatureConstraint, _offsets, fine_code, zero_init
 
 from conftest import make_dataset, scan_matrix
 
@@ -40,6 +40,7 @@ from conftest import make_dataset, scan_matrix
 def reference_best(i, g, h, works, store, cfg, it):
     n = g.size
     l1, l2, min_leaf = cfg.l1, cfg.l2, cfg.min_data_in_leaf
+    first = _offsets(store.layout, store.n_outputs)[0]
     found = []
 
     def collect(k, d, kind, edges, gl, gr, gains, valid):
@@ -87,7 +88,8 @@ def reference_best(i, g, h, works, store, cfg, it):
                 gl, gr = leaf_value(sgl, shl, l1, l2), leaf_value(sgr, shr, l1, l2)
                 J = np.flatnonzero(valid)
                 if constrained and J.size:
-                    rows = _ClampRows([(i, k, wk, d, R[J], R[J])], cfg.learning_rate).at(store)
+                    rows = _ClampRows([(i, k, wk, d, R[J], R[J])], cfg.learning_rate,
+                                      first).at(store)
                     gl[J], gr[J] = _clamp(rows, cfg, np.stack([gl[J], gr[J]]),
                                           (sgl[J], sgr[J], shl[J], shr[J]))
                 gains = candidate_gain(gl, sgl, shl, gr, sgr, shr)
@@ -98,7 +100,7 @@ def reference_best(i, g, h, works, store, cfg, it):
             gamma = np.array([[leaf_value(sg, sh, l1, l2)], [0.0]])
             if constrained and d >= 1:
                 one = np.array([r])
-                rows = _ClampRows([(i, k, wk, d, one, one)], cfg.learning_rate).at(store)
+                rows = _ClampRows([(i, k, wk, d, one, one)], cfg.learning_rate, first).at(store)
                 gamma = _clamp(rows, cfg, gamma, tuple(sums[:, r : r + 1]))
             gain = candidate_gain(gamma[0], sg, sh, 0.0, 0.0, 0.0)
             collect(k, d, "global", None, gamma[0], None, gain, np.array([True]))
@@ -153,7 +155,7 @@ def test_stacked_scorer_matches_per_scan_reference(case):
     # as in a fit, a feature that every output masks has no workspace
     works = [_FeatureWork(X[:, k], layout[k], fc, np.flatnonzero(mask[:, k]))
              if mask[:, k].any() else None for k, fc in enumerate(fcs)]
-    cands = _Candidates(works, ds.n_outputs, cfg, n)
+    cands = _Candidates(works, cfg, n, _offsets(layout, ds.n_outputs)[0])
     scan = _Scan([wk for wk in works if wk is not None])
     F = np.zeros((n, ds.n_outputs))
     for it in range(6):

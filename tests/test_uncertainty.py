@@ -149,6 +149,10 @@ def test_band_is_infinite_outside_the_observed_range_only():
     # the grid spans [x_min, x_max] itself, so its ends stay finite
     grid = shape_grid(store, 0, 0, with_ci=True)
     assert np.isfinite(grid.ci_lower).all() and np.isfinite(grid.ci_upper).all()
+    # the band's f is the grid's f, to the bit
+    plain = shape_grid(store, 0, 0)
+    for name in ("x", "f", "f_prime", "f_double_prime"):
+        assert getattr(grid, name).tobytes() == getattr(plain, name).tobytes()
 
 
 def test_variance_skips_coarse_terms_below_their_bin():

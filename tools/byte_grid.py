@@ -131,13 +131,12 @@ def fit_hash(S, D, m, c, task, seed, iterations, model_path):
     digest.update(pg.model.dumps_model(res.replay_to(res.n_iterations // 2)).encode())
     X_probe = probe(layout, rng)
     pred = pg.predict(res.store, X_probe).tobytes()
-    rebound = res.store.copy()
-    for row in rebound.params:
-        for sp in row:
-            sp.step_values, sp.poly_coeffs = sp.step_values.copy(), sp.poly_coeffs.copy()
-    for store in (res.store.copy(), pg.load_model(model_path), rebound):
+    replaced = res.store.copy()  # predicts from a fresh table of its new arrays
+    replaced.params = [[pg.ShapeParams(sp.step_values.copy(), sp.poly_coeffs.copy())
+                        for sp in row] for row in replaced.params]
+    for store in (res.store.copy(), pg.load_model(model_path), replaced):
         if pg.predict(store, X_probe).tobytes() != pred:
-            raise AssertionError("a copied, loaded or rebound store changed the predictions")
+            raise AssertionError("a copied, loaded or replaced store changed the predictions")
     pred = hashlib.sha256(pred)
     pg.attach_se_accumulators(res.store, ds.X)
     se = hashlib.sha256(round_trip(res.store, model_path))
